@@ -1,6 +1,6 @@
 //! **Guided ISA discovery** — runs the full-budget custom-instruction
 //! search seeded from the committed exploration frontier and writes the
-//! `matic-discover-v1` report.
+//! `matic-discover-v2` report.
 //!
 //! Modes:
 //!
@@ -22,8 +22,9 @@
 
 use matic::Compiler;
 use matic_asip::AsipMachine;
-use matic_benchkit::{benchmark, outputs_close, sim_to_cvalue, to_sim};
+use matic_benchkit::{benchmark, to_sim};
 use matic_discover::{discover, rewrite_with, BenchDiscovery, DiscoverConfig};
+use matic_explore::check_outputs;
 use matic_isa::IsaSpec;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -62,10 +63,8 @@ fn reverify(b: &BenchDiscovery, stimulus_seed: u64) -> Result<(), String> {
     let reference = bench
         .reference_outputs(&bench.inputs(b.n, stimulus_seed))
         .map_err(|e| format!("{}: {e}", b.bench))?;
-    for (actual, expected) in outcome.outputs.iter().zip(&reference) {
-        outputs_close(&sim_to_cvalue(actual), expected, 1e-9)
-            .map_err(|e| format!("{}: winner outputs drifted: {e}", b.bench))?;
-    }
+    check_outputs(&outcome.outputs, &reference)
+        .map_err(|e| format!("{}: winner outputs drifted: {e}", b.bench))?;
     if outcome.cycles.total != b.winner.cycles {
         return Err(format!(
             "{}: winner re-simulates to {} cycles, report says {}",
@@ -108,24 +107,7 @@ fn run() -> Result<(), String> {
     };
     let result = discover(&cfg)?;
 
-    for b in &result.benches {
-        let w = &b.winner;
-        let verdict = if w.dominates_committed_best && w.beats_every_frontier_point_on_cycles {
-            "DOMINATES"
-        } else {
-            "no gain"
-        };
-        println!(
-            "{:8} {} -> {} ({} -> {} cy, {:.3} -> {:.3} area) [{verdict}]",
-            b.bench,
-            b.committed_best.name,
-            w.name,
-            b.committed_best.cycles,
-            w.cycles,
-            b.committed_best.area,
-            w.area,
-        );
-    }
+    print!("{}", result.render_text());
 
     let mut text = result.to_json().pretty();
     text.push('\n');

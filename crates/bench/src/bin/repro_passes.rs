@@ -8,7 +8,7 @@
 
 use matic::{IsaSpec, OptLevel};
 use matic_bench::render_table;
-use matic_benchkit::{outputs_close, sim_to_cvalue, to_sim, SUITE};
+use matic_benchkit::{to_sim, SUITE};
 
 /// Which vectorizer passes to run.
 #[derive(Clone, Copy)]
@@ -44,12 +44,11 @@ fn cycles_with(bench: &matic_benchkit::Benchmark, n: usize, passes: Passes) -> u
     }
     let machine = matic::AsipMachine::new(IsaSpec::dsp16());
     let inputs = bench.inputs(n, 1);
-    let expected = &bench.reference_outputs(&inputs).expect("interp ok")[0];
+    let reference = bench.reference_outputs(&inputs).expect("interp ok");
     let out = machine
         .run(&mir, bench.entry, inputs.iter().map(to_sim).collect())
         .unwrap_or_else(|e| panic!("{}: {e}", bench.id));
-    let got = sim_to_cvalue(&out.outputs[0]);
-    outputs_close(&got, expected, 1e-9)
+    matic_explore::check_outputs(&out.outputs, &reference)
         .unwrap_or_else(|e| panic!("{}: pass subset broke semantics: {e}", bench.id));
     out.cycles.total
 }

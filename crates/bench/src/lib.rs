@@ -5,7 +5,7 @@
 //! figures of the DATE'16 evaluation on the virtual ASIP.
 
 use matic::{Compiled, Compiler, IsaSpec, OptLevel};
-use matic_benchkit::{outputs_close, sim_to_cvalue, to_sim, Benchmark};
+use matic_benchkit::{to_sim, Benchmark};
 
 // The fan-out/report helpers live with the design-space explorer (its
 // heaviest user); re-exported here so the repro binaries keep their
@@ -51,14 +51,13 @@ pub fn measure(
         .compile(bench.source, bench.entry, &bench.arg_types(n))
         .unwrap_or_else(|e| panic!("{}: compile failed: {e}", bench.id));
     let inputs = bench.inputs(n, seed);
-    let expected = &bench
+    let reference = bench
         .reference_outputs(&inputs)
-        .unwrap_or_else(|e| panic!("{}: interpreter failed: {e}", bench.id))[0];
+        .unwrap_or_else(|e| panic!("{}: interpreter failed: {e}", bench.id));
     let outcome = compiled
         .simulate(inputs.iter().map(to_sim).collect())
         .unwrap_or_else(|e| panic!("{}: simulation failed: {e}", bench.id));
-    let got = sim_to_cvalue(&outcome.outputs[0]);
-    outputs_close(&got, expected, 1e-9).unwrap_or_else(|e| {
+    matic_explore::check_outputs(&outcome.outputs, &reference).unwrap_or_else(|e| {
         panic!(
             "{}: output mismatch — refusing to report cycles: {e}",
             bench.id

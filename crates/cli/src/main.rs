@@ -83,7 +83,7 @@ from a previous matic-explore-v1 document (other flags still override)
 discover runs a guided search beyond the explore grid: simulated
 annealing over ISA mutations plus automatic custom-instruction mining
 (recurring MIR op pairs fused into one synthetic instruction, simulated
-for real); writes a matic-discover-v1 document
+for real); writes a matic-discover-v2 document
 --max-cycles caps the simulated step budget (default 100000000); runaway
 programs stop with a fuel-exhaustion diagnostic instead of hanging
 --engine picks the simulator implementation (default native, the fused
@@ -350,18 +350,21 @@ fn clone_opts(o: &Opts) -> Opts {
 
 fn cmd_discover(args: &[String]) -> Result<(), String> {
     use matic_discover::{discover, DiscoverConfig};
+    // --quick only lowers the default budget; an explicit --budget wins
+    // regardless of argument order.
+    let mut cfg = if args.iter().any(|a| a == "--quick") {
+        DiscoverConfig::quick("")
+    } else {
+        DiscoverConfig::new("")
+    };
     let mut frontier_path = "EXPLORE_frontier.json".to_string();
-    let mut bench_ids: Option<Vec<String>> = None;
-    let mut seed: Option<u64> = None;
-    let mut budget: Option<usize> = None;
     let mut json_out = None;
-    let mut quick = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--frontier" => frontier_path = next(&mut it, "--frontier")?,
             "--benchmarks" => {
-                bench_ids = Some(
+                cfg.bench_ids = Some(
                     next(&mut it, "--benchmarks")?
                         .split(',')
                         .map(|s| s.trim().to_string())
@@ -370,78 +373,24 @@ fn cmd_discover(args: &[String]) -> Result<(), String> {
                 );
             }
             "--seed" => {
-                seed = Some(
-                    next(&mut it, "--seed")?
-                        .parse()
-                        .map_err(|_| "--seed expects an integer".to_string())?,
-                );
+                cfg.seed = next(&mut it, "--seed")?
+                    .parse()
+                    .map_err(|_| "--seed expects an integer".to_string())?;
             }
             "--budget" => {
-                budget = Some(
-                    next(&mut it, "--budget")?
-                        .parse()
-                        .map_err(|_| "--budget expects a positive integer".to_string())?,
-                );
+                cfg.budget = next(&mut it, "--budget")?
+                    .parse()
+                    .map_err(|_| "--budget expects a positive integer".to_string())?;
             }
             "--json" => json_out = Some(next(&mut it, "--json")?),
-            "--quick" => quick = true,
+            "--quick" => {}
             other => return Err(format!("unexpected argument `{other}`")),
         }
     }
-    let text = std::fs::read_to_string(&frontier_path)
+    cfg.frontier_text = std::fs::read_to_string(&frontier_path)
         .map_err(|e| format!("cannot read frontier `{frontier_path}`: {e}"))?;
-    let mut cfg = if quick {
-        DiscoverConfig::quick(&text)
-    } else {
-        DiscoverConfig::new(&text)
-    };
-    cfg.bench_ids = bench_ids;
-    if let Some(s) = seed {
-        cfg.seed = s;
-    }
-    if let Some(b) = budget {
-        cfg.budget = b;
-    }
     let result = discover(&cfg)?;
-    println!(
-        "discovery over {} (seed {}, budget {} evals/bench)\n",
-        frontier_path, result.seed, result.budget
-    );
-    for b in &result.benches {
-        let w = &b.winner;
-        println!(
-            "{:8} committed best {} ({} cy @ {:.3})",
-            b.bench, b.committed_best.name, b.committed_best.cycles, b.committed_best.area
-        );
-        let mined = if b.mined.is_empty() {
-            "none".to_string()
-        } else {
-            b.mined
-                .iter()
-                .map(|m| {
-                    format!(
-                        "{}({} sites, weight {})",
-                        m.fop.mnemonic(),
-                        m.sites,
-                        m.weight
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        println!("         mined: {mined}");
-        let verdict = if w.dominates_committed_best && w.beats_every_frontier_point_on_cycles {
-            "dominates the committed best"
-        } else if w.dominates_committed_best {
-            "dominates the best, ties the frontier"
-        } else {
-            "no dominating point found"
-        };
-        println!(
-            "         winner {} ({} cy @ {:.3}, {:.2}x) — {} after {} evals\n",
-            w.name, w.cycles, w.area, w.speedup_vs_committed_best, verdict, b.evals
-        );
-    }
+    print!("{}", result.render_text());
     if let Some(path) = json_out {
         let mut text = result.to_json().pretty();
         text.push('\n');

@@ -28,14 +28,14 @@
 //!    else — so an unfused target's cycle count is bit-identical to the
 //!    unrewritten program.
 //!
-//! Discovered points are priced by an [extended area model](area_ext)
-//! that reduces exactly to the committed `matic-area-v1` model on every
-//! grid candidate and adds a fusion-cost term for the synthetic
-//! instruction. A winner is only reported as *dominating* when it
-//! strictly Pareto-dominates the committed best point of the frontier it
-//! was seeded from **and** beats every committed frontier point on
-//! cycles — both facts re-checked by a fresh compile-and-simulate, and
-//! recorded in a stable `matic-discover-v1` JSON document.
+//! Everything else is [`matic_explore`]'s: the seed document's reader,
+//! grid, fuel budget and area model, and the output check, so the sweep
+//! and the search share one machine model. A winner is only reported as
+//! *dominating* when it strictly Pareto-dominates the committed best
+//! point of the frontier it was seeded from **and** beats every committed
+//! frontier point on cycles — both facts re-checked by a fresh
+//! compile-and-simulate, and recorded in a stable `matic-discover-v2`
+//! JSON document.
 //!
 //! # Examples
 //!
@@ -51,15 +51,11 @@
 //! println!("{}: {} cycles @ area {:.2}", b.bench, b.winner.cycles, b.winner.area);
 //! ```
 
-pub mod area_ext;
-pub mod frontier;
 pub mod mine;
 pub mod report;
 pub mod runner;
 pub mod search;
 
-pub use area_ext::{extended_area, fused_area};
-pub use frontier::{grid_candidate, parse_frontier, BenchFrontier, Frontier, FrontierPoint};
 pub use mine::{mine_function, rewrite_with, MinedOp};
 pub use report::{validate_discover_json, DISCOVER_SCHEMA};
 pub use runner::{discover, BenchDiscovery, DiscoverConfig, Discovery, FusedChoice, Winner};

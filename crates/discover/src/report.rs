@@ -1,4 +1,4 @@
-//! The stable `matic-discover-v1` report document.
+//! The stable `matic-discover-v2` report document.
 //!
 //! A discovery run serializes to a committed-artifact-friendly JSON
 //! document: search parameters, per-bench mined ops, the winning design
@@ -8,10 +8,11 @@
 //! CI runs against the committed report.
 
 use crate::runner::{BenchDiscovery, Discovery, Winner};
+use matic_explore::CandidatePoint;
 use matic_isa::json::{parse, Json};
 
 /// Schema tag of the discovery report document.
-pub const DISCOVER_SCHEMA: &str = "matic-discover-v1";
+pub const DISCOVER_SCHEMA: &str = "matic-discover-v2";
 
 fn num(n: f64) -> Json {
     Json::Num(n)
@@ -56,33 +57,24 @@ fn winner_json(w: &Winner) -> Json {
     Json::Obj(fields)
 }
 
+/// A committed exploration point, as the report cites it.
+fn point_json(p: &CandidatePoint) -> Json {
+    Json::Obj(vec![
+        ("name".into(), string(&p.name)),
+        ("cycles".into(), num(p.cycles as f64)),
+        ("area".into(), num(p.area)),
+    ])
+}
+
 fn bench_json(b: &BenchDiscovery) -> Json {
     Json::Obj(vec![
         ("bench".into(), string(&b.bench)),
         ("entry".into(), string(&b.entry)),
         ("n".into(), num(b.n as f64)),
-        (
-            "committed_best".into(),
-            Json::Obj(vec![
-                ("name".into(), string(&b.committed_best.name)),
-                ("cycles".into(), num(b.committed_best.cycles as f64)),
-                ("area".into(), num(b.committed_best.area)),
-            ]),
-        ),
+        ("committed_best".into(), point_json(&b.committed_best)),
         (
             "frontier".into(),
-            Json::Arr(
-                b.frontier
-                    .iter()
-                    .map(|p| {
-                        Json::Obj(vec![
-                            ("name".into(), string(&p.name)),
-                            ("cycles".into(), num(p.cycles as f64)),
-                            ("area".into(), num(p.area)),
-                        ])
-                    })
-                    .collect(),
-            ),
+            Json::Arr(b.frontier.iter().map(point_json).collect()),
         ),
         (
             "mined".into(),
@@ -106,7 +98,7 @@ fn bench_json(b: &BenchDiscovery) -> Json {
 }
 
 impl Discovery {
-    /// The stable `matic-discover-v1` JSON document.
+    /// The stable `matic-discover-v2` JSON document.
     pub fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("schema".into(), string(DISCOVER_SCHEMA)),
@@ -118,15 +110,54 @@ impl Discovery {
                 "benchmarks".into(),
                 Json::Arr(self.benches.iter().map(bench_json).collect()),
             ),
-            (
-                "cache".into(),
-                Json::Obj(vec![
-                    ("hits".into(), num(self.cache.hits() as f64)),
-                    ("misses".into(), num(self.cache.misses() as f64)),
-                    ("evictions".into(), num(self.cache.evictions as f64)),
-                ]),
-            ),
         ])
+    }
+}
+
+impl Discovery {
+    /// The terminal report: per benchmark, the committed best, the mined
+    /// fused ops, and the winner with its dominance verdict.
+    pub fn render_text(&self) -> String {
+        let mut out = format!(
+            "discovery: {} benchmark(s), seed {}, budget {} evals/bench\n",
+            self.benches.len(),
+            self.seed,
+            self.budget
+        );
+        for b in &self.benches {
+            let (best, w) = (&b.committed_best, &b.winner);
+            let mined: Vec<String> = b
+                .mined
+                .iter()
+                .map(|m| format!("{}({} sites, weight {})", m.fop, m.sites, m.weight))
+                .collect();
+            let verdict = if w.dominates_committed_best && w.beats_every_frontier_point_on_cycles {
+                "dominates the committed best"
+            } else if w.dominates_committed_best {
+                "dominates the best, ties the frontier"
+            } else {
+                "no dominating point found"
+            };
+            out.push_str(&format!(
+                "\n{:8} committed best {} ({} cy @ {:.3})\n         mined: {}\n         \
+                 winner {} ({} cy @ {:.3}, {:.2}x) — {verdict} after {} evals\n",
+                b.bench,
+                best.name,
+                best.cycles,
+                best.area,
+                if mined.is_empty() {
+                    "none".to_string()
+                } else {
+                    mined.join(", ")
+                },
+                w.name,
+                w.cycles,
+                w.area,
+                w.speedup_vs_committed_best,
+                b.evals
+            ));
+        }
+        out
     }
 }
 
@@ -141,7 +172,7 @@ fn require_bool(doc: &Json, key: &str, ctx: &str) -> Result<bool, String> {
         .ok_or_else(|| format!("{ctx}: field `{key}` must be a bool"))
 }
 
-/// Structurally validates a `matic-discover-v1` document and enforces
+/// Structurally validates a `matic-discover-v2` document and enforces
 /// the acceptance bar: at least one benchmark's winner must dominate its
 /// committed best, beat every committed frontier point on cycles, and be
 /// marked as verified by re-simulation.
@@ -251,7 +282,7 @@ mod tests {
             .unwrap_err()
             .contains("dominate"));
         // Dropping the benchmarks array fails structurally.
-        assert!(validate_discover_json("{\"schema\": \"matic-discover-v1\", \"seed\": 1, \"budget\": 4, \"stimulus_seed\": 3, \"benchmarks\": []}")
+        assert!(validate_discover_json("{\"schema\": \"matic-discover-v2\", \"seed\": 1, \"budget\": 4, \"stimulus_seed\": 3, \"benchmarks\": []}")
             .is_err());
     }
 }

@@ -1,24 +1,24 @@
 //! The discovery driver: seed from the committed frontier, mine, anneal.
 //!
-//! Per benchmark the runner: (1) compiles the source once through the
-//! shared [`StageCache`]; (2) re-simulates the committed best candidate
-//! with profiling on, so mined subgraphs are weighted by real cycle
-//! attribution; (3) rewrites the MIR once per mined fused kind and
-//! pre-decodes each variant; (4) runs a budgeted simulated-annealing
-//! search over [`SearchState`]s, where every evaluation is a *real
-//! fuel-bounded simulation* checked against the reference interpreter's
-//! outputs, memoized by spec fingerprint, and deterministic in the run
-//! seed. The winner's cycles-vs-area point is then compared against the
-//! committed best and frontier, and the verdict recorded.
+//! Per benchmark the runner: (1) compiles the source once; (2)
+//! re-simulates the committed best candidate with profiling on, so mined
+//! subgraphs are weighted by real cycle attribution; (3) rewrites the
+//! MIR once per mined fused kind and pre-decodes each variant; (4) runs
+//! a budgeted simulated-annealing search over [`SearchState`]s, where
+//! every evaluation is a *real fuel-bounded simulation* checked against
+//! the reference interpreter's outputs ([`check_outputs`]), priced by
+//! the seed document's area model, memoized by spec fingerprint, and
+//! deterministic in the run seed. The winner's cycles-vs-area point is
+//! then compared against the committed best and frontier, and the
+//! verdict recorded.
 
-use crate::area_ext::extended_area;
-use crate::frontier::{grid_candidate, parse_frontier, BenchFrontier, FrontierPoint};
 use crate::mine::{mine_function, rewrite_with, MinedOp};
 use crate::search::{propose, SearchState};
-use matic::{spec_fingerprint, CacheStats, Compiled, Compiler, IsaSpec, StageCache};
+use matic::{spec_fingerprint, Compiled, Compiler, IsaSpec};
 use matic_asip::{decode_program, AsipMachine, DecodedProgram, NativeProgram};
-use matic_benchkit::{benchmark, outputs_close, sim_to_cvalue, to_sim, Benchmark};
-use matic_explore::AreaModel;
+use matic_benchkit::{benchmark, to_sim, Benchmark};
+use matic_explore::grid::{enumerate, Candidate};
+use matic_explore::{check_outputs, BenchExploration, CandidatePoint, Exploration};
 use matic_fuzz::case_rng;
 use matic_isa::{FusedOp, OpClass};
 use matic_mir::MirProgram;
@@ -29,8 +29,8 @@ use std::sync::{Arc, OnceLock};
 #[derive(Debug, Clone)]
 pub struct DiscoverConfig {
     /// The committed `matic-explore-v1` document the search is seeded
-    /// from (its per-bench best points, problem sizes, and stimulus
-    /// seed).
+    /// from: its per-bench best points and problem sizes, and the
+    /// stimulus seed, fuel budget, grid and area model of the sweep.
     pub frontier_text: String,
     /// Benchmarks to search (`None` = every bench in the frontier).
     pub bench_ids: Option<Vec<String>>,
@@ -38,14 +38,6 @@ pub struct DiscoverConfig {
     pub seed: u64,
     /// Simulation budget per benchmark (memoized re-visits are free).
     pub budget: usize,
-    /// Hard statement-budget cap per simulation; evaluations are further
-    /// tightened to a small multiple of the seed point's instruction
-    /// count (early abandon).
-    pub fuel: u64,
-    /// Area model (extended pricing reduces to it on grid points).
-    pub area: AreaModel,
-    /// Per-shard entry cap for the compile stage cache (0 = unbounded).
-    pub cache_capacity: usize,
 }
 
 impl DiscoverConfig {
@@ -56,9 +48,6 @@ impl DiscoverConfig {
             bench_ids: None,
             seed: 7,
             budget: 120,
-            fuel: 100_000_000,
-            area: AreaModel::default(),
-            cache_capacity: 8,
         }
     }
 
@@ -93,7 +82,7 @@ pub struct Winner {
     pub fused: Option<FusedChoice>,
     /// Re-simulated cycles at the committed problem size and stimulus.
     pub cycles: u64,
-    /// Extended-model area.
+    /// Area under the seed document's area model.
     pub area: f64,
     /// Strict Pareto domination of the committed best point: fewer
     /// cycles at no more area, or no more cycles at less area.
@@ -117,9 +106,9 @@ pub struct BenchDiscovery {
     /// Problem size (the committed frontier's).
     pub n: usize,
     /// The committed point to beat.
-    pub committed_best: FrontierPoint,
+    pub committed_best: CandidatePoint,
     /// The committed frontier, cheapest first.
-    pub frontier: Vec<FrontierPoint>,
+    pub frontier: Vec<CandidatePoint>,
     /// Mined fused-op kinds, heaviest first.
     pub mined: Vec<MinedOp>,
     /// The best point found.
@@ -139,8 +128,6 @@ pub struct Discovery {
     pub stimulus_seed: u64,
     /// Per-benchmark results, in frontier-document order.
     pub benches: Vec<BenchDiscovery>,
-    /// Stage-cache statistics for the run's compilations.
-    pub cache: CacheStats,
 }
 
 /// Memoization key: the priced spec's fingerprint plus the fused choice
@@ -163,24 +150,20 @@ struct FusedProgram {
 /// # Errors
 ///
 /// Fails on a malformed frontier document, unknown benchmark ids, seed
-/// points outside the default grid, compile errors, and any simulation
+/// points outside the document's grid, compile errors, and any simulation
 /// whose outputs diverge from the reference interpreter.
 pub fn discover(cfg: &DiscoverConfig) -> Result<Discovery, String> {
     if cfg.budget < 4 {
         return Err("budget must be at least 4 evaluations".to_string());
     }
-    if cfg.fuel == 0 {
-        return Err("fuel budget must be positive".to_string());
-    }
-    cfg.area.validate()?;
-    let frontier = parse_frontier(&cfg.frontier_text)?;
-    let selected: Vec<&BenchFrontier> = match &cfg.bench_ids {
-        None => frontier.benches.iter().collect(),
+    let doc = Exploration::from_json(&cfg.frontier_text)?;
+    let candidates = enumerate(&doc.grid)?;
+    let selected: Vec<&BenchExploration> = match &cfg.bench_ids {
+        None => doc.benches.iter().collect(),
         Some(ids) => ids
             .iter()
             .map(|id| {
-                frontier
-                    .benches
+                doc.benches
                     .iter()
                     .find(|b| &b.bench == id)
                     .ok_or_else(|| format!("benchmark `{id}` not in the frontier document"))
@@ -190,59 +173,51 @@ pub fn discover(cfg: &DiscoverConfig) -> Result<Discovery, String> {
     if selected.is_empty() {
         return Err("no benchmarks selected".to_string());
     }
-    let cache = StageCache::with_capacity(cfg.cache_capacity);
     let mut benches = Vec::with_capacity(selected.len());
     for (index, bf) in selected.iter().enumerate() {
-        benches.push(discover_bench(
-            bf,
-            index as u64,
-            frontier.seed,
-            cfg,
-            &cache,
-        )?);
+        benches.push(discover_bench(&doc, bf, &candidates, index as u64, cfg)?);
     }
     Ok(Discovery {
         seed: cfg.seed,
         budget: cfg.budget,
-        stimulus_seed: frontier.seed,
+        stimulus_seed: doc.seed,
         benches,
-        cache: cache.stats(),
     })
 }
 
 fn discover_bench(
-    bf: &BenchFrontier,
+    doc: &Exploration,
+    bf: &BenchExploration,
+    candidates: &[Candidate],
     bench_index: u64,
-    stimulus_seed: u64,
     cfg: &DiscoverConfig,
-    cache: &StageCache,
 ) -> Result<BenchDiscovery, String> {
     let bench: &Benchmark = benchmark(&bf.bench)
         .ok_or_else(|| format!("frontier names unknown benchmark `{}`", bf.bench))?;
-    let n = bf.n;
+    let (n, stimulus_seed) = (bf.n, doc.seed);
+    // `from_json` checked that `best` and every frontier name are points.
+    let point = |name: &str| bf.point(name).expect("checked by from_json").clone();
+    let committed_best = point(&bf.best);
     let compiled: Compiled = Compiler::new()
-        .compile_cached(cache, bench.source, bench.entry, &bench.arg_types(n))
+        .compile(bench.source, bench.entry, &bench.arg_types(n))
         .map_err(|e| format!("{}: compile failed: {e}", bf.bench))?;
     let reference = bench
         .reference_outputs(&bench.inputs(n, stimulus_seed))
         .map_err(|e| format!("{}: reference run failed: {e}", bf.bench))?;
 
-    let seed_cand = grid_candidate(&bf.best.name).ok_or_else(|| {
-        format!(
-            "{}: committed best `{}` is not a default-grid candidate",
-            bf.bench, bf.best.name
-        )
-    })?;
+    let seed_cand = candidates.iter().find(|c| c.name() == bf.best);
+    let seed_cand =
+        seed_cand.ok_or_else(|| format!("{}: best `{}` is not in the grid", bf.bench, bf.best))?;
 
     // Profile the committed best so mined subgraphs carry real weights.
-    let inputs_of =
-        |seed: u64| -> Vec<matic::SimVal> { bench.inputs(n, seed).iter().map(to_sim).collect() };
+    let inputs =
+        || -> Vec<matic::SimVal> { bench.inputs(n, stimulus_seed).iter().map(to_sim).collect() };
     let profile = compiled
         .simulator_for(Arc::new(seed_cand.spec.clone()))
-        .with_fuel(cfg.fuel)
+        .with_fuel(doc.fuel)
         .with_profiling(true)
-        .run(inputs_of(stimulus_seed))
-        .map_err(|e| format!("{}/{}: {e}", bf.bench, bf.best.name))?
+        .run(inputs())
+        .map_err(|e| format!("{}/{}: {e}", bf.bench, bf.best))?
         .profile;
     let mined = mine_function(compiled.entry_mir(), profile.as_ref());
 
@@ -252,15 +227,14 @@ fn discover_bench(
         let (mir, sites) = rewrite_with(&compiled.mir, m.fop);
         debug_assert_eq!(sites, m.sites);
         let decoded = Arc::new(decode_program(&mir));
-        programs.insert(
-            m.fop,
-            FusedProgram {
-                sites,
-                mir,
-                decoded,
-                native: OnceLock::new(),
-            },
-        );
+        let native = OnceLock::new();
+        let program = FusedProgram {
+            sites,
+            mir,
+            decoded,
+            native,
+        };
+        programs.insert(m.fop, program);
     }
     let mined_kinds: Vec<FusedOp> = mined.iter().map(|m| m.fop).collect();
 
@@ -270,14 +244,14 @@ fn discover_bench(
     // point (fuel exhausted under the tightened per-eval budget).
     let mut memo: BTreeMap<EvalKey, (u64, f64)> = BTreeMap::new();
     let mut sims = 0usize;
-    let mut eval_fuel = cfg.fuel;
+    let mut eval_fuel = doc.fuel;
     let mut eval =
         |state: &SearchState, sims: &mut usize, eval_fuel: u64| -> Result<(u64, f64), String> {
             let mut spec = state.spec.clone();
             if let Some((_, cost)) = state.fused {
                 spec.costs.set_cost(OpClass::Fused, cost);
             }
-            let area = extended_area(&cfg.area, &state.spec, state.fused);
+            let area = doc.area.price(&state.spec, state.fused);
             let key = (spec_fingerprint(&spec), state.fused);
             if let Some(&hit) = memo.get(&key) {
                 return Ok(hit);
@@ -291,24 +265,19 @@ fn discover_bench(
                         .with_fuel(eval_fuel)
                         .load_decoded(&fp.mir, fp.decoded.clone(), bench.entry)
                         .with_native_cell(&fp.native)
-                        .run(inputs_of(stimulus_seed))
+                        .run(inputs())
                 }
                 None => compiled
                     .simulator_for(shared)
                     .with_fuel(eval_fuel)
-                    .run(inputs_of(stimulus_seed)),
+                    .run(inputs()),
             };
             let result = match run {
                 Err(e) if e.is_fuel_exhausted() => (u64::MAX, area),
                 Err(e) => return Err(format!("{}: {e}", bf.bench)),
                 Ok(outcome) => {
-                    if outcome.outputs.len() != reference.len() {
-                        return Err(format!("{}: output arity drifted", bf.bench));
-                    }
-                    for (actual, expected) in outcome.outputs.iter().zip(&reference) {
-                        outputs_close(&sim_to_cvalue(actual), expected, 1e-9)
-                            .map_err(|e| format!("{}: wrong result: {e}", bf.bench))?;
-                    }
+                    check_outputs(&outcome.outputs, &reference)
+                        .map_err(|e| format!("{}: {e}", bf.bench))?;
                     (outcome.cycles.total, area)
                 }
             };
@@ -317,7 +286,7 @@ fn discover_bench(
         };
 
     // --- Scoring: minimize cycles subject to area ≤ committed best ----
-    let cap = bf.best.area;
+    let cap = committed_best.area;
     let score = |cycles: u64, area: f64| -> f64 {
         if cycles == u64::MAX {
             return f64::INFINITY;
@@ -345,13 +314,13 @@ fn discover_bench(
     }
     // The committed best re-simulates to its committed cycle count —
     // anything else means the frontier document is stale.
-    if seed_cycles != bf.best.cycles {
+    if seed_cycles != committed_best.cycles {
         return Err(format!(
             "{}: committed best `{}` re-simulates to {} cycles, document says {}",
-            bf.bench, bf.best.name, seed_cycles, bf.best.cycles
+            bf.bench, bf.best, seed_cycles, committed_best.cycles
         ));
     }
-    eval_fuel = cfg.fuel.min(seed_cycles.saturating_mul(16).max(65_536));
+    eval_fuel = doc.fuel.min(seed_cycles.saturating_mul(16).max(65_536));
 
     let mut best_state = seed_state.clone();
     let mut best = (seed_cycles, seed_area);
@@ -429,9 +398,10 @@ fn discover_bench(
 
     // --- Verdict -------------------------------------------------------
     let (cycles, area) = best;
-    let dominates = (cycles < bf.best.cycles && area <= bf.best.area + 1e-12)
-        || (cycles <= bf.best.cycles && area < bf.best.area - 1e-12);
-    let beats = bf.frontier.iter().all(|p| cycles < p.cycles);
+    let dominates = (cycles < committed_best.cycles && area <= committed_best.area + 1e-12)
+        || (cycles <= committed_best.cycles && area < committed_best.area - 1e-12);
+    let frontier: Vec<CandidatePoint> = bf.frontier.iter().map(|name| point(name)).collect();
+    let beats = frontier.iter().all(|p| cycles < p.cycles);
     let mut spec = best_state.spec.clone();
     let fused = best_state.fused.map(|(fop, cost)| FusedChoice {
         fop,
@@ -441,12 +411,11 @@ fn discover_bench(
     if let Some(f) = &fused {
         spec.costs.set_cost(OpClass::Fused, f.cost);
     }
-    let base_name = matic_explore::grid::candidate_name(spec.vector_width, spec.features, 1.0);
-    let grid_costs = matic_explore::grid::build_spec(spec.vector_width, spec.features, 1.0);
+    let grid_spec = matic_explore::grid::build_spec(spec.vector_width, spec.features, 1.0);
     let tuned = OpClass::ALL
         .iter()
-        .any(|&op| op != OpClass::Fused && spec.costs.entry(op) != grid_costs.costs.entry(op));
-    let mut name = base_name;
+        .any(|&op| op != OpClass::Fused && spec.costs.entry(op) != grid_spec.costs.entry(op));
+    let mut name = grid_spec.name;
     if tuned {
         name.push_str("_tuned");
     }
@@ -459,12 +428,13 @@ fn discover_bench(
         bf.bench, cfg.seed, cfg.budget
     );
 
+    let speedup = committed_best.cycles as f64 / cycles.max(1) as f64;
     Ok(BenchDiscovery {
         bench: bf.bench.clone(),
         entry: bf.entry.clone(),
         n,
-        committed_best: bf.best.clone(),
-        frontier: bf.frontier.clone(),
+        committed_best,
+        frontier,
         mined,
         winner: Winner {
             name,
@@ -474,7 +444,7 @@ fn discover_bench(
             area,
             dominates_committed_best: dominates,
             beats_every_frontier_point_on_cycles: beats,
-            speedup_vs_committed_best: bf.best.cycles as f64 / cycles.max(1) as f64,
+            speedup_vs_committed_best: speedup,
         },
         evals: sims,
     })

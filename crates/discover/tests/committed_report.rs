@@ -11,8 +11,9 @@
 
 use matic::Compiler;
 use matic_asip::AsipMachine;
-use matic_benchkit::{benchmark, outputs_close, sim_to_cvalue, to_sim};
-use matic_discover::{parse_frontier, rewrite_with, validate_discover_json};
+use matic_benchkit::{benchmark, to_sim};
+use matic_discover::{rewrite_with, validate_discover_json};
+use matic_explore::{check_outputs, Exploration};
 use matic_isa::json::{parse, Json};
 use matic_isa::{FusedOp, IsaSpec};
 use std::sync::Arc;
@@ -30,7 +31,8 @@ fn the_committed_report_passes_validation() {
 #[test]
 fn committed_winners_resimulate_and_dominate_the_committed_frontier() {
     let report = parse(&committed("DISCOVER_report.json")).expect("report parses");
-    let frontier = parse_frontier(&committed("EXPLORE_frontier.json")).expect("frontier parses");
+    let frontier =
+        Exploration::from_json(&committed("EXPLORE_frontier.json")).expect("frontier parses");
     let stimulus_seed = report
         .get("stimulus_seed")
         .and_then(Json::as_u64)
@@ -91,10 +93,8 @@ fn committed_winners_resimulate_and_dominate_the_committed_frontier() {
         let reference = bench
             .reference_outputs(&bench.inputs(n, stimulus_seed))
             .unwrap();
-        for (actual, expected) in outcome.outputs.iter().zip(&reference) {
-            outputs_close(&sim_to_cvalue(actual), expected, 1e-9)
-                .unwrap_or_else(|e| panic!("{id}: outputs drifted: {e}"));
-        }
+        check_outputs(&outcome.outputs, &reference)
+            .unwrap_or_else(|e| panic!("{id}: outputs drifted: {e}"));
         assert_eq!(
             outcome.cycles.total, recorded_cycles,
             "{id}: cycle accounting drifted from the committed report"
@@ -106,15 +106,16 @@ fn committed_winners_resimulate_and_dominate_the_committed_frontier() {
             .iter()
             .find(|x| x.bench == id)
             .unwrap_or_else(|| panic!("{id}: not in committed frontier"));
+        let best = bf.point(&bf.best).expect("best names a candidate");
         assert!(
-            (recorded_cycles < bf.best.cycles && recorded_area <= bf.best.area + 1e-9)
-                || (recorded_cycles <= bf.best.cycles && recorded_area < bf.best.area - 1e-9),
+            (recorded_cycles < best.cycles && recorded_area <= best.area + 1e-9)
+                || (recorded_cycles <= best.cycles && recorded_area < best.area - 1e-9),
             "{id}: winner ({recorded_cycles} cy @ {recorded_area}) does not dominate the \
              committed best ({} cy @ {})",
-            bf.best.cycles,
-            bf.best.area
+            best.cycles,
+            best.area
         );
-        for p in &bf.frontier {
+        for p in bf.points.iter().filter(|p| p.on_frontier) {
             assert!(
                 recorded_cycles < p.cycles,
                 "{id}: winner does not beat frontier point `{}` on cycles",

@@ -9,9 +9,12 @@
 //! discount. The model is data, not code: it loads from a JSON file kept
 //! next to the ISA descriptions (`targets/area_model_default.json`), so
 //! recalibrating against a real synthesis flow is an edit, not a rebuild.
+//! [`AreaModel::price`] prices any spec, off-grid discovery points and
+//! synthetic fused instructions included.
 
 use crate::grid::Candidate;
 use matic_isa::json::{parse, Json};
+use matic_isa::{CostModel, FusedOp, FusedPrim, IsaSpec, OpClass};
 
 /// Schema identifier stamped into every area-model document.
 pub const AREA_SCHEMA: &str = "matic-area-v1";
@@ -53,20 +56,63 @@ impl Default for AreaModel {
 }
 
 impl AreaModel {
-    /// Normalized area of one candidate.
+    /// Normalized area of one grid candidate: [`AreaModel::price`] of its
+    /// spec, with no fused instruction.
     pub fn area(&self, c: &Candidate) -> f64 {
-        let mut accel = self.per_lane * (c.width.saturating_sub(1)) as f64;
-        if c.features.simd {
-            accel += self.simd_block;
+        self.price(&c.spec, None)
+    }
+
+    /// Normalized area of an arbitrary spec, plus an optional synthetic
+    /// fused instruction at the given cycle cost.
+    ///
+    /// Each custom-unit family (SIMD lanes and control, complex, MAC) is
+    /// discounted by `1 + slow_discount·(s − 1)`, where `s` is the
+    /// family's cost scale read from the spec's cost table. The blocks at
+    /// the SIMD family's scale are summed before one division, so a grid
+    /// candidate, whose families share one scale, is priced exactly as
+    /// `base + accel / divisor` of its grid coordinates.
+    pub fn price(&self, spec: &IsaSpec, fused: Option<(FusedOp, u32)>) -> f64 {
+        let defaults = CostModel::dsp_default();
+        let scale = |family| family_scale(spec, &defaults, family);
+        let (f, simd) = (spec.features, scale(SIMD_FAMILY));
+        let mut accel = self.per_lane * spec.vector_width.saturating_sub(1) as f64;
+        let mut apart = 0.0;
+        for (present, block, s) in [
+            (f.simd, self.simd_block, simd),
+            (f.complex, self.complex_block, scale(COMPLEX_FAMILY)),
+            (f.mac, self.mac_block, scale(MAC_FAMILY)),
+        ] {
+            if present && s == simd {
+                accel += block;
+            } else if present {
+                apart += block / self.discount(s);
+            }
         }
-        if c.features.complex {
-            accel += self.complex_block;
-        }
-        if c.features.mac {
-            accel += self.mac_block;
-        }
-        let divisor = 1.0 + self.slow_discount * (c.cost_scale - 1.0);
-        self.base + accel / divisor
+        let fused = fused.map_or(0.0, |(fop, cost)| self.fused_block(fop, cost));
+        self.base + accel / self.discount(simd) + apart + fused
+    }
+
+    /// The area divisor of a custom unit implemented at cost scale `s`.
+    fn discount(&self, s: f64) -> f64 {
+        1.0 + self.slow_discount * (s - 1.0)
+    }
+
+    /// Area of the synthetic fused-instruction block.
+    ///
+    /// One joined op saves one result bus; the block is scaled by how fast
+    /// the fused unit is clocked relative to the relaxed (sequential) sum
+    /// of its components' stock costs — a single-cycle fused MAC costs
+    /// more silicon than a three-cycle one.
+    fn fused_block(&self, fop: FusedOp, cost: u32) -> f64 {
+        let defaults = CostModel::dsp_default();
+        let prim_cost = |p: FusedPrim| match p {
+            FusedPrim::Mul => defaults.cost(OpClass::ScalarMul) as f64,
+            FusedPrim::Add | FusedPrim::Sub => defaults.cost(OpClass::ScalarAlu) as f64,
+        };
+        let relaxed = prim_cost(fop.first()) + prim_cost(fop.second());
+        let joins = (fop.op_count() - 1) as f64;
+        let speed = (1.0 + self.slow_discount * (relaxed - cost as f64)).clamp(0.2, 2.0);
+        0.05 * joins * speed
     }
 
     /// Checks the model's coefficients for nonsense values.
@@ -161,6 +207,53 @@ impl AreaModel {
     }
 }
 
+/// MAC-family ops (gated on `features.mac`).
+const MAC_FAMILY: &[OpClass] = &[
+    OpClass::VectorMac,
+    OpClass::ComplexMac,
+    OpClass::VComplexMac,
+];
+
+/// Complex-family ops (gated on `features.complex`; the vector-complex
+/// ops price the complex datapath, their lanes are the SIMD term's job).
+const COMPLEX_FAMILY: &[OpClass] = &[
+    OpClass::ComplexAdd,
+    OpClass::ComplexMul,
+    OpClass::ComplexConj,
+    OpClass::VComplexAdd,
+    OpClass::VComplexMul,
+];
+
+/// SIMD-family ops (gated on `features.simd`).
+const SIMD_FAMILY: &[OpClass] = &[
+    OpClass::VectorAlu,
+    OpClass::VectorMul,
+    OpClass::VectorDiv,
+    OpClass::VectorRedAdd,
+    OpClass::VectorRedMinMax,
+    OpClass::VectorLoad,
+    OpClass::VectorStore,
+];
+
+/// Effective cost scale of one unit family: the smallest ratio of an
+/// explicitly priced op's cost to its stock `dsp16` cost, clamped to the
+/// admissible scale range. A family with no priced ops scales at 1. The
+/// minimum sees through the grid's `ceil` rounding: every family holds a
+/// stock-cost-2 op, whose ratio is exact for the grid's scales.
+fn family_scale(spec: &IsaSpec, defaults: &CostModel, family: &[OpClass]) -> f64 {
+    let mut scale = f64::INFINITY;
+    for &op in family {
+        if let Some(cost) = spec.costs.entry(op) {
+            scale = scale.min(cost as f64 / defaults.cost(op) as f64);
+        }
+    }
+    if scale.is_finite() {
+        scale.clamp(0.25, 8.0)
+    } else {
+        1.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,5 +307,51 @@ mod tests {
         let err = AreaModel::from_json(&text.replace("\"per_lane\"", "\"per_lance\"")).unwrap_err();
         assert!(err.contains("per_lance"), "{err}");
         assert!(AreaModel::from_json("{}").is_err());
+    }
+
+    #[test]
+    fn fused_block_shrinks_as_the_unit_slows() {
+        let m = AreaModel::default();
+        let mut prev = f64::INFINITY;
+        for cost in 1..=6 {
+            let a = m.fused_block(FusedOp::MulAdd, cost);
+            assert!(a > 0.0);
+            assert!(a <= prev, "cost {cost}: {a} > {prev}");
+            prev = a;
+        }
+        // Clamped at both ends: an absurdly slow unit still costs silicon.
+        assert!(m.fused_block(FusedOp::MulAdd, 100) > 0.0);
+    }
+
+    #[test]
+    fn a_fused_instruction_always_adds_area() {
+        let m = AreaModel::default();
+        let spec = IsaSpec::dsp16();
+        let without = m.price(&spec, None);
+        for &fop in FusedOp::ALL {
+            let with = m.price(&spec, Some((fop, 2)));
+            assert!(with > without, "{fop}");
+        }
+    }
+
+    #[test]
+    fn per_op_perturbations_move_only_their_family() {
+        let m = AreaModel::default();
+        let base = IsaSpec::dsp16();
+        let a0 = m.price(&base, None);
+        // Slowing every MAC op shrinks the MAC block only.
+        let mut slow_mac = base.clone();
+        for &op in MAC_FAMILY {
+            slow_mac.costs.set_cost(op, base.cost(op) * 2);
+        }
+        let a1 = m.price(&slow_mac, None);
+        assert!(a1 < a0);
+        let expected = a0 - m.mac_block + m.mac_block / 1.5;
+        assert!((a1 - expected).abs() < 1e-12, "{a1} vs {expected}");
+        // Slowing a single SIMD op does not change the family minimum
+        // when a cheaper-ratio op remains priced.
+        let mut one_slow = base.clone();
+        one_slow.costs.set_cost(OpClass::VectorDiv, 30);
+        assert!((m.price(&one_slow, None) - a0).abs() < 1e-12);
     }
 }

@@ -49,6 +49,7 @@ pub use grid::{Candidate, GridConfig};
 pub use pareto::pareto_frontier;
 pub use report::{resume_config, validate_explore_json, ExploreSummary, EXPLORE_SCHEMA};
 pub use runner::{
-    explore, BenchExploration, CandidatePoint, Exploration, ExploreConfig, HotLine, SuitePoint,
+    check_outputs, explore, BenchExploration, CandidatePoint, Exploration, ExploreConfig, HotLine,
+    SuitePoint,
 };
 pub use util::{par_map, render_table};

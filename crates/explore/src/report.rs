@@ -1,11 +1,18 @@
-//! Reports: the `matic-explore-v1` JSON document, the terminal rendering,
-//! and a structural validator for both (used by CI and the repro binary
-//! to check emitted documents without trusting the emitter).
+//! Reports: the `matic-explore-v1` JSON document, its one reader
+//! ([`Exploration::from_json`], which checks what it reads, so CI and the
+//! repro binary can validate emitted documents without trusting the
+//! emitter), and the terminal rendering.
 
+use crate::area::AreaModel;
+use crate::grid::GridConfig;
 use crate::pareto::pareto_frontier;
-use crate::runner::{BenchExploration, CandidatePoint, Exploration, SuitePoint};
+use crate::runner::{
+    default_n, BenchExploration, CandidatePoint, Exploration, ExploreConfig, HotLine, SuitePoint,
+};
 use crate::util::render_table;
 use matic_isa::json::{parse, Json};
+use matic_isa::Features;
+use std::collections::BTreeSet;
 
 /// Schema identifier stamped into every exploration document.
 pub const EXPLORE_SCHEMA: &str = "matic-explore-v1";
@@ -28,7 +35,7 @@ fn point_json(p: &CandidatePoint) -> Json {
 }
 
 fn bench_json(b: &BenchExploration) -> Json {
-    let best = b.points.iter().find(|p| p.name == b.best);
+    let best = b.point(&b.best);
     let mut best_fields = vec![("name".into(), Json::Str(b.best.clone()))];
     if let Some(p) = best {
         best_fields.push(("cycles".into(), Json::Num(p.cycles as f64)));
@@ -58,10 +65,7 @@ fn bench_json(b: &BenchExploration) -> Json {
         }
         fields.push(("why".into(), Json::Obj(why_fields)));
     }
-    fields.push((
-        "frontier".into(),
-        Json::Arr(b.frontier.iter().map(|n| Json::Str(n.clone())).collect()),
-    ));
+    fields.push(("frontier".into(), names(&b.frontier)));
     fields.push((
         "candidates".into(),
         Json::Arr(b.points.iter().map(point_json).collect()),
@@ -70,28 +74,29 @@ fn bench_json(b: &BenchExploration) -> Json {
 }
 
 fn suite_json(suite: &[SuitePoint], frontier: &[String]) -> Json {
+    let point = |p: &SuitePoint| {
+        Json::Obj(vec![
+            ("name".into(), Json::Str(p.name.clone())),
+            ("area".into(), Json::Num(p.area)),
+            ("geomean_cycles".into(), Json::Num(p.geomean_cycles)),
+            ("on_frontier".into(), Json::Bool(p.on_frontier)),
+        ])
+    };
     Json::Obj(vec![
-        (
-            "frontier".into(),
-            Json::Arr(frontier.iter().map(|n| Json::Str(n.clone())).collect()),
-        ),
+        ("frontier".into(), names(frontier)),
         (
             "candidates".into(),
-            Json::Arr(
-                suite
-                    .iter()
-                    .map(|p| {
-                        Json::Obj(vec![
-                            ("name".into(), Json::Str(p.name.clone())),
-                            ("area".into(), Json::Num(p.area)),
-                            ("geomean_cycles".into(), Json::Num(p.geomean_cycles)),
-                            ("on_frontier".into(), Json::Bool(p.on_frontier)),
-                        ])
-                    })
-                    .collect(),
-            ),
+            Json::Arr(suite.iter().map(point).collect()),
         ),
     ])
+}
+
+fn names(items: &[String]) -> Json {
+    Json::Arr(items.iter().cloned().map(Json::Str).collect())
+}
+
+fn nums(items: impl Iterator<Item = f64>) -> Json {
+    Json::Arr(items.map(Json::Num).collect())
 }
 
 impl Exploration {
@@ -108,33 +113,13 @@ impl Exploration {
                 Json::Obj(vec![
                     (
                         "widths".into(),
-                        Json::Arr(
-                            self.grid
-                                .widths
-                                .iter()
-                                .map(|&w| Json::Num(w as f64))
-                                .collect(),
-                        ),
+                        nums(self.grid.widths.iter().map(|&w| w as f64)),
                     ),
                     (
                         "cost_scales".into(),
-                        Json::Arr(
-                            self.grid
-                                .cost_scales
-                                .iter()
-                                .map(|&s| Json::Num(s))
-                                .collect(),
-                        ),
+                        nums(self.grid.cost_scales.iter().copied()),
                     ),
-                    (
-                        "candidates".into(),
-                        Json::Arr(
-                            self.candidates
-                                .iter()
-                                .map(|n| Json::Str(n.clone()))
-                                .collect(),
-                        ),
-                    ),
+                    ("candidates".into(), names(&self.candidates)),
                 ]),
             ),
             (
@@ -219,6 +204,192 @@ impl Exploration {
         ));
         out
     }
+
+    /// Reads a `matic-explore-v1` document back into an [`Exploration`].
+    ///
+    /// The one reader of the format, behind `--resume`, the validator and
+    /// discovery. It checks the schema, a positive fuel, the area model
+    /// and grid, candidate tables in grid order with positive areas and
+    /// cycles, frontier flags and lists against the frontier recomputed
+    /// from the raw points, the `best` name, and the suite size. The
+    /// feature-subset axis is rebuilt from the candidates' feature flags.
+    ///
+    /// # Errors
+    ///
+    /// Names the first missing, malformed or inconsistent field.
+    pub fn from_json(text: &str) -> Result<Exploration, String> {
+        let doc = parse(text)?;
+        let schema = field(&doc, "schema", Json::as_str)?;
+        if schema != EXPLORE_SCHEMA {
+            return Err(format!("schema `{schema}`, expected `{EXPLORE_SCHEMA}`"));
+        }
+        let fuel = field(&doc, "fuel", Json::as_u64)?;
+        if fuel == 0 {
+            return Err("fuel must be positive".to_string());
+        }
+        let area_doc = doc.get("area_model").ok_or("missing `area_model`")?;
+        let area =
+            AreaModel::from_json(&area_doc.pretty()).map_err(|e| format!("area_model: {e}"))?;
+        let grid = doc.get("grid").ok_or("missing `grid`")?;
+        let candidates = field(grid, "candidates", each(string))?;
+        if candidates.is_empty() {
+            return Err("grid has no candidates".to_string());
+        }
+        let benches = array(&doc, "benchmarks")?
+            .iter()
+            .map(|b| bench_from_json(b, &candidates))
+            .collect::<Result<Vec<_>, _>>()?;
+        if benches.is_empty() {
+            return Err("document has no benchmarks".to_string());
+        }
+        let points = benches.iter().flat_map(|b| &b.points);
+        let grid = GridConfig {
+            widths: field(grid, "widths", each(int))?,
+            feature_sets: Features::subsets()
+                .into_iter()
+                .filter(|&f| points.clone().any(|p| p.features == f))
+                .collect(),
+            cost_scales: field(grid, "cost_scales", each(Json::as_f64))?,
+        };
+        grid.validate().map_err(|e| format!("grid: {e}"))?;
+        let suite = array(doc.get("suite").ok_or("missing `suite`")?, "candidates")?
+            .iter()
+            .map(|p| {
+                Ok(SuitePoint {
+                    name: field(p, "name", string)?,
+                    area: field(p, "area", Json::as_f64)?,
+                    geomean_cycles: field(p, "geomean_cycles", Json::as_f64)?,
+                    on_frontier: field(p, "on_frontier", Json::as_bool)?,
+                })
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        if suite.len() != candidates.len() {
+            return Err("suite candidate count disagrees with grid".to_string());
+        }
+        Ok(Exploration {
+            seed: field(&doc, "seed", Json::as_u64)?,
+            fuel,
+            grid,
+            area,
+            candidates,
+            benches,
+            suite,
+        })
+    }
+}
+
+fn bench_from_json(b: &Json, names: &[String]) -> Result<BenchExploration, String> {
+    let id = field(b, "bench", string)?;
+    let points = array(b, "candidates")?
+        .iter()
+        .map(|p| {
+            Ok(CandidatePoint {
+                name: field(p, "name", string)?,
+                width: field(p, "width", int)?,
+                features: Features {
+                    simd: field(p, "simd", Json::as_bool)?,
+                    complex: field(p, "complex", Json::as_bool)?,
+                    mac: field(p, "mac", Json::as_bool)?,
+                },
+                cost_scale: field(p, "cost_scale", Json::as_f64)?,
+                area: field(p, "area", Json::as_f64)?,
+                cycles: field(p, "cycles", Json::as_u64)?,
+                instructions: field(p, "instructions", Json::as_u64)?,
+                vector_cycles: field(p, "vector_cycles", Json::as_u64)?,
+                complex_cycles: field(p, "complex_cycles", Json::as_u64)?,
+                on_frontier: field(p, "on_frontier", Json::as_bool)?,
+            })
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    if points.len() != names.len() {
+        return Err(format!("{id}: candidate count differs from the grid's"));
+    }
+    for (p, name) in points.iter().zip(names) {
+        if p.name != *name {
+            return Err(format!("{id}: candidate order differs from grid order"));
+        }
+        if !(p.area.is_finite() && p.area > 0.0 && p.cycles > 0) {
+            return Err(format!("{id}/{name}: non-positive area or cycles"));
+        }
+    }
+    // The flags must match the frontier recomputed from the raw points,
+    // and the declared frontier list must name exactly the flagged points.
+    let coords: Vec<(f64, f64)> = points.iter().map(|p| (p.area, p.cycles as f64)).collect();
+    let flagged: Vec<usize> = (0..points.len())
+        .filter(|&i| points[i].on_frontier)
+        .collect();
+    if pareto_frontier(&coords) != flagged {
+        return Err(format!(
+            "{id}: on_frontier flags disagree with recomputed frontier"
+        ));
+    }
+    let frontier = field(b, "frontier", each(string))?;
+    let declared: BTreeSet<&str> = frontier.iter().map(String::as_str).collect();
+    if declared != flagged.iter().map(|&i| points[i].name.as_str()).collect() {
+        return Err(format!("{id}: frontier list disagrees with flags"));
+    }
+    let best_doc = b
+        .get("best")
+        .ok_or_else(|| format!("{id}: missing `best`"))?;
+    let best = field(best_doc, "name", string)?;
+    if !points.iter().any(|p| p.name == best) {
+        return Err(format!("{id}: best `{best}` is not a candidate"));
+    }
+    let why = b.get("why").map(|w| {
+        Ok::<_, String>(HotLine {
+            line: field(w, "line", int)?,
+            source: field(w, "source", string)?,
+            fraction: field(w, "fraction", Json::as_f64)?,
+            top_class: field(w, "top_class", string)?,
+            lane_utilization: w.get("lane_utilization").and_then(Json::as_f64),
+        })
+    });
+    Ok(BenchExploration {
+        entry: field(b, "entry", string)?,
+        n: field(b, "n", int)?,
+        scalar_cycles: b.get("scalar_cycles").and_then(Json::as_u64),
+        best_speedup: best_doc.get("speedup_vs_scalar").and_then(Json::as_f64),
+        why: why.transpose()?,
+        bench: id,
+        points,
+        frontier,
+        best,
+    })
+}
+
+/// Field `key` of `doc`, read by `read`.
+fn field<'j, T>(
+    doc: &'j Json,
+    key: &str,
+    read: impl Fn(&'j Json) -> Option<T>,
+) -> Result<T, String> {
+    doc.get(key)
+        .and_then(read)
+        .ok_or_else(|| format!("missing or mistyped field `{key}`"))
+}
+
+/// Array field `key` of `doc`, elements unread.
+fn array<'j>(doc: &'j Json, key: &str) -> Result<&'j [Json], String> {
+    match doc.get(key) {
+        Some(Json::Arr(items)) => Ok(items),
+        _ => Err(format!("missing array field `{key}`")),
+    }
+}
+
+fn string(v: &Json) -> Option<String> {
+    v.as_str().map(str::to_string)
+}
+
+fn int<T: TryFrom<u64>>(v: &Json) -> Option<T> {
+    T::try_from(v.as_u64()?).ok()
+}
+
+/// An array whose every element `read` accepts.
+fn each<T>(read: impl Fn(&Json) -> Option<T>) -> impl Fn(&Json) -> Option<Vec<T>> {
+    move |v| match v {
+        Json::Arr(items) => items.iter().map(&read).collect(),
+        _ => None,
+    }
 }
 
 /// What [`validate_explore_json`] distills out of a document.
@@ -238,141 +409,41 @@ pub struct ExploreSummary {
     pub scalar_outperformed: bool,
 }
 
-fn get_arr<'j>(doc: &'j Json, key: &str) -> Result<&'j Vec<Json>, String> {
-    match doc.get(key) {
-        Some(Json::Arr(items)) => Ok(items),
-        _ => Err(format!("missing array field `{key}`")),
-    }
-}
-
-fn get_num(doc: &Json, key: &str) -> Result<f64, String> {
-    doc.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("missing numeric field `{key}`"))
-}
-
-fn get_str<'j>(doc: &'j Json, key: &str) -> Result<&'j str, String> {
-    doc.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("missing string field `{key}`"))
-}
-
-/// Structurally validates a `matic-explore-v1` document: schema tag,
-/// required fields, per-benchmark candidate counts matching the grid,
-/// frontier membership recomputed from the raw (area, cycles) points, and
-/// the scalar-baseline comparison.
+/// Validates a `matic-explore-v1` document (every check of
+/// [`Exploration::from_json`]) and summarizes it, including the
+/// scalar-baseline comparison.
 ///
 /// # Errors
 ///
 /// Returns a message naming the first violated property.
 pub fn validate_explore_json(text: &str) -> Result<ExploreSummary, String> {
-    let doc = parse(text)?;
-    let schema = get_str(&doc, "schema")?;
-    if schema != EXPLORE_SCHEMA {
-        return Err(format!("schema `{schema}`, expected `{EXPLORE_SCHEMA}`"));
-    }
-    get_num(&doc, "seed")?;
-    if get_num(&doc, "fuel")? <= 0.0 {
-        return Err("fuel must be positive".to_string());
-    }
-    crate::AreaModel::from_json(
-        &doc.get("area_model")
-            .ok_or("missing `area_model`")?
-            .pretty(),
-    )
-    .map_err(|e| format!("area_model: {e}"))?;
-
-    let grid = doc.get("grid").ok_or("missing `grid`")?;
-    let names: Vec<&str> = get_arr(grid, "candidates")?
-        .iter()
-        .map(|n| n.as_str().ok_or("grid candidate names must be strings"))
-        .collect::<Result<_, _>>()?;
-    if names.is_empty() {
-        return Err("grid has no candidates".to_string());
-    }
-
-    let benches = get_arr(&doc, "benchmarks")?;
-    if benches.is_empty() {
-        return Err("document has no benchmarks".to_string());
-    }
-    let mut frontier_sizes = Vec::new();
-    let mut scalar_outperformed = true;
-    for bench in benches {
-        let id = get_str(bench, "bench")?.to_string();
-        let cands = get_arr(bench, "candidates")?;
-        if cands.len() != names.len() {
-            return Err(format!(
-                "{id}: {} candidate points, grid lists {}",
-                cands.len(),
-                names.len()
-            ));
-        }
-        let mut coords = Vec::with_capacity(cands.len());
-        let mut flagged = Vec::new();
-        let mut scalar_cycles = None;
-        let mut best_accel: Option<f64> = None;
-        for (c, name) in cands.iter().zip(&names) {
-            if get_str(c, "name")? != *name {
-                return Err(format!("{id}: candidate order differs from grid order"));
-            }
-            let area = get_num(c, "area")?;
-            let cycles = get_num(c, "cycles")?;
-            if !(area.is_finite() && area > 0.0 && cycles.is_finite() && cycles > 0.0) {
-                return Err(format!("{id}/{name}: non-positive area or cycles"));
-            }
-            coords.push((area, cycles));
-            let on_frontier = c
-                .get("on_frontier")
-                .and_then(Json::as_bool)
-                .is_some_and(|b| b);
-            if on_frontier {
-                flagged.push((*name).to_string());
-            }
-            let accelerated = [("simd", c), ("complex", c), ("mac", c)]
-                .iter()
-                .any(|(k, c)| c.get(k).and_then(Json::as_bool).is_some_and(|b| b));
-            if accelerated {
-                best_accel = Some(best_accel.map_or(cycles, |b: f64| b.min(cycles)));
-            } else {
-                scalar_cycles = Some(cycles);
-            }
-        }
-        // Recompute the frontier from the raw points; the document's
-        // `on_frontier` flags must match exactly.
-        let recomputed: std::collections::BTreeSet<String> = pareto_frontier(&coords)
-            .into_iter()
-            .map(|i| names[i].to_string())
-            .collect();
-        let flagged_set: std::collections::BTreeSet<String> = flagged.iter().cloned().collect();
-        if recomputed != flagged_set {
-            return Err(format!(
-                "{id}: on_frontier flags disagree with recomputed frontier"
-            ));
-        }
-        // The declared frontier list must name exactly the flagged points.
-        let declared: std::collections::BTreeSet<String> = get_arr(bench, "frontier")?
+    let doc = Exploration::from_json(text)?;
+    let scalar_outperformed = doc.benches.iter().all(|b| {
+        let scalar = b.points.iter().find(|p| !p.features.any());
+        let accel = b
+            .points
             .iter()
-            .map(|n| n.as_str().map(str::to_string).ok_or("frontier names"))
-            .collect::<Result<_, _>>()?;
-        if declared != flagged_set {
-            return Err(format!("{id}: frontier list disagrees with flags"));
+            .filter(|p| p.features.any())
+            .map(|p| p.cycles)
+            .min();
+        match (scalar, accel) {
+            (Some(s), Some(a)) => a < s.cycles,
+            _ => true,
         }
-        if let (Some(scalar), Some(accel)) = (scalar_cycles, best_accel) {
-            if accel >= scalar {
-                scalar_outperformed = false;
-            }
-        }
-        frontier_sizes.push((id, flagged.len()));
-    }
-
-    let suite = doc.get("suite").ok_or("missing `suite`")?;
-    if get_arr(suite, "candidates")?.len() != names.len() {
-        return Err("suite candidate count disagrees with grid".to_string());
-    }
+    });
     Ok(ExploreSummary {
-        benchmarks: benches.len(),
-        candidates: names.len(),
-        frontier_sizes,
+        benchmarks: doc.benches.len(),
+        candidates: doc.candidates.len(),
+        frontier_sizes: doc
+            .benches
+            .iter()
+            .map(|b| {
+                (
+                    b.bench.clone(),
+                    b.points.iter().filter(|p| p.on_frontier).count(),
+                )
+            })
+            .collect(),
         scalar_outperformed,
     })
 }
@@ -382,121 +453,36 @@ pub fn validate_explore_json(text: &str) -> Result<ExploreSummary, String> {
 /// then extend) an earlier sweep instead of starting cold.
 ///
 /// Everything that shaped the sweep is recovered from the document: seed,
-/// fuel, area model, the grid's width and cost-scale axes, the benchmark
-/// list (in document order), and the problem-size override (`--n`). The
-/// feature-subset axis is not serialized directly, so it is reconstructed
-/// from the per-benchmark candidate points' feature flags — exact, since
-/// every enumerated subset contributes at least one candidate. Re-running
-/// the resumed config reproduces the document bit for bit (pinned by the
-/// round-trip test).
+/// fuel, area model, grid, the benchmark list (in document order), and
+/// the problem-size override (`--n`). Re-running the resumed config
+/// reproduces the document bit for bit (pinned by the round-trip test).
 ///
 /// # Errors
 ///
-/// Describes the missing/malformed field, a schema mismatch, or a
-/// document whose benchmarks used mixed non-default problem sizes (those
-/// cannot be expressed by the single `n` override).
-pub fn resume_config(text: &str) -> Result<crate::runner::ExploreConfig, String> {
-    use crate::runner::{default_n, ExploreConfig};
-    let doc = parse(text).map_err(|e| format!("unparsable resume document: {e}"))?;
-    let schema = get_str(&doc, "schema")?;
-    if schema != EXPLORE_SCHEMA {
-        return Err(format!("schema `{schema}`, expected `{EXPLORE_SCHEMA}`"));
-    }
-    let seed = get_num(&doc, "seed")? as u64;
-    let fuel = get_num(&doc, "fuel")?;
-    if fuel <= 0.0 {
-        return Err("fuel must be positive".to_string());
-    }
-    let area = crate::AreaModel::from_json(
-        &doc.get("area_model")
-            .ok_or("missing `area_model`")?
-            .pretty(),
-    )
-    .map_err(|e| format!("area_model: {e}"))?;
-
-    let grid = doc.get("grid").ok_or("missing `grid`")?;
-    let nums = |key: &str| -> Result<Vec<f64>, String> {
-        get_arr(grid, key)?
-            .iter()
-            .map(|v| {
-                v.as_f64()
-                    .ok_or_else(|| format!("grid `{key}` entries must be numbers"))
-            })
-            .collect()
+/// Every [`Exploration::from_json`] error, and a document whose
+/// benchmarks used mixed non-default problem sizes (those cannot be
+/// expressed by the single `n` override).
+pub fn resume_config(text: &str) -> Result<ExploreConfig, String> {
+    let doc = Exploration::from_json(text)?;
+    let first_n = doc.benches[0].n;
+    let n = if doc.benches.iter().all(|b| b.n == default_n(&b.bench)) {
+        None
+    } else if doc.benches.iter().all(|b| b.n == first_n) {
+        Some(first_n)
+    } else {
+        return Err("benchmarks used mixed non-default problem sizes; \
+             cannot express them as one --n override"
+            .to_string());
     };
-    let widths: Vec<usize> = nums("widths")?.iter().map(|&w| w as usize).collect();
-    let cost_scales = nums("cost_scales")?;
-
-    // Reconstruct the feature-subset axis from the candidate points'
-    // flags (kept in the canonical `Features::subsets()` order so
-    // re-enumeration walks the grid identically).
-    let benches = get_arr(&doc, "benchmarks")?;
-    if benches.is_empty() {
-        return Err("document has no benchmarks".to_string());
-    }
-    let mut seen = std::collections::BTreeSet::new();
-    for bench in benches {
-        for cand in get_arr(bench, "candidates")? {
-            let flag = |key: &str| -> Result<bool, String> {
-                cand.get(key)
-                    .and_then(Json::as_bool)
-                    .ok_or_else(|| format!("candidate missing bool field `{key}`"))
-            };
-            seen.insert((flag("simd")?, flag("complex")?, flag("mac")?));
-        }
-    }
-    let feature_sets: Vec<matic_isa::Features> = matic_isa::Features::subsets()
-        .into_iter()
-        .filter(|f| seen.contains(&(f.simd, f.complex, f.mac)))
-        .collect();
-    if feature_sets.is_empty() {
-        return Err("no feature subsets recoverable from candidates".to_string());
-    }
-
-    let mut bench_ids = Vec::new();
-    let mut n_override: Option<usize> = None;
-    let mut all_default = true;
-    let mut uniform: Option<usize> = None;
-    let mut mixed = false;
-    for bench in benches {
-        let id = get_str(bench, "bench")?.to_string();
-        let n = get_num(bench, "n")? as usize;
-        if n != default_n(&id) {
-            all_default = false;
-        }
-        match uniform {
-            None => uniform = Some(n),
-            Some(u) if u != n => mixed = true,
-            _ => {}
-        }
-        bench_ids.push(id);
-    }
-    if !all_default {
-        if mixed {
-            return Err("benchmarks used mixed non-default problem sizes; \
-                 cannot express them as one --n override"
-                .to_string());
-        }
-        n_override = uniform;
-    }
-
-    let cfg = ExploreConfig {
-        bench_ids,
-        n: n_override,
-        seed,
-        fuel: fuel as u64,
-        grid: crate::GridConfig {
-            widths,
-            feature_sets,
-            cost_scales,
-        },
-        area,
+    Ok(ExploreConfig {
+        bench_ids: doc.benches.iter().map(|b| b.bench.clone()).collect(),
+        n,
+        seed: doc.seed,
+        fuel: doc.fuel,
+        grid: doc.grid,
+        area: doc.area,
         ..ExploreConfig::default()
-    };
-    cfg.grid
-        .validate()
-        .map_err(|e| format!("resumed grid: {e}"))?;
-    Ok(cfg)
+    })
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@ use crate::area::AreaModel;
 use crate::grid::{enumerate, Candidate, GridConfig};
 use crate::pareto::pareto_frontier;
 use crate::util::par_map;
-use matic::{Compiled, Compiler, Engine, Features, SourceMap};
+use matic::{CValue, Compiled, Compiler, Engine, Features, SimVal, SourceMap};
 use matic_benchkit::{benchmark, outputs_close, sim_to_cvalue, to_sim, Benchmark, SUITE};
 use std::sync::Arc;
 
@@ -130,6 +130,13 @@ pub struct BenchExploration {
     pub why: Option<HotLine>,
 }
 
+impl BenchExploration {
+    /// The candidate point named `name`.
+    pub fn point(&self, name: &str) -> Option<&CandidatePoint> {
+        self.points.iter().find(|p| p.name == name)
+    }
+}
+
 /// One candidate's suite-wide aggregate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SuitePoint {
@@ -241,19 +248,8 @@ fn explore_bench(
             .with_fuel(cfg.fuel)
             .run(inputs)
             .map_err(|e| format!("{}/{}: {e}", bench.id, cand.name()))?;
-        if outcome.outputs.len() != reference.len() {
-            return Err(format!(
-                "{}/{}: {} outputs, reference has {}",
-                bench.id,
-                cand.name(),
-                outcome.outputs.len(),
-                reference.len()
-            ));
-        }
-        for (actual, expected) in outcome.outputs.iter().zip(&reference) {
-            outputs_close(&sim_to_cvalue(actual), expected, 1e-9)
-                .map_err(|e| format!("{}/{}: wrong result: {e}", bench.id, cand.name()))?;
-        }
+        check_outputs(&outcome.outputs, &reference)
+            .map_err(|e| format!("{}/{}: {e}", bench.id, cand.name()))?;
         Ok(CandidatePoint {
             name: cand.name().to_string(),
             width: cand.width,
@@ -284,7 +280,9 @@ fn explore_bench(
         .clone();
     let scalar_cycles = points.iter().find(|p| !p.features.any()).map(|p| p.cycles);
     let best_speedup = scalar_cycles.map(|s| s as f64 / best.cycles.max(1) as f64);
-    let why = profile_best(bench, &compiled, candidates, &best, cfg);
+    let best_cand = candidates.iter().find(|c| c.name() == best.name);
+    let best_cand = best_cand.expect("points are built from the candidates");
+    let why = profile_best(bench, n, &compiled, &reference, best_cand, cfg)?;
 
     Ok(BenchExploration {
         bench: bench.id.to_string(),
@@ -303,29 +301,35 @@ fn explore_bench(
 /// hottest source line — the *why* behind the recommendation.
 fn profile_best(
     bench: &Benchmark,
+    n: usize,
     compiled: &Compiled,
-    candidates: &[Candidate],
-    best: &CandidatePoint,
+    reference: &[CValue],
+    cand: &Candidate,
     cfg: &ExploreConfig,
-) -> Option<HotLine> {
-    let n = cfg.n.unwrap_or_else(|| default_n(bench.id));
-    let cand = candidates.iter().find(|c| c.name() == best.name)?;
+) -> Result<Option<HotLine>, String> {
     let inputs: Vec<_> = bench.inputs(n, cfg.seed).iter().map(to_sim).collect();
+    let context = |e: String| format!("{}/{} (profiled): {e}", bench.id, cand.name());
     let outcome = compiled
         .simulator_for(Arc::new(cand.spec.clone()))
         .with_engine(cfg.engine)
         .with_fuel(cfg.fuel)
         .with_profiling(true)
         .run(inputs)
-        .ok()?;
-    let profile = outcome.profile?;
+        .map_err(|e| context(e.to_string()))?;
+    check_outputs(&outcome.outputs, reference).map_err(context)?;
+    let Some(profile) = outcome.profile else {
+        return Ok(None);
+    };
     let total = profile.total_cycles().max(1);
     let map = SourceMap::new(bench.source);
-    let (line, counters) = profile
+    let hottest = profile
         .lines(&map)
         .into_iter()
         .filter(|(line, _)| *line > 0)
-        .max_by_key(|(_, c)| c.cycles)?;
+        .max_by_key(|(_, c)| c.cycles);
+    let Some((line, counters)) = hottest else {
+        return Ok(None);
+    };
     let source = map
         .source()
         .lines()
@@ -338,13 +342,34 @@ fn profile_best(
         .first()
         .map(|(op, _)| op.to_string())
         .unwrap_or_default();
-    Some(HotLine {
+    Ok(Some(HotLine {
         line,
         source,
         fraction: counters.cycles as f64 / total as f64,
         top_class,
         lane_utilization: counters.lane_utilization(),
-    })
+    }))
+}
+
+/// Checks a simulation's outputs against the reference interpreter's:
+/// the same number of outputs, each within `1e-9` ([`outputs_close`]).
+///
+/// # Errors
+///
+/// Describes the arity mismatch or the first diverging output.
+pub fn check_outputs(outputs: &[SimVal], reference: &[CValue]) -> Result<(), String> {
+    if outputs.len() != reference.len() {
+        return Err(format!(
+            "{} outputs, reference has {}",
+            outputs.len(),
+            reference.len()
+        ));
+    }
+    for (actual, expected) in outputs.iter().zip(reference) {
+        outputs_close(&sim_to_cvalue(actual), expected, 1e-9)
+            .map_err(|e| format!("wrong result: {e}"))?;
+    }
+    Ok(())
 }
 
 /// Geometric-mean cycles per candidate across all benchmarks, plus the

@@ -1,10 +1,11 @@
 //! Coverage for the area model: monotonicity properties over the whole
-//! admissible coordinate space, and a pinned-value check for the
-//! committed `targets/area_model_default.json`.
+//! admissible coordinate space, a pinned-value check for the committed
+//! `targets/area_model_default.json`, and exact agreement of
+//! [`AreaModel::price`] with every area in the committed frontier.
 
 use matic::Features;
-use matic_explore::grid::{build_spec, Candidate};
-use matic_explore::AreaModel;
+use matic_explore::grid::{build_spec, enumerate, Candidate};
+use matic_explore::{AreaModel, Exploration};
 
 fn candidate(width: usize, features: Features, scale: f64) -> Candidate {
     Candidate {
@@ -122,4 +123,43 @@ fn committed_default_model_is_pinned() {
         m.area(&candidate(8, Features::all(), 2.0)),
         1.0 + 1.41 / 1.5
     ));
+}
+
+/// Pricing a grid candidate's spec reproduces the committed frontier's
+/// area for it to the last bit, on all 70 points of the default grid —
+/// so discovery, which prices off-grid specs with the same function,
+/// compares against the committed areas exactly.
+#[test]
+fn price_matches_every_committed_area_exactly() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../EXPLORE_frontier.json");
+    let text = std::fs::read_to_string(path).expect("committed frontier file");
+    let doc = Exploration::from_json(&text).expect("committed frontier reads");
+    let candidates = enumerate(&doc.grid).unwrap();
+    assert_eq!(candidates.len(), 70);
+    for (i, cand) in candidates.iter().enumerate() {
+        let price = doc.area.price(&cand.spec, None);
+        assert_eq!(
+            price.to_bits(),
+            doc.area.area(cand).to_bits(),
+            "{}",
+            cand.name()
+        );
+        assert_eq!(
+            price.to_bits(),
+            doc.suite[i].area.to_bits(),
+            "{}: price {price} vs committed suite area {}",
+            cand.name(),
+            doc.suite[i].area
+        );
+        for b in &doc.benches {
+            assert_eq!(
+                price.to_bits(),
+                b.points[i].area.to_bits(),
+                "{}/{}: price {price} vs committed {}",
+                b.bench,
+                cand.name(),
+                b.points[i].area
+            );
+        }
+    }
 }
