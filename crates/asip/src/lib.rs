@@ -13,6 +13,13 @@
 //! cycle-count comparison while also producing real numerical outputs
 //! that the test suite checks against the reference interpreter.
 //!
+//! One engine executes every run: [`decode`] flattens MIR into
+//! instruction streams, [`fuse_program`] pre-compiles those into
+//! direct-threaded superinstructions, and [`Simulator`] dispatches them.
+//! [`AsipMachine::run_interpreted`] walks the structured MIR instead; it is
+//! the reference semantics the engine is tested against, not a second
+//! engine.
+//!
 //! # Examples
 //!
 //! ```

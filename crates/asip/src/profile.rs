@@ -1,9 +1,9 @@
 //! Per-source-span cycle attribution — the engine behind `matic --profile`.
 //!
-//! Both simulator engines track the span of the statement or decoded
-//! instruction currently executing and funnel every cycle charge through
-//! [`Profile::record`], so attribution is bit-identical between the tree
-//! walker and the pre-decoded linear engine, and enabling profiling never
+//! The simulator engine and its tree-walking reference both track the span
+//! of the statement or decoded instruction currently executing and funnel
+//! every cycle charge through [`Profile::record`], so attribution is
+//! bit-identical between the two, and enabling profiling never
 //! perturbs the cycle totals themselves (the differential suite pins
 //! this). Rendering aggregates spans to source lines through a
 //! [`SourceMap`]; the JSON form is the stable `matic-profile-v1` schema

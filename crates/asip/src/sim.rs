@@ -8,18 +8,34 @@
 //! Running the baseline MIR and the vectorized MIR through the same
 //! machine reproduces the paper's measurement: cycles of
 //! MATLAB-Coder-style code vs. cycles of custom-instruction code.
+//!
+//! One engine runs every simulation: the decoded program is fused into
+//! direct-threaded superinstructions ([`fuse_program`], `fuse.rs`) and
+//! dispatched by `native.rs`. The tree walker over structured MIR
+//! (`walk.rs`, reached through [`AsipMachine::run_interpreted`]) is kept
+//! only as the reference semantics the differential tests compare
+//! against. Both share this module's `Exec` core — charging, fuel, value
+//! access and the call frame — and the statement semantics in `eval.rs`,
+//! `builtins.rs` and `vector.rs`.
 
-use crate::decode::{decode_program, DInst, DecodedFunction, DecodedProgram};
+mod builtins;
+mod eval;
+mod fuse;
+mod native;
+mod vector;
+mod walk;
+
+pub use fuse::{fuse_program, NativeProgram};
+
+use crate::decode::{decode_program, DecodedProgram};
 use crate::profile::Profile;
 use crate::report::CycleReport;
-use matic_frontend::ast::{BinOp, UnOp};
+use fuse::NativeFunction;
+use matic_frontend::ast::BinOp;
 use matic_frontend::span::Span;
 use matic_interp::{Cx, Matrix};
-use matic_isa::{FusedOp, FusedPrim, IsaSpec, OpClass};
-use matic_mir::{
-    AllocKind, Index, MirFunction, MirProgram, Operand, ReduceKind, Rvalue, Stmt, VarId, VecKind,
-    VecRef, VectorOp,
-};
+use matic_isa::{IsaSpec, OpClass};
+use matic_mir::{MirFunction, MirProgram, Operand, VarId};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -238,7 +254,7 @@ impl AsipMachine {
 
     /// Enables per-source-span cycle attribution: [`SimOutcome::profile`]
     /// becomes `Some` on subsequent runs. Profiling never changes cycle
-    /// totals — both engines charge identically with it on or off.
+    /// totals — it only observes the charges every run makes anyway.
     pub fn with_profiling(mut self, on: bool) -> AsipMachine {
         self.profiling = on;
         self
@@ -251,9 +267,9 @@ impl AsipMachine {
 
     /// Runs `entry` of `mir` with `inputs`, returning outputs + cycles.
     ///
-    /// Decodes the program into its linear form first and executes on the
-    /// pre-decoded engine. For repeated invocations of the same program,
-    /// [`AsipMachine::load`] amortizes the decode across runs.
+    /// Decodes and fuses the program, then runs it once. For repeated
+    /// invocations of the same program, [`AsipMachine::load`] amortizes
+    /// that preparation across runs.
     ///
     /// # Errors
     ///
@@ -265,15 +281,15 @@ impl AsipMachine {
         entry: &str,
         inputs: Vec<SimVal>,
     ) -> Result<SimOutcome, SimError> {
-        let decoded = decode_program(mir);
-        self.run_decoded(mir, &decoded, entry, inputs)
+        self.clone().load(mir, entry).run(inputs)
     }
 
-    /// Runs `entry` on the original tree-walking engine (no decode stage).
+    /// Runs `entry` on the tree-walking interpreter over structured MIR
+    /// (no decode or fusion).
     ///
-    /// Kept as the reference semantics: the differential test suite checks
-    /// that [`AsipMachine::run`] produces bit-identical outputs and cycle
-    /// reports against this path.
+    /// This is the reference semantics, not an execution engine: the
+    /// differential tests and the fuzzer's oracle leg check that
+    /// [`Simulator::run`] reproduces it bit for bit.
     ///
     /// # Errors
     ///
@@ -284,11 +300,9 @@ impl AsipMachine {
         entry: &str,
         inputs: Vec<SimVal>,
     ) -> Result<SimOutcome, SimError> {
-        let func = mir
-            .function(entry)
-            .ok_or_else(|| SimError::new(format!("entry `{entry}` not found"), Span::dummy()))?;
+        let func = mir.function(entry).ok_or_else(|| entry_not_found(entry))?;
         let mut exec = Exec::new(self, mir, None);
-        let outputs = exec.call(func, inputs)?;
+        let outputs = exec.call(func, None, inputs)?;
         Ok(exec.finish(outputs))
     }
 
@@ -315,70 +329,61 @@ impl AsipMachine {
             decoded,
             native: OnceLock::new(),
             shared_native: None,
-            engine: Engine::default(),
             entry: entry.to_string(),
             entry_idx,
         }
     }
+}
 
-    pub(crate) fn run_decoded(
-        &self,
-        mir: &MirProgram,
-        decoded: &DecodedProgram,
-        entry: &str,
-        inputs: Vec<SimVal>,
-    ) -> Result<SimOutcome, SimError> {
-        let idx = decoded
-            .func_index(entry)
-            .ok_or_else(|| SimError::new(format!("entry `{entry}` not found"), Span::dummy()))?;
-        self.run_decoded_at(mir, decoded, idx, inputs)
+#[cold]
+fn entry_not_found(entry: &str) -> SimError {
+    SimError::new(format!("entry `{entry}` not found"), Span::dummy())
+}
+
+/// The simulator's execution engine. The fused direct-threaded engine is
+/// the only one; the type, [`Simulator::with_engine`] and the `engine`
+/// fields of the explore and cycles-report configurations remain only
+/// because `perfbench/` still calls them, and can go together with those
+/// calls.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Engine {
+    /// Superinstructions with fn-pointer dispatch.
+    #[default]
+    Native,
+}
+
+impl Engine {
+    /// The engine's report name (`native`).
+    pub fn name(self) -> &'static str {
+        match self {
+            Engine::Native => "native",
+        }
     }
+}
 
-    pub(crate) fn run_decoded_at(
-        &self,
-        mir: &MirProgram,
-        decoded: &DecodedProgram,
-        idx: usize,
-        inputs: Vec<SimVal>,
-    ) -> Result<SimOutcome, SimError> {
-        let mut exec = Exec::new(self, mir, Some(decoded));
-        let outputs = exec.call_decoded(&mir.functions[idx], &decoded.funcs[idx], inputs)?;
-        Ok(exec.finish(outputs))
-    }
-
-    pub(crate) fn run_native_at(
-        &self,
-        mir: &MirProgram,
-        decoded: &DecodedProgram,
-        native: &NativeProgram,
-        idx: usize,
-        inputs: Vec<SimVal>,
-    ) -> Result<SimOutcome, SimError> {
-        let mut exec = Exec::new(self, mir, Some(decoded));
-        exec.native = Some(native);
-        let outputs = exec.call_native(&mir.functions[idx], &native.funcs[idx], inputs)?;
-        Ok(exec.finish(outputs))
+impl fmt::Display for Engine {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 
 /// A machine with a program already decoded and an entry point resolved —
 /// the reusable-run API. Construction (via [`AsipMachine::load`]) pays for
-/// the decode once; each [`Simulator::run`] then only allocates the
-/// per-call environment.
+/// the decode once; the first [`Simulator::run`] fuses the program, and
+/// every run then only allocates the per-call environment.
 #[derive(Debug, Clone)]
 pub struct Simulator<'m> {
     machine: AsipMachine,
     mir: &'m MirProgram,
     decoded: Arc<DecodedProgram>,
-    /// Fused form for the native engine, built lazily on first native run
-    /// (or seeded via [`Simulator::with_native`] by a pipeline cache).
+    /// Fused form, built lazily on the first run (or seeded via
+    /// [`Simulator::with_native`] by a pipeline cache).
     native: OnceLock<Arc<NativeProgram>>,
     /// When set, the fused program is built into (and read from) this
     /// caller-owned cell instead of the simulator-local one, so every
     /// simulator spawned from the same compilation fuses at most once —
-    /// and only if one of them actually runs the native engine.
+    /// and only if one of them actually runs.
     shared_native: Option<&'m OnceLock<Arc<NativeProgram>>>,
-    engine: Engine,
     entry: String,
     /// Entry function index, resolved once at load time so repeated runs
     /// skip the by-name lookup (`None` when the entry does not exist; the
@@ -387,32 +392,18 @@ pub struct Simulator<'m> {
 }
 
 impl<'m> Simulator<'m> {
-    /// Runs the loaded entry function with `inputs` on the selected
-    /// [`Engine`] (default [`Engine::Native`]). All engines are bit-exact;
-    /// they differ only in speed.
+    /// Runs the loaded entry function with `inputs`.
     ///
     /// # Errors
     ///
     /// Same failure modes as [`AsipMachine::run`].
     pub fn run(&self, inputs: Vec<SimVal>) -> Result<SimOutcome, SimError> {
-        if matches!(self.engine, Engine::Tree) {
-            return self.machine.run_interpreted(self.mir, &self.entry, inputs);
-        }
-        let idx = self.entry_idx.ok_or_else(|| {
-            SimError::new(format!("entry `{}` not found", self.entry), Span::dummy())
-        })?;
-        match self.engine {
-            Engine::Tree => unreachable!(),
-            Engine::Linear => self
-                .machine
-                .run_decoded_at(self.mir, &self.decoded, idx, inputs),
-            Engine::Native => {
-                let cell = self.shared_native.unwrap_or(&self.native);
-                let native = cell.get_or_init(|| Arc::new(fuse_program(self.mir, &self.decoded)));
-                self.machine
-                    .run_native_at(self.mir, &self.decoded, native, idx, inputs)
-            }
-        }
+        let idx = self.entry_idx.ok_or_else(|| entry_not_found(&self.entry))?;
+        let cell = self.shared_native.unwrap_or(&self.native);
+        let native = cell.get_or_init(|| Arc::new(fuse_program(self.mir, &self.decoded)));
+        let mut exec = Exec::new(&self.machine, self.mir, Some((&self.decoded, native)));
+        let outputs = exec.call(&self.mir.functions[idx], Some(&native.funcs[idx]), inputs)?;
+        Ok(exec.finish(outputs))
     }
 
     /// The underlying machine.
@@ -420,15 +411,10 @@ impl<'m> Simulator<'m> {
         &self.machine
     }
 
-    /// Selects which execution engine [`Simulator::run`] uses.
-    pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
+    /// A no-op: [`Engine::Native`] is the only engine. Kept only for
+    /// `perfbench/`'s calls (see [`Engine`]).
+    pub fn with_engine(self, _engine: Engine) -> Self {
         self
-    }
-
-    /// The selected execution engine.
-    pub fn engine(&self) -> Engine {
-        self.engine
     }
 
     /// Seeds the fused program cache (e.g. from a compilation pipeline
@@ -441,10 +427,9 @@ impl<'m> Simulator<'m> {
     }
 
     /// Points the simulator at a caller-owned fusion cell. The fused
-    /// program is built *lazily*, on the first native-engine run that
-    /// needs it, and lands in `cell` so it is shared by every simulator
-    /// handed the same cell — tree/linear-only callers never pay for
-    /// fusion at all.
+    /// program is built *lazily*, on the first run, and lands in `cell`
+    /// so it is shared by every simulator handed the same cell — callers
+    /// that only build simulators never pay for fusion.
     pub fn with_native_cell(mut self, cell: &'m OnceLock<Arc<NativeProgram>>) -> Self {
         self.shared_native = Some(cell);
         self
@@ -465,23 +450,13 @@ impl<'m> Simulator<'m> {
     }
 }
 
-enum Flow {
-    Normal,
-    Break,
-    Continue,
-    Return,
-}
-
 struct Exec<'a> {
     machine: &'a AsipMachine,
     mir: &'a MirProgram,
-    /// `Some` when running on the pre-decoded engine; `None` on the
-    /// tree-walking reference path. Callees dispatch through the same
-    /// engine as their caller.
-    decoded: Option<&'a DecodedProgram>,
-    /// `Some` when running on the fused direct-threaded engine (implies
-    /// `decoded` is also `Some`, for name lookup).
-    native: Option<&'a NativeProgram>,
+    /// The decoded and fused program when running on the native engine;
+    /// `None` on the tree-walking reference path. Callees run on the same
+    /// path as their caller.
+    native: Option<(&'a DecodedProgram, &'a NativeProgram)>,
     // Cycle accounting as flat accumulators (array indexed by
     // `OpClass as usize`); folded into a `CycleReport` once at the end of
     // the run. `touched` marks classes that were charged at least once —
@@ -496,7 +471,7 @@ struct Exec<'a> {
     depth: u32,
     /// Span of the statement/instruction currently being charged; every
     /// dispatch sets it before any `charge` call, so the profile hook in
-    /// `charge` attributes to the right source location on both engines.
+    /// `charge` attributes to the right source location on both paths.
     cur_span: Span,
     /// `Some` when the machine was built `with_profiling(true)`.
     profile: Option<Profile>,
@@ -508,13 +483,12 @@ impl<'a> Exec<'a> {
     fn new(
         machine: &'a AsipMachine,
         mir: &'a MirProgram,
-        decoded: Option<&'a DecodedProgram>,
+        native: Option<(&'a DecodedProgram, &'a NativeProgram)>,
     ) -> Exec<'a> {
         Exec {
             machine,
             mir,
-            decoded,
-            native: None,
+            native,
             total: 0,
             instructions: 0,
             by_class: [0; OpClass::COUNT],
@@ -624,6 +598,16 @@ impl<'a> Exec<'a> {
         self.charge(OpClass::ScalarDiv, 2 * count);
     }
 
+    /// Charges a complex conjugate: one custom instruction when the
+    /// target has it, otherwise a scalar ALU op.
+    fn conj_cost(&mut self, count: u64) {
+        if self.machine.use_intrinsics && self.supports(OpClass::ComplexConj) {
+            self.charge(OpClass::ComplexConj, count);
+        } else {
+            self.charge(OpClass::ScalarAlu, count);
+        }
+    }
+
     fn scalar_binop_cost(&mut self, op: BinOp, complex: bool) {
         if complex {
             match op {
@@ -647,9 +631,18 @@ impl<'a> Exec<'a> {
         }
     }
 
-    // ---- function calls ---------------------------------------------------
+    // ---- the call frame ---------------------------------------------------
 
-    fn call(&mut self, func: &MirFunction, inputs: Vec<SimVal>) -> Result<Vec<SimVal>, SimError> {
+    /// Calls `func` with `inputs`: depth guard, arity check, `Call`
+    /// charge, parameter coercion, then the body — its fused form `body`
+    /// on the native engine, the structured MIR on the tree walker — and
+    /// finally output collection.
+    fn call(
+        &mut self,
+        func: &MirFunction,
+        body: Option<&NativeFunction>,
+        inputs: Vec<SimVal>,
+    ) -> Result<Vec<SimVal>, SimError> {
         if self.depth > 128 {
             return Err(SimError::new("call depth exceeded", Span::dummy()));
         }
@@ -676,7 +669,12 @@ impl<'a> Exec<'a> {
             };
             env[p.0 as usize] = Some(coerced);
         }
-        self.exec_block(func, &func.body, &mut env)?;
+        match body {
+            Some(nfunc) => self.exec_native(func, nfunc, &mut env)?,
+            None => {
+                self.exec_block(func, &func.body, &mut env)?;
+            }
+        }
         let mut outs = Vec::new();
         for &o in &func.outputs {
             outs.push(env[o.0 as usize].clone().ok_or_else(|| {
@@ -690,51 +688,26 @@ impl<'a> Exec<'a> {
         Ok(outs)
     }
 
-    /// Calls a function by name through whichever engine this execution
-    /// runs on, borrowing the callee from the program (the seed
-    /// implementation cloned the whole `MirFunction` per call).
+    /// Calls a function by name on whichever path this execution runs,
+    /// borrowing the callee from the program.
     fn call_by_name(
         &mut self,
         name: &str,
         inputs: Vec<SimVal>,
         span: Span,
     ) -> Result<Vec<SimVal>, SimError> {
-        match self.decoded {
-            Some(decoded) => {
-                let idx = decoded
-                    .func_index(name)
-                    .ok_or_else(|| SimError::new(format!("call to unknown `{name}`"), span))?;
-                let mir = self.mir;
-                match self.native {
-                    Some(native) => {
-                        self.call_native(&mir.functions[idx], &native.funcs[idx], inputs)
-                    }
-                    None => self.call_decoded(&mir.functions[idx], &decoded.funcs[idx], inputs),
-                }
+        let unknown = || SimError::new(format!("call to unknown `{name}`"), span);
+        let mir = self.mir;
+        match self.native {
+            Some((decoded, native)) => {
+                let idx = decoded.func_index(name).ok_or_else(unknown)?;
+                self.call(&mir.functions[idx], Some(&native.funcs[idx]), inputs)
             }
             None => {
-                let mir = self.mir;
-                let callee = mir
-                    .function(name)
-                    .ok_or_else(|| SimError::new(format!("call to unknown `{name}`"), span))?;
-                self.call(callee, inputs)
+                let callee = mir.function(name).ok_or_else(unknown)?;
+                self.call(callee, None, inputs)
             }
         }
-    }
-
-    fn exec_block(
-        &mut self,
-        f: &MirFunction,
-        stmts: &[Stmt],
-        env: &mut Env,
-    ) -> Result<Flow, SimError> {
-        for s in stmts {
-            match self.exec_stmt(f, s, env)? {
-                Flow::Normal => {}
-                flow => return Ok(flow),
-            }
-        }
-        Ok(Flow::Normal)
     }
 
     // ---- value access -------------------------------------------------------
@@ -786,6 +759,21 @@ impl<'a> Exec<'a> {
         Ok(z.re)
     }
 
+    /// The real values of a `start:step:stop` triple, read in that order.
+    fn range_of(
+        &self,
+        f: &MirFunction,
+        env: &Env,
+        [start, step, stop]: [Operand; 3],
+        span: Span,
+    ) -> Result<(f64, f64, f64), SimError> {
+        Ok((
+            self.real_of(f, env, start, span)?,
+            self.real_of(f, env, step, span)?,
+            self.real_of(f, env, stop, span)?,
+        ))
+    }
+
     #[inline]
     fn index0(&self, f: &MirFunction, env: &Env, op: Operand, span: Span) -> Result<i64, SimError> {
         Ok(self.real_of(f, env, op, span)? as i64 - 1)
@@ -812,134 +800,6 @@ impl<'a> Exec<'a> {
             .ok_or_else(|| SimError::new(format!("read of unset `{}`", f.var(v).name), span))
     }
 
-    // ---- statements -----------------------------------------------------------
-
-    fn exec_stmt(&mut self, f: &MirFunction, stmt: &Stmt, env: &mut Env) -> Result<Flow, SimError> {
-        self.burn(Span::dummy())?;
-        self.cur_span = stmt.span();
-        match stmt {
-            Stmt::Def { dst, rv, span } => {
-                let val = self.eval_rvalue(f, env, *dst, rv, *span)?;
-                // Coerce to the register representation.
-                let val = if f.var_ty(*dst).shape.is_scalar() {
-                    match val {
-                        SimVal::Arr(m) if m.is_scalar() => SimVal::Scalar(m.lin(0)),
-                        other => other,
-                    }
-                } else {
-                    match val {
-                        SimVal::Scalar(z) => SimVal::Arr(Matrix::scalar(z)),
-                        other => other,
-                    }
-                };
-                self.set(env, *dst, val);
-                Ok(Flow::Normal)
-            }
-            Stmt::Store {
-                array,
-                indices,
-                value,
-                span,
-            } => {
-                self.exec_store(f, env, *array, indices, *value, *span)?;
-                Ok(Flow::Normal)
-            }
-            Stmt::CallMulti {
-                dsts,
-                func,
-                args,
-                user,
-                span,
-            } => {
-                self.exec_call_multi(f, env, dsts, func, args, *user, *span)?;
-                Ok(Flow::Normal)
-            }
-            Stmt::Effect { name, args, span } => {
-                self.exec_effect(f, env, name, args, *span)?;
-                Ok(Flow::Normal)
-            }
-            Stmt::If {
-                cond,
-                then_body,
-                else_body,
-                ..
-            } => {
-                self.charge(OpClass::Branch, 1);
-                let c = self.truthy(f, env, *cond)?;
-                if c {
-                    self.exec_block(f, then_body, env)
-                } else {
-                    self.exec_block(f, else_body, env)
-                }
-            }
-            Stmt::For {
-                var,
-                start,
-                step,
-                stop,
-                body,
-                ..
-            } => {
-                let loop_span = self.cur_span;
-                let span = Span::dummy();
-                let s = self.real_of(f, env, *start, span)?;
-                let st = self.real_of(f, env, *step, span)?;
-                let e = self.real_of(f, env, *stop, span)?;
-                let n = if st == 0.0 {
-                    0
-                } else {
-                    (((e - s) / st + 1e-10).floor() as i64 + 1).max(0)
-                };
-                for k in 0..n {
-                    self.burn(span)?;
-                    // Body statements moved `cur_span`; the per-iteration
-                    // control charges belong to the loop header line.
-                    self.cur_span = loop_span;
-                    // Loop control: induction update + branch.
-                    self.charge(OpClass::ScalarAlu, 1);
-                    self.charge(OpClass::Branch, 1);
-                    self.set(env, *var, SimVal::scalar(s + st * k as f64));
-                    match self.exec_block(f, body, env)? {
-                        Flow::Break => break,
-                        Flow::Return => return Ok(Flow::Return),
-                        Flow::Continue | Flow::Normal => {}
-                    }
-                }
-                Ok(Flow::Normal)
-            }
-            Stmt::While {
-                cond_defs,
-                cond,
-                body,
-                ..
-            } => {
-                let loop_span = self.cur_span;
-                loop {
-                    self.burn(Span::dummy())?;
-                    self.exec_block(f, cond_defs, env)?;
-                    self.cur_span = loop_span;
-                    self.charge(OpClass::Branch, 1);
-                    if !self.truthy(f, env, *cond)? {
-                        break;
-                    }
-                    match self.exec_block(f, body, env)? {
-                        Flow::Break => break,
-                        Flow::Return => return Ok(Flow::Return),
-                        Flow::Continue | Flow::Normal => {}
-                    }
-                }
-                Ok(Flow::Normal)
-            }
-            Stmt::Break(_) => Ok(Flow::Break),
-            Stmt::Continue(_) => Ok(Flow::Continue),
-            Stmt::Return(_) => Ok(Flow::Return),
-            Stmt::VectorOp(vop) => {
-                self.exec_vector_op(f, env, vop)?;
-                Ok(Flow::Normal)
-            }
-        }
-    }
-
     fn truthy(&self, f: &MirFunction, env: &Env, op: Operand) -> Result<bool, SimError> {
         match self.operand(f, env, op, Span::dummy())? {
             SimVal::Scalar(z) => Ok(z.re != 0.0 || z.im != 0.0),
@@ -948,8 +808,46 @@ impl<'a> Exec<'a> {
     }
 }
 
-include!("sim_linear.rs");
-include!("sim_part2.rs");
-include!("sim_part3.rs");
-include!("fuse.rs");
-include!("sim_native.rs");
+/// The number of elements of `s:st:e` — the trip count of a `for` loop
+/// and the length of a range subscript.
+fn trip_count(s: f64, st: f64, e: f64) -> i64 {
+    if st == 0.0 {
+        0
+    } else {
+        (((e - s) / st + 1e-10).floor() as i64 + 1).max(0)
+    }
+}
+
+/// The `Def` epilogue: coerce to the destination register's representation
+/// and write the slot.
+#[inline(always)]
+fn def_finish(env: &mut Env, dst: VarId, scalar_dst: bool, val: SimVal) {
+    let val = if scalar_dst {
+        match val {
+            SimVal::Arr(m) if m.is_scalar() => SimVal::Scalar(m.lin(0)),
+            other => other,
+        }
+    } else {
+        match val {
+            SimVal::Scalar(z) => SimVal::Arr(Matrix::scalar(z)),
+            other => other,
+        }
+    };
+    env[dst.0 as usize] = Some(val);
+}
+
+/// Fetches an operand if it resolves to a scalar right now: `Ok(Some)` on a
+/// scalar, `Ok(None)` when the value is array-shaped (caller falls back to
+/// the generic path), `Err(v)` when the register is unset.
+#[inline(always)]
+fn slot_scalar(env: &Env, op: Operand) -> Result<Option<Cx>, VarId> {
+    match op {
+        Operand::Const(v) => Ok(Some(Cx::real(v))),
+        Operand::ConstC(re, im) => Ok(Some(Cx::new(re, im))),
+        Operand::Var(v) => match &env[v.0 as usize] {
+            Some(SimVal::Scalar(z)) => Ok(Some(*z)),
+            Some(SimVal::Arr(_)) => Ok(None),
+            None => Err(v),
+        },
+    }
+}

@@ -1,6 +1,13 @@
-// Builtin evaluation and vector-operation execution — included from sim.rs.
+//! Builtin functions, including the discovered fused scalar
+//! instructions (`__fused_*`).
 
-impl<'a> Exec<'a> {
+use super::{Env, Exec, SimError, SimVal};
+use matic_frontend::span::Span;
+use matic_interp::{Cx, Matrix};
+use matic_isa::{FusedOp, FusedPrim, OpClass};
+use matic_mir::{MirFunction, Operand, VarId};
+
+impl Exec<'_> {
     /// Executes a discovered fused scalar instruction
     /// (`d = __fused_*(a, b, c)`, see [`matic_isa::FusedOp`]).
     ///
@@ -22,7 +29,11 @@ impl<'a> Exec<'a> {
     ) -> Result<SimVal, SimError> {
         if args.len() != 3 {
             return Err(SimError::new(
-                format!("{}: expected 3 operands, got {}", fop.builtin_name(), args.len()),
+                format!(
+                    "{}: expected 3 operands, got {}",
+                    fop.builtin_name(),
+                    args.len()
+                ),
                 span,
             ));
         }
@@ -60,7 +71,7 @@ impl<'a> Exec<'a> {
         }
     }
 
-    fn eval_builtin(
+    pub(super) fn eval_builtin(
         &mut self,
         f: &MirFunction,
         env: &mut Env,
@@ -244,12 +255,7 @@ impl<'a> Exec<'a> {
                     Cx::real(x.im)
                 }
                 "conj" => {
-                    if self.machine.use_intrinsics && self.supports(OpClass::ComplexConj)
-                    {
-                        self.charge(OpClass::ComplexConj, 1);
-                    } else {
-                        self.charge(OpClass::ScalarAlu, 1);
-                    }
+                    self.conj_cost(1);
                     x.conj()
                 }
                 "angle" => {
@@ -378,25 +384,15 @@ impl<'a> Exec<'a> {
                 let s: f64 = m.data().iter().map(|z| z.abs() * z.abs()).sum();
                 Ok(SimVal::scalar(s.sqrt()))
             }
-            "abs" | "sqrt" | "exp" | "log" | "sin" | "cos" | "floor" | "ceil" | "round"
-            | "fix" | "sign" | "real" | "imag" | "conj" | "angle" => {
+            "abs" | "sqrt" | "exp" | "log" | "sin" | "cos" | "floor" | "ceil" | "round" | "fix"
+            | "sign" | "real" | "imag" | "conj" | "angle" => {
                 self.charge(OpClass::Load, n);
                 self.charge(OpClass::Store, n);
                 self.charge(OpClass::Branch, n);
                 match name {
                     "sqrt" => self.charge(OpClass::ScalarSqrt, n),
-                    "exp" | "log" | "sin" | "cos" | "angle" => {
-                        self.charge(OpClass::ScalarTrans, n)
-                    }
-                    "conj" => {
-                        if self.machine.use_intrinsics
-                            && self.supports(OpClass::ComplexConj)
-                        {
-                            self.charge(OpClass::ComplexConj, n);
-                        } else {
-                            self.charge(OpClass::ScalarAlu, n);
-                        }
-                    }
+                    "exp" | "log" | "sin" | "cos" | "angle" => self.charge(OpClass::ScalarTrans, n),
+                    "conj" => self.conj_cost(n),
                     _ => self.charge(OpClass::ScalarAlu, n),
                 }
                 let out = m.map(|z| match name {
@@ -465,288 +461,6 @@ impl<'a> Exec<'a> {
                 format!("array builtin `{other}` unsupported in simulation"),
                 span,
             )),
-        }
-    }
-
-    // ---- vector operations --------------------------------------------------
-
-    fn read_lanes(
-        &mut self,
-        f: &MirFunction,
-        env: &Env,
-        r: &VecRef,
-        len: usize,
-        span: Span,
-    ) -> Result<Vec<Cx>, SimError> {
-        match r {
-            VecRef::Splat(op) => {
-                let z = self.scalar_of(f, env, *op, span)?;
-                Ok(vec![z; len])
-            }
-            VecRef::Slice { array, start, step } => {
-                let base = self.get(f, env, *array, span)?.into_matrix();
-                let s = self.real_of(f, env, *start, span)? as i64 - 1;
-                let st = self.real_of(f, env, *step, span)? as i64;
-                let mut out = Vec::with_capacity(len);
-                for k in 0..len as i64 {
-                    let p = s + st * k;
-                    let z = *base
-                        .data()
-                        .get(p.max(0) as usize)
-                        .filter(|_| p >= 0)
-                        .ok_or_else(|| {
-                            SimError::oob(
-                                format!("vector lane {} out of bounds", p + 1),
-                                span,
-                            )
-                        })?;
-                    out.push(z);
-                }
-                Ok(out)
-            }
-        }
-    }
-
-    fn write_lanes(
-        &mut self,
-        f: &MirFunction,
-        env: &mut Env,
-        r: &VecRef,
-        values: &[Cx],
-        span: Span,
-    ) -> Result<(), SimError> {
-        let VecRef::Slice { array, start, step } = r else {
-            return Err(SimError::new("vector store needs a slice", span));
-        };
-        // Take (not clone) the destination: lane writes go through
-        // `data_mut`, and a cloned handle would pay a full copy-on-write
-        // duplication per vector op. `start`/`step` are scalar operands,
-        // never the destination array itself.
-        let mut base = self.take_val(f, env, *array, span)?.into_matrix();
-        let s = self.real_of(f, env, *start, span)? as i64 - 1;
-        let st = self.real_of(f, env, *step, span)? as i64;
-        for (k, z) in values.iter().enumerate() {
-            let p = s + st * k as i64;
-            let total = base.numel();
-            let slot = base
-                .data_mut()
-                .get_mut(p.max(0) as usize)
-                .filter(|_| p >= 0)
-                .ok_or_else(|| {
-                    SimError::oob(
-                        format!("vector store lane {} out of bounds ({total})", p + 1),
-                        span,
-                    )
-                })?;
-            *slot = *z;
-        }
-        self.set(env, *array, SimVal::Arr(base));
-        Ok(())
-    }
-
-    /// Charges the cost of one vector operation under the target's
-    /// capabilities, mirroring the C backend's intrinsic-vs-fallback
-    /// decision. Returns nothing; semantics are computed separately.
-    fn charge_vector_op(&mut self, vop: &VectorOp, len: u64, inputs: u64, has_store: bool) {
-        let w = self.spec().vector_width.max(1) as u64;
-        let simd_ok = self.machine.use_intrinsics && self.spec().features.simd && w > 1;
-        let class = match (&vop.kind, vop.complex) {
-            (VecKind::Map(BinOp::ElemMul | BinOp::MatMul), false) => OpClass::VectorMul,
-            (VecKind::Map(BinOp::ElemDiv | BinOp::MatDiv), false) => OpClass::VectorDiv,
-            (VecKind::Map(_), false) => OpClass::VectorAlu,
-            (VecKind::Map(BinOp::ElemMul | BinOp::MatMul), true) => OpClass::VComplexMul,
-            (VecKind::Map(_), true) => OpClass::VComplexAdd,
-            (VecKind::MapUnary(_), false) => OpClass::VectorAlu,
-            (VecKind::MapUnary(_), true) => OpClass::VComplexAdd,
-            (VecKind::MapBuiltin(n), _) if n == "sqrt" => OpClass::VectorDiv,
-            (VecKind::MapBuiltin(_), false) => OpClass::VectorAlu,
-            (VecKind::MapBuiltin(_), true) => OpClass::VComplexAdd,
-            (VecKind::Mac, false) => OpClass::VectorMac,
-            (VecKind::Mac, true) => OpClass::VComplexMac,
-            (VecKind::Reduce(_), false) => OpClass::VectorRedAdd,
-            (VecKind::Reduce(_), true) => OpClass::VectorRedAdd,
-            (VecKind::Copy, _) => OpClass::VectorLoad,
-        };
-        if simd_ok && self.supports(class) {
-            // Whole SIMD words per issue, plus vector load/store traffic.
-            let words = len.div_ceil(w);
-            self.note_lanes(len, words * w);
-            self.charge(OpClass::VectorLoad, words * inputs);
-            self.charge(class, words);
-            if has_store {
-                self.charge(OpClass::VectorStore, words);
-            }
-            self.charge(OpClass::Branch, words);
-            return;
-        }
-        // Scalar-expansion (or complex-instruction) loop.
-        self.charge(OpClass::Load, len * inputs);
-        self.charge(OpClass::Branch, len);
-        if has_store {
-            self.charge(OpClass::Store, len);
-        }
-        match (&vop.kind, vop.complex) {
-            (VecKind::Map(BinOp::ElemMul | BinOp::MatMul), true) => self.cx_mul_cost(len),
-            (VecKind::Map(BinOp::ElemDiv | BinOp::MatDiv), true) => self.cx_div_cost(len),
-            (VecKind::Map(_), true) => self.cx_add_cost(len),
-            (VecKind::Map(BinOp::ElemMul | BinOp::MatMul), false) => {
-                self.charge(OpClass::ScalarMul, len)
-            }
-            (VecKind::Map(BinOp::ElemDiv | BinOp::MatDiv), false) => {
-                self.charge(OpClass::ScalarDiv, len)
-            }
-            (VecKind::Map(_), false) => self.charge(OpClass::ScalarAlu, len),
-            (VecKind::MapUnary(_), true) => self.cx_add_cost(len),
-            (VecKind::MapUnary(_), false) => self.charge(OpClass::ScalarAlu, len),
-            (VecKind::MapBuiltin(n), _) if n == "sqrt" => {
-                self.charge(OpClass::ScalarSqrt, len)
-            }
-            (VecKind::MapBuiltin(n), true) if n == "conj" => {
-                if self.machine.use_intrinsics && self.supports(OpClass::ComplexConj) {
-                    self.charge(OpClass::ComplexConj, len);
-                } else {
-                    self.charge(OpClass::ScalarAlu, len);
-                }
-            }
-            (VecKind::MapBuiltin(_), _) => self.charge(OpClass::ScalarAlu, len),
-            (VecKind::Mac, true) => self.cx_mac_cost(len),
-            (VecKind::Mac, false) => {
-                self.charge(OpClass::ScalarMul, len);
-                self.charge(OpClass::ScalarAlu, len);
-            }
-            (VecKind::Reduce(ReduceKind::Prod), true) => self.cx_mul_cost(len),
-            (VecKind::Reduce(ReduceKind::Prod), false) => {
-                self.charge(OpClass::ScalarMul, len)
-            }
-            (VecKind::Reduce(_), true) => self.cx_add_cost(len),
-            (VecKind::Reduce(_), false) => self.charge(OpClass::ScalarAlu, len),
-            (VecKind::Copy, _) => {}
-        }
-    }
-
-    fn exec_vector_op(
-        &mut self,
-        f: &MirFunction,
-        env: &mut Env,
-        vop: &VectorOp,
-    ) -> Result<(), SimError> {
-        let span = vop.span;
-        let len_f = self.real_of(f, env, vop.len, span)?;
-        let len = if len_f > 0.0 { len_f as usize } else { 0 };
-        let inputs = 1 + u64::from(vop.b.is_some());
-        let is_store = !matches!(vop.kind, VecKind::Mac | VecKind::Reduce(_));
-        self.charge_vector_op(vop, len as u64, inputs, is_store);
-        if len == 0 {
-            return Ok(());
-        }
-        self.vector_op_lanes(f, env, vop, len)
-    }
-
-    /// Lane semantics of one vector op, with charges already applied (the
-    /// native engine calls this directly when its allocation-free fast
-    /// path does not apply).
-    fn vector_op_lanes(
-        &mut self,
-        f: &MirFunction,
-        env: &mut Env,
-        vop: &VectorOp,
-        len: usize,
-    ) -> Result<(), SimError> {
-        let span = vop.span;
-        let a = self.read_lanes(f, env, &vop.a, len, span)?;
-        let b = match &vop.b {
-            Some(r) => Some(self.read_lanes(f, env, r, len, span)?),
-            None => None,
-        };
-
-        match &vop.kind {
-            VecKind::Mac | VecKind::Reduce(_) => {
-                let VecRef::Splat(Operand::Var(acc_var)) = vop.dst else {
-                    return Err(SimError::new(
-                        "reduction destination must be a register",
-                        span,
-                    ));
-                };
-                let mut acc = self
-                    .get(f, env, acc_var, span)?
-                    .as_cx()
-                    .map_err(|m| SimError::new(m, span))?;
-                match &vop.kind {
-                    VecKind::Mac => {
-                        let b = b.as_ref().expect("MAC has two inputs");
-                        for k in 0..len {
-                            acc = acc + a[k] * b[k];
-                        }
-                    }
-                    VecKind::Reduce(ReduceKind::Sum) => {
-                        for z in &a {
-                            acc = acc + *z;
-                        }
-                    }
-                    VecKind::Reduce(ReduceKind::Prod) => {
-                        for z in &a {
-                            acc = acc * *z;
-                        }
-                    }
-                    VecKind::Reduce(ReduceKind::Min) => {
-                        for z in &a {
-                            if z.re < acc.re {
-                                acc = *z;
-                            }
-                        }
-                    }
-                    VecKind::Reduce(ReduceKind::Max) => {
-                        for z in &a {
-                            if z.re > acc.re {
-                                acc = *z;
-                            }
-                        }
-                    }
-                    _ => unreachable!(),
-                }
-                self.set(env, acc_var, SimVal::Scalar(acc));
-                Ok(())
-            }
-            kind => {
-                let out: Vec<Cx> = match kind {
-                    VecKind::Map(op) => {
-                        let b = b.as_ref().expect("binary map has two inputs");
-                        let mut out = Vec::with_capacity(len);
-                        for k in 0..len {
-                            let z = apply_binop_scalar(*op, a[k], b[k])
-                                .map_err(|m| SimError::new(m, span))?;
-                            out.push(z);
-                        }
-                        out
-                    }
-                    VecKind::MapUnary(op) => a.iter().map(|&z| apply_unop(*op, z)).collect(),
-                    VecKind::MapBuiltin(name) => {
-                        let mut out = Vec::with_capacity(len);
-                        for &z in &a {
-                            out.push(match name.as_str() {
-                                "abs" => Cx::real(z.abs()),
-                                "conj" => z.conj(),
-                                "sqrt" => z.sqrt(),
-                                "real" => Cx::real(z.re),
-                                "imag" => Cx::real(z.im),
-                                "floor" => Cx::real(z.re.floor()),
-                                "ceil" => Cx::real(z.re.ceil()),
-                                "round" => Cx::real(z.re.round()),
-                                other => {
-                                    return Err(SimError::new(
-                                        format!("lane builtin `{other}`"),
-                                        span,
-                                    ))
-                                }
-                            });
-                        }
-                        out
-                    }
-                    VecKind::Copy => a,
-                    _ => unreachable!(),
-                };
-                self.write_lanes(f, env, &vop.dst, &out, span)
-            }
         }
     }
 }

@@ -1,9 +1,18 @@
-// Continuation of `Exec` — included from sim.rs.
+//! Statement semantics shared by both execution paths: rvalues, indexing,
+//! stores, calls and effects. The native engine's specialized micro-ops
+//! fall back to these whenever a runtime shape leaves their fast path.
 
-impl<'a> Exec<'a> {
+use super::{trip_count, Env, Exec, SimError, SimVal};
+use matic_frontend::ast::{BinOp, UnOp};
+use matic_frontend::span::Span;
+use matic_interp::{Cx, Matrix};
+use matic_isa::OpClass;
+use matic_mir::{AllocKind, Index, MirFunction, Operand, Rvalue, VarId};
+
+impl Exec<'_> {
     // ---- rvalues -----------------------------------------------------------
 
-    fn eval_rvalue(
+    pub(super) fn eval_rvalue(
         &mut self,
         f: &MirFunction,
         env: &mut Env,
@@ -63,9 +72,7 @@ impl<'a> Exec<'a> {
             }
             Rvalue::Index { array, indices } => self.eval_index(f, env, *array, indices, span),
             Rvalue::Range { start, step, stop } => {
-                let s = self.real_of(f, env, *start, span)?;
-                let st = self.real_of(f, env, *step, span)?;
-                let e = self.real_of(f, env, *stop, span)?;
+                let (s, st, e) = self.range_of(f, env, [*start, *step, *stop], span)?;
                 let m = Matrix::range(s, st, e);
                 let n = m.numel() as u64;
                 self.charge(OpClass::ScalarAlu, n);
@@ -79,10 +86,7 @@ impl<'a> Exec<'a> {
                 let n = (r * c) as u64;
                 // Zero-fill: a SIMD machine memsets one word per issue.
                 let w = self.spec().vector_width.max(1) as u64;
-                if self.machine.use_intrinsics
-                    && self.spec().features.simd
-                    && w > 1
-                {
+                if self.machine.use_intrinsics && self.spec().features.simd && w > 1 {
                     self.charge(OpClass::VectorStore, n.div_ceil(w));
                 } else {
                     self.charge(OpClass::Store, n);
@@ -134,7 +138,7 @@ impl<'a> Exec<'a> {
         }
     }
 
-    fn eval_binary(
+    pub(super) fn eval_binary(
         &mut self,
         f: &MirFunction,
         env: &mut Env,
@@ -184,22 +188,23 @@ impl<'a> Exec<'a> {
                 } else {
                     match op {
                         BinOp::ElemMul | BinOp::MatMul => self.charge(OpClass::ScalarMul, n),
-                        BinOp::ElemDiv | BinOp::MatDiv | BinOp::ElemLeftDiv
-                        | BinOp::MatLeftDiv => self.charge(OpClass::ScalarDiv, n),
+                        BinOp::ElemDiv | BinOp::MatDiv | BinOp::ElemLeftDiv | BinOp::MatLeftDiv => {
+                            self.charge(OpClass::ScalarDiv, n)
+                        }
                         BinOp::ElemPow | BinOp::MatPow => self.charge(OpClass::ScalarTrans, n),
                         _ => self.charge(OpClass::ScalarAlu, n),
                     }
                 }
                 self.charge(OpClass::Store, n);
                 self.charge(OpClass::Branch, n);
-                let out = matic_interp::apply_binop(op, &ma, &mb)
-                    .map_err(|m| SimError::new(m, span))?;
+                let out =
+                    matic_interp::apply_binop(op, &ma, &mb).map_err(|m| SimError::new(m, span))?;
                 Ok(SimVal::Arr(out))
             }
         }
     }
 
-    fn eval_index(
+    pub(super) fn eval_index(
         &mut self,
         f: &MirFunction,
         env: &mut Env,
@@ -301,19 +306,14 @@ impl<'a> Exec<'a> {
         indices: &[Index],
         span: Span,
     ) -> Result<(Vec<usize>, usize, usize), SimError> {
-        let range_list = |s: f64, st: f64, e: f64| -> Vec<i64> {
-            if st == 0.0 {
-                return Vec::new();
-            }
-            let n = (((e - s) / st + 1e-10).floor() as i64 + 1).max(0);
-            (0..n).map(|k| (s + st * k as f64) as i64 - 1).collect()
+        let range_list = |(s, st, e): (f64, f64, f64)| -> Vec<i64> {
+            (0..trip_count(s, st, e))
+                .map(|k| (s + st * k as f64) as i64 - 1)
+                .collect()
         };
         match indices {
             [Index::Range { start, step, stop }] => {
-                let s = self.real_of(f, env, *start, span)?;
-                let st = self.real_of(f, env, *step, span)?;
-                let e = self.real_of(f, env, *stop, span)?;
-                let list = range_list(s, st, e);
+                let list = range_list(self.range_of(f, env, [*start, *step, *stop], span)?);
                 let n = list.len();
                 let mut out = Vec::with_capacity(n);
                 for k in list {
@@ -333,20 +333,14 @@ impl<'a> Exec<'a> {
                     Index::Scalar(op) => vec![self.index0(f, env, *op, span)?],
                     Index::Full => (0..base.rows() as i64).collect(),
                     Index::Range { start, step, stop } => {
-                        let s = self.real_of(f, env, *start, span)?;
-                        let st = self.real_of(f, env, *step, span)?;
-                        let e = self.real_of(f, env, *stop, span)?;
-                        range_list(s, st, e)
+                        range_list(self.range_of(f, env, [*start, *step, *stop], span)?)
                     }
                 };
                 let clist: Vec<i64> = match ci {
                     Index::Scalar(op) => vec![self.index0(f, env, *op, span)?],
                     Index::Full => (0..base.cols() as i64).collect(),
                     Index::Range { start, step, stop } => {
-                        let s = self.real_of(f, env, *start, span)?;
-                        let st = self.real_of(f, env, *step, span)?;
-                        let e = self.real_of(f, env, *stop, span)?;
-                        range_list(s, st, e)
+                        range_list(self.range_of(f, env, [*start, *step, *stop], span)?)
                     }
                 };
                 let mut out = Vec::with_capacity(rlist.len() * clist.len());
@@ -364,7 +358,7 @@ impl<'a> Exec<'a> {
         }
     }
 
-    fn exec_store(
+    pub(super) fn exec_store(
         &mut self,
         f: &MirFunction,
         env: &mut Env,
@@ -409,10 +403,7 @@ impl<'a> Exec<'a> {
                     let (r0, c0) = (zr.re as i64 - 1, zc.re as i64 - 1);
                     self.charge(OpClass::ScalarAlu, 2);
                     self.charge(OpClass::Store, 1);
-                    if r0 < 0
-                        || c0 < 0
-                        || r0 as usize >= base.rows()
-                        || c0 as usize >= base.cols()
+                    if r0 < 0 || c0 < 0 || r0 as usize >= base.rows() || c0 as usize >= base.cols()
                     {
                         return Err(SimError::oob("2-D store out of bounds", span));
                     }
@@ -478,7 +469,7 @@ impl<'a> Exec<'a> {
 
     // One parameter per field of the `Stmt::CallMulti` form it executes.
     #[allow(clippy::too_many_arguments)]
-    fn exec_call_multi(
+    pub(super) fn exec_call_multi(
         &mut self,
         f: &MirFunction,
         env: &mut Env,
@@ -546,7 +537,7 @@ impl<'a> Exec<'a> {
         }
     }
 
-    fn exec_effect(
+    pub(super) fn exec_effect(
         &mut self,
         f: &MirFunction,
         env: &mut Env,
@@ -601,12 +592,15 @@ impl<'a> Exec<'a> {
                 // a plain trap no matter what substrings it contains.
                 Err(SimError::trap(msg, span))
             }
-            other => Err(SimError::trap(format!("effect `{other}` unsupported"), span)),
+            other => Err(SimError::trap(
+                format!("effect `{other}` unsupported"),
+                span,
+            )),
         }
     }
 }
 
-fn apply_unop(op: UnOp, z: Cx) -> Cx {
+pub(super) fn apply_unop(op: UnOp, z: Cx) -> Cx {
     match op {
         UnOp::Neg => -z,
         UnOp::Plus => z,
@@ -618,7 +612,7 @@ fn apply_unop(op: UnOp, z: Cx) -> Cx {
 /// on 1×1 operands without building temporary matrices. This runs once
 /// per scalar ALU statement and once per lane inside vector maps, so it
 /// must stay allocation-free.
-fn apply_binop_scalar(op: BinOp, a: Cx, b: Cx) -> Result<Cx, String> {
+pub(super) fn apply_binop_scalar(op: BinOp, a: Cx, b: Cx) -> Result<Cx, String> {
     let logical = |c: bool| Cx::real(if c { 1.0 } else { 0.0 });
     let truthy = |z: Cx| z.re != 0.0 || z.im != 0.0;
     Ok(match op {

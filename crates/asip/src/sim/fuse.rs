@@ -1,77 +1,45 @@
-// Superinstruction fusion — included from sim.rs.
-//
-// Pre-compiles a `DecodedProgram` into the native engine's direct-threaded
-// form: every instruction becomes an `NStep` whose `run` field is a plain
-// Rust fn pointer chosen once here, and maximal straight-line runs of
-// `Def`/`Store` instructions are fused into a single `Super` step holding a
-// flat list of micro-ops (each again a pre-selected fn pointer with its
-// operand slots resolved). The dispatch loop in sim_native.rs is then just
-// `pc = (step.run)(...)` — no instruction-enum match on the hot path, and
-// no span bookkeeping unless profiling is on.
-//
-// Fusion is a pure representation change: micro-ops burn fuel, charge
-// cycles, and raise errors in exactly the order the linear engine's
-// per-`DInst` handlers would, so outcomes stay bit-identical (pinned by
-// tests/engine_differential.rs and the pipeline fuzzer).
+//! Superinstruction fusion: the `NativeProgram` builder.
+//!
+//! Pre-compiles a `DecodedProgram` into the native engine's direct-threaded
+//! form: every instruction becomes an `NStep` whose `run` field is a plain
+//! Rust fn pointer chosen once here, and maximal straight-line runs of
+//! `Def`/`Store` instructions are fused into a single `Super` step holding a
+//! flat list of micro-ops (each again a pre-selected fn pointer with its
+//! operand slots resolved). The dispatch loop in `native.rs` is then just
+//! `pc = (step.run)(...)` — no instruction-enum match on the hot path, and
+//! no span bookkeeping unless profiling is on.
+//!
+//! Fusion is a pure representation change: micro-ops burn fuel, charge
+//! cycles, and raise errors in exactly the order the tree walker does for
+//! the statements they came from, so outcomes stay bit-identical (pinned by
+//! `tests/engine_differential.rs` and the pipeline fuzzer).
 
-/// Which simulator implementation executes a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// The original tree-walking interpreter over structured MIR — the
-    /// reference semantics.
-    Tree,
-    /// The pre-decoded linear engine (flat `DInst` stream + explicit pc).
-    Linear,
-    /// The fused direct-threaded engine (superinstructions + fn-pointer
-    /// dispatch) — fastest; the default.
-    #[default]
-    Native,
-}
-
-impl Engine {
-    /// All engines, in oracle-to-fastest order.
-    pub const ALL: [Engine; 3] = [Engine::Tree, Engine::Linear, Engine::Native];
-
-    /// The CLI name (`tree`, `linear`, `native`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::Tree => "tree",
-            Engine::Linear => "linear",
-            Engine::Native => "native",
-        }
-    }
-}
-
-impl fmt::Display for Engine {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for Engine {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Engine, String> {
-        match s {
-            "tree" => Ok(Engine::Tree),
-            "linear" => Ok(Engine::Linear),
-            "native" => Ok(Engine::Native),
-            other => Err(format!(
-                "unknown engine `{other}` (expected tree, linear, or native)"
-            )),
-        }
-    }
-}
+use super::native::{
+    micro_bin, micro_bin_fast, micro_chain, micro_copy, micro_def_generic, micro_load1,
+    micro_load2, micro_slice_load_2d, micro_slice_load_lin, micro_slice_store_2d,
+    micro_slice_store_lin, micro_store1, micro_store2, micro_store_generic, micro_un, step_branch,
+    step_branch_burning, step_break, step_call_multi, step_continue, step_effect, step_for_next,
+    step_for_setup, step_jump, step_return, step_super, step_vector, step_while_enter,
+    step_while_iter, Frame,
+};
+use super::{Env, Exec, SimError};
+use crate::decode::{DInst, DecodedFunction, DecodedProgram};
+use matic_frontend::ast::{BinOp, UnOp};
+use matic_frontend::span::Span;
+use matic_interp::Cx;
+use matic_isa::OpClass;
+use matic_mir::{Index, MirFunction, MirProgram, Operand, Rvalue, VarId, VecRef, VectorOp};
+use std::fmt;
 
 /// A decoded program pre-compiled for the direct-threaded native engine.
 ///
 /// Functions are index-parallel with the source [`MirProgram`] /
 /// [`DecodedProgram`]; build one with [`fuse_program`] and run it through
-/// [`Simulator`] (engine [`Engine::Native`]). The structure is immutable
+/// [`Simulator`](super::Simulator). The structure is immutable
 /// and target-independent, so one fused program can be shared across
 /// threads and retargeted to many candidate ISAs.
 pub struct NativeProgram {
-    pub(crate) funcs: Vec<NativeFunction>,
+    pub(super) funcs: Vec<NativeFunction>,
 }
 
 impl fmt::Debug for NativeProgram {
@@ -83,13 +51,13 @@ impl fmt::Debug for NativeProgram {
 }
 
 /// One function's flat step table.
-pub(crate) struct NativeFunction {
-    steps: Vec<NStep>,
+pub(super) struct NativeFunction {
+    pub(super) steps: Vec<NStep>,
 }
 
 /// Handler signature for one native step: executes, then returns the next
 /// step index (`u32::MAX` to leave the function).
-type StepFn = for<'a> fn(
+pub(super) type StepFn = for<'a> fn(
     &mut Exec<'a>,
     &MirFunction,
     &mut Env,
@@ -99,13 +67,13 @@ type StepFn = for<'a> fn(
 ) -> Result<u32, SimError>;
 
 /// One direct-threaded step: a pre-selected handler plus its payload.
-struct NStep {
-    run: StepFn,
-    data: NData,
+pub(super) struct NStep {
+    pub(super) run: StepFn,
+    pub(super) data: NData,
 }
 
 /// Step payloads (control flow and non-fusable statements).
-enum NData {
+pub(super) enum NData {
     /// A fused straight-line run of `Def`/`Store` instructions.
     Super(Vec<Micro>),
     /// Conditional branch; the fuel burn and loop-exit behavior are baked
@@ -149,13 +117,13 @@ enum NData {
 }
 
 /// Handler signature for one micro-op inside a superinstruction.
-type MicroFn =
+pub(super) type MicroFn =
     for<'a> fn(&mut Exec<'a>, &MirFunction, &mut Env, &MicroData) -> Result<(), SimError>;
 
 /// One fused micro-op: pre-selected handler + pre-resolved operand slots.
-struct Micro {
-    run: MicroFn,
-    data: MicroData,
+pub(super) struct Micro {
+    pub(super) run: MicroFn,
+    pub(super) data: MicroData,
 }
 
 /// Micro-op payloads. The specialized forms carry exactly the slots their
@@ -163,7 +131,7 @@ struct Micro {
 /// (e.g. a scalar-typed register holding a 1×1 array's worth of gather
 /// indices) the handler falls back to the generic `Exec` path, which
 /// re-derives the identical charges and errors.
-enum MicroData {
+pub(super) enum MicroData {
     /// `dst = a <op> b`, specialized for scalar operands. `class` and
     /// `evalf` are the cost class and compute fn for *real* scalar
     /// operands, pre-selected from `op` at fuse time; complex operands
@@ -279,7 +247,7 @@ enum MicroData {
 
 /// Longest run of micro-ops one chain may compile (bounds the runtime
 /// temp stack, which lives on the Rust stack).
-pub(crate) const CHAIN_MAX: usize = 48;
+pub(super) const CHAIN_MAX: usize = 48;
 
 /// A scalar chain: a run of consecutive `Bin`/`Un`/`Copy`/`Load1`/`Load2`/
 /// `Store1`/`Store2` micro-ops compiled into a flat op list whose
@@ -295,23 +263,23 @@ pub(crate) const CHAIN_MAX: usize = 48;
 /// scalar operands are scalars, load/store bases are arrays). Guards are
 /// checked before any side effect, so a miss falls back to the original
 /// micro sequence with bit-identical fuel, cycles, and errors.
-pub(crate) struct ChainData {
-    ops: Vec<ChainOp>,
+pub(super) struct ChainData {
+    pub(super) ops: Vec<ChainOp>,
     /// Shape guards on the initial environment, deduplicated.
-    guards: Vec<Guard>,
+    pub(super) guards: Vec<Guard>,
     /// The original micro sequence (profiling / low fuel / guard miss).
-    fallback: Vec<Micro>,
+    pub(super) fallback: Vec<Micro>,
     /// Per-class charge *counts* for the whole chain when every `Bin`
     /// input is real (the only runtime-dependent cost). Cycle costs stay
     /// machine-side, so `charge(class, count)` with these aggregates is
     /// bit-identical to the per-op charge sequence; a complex value or a
     /// mid-chain error deoptimizes to exact per-op accounting.
-    real_counts: [u16; OpClass::COUNT],
+    pub(super) real_counts: [u16; OpClass::COUNT],
 }
 
 /// A pre-resolved source of one chain op.
 #[derive(Clone, Copy)]
-enum CSrc {
+pub(super) enum CSrc {
     Const(Cx),
     /// Environment slot, guarded to hold a scalar at chain entry.
     Env(u32),
@@ -321,27 +289,27 @@ enum CSrc {
 
 /// Shape precondition on one environment slot at chain entry.
 #[derive(Clone, Copy, PartialEq, Eq)]
-enum Guard {
+pub(super) enum Guard {
     Scalar(u32),
     Arr(u32),
 }
 
 /// One chain op. `a`/`b`/`c` are the operand slots its kind uses (see the
 /// per-kind comments); unused slots hold `CSrc::Const(0)`.
-struct ChainOp {
-    kind: CKind,
-    a: CSrc,
-    b: CSrc,
+pub(super) struct ChainOp {
+    pub(super) kind: CKind,
+    pub(super) a: CSrc,
+    pub(super) b: CSrc,
     /// Third operand (only `Store2`'s stored value).
-    c: CSrc,
+    pub(super) c: CSrc,
     /// Environment slot to write the result through to, or `u32::MAX`
     /// when the value is never read outside the chain.
-    env_dst: u32,
-    scalar_dst: bool,
-    span: Span,
+    pub(super) env_dst: u32,
+    pub(super) scalar_dst: bool,
+    pub(super) span: Span,
 }
 
-enum CKind {
+pub(super) enum CKind {
     /// `dst = a <op> b`.
     Bin {
         op: BinOp,
@@ -366,7 +334,7 @@ enum CKind {
 /// [`Index`], with operands still to be read from the environment at run
 /// time.
 #[derive(Clone, Copy)]
-enum AxisSel {
+pub(super) enum AxisSel {
     /// A single scalar position.
     Pos(Operand),
     /// The whole axis (`:`).
@@ -593,9 +561,7 @@ fn fuse_function(dfunc: &DecodedFunction, mfunc: &MirFunction) -> NativeFunction
     for step in &mut steps {
         match &mut step.data {
             NData::Branch { if_false, .. } => *if_false = pc_map[*if_false as usize],
-            NData::Jump { target } | NData::Loop { target } => {
-                *target = pc_map[*target as usize]
-            }
+            NData::Jump { target } | NData::Loop { target } => *target = pc_map[*target as usize],
             NData::ForNext { end, .. } => *end = pc_map[*end as usize],
             _ => {}
         }
@@ -630,8 +596,9 @@ fn build_chains(items: Vec<(u32, Micro)>, reads: &[Vec<u32>], mfunc: &MirFunctio
     while i < slots.len() {
         match compile_chain(&slots, &pcs, i, reads, mfunc) {
             Some((ops, guards, consumed)) => {
-                let fallback: Vec<Micro> =
-                    (i..i + consumed).map(|k| slots[k].take().unwrap()).collect();
+                let fallback: Vec<Micro> = (i..i + consumed)
+                    .map(|k| slots[k].take().unwrap())
+                    .collect();
                 let real_counts = chain_real_counts(&ops);
                 out.push(Micro {
                     run: micro_chain,
@@ -654,7 +621,7 @@ fn build_chains(items: Vec<(u32, Micro)>, reads: &[Vec<u32>], mfunc: &MirFunctio
 }
 
 /// Aggregates the all-real per-class charge counts of a chain; the exact
-/// per-op counterpart lives in `chain_charge_real` (sim_native.rs), which
+/// per-op counterpart lives in `chain_charge_real` (`native.rs`), which
 /// the deoptimized paths replay op by op.
 fn chain_real_counts(ops: &[ChainOp]) -> [u16; OpClass::COUNT] {
     let mut counts = [0u16; OpClass::COUNT];
@@ -748,121 +715,127 @@ fn compile_chain(
         let zero = CSrc::Const(Cx::ZERO);
         // (kind, a, b, c, def as (var, scalar_dst), span) for one resolved op.
         type Compiled = Option<(CKind, CSrc, CSrc, CSrc, Option<(VarId, bool)>, Span)>;
-        let compiled: Compiled =
-            match &m.data {
-                MicroData::Bin {
-                    op,
-                    class,
-                    evalf,
-                    a,
-                    b,
-                    dst,
-                    scalar_dst,
-                    span,
-                } => (|| {
-                    let sa = src(*a, &mut new_guards, &mut add_guard)?;
-                    let sb = src(*b, &mut new_guards, &mut add_guard)?;
-                    Some((
-                        CKind::Bin {
-                            op: *op,
-                            class: *class,
-                            evalf: *evalf,
-                        },
-                        sa,
-                        sb,
-                        zero,
-                        Some((*dst, *scalar_dst)),
-                        *span,
-                    ))
-                })(),
-                MicroData::Copy {
-                    a,
-                    dst,
-                    scalar_dst,
-                    span,
-                } => src(*a, &mut new_guards, &mut add_guard).map(|sa| {
-                    (CKind::Copy, sa, zero, zero, Some((*dst, *scalar_dst)), *span)
-                }),
-                MicroData::Un {
-                    op,
-                    a,
-                    dst,
-                    scalar_dst,
-                    span,
-                } => src(*a, &mut new_guards, &mut add_guard).map(|sa| {
-                    (
-                        CKind::Un(*op),
-                        sa,
-                        zero,
-                        zero,
-                        Some((*dst, *scalar_dst)),
-                        *span,
-                    )
-                }),
-                MicroData::Load1 {
-                    arr,
-                    idx,
-                    dst,
-                    scalar_dst,
-                    span,
-                } => (|| {
-                    let b = base(*arr, &mut new_guards, &mut add_guard)?;
-                    let si = src(*idx, &mut new_guards, &mut add_guard)?;
-                    Some((
-                        CKind::Load1 { arr: b },
-                        si,
-                        zero,
-                        zero,
-                        Some((*dst, *scalar_dst)),
-                        *span,
-                    ))
-                })(),
-                MicroData::Load2 {
-                    arr,
-                    r,
-                    c,
-                    dst,
-                    scalar_dst,
-                    span,
-                } => (|| {
-                    let bb = base(*arr, &mut new_guards, &mut add_guard)?;
-                    let sr = src(*r, &mut new_guards, &mut add_guard)?;
-                    let sc = src(*c, &mut new_guards, &mut add_guard)?;
-                    Some((
-                        CKind::Load2 { arr: bb },
-                        sr,
-                        sc,
-                        zero,
-                        Some((*dst, *scalar_dst)),
-                        *span,
-                    ))
-                })(),
-                MicroData::Store1 {
-                    arr,
-                    idx,
-                    value,
-                    span,
-                } => (|| {
-                    let bb = base(*arr, &mut new_guards, &mut add_guard)?;
-                    let si = src(*idx, &mut new_guards, &mut add_guard)?;
-                    let sv = src(*value, &mut new_guards, &mut add_guard)?;
-                    Some((CKind::Store1 { arr: bb }, si, sv, zero, None, *span))
-                })(),
-                MicroData::Store2 {
-                    arr,
-                    r,
-                    c,
-                    value,
-                    span,
-                } => (|| {
-                    let bb = base(*arr, &mut new_guards, &mut add_guard)?;
-                    let sr = src(*r, &mut new_guards, &mut add_guard)?;
-                    let sc = src(*c, &mut new_guards, &mut add_guard)?;
-                    let sv = src(*value, &mut new_guards, &mut add_guard)?;
-                    Some((CKind::Store2 { arr: bb }, sr, sc, sv, None, *span))
-                })(),
-                _ => unreachable!("non-chainable micro"),
-            };
+        let compiled: Compiled = match &m.data {
+            MicroData::Bin {
+                op,
+                class,
+                evalf,
+                a,
+                b,
+                dst,
+                scalar_dst,
+                span,
+            } => (|| {
+                let sa = src(*a, &mut new_guards, &mut add_guard)?;
+                let sb = src(*b, &mut new_guards, &mut add_guard)?;
+                Some((
+                    CKind::Bin {
+                        op: *op,
+                        class: *class,
+                        evalf: *evalf,
+                    },
+                    sa,
+                    sb,
+                    zero,
+                    Some((*dst, *scalar_dst)),
+                    *span,
+                ))
+            })(),
+            MicroData::Copy {
+                a,
+                dst,
+                scalar_dst,
+                span,
+            } => src(*a, &mut new_guards, &mut add_guard).map(|sa| {
+                (
+                    CKind::Copy,
+                    sa,
+                    zero,
+                    zero,
+                    Some((*dst, *scalar_dst)),
+                    *span,
+                )
+            }),
+            MicroData::Un {
+                op,
+                a,
+                dst,
+                scalar_dst,
+                span,
+            } => src(*a, &mut new_guards, &mut add_guard).map(|sa| {
+                (
+                    CKind::Un(*op),
+                    sa,
+                    zero,
+                    zero,
+                    Some((*dst, *scalar_dst)),
+                    *span,
+                )
+            }),
+            MicroData::Load1 {
+                arr,
+                idx,
+                dst,
+                scalar_dst,
+                span,
+            } => (|| {
+                let b = base(*arr, &mut new_guards, &mut add_guard)?;
+                let si = src(*idx, &mut new_guards, &mut add_guard)?;
+                Some((
+                    CKind::Load1 { arr: b },
+                    si,
+                    zero,
+                    zero,
+                    Some((*dst, *scalar_dst)),
+                    *span,
+                ))
+            })(),
+            MicroData::Load2 {
+                arr,
+                r,
+                c,
+                dst,
+                scalar_dst,
+                span,
+            } => (|| {
+                let bb = base(*arr, &mut new_guards, &mut add_guard)?;
+                let sr = src(*r, &mut new_guards, &mut add_guard)?;
+                let sc = src(*c, &mut new_guards, &mut add_guard)?;
+                Some((
+                    CKind::Load2 { arr: bb },
+                    sr,
+                    sc,
+                    zero,
+                    Some((*dst, *scalar_dst)),
+                    *span,
+                ))
+            })(),
+            MicroData::Store1 {
+                arr,
+                idx,
+                value,
+                span,
+            } => (|| {
+                let bb = base(*arr, &mut new_guards, &mut add_guard)?;
+                let si = src(*idx, &mut new_guards, &mut add_guard)?;
+                let sv = src(*value, &mut new_guards, &mut add_guard)?;
+                Some((CKind::Store1 { arr: bb }, si, sv, zero, None, *span))
+            })(),
+            MicroData::Store2 {
+                arr,
+                r,
+                c,
+                value,
+                span,
+            } => (|| {
+                let bb = base(*arr, &mut new_guards, &mut add_guard)?;
+                let sr = src(*r, &mut new_guards, &mut add_guard)?;
+                let sc = src(*c, &mut new_guards, &mut add_guard)?;
+                let sv = src(*value, &mut new_guards, &mut add_guard)?;
+                Some((CKind::Store2 { arr: bb }, sr, sc, sv, None, *span))
+            })(),
+            _ => unreachable!("non-chainable micro"),
+        };
         let Some((kind, a, b, c, def, span)) = compiled else {
             break;
         };

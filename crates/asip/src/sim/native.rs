@@ -1,68 +1,62 @@
-// The fused direct-threaded execution engine — included from sim.rs.
-//
-// Executes the `NativeProgram` form built by fuse.rs: a flat table of
-// steps, each a pre-selected fn pointer, with straight-line `Def`/`Store`
-// runs collapsed into superinstructions of micro-ops. The dispatch loop is
-// `pc = (step.run)(...)` — no instruction-enum match — and micro-ops with
-// scalar-specialized fast paths skip the generic `Rvalue` machinery
-// entirely, falling back to it whenever a runtime value shape disagrees
-// with the specialization.
-//
-// Bit-exactness contract: every handler burns fuel, charges cycles, and
-// raises errors in exactly the order the linear engine's handlers in
-// sim_linear.rs would. `cur_span` is only ever read by the profiler, so
-// handlers skip the span bookkeeping entirely when profiling is off.
+//! The fused direct-threaded execution engine — the simulator's only
+//! engine.
+//!
+//! Executes the `NativeProgram` form built by `fuse.rs`: a flat table of
+//! steps, each a pre-selected fn pointer, with straight-line `Def`/`Store`
+//! runs collapsed into superinstructions of micro-ops. The dispatch loop is
+//! `pc = (step.run)(...)` — no instruction-enum match — and micro-ops with
+//! scalar-specialized fast paths skip the generic `Rvalue` machinery
+//! entirely, falling back to it whenever a runtime value shape disagrees
+//! with the specialization.
+//!
+//! Bit-exactness contract: every handler burns fuel, charges cycles, and
+//! raises errors in exactly the order the tree walker's `exec_stmt`
+//! (`walk.rs`) does for the statement it came from. `cur_span` is only
+//! ever read by the profiler, so handlers skip the span bookkeeping
+//! entirely when profiling is off.
 
-impl<'a> Exec<'a> {
-    /// Calls `f` through its fused body — same prologue/epilogue as
-    /// `call_decoded`.
-    fn call_native(
-        &mut self,
-        f: &'a MirFunction,
-        nfunc: &'a NativeFunction,
-        inputs: Vec<SimVal>,
-    ) -> Result<Vec<SimVal>, SimError> {
-        if self.depth > 128 {
-            return Err(SimError::new("call depth exceeded", Span::dummy()));
+use super::eval::{apply_binop_scalar, apply_unop};
+use super::fuse::{
+    AxisSel, CKind, CSrc, ChainData, ChainOp, Guard, Micro, MicroData, NData, NStep,
+    NativeFunction, CHAIN_MAX,
+};
+use super::vector::vector_fast;
+use super::{def_finish, slot_scalar, trip_count, Env, Exec, SimError, SimVal};
+use matic_frontend::span::Span;
+use matic_interp::{Cx, Matrix};
+use matic_isa::OpClass;
+use matic_mir::{Index, MirFunction, Operand, Rvalue, VarId};
+
+/// Runtime state of one active loop in a native function.
+pub(super) enum Frame {
+    /// A `for` loop: bounds evaluated once at `ForSetup`, `k` counts
+    /// completed iterations.
+    For {
+        var: VarId,
+        s: f64,
+        st: f64,
+        n: i64,
+        k: i64,
+    },
+    /// A `while` loop (no per-loop state; the frame exists so `break`
+    /// unwinds uniformly).
+    While,
+}
+
+impl Exec<'_> {
+    /// A handler's entry: burns the instruction's fuel, then (profiling
+    /// only) points `cur_span` at it.
+    #[inline(always)]
+    fn enter(&mut self, span: Span) -> Result<(), SimError> {
+        self.burn(Span::dummy())?;
+        if self.profile.is_some() {
+            self.cur_span = span;
         }
-        if inputs.len() != f.params.len() {
-            return Err(SimError::new(
-                format!(
-                    "`{}` expects {} inputs, got {}",
-                    f.name,
-                    f.params.len(),
-                    inputs.len()
-                ),
-                Span::dummy(),
-            ));
-        }
-        self.depth += 1;
-        self.charge(OpClass::Call, 1);
-        let mut env: Env = vec![None; f.vars.len()];
-        for (&p, val) in f.params.iter().zip(inputs) {
-            // Coerce per the register's representation.
-            let coerced = if f.var_ty(p).shape.is_scalar() {
-                SimVal::Scalar(val.as_cx().map_err(|m| SimError::new(m, Span::dummy()))?)
-            } else {
-                SimVal::Arr(val.into_matrix())
-            };
-            env[p.0 as usize] = Some(coerced);
-        }
-        self.exec_native(f, nfunc, &mut env)?;
-        let mut outs = Vec::new();
-        for &o in &f.outputs {
-            outs.push(env[o.0 as usize].clone().ok_or_else(|| {
-                SimError::new(
-                    format!("output `{}` never assigned", f.var(o).name),
-                    Span::dummy(),
-                )
-            })?);
-        }
-        self.depth -= 1;
-        Ok(outs)
+        Ok(())
     }
 
-    fn exec_native(
+    /// Runs `nfunc`'s step table until a step leaves the function.
+    pub(super) fn exec_native(
         &mut self,
         f: &MirFunction,
         nfunc: &NativeFunction,
@@ -85,43 +79,9 @@ fn unset_err(f: &MirFunction, v: VarId, span: Span) -> SimError {
     SimError::new(format!("read of unset `{}`", f.var(v).name), span)
 }
 
-/// Fetches an operand if it resolves to a scalar right now: `Ok(Some)` on a
-/// scalar, `Ok(None)` when the value is array-shaped (caller falls back to
-/// the generic path), `Err(v)` when the register is unset.
-#[inline(always)]
-fn slot_scalar(env: &Env, op: Operand) -> Result<Option<Cx>, VarId> {
-    match op {
-        Operand::Const(v) => Ok(Some(Cx::real(v))),
-        Operand::ConstC(re, im) => Ok(Some(Cx::new(re, im))),
-        Operand::Var(v) => match &env[v.0 as usize] {
-            Some(SimVal::Scalar(z)) => Ok(Some(*z)),
-            Some(SimVal::Arr(_)) => Ok(None),
-            None => Err(v),
-        },
-    }
-}
-
-/// The `Def` epilogue: coerce to the destination register's representation
-/// and write the slot (same as the linear engine's `DInst::Def` arm).
-#[inline(always)]
-fn def_finish(env: &mut Env, dst: VarId, scalar_dst: bool, val: SimVal) {
-    let val = if scalar_dst {
-        match val {
-            SimVal::Arr(m) if m.is_scalar() => SimVal::Scalar(m.lin(0)),
-            other => other,
-        }
-    } else {
-        match val {
-            SimVal::Scalar(z) => SimVal::Arr(Matrix::scalar(z)),
-            other => other,
-        }
-    };
-    env[dst.0 as usize] = Some(val);
-}
-
 // ---- micro-op handlers ----------------------------------------------------
 
-fn micro_bin(
+pub(super) fn micro_bin(
     exec: &mut Exec<'_>,
     f: &MirFunction,
     env: &mut Env,
@@ -139,10 +99,7 @@ fn micro_bin(
     else {
         unreachable!()
     };
-    exec.burn(Span::dummy())?;
-    if exec.profile.is_some() {
-        exec.cur_span = *span;
-    }
+    exec.enter(*span)?;
     let x = match slot_scalar(env, *a) {
         Ok(Some(z)) => Some(z),
         Ok(None) => None,
@@ -174,7 +131,7 @@ fn micro_bin(
 /// `micro_bin` with the real-operand cost class and the compute fn
 /// pre-selected at fuse time (every op except `&&`/`||`, whose scalar
 /// application errors through `apply_binop_scalar`).
-fn micro_bin_fast(
+pub(super) fn micro_bin_fast(
     exec: &mut Exec<'_>,
     f: &MirFunction,
     env: &mut Env,
@@ -193,10 +150,7 @@ fn micro_bin_fast(
     else {
         unreachable!()
     };
-    exec.burn(Span::dummy())?;
-    if exec.profile.is_some() {
-        exec.cur_span = *span;
-    }
+    exec.enter(*span)?;
     match (slot_scalar(env, *a), slot_scalar(env, *b)) {
         (Ok(Some(x)), Ok(Some(y))) => {
             if x.is_real() && y.is_real() {
@@ -223,7 +177,7 @@ fn micro_bin_fast(
     }
 }
 
-fn micro_copy(
+pub(super) fn micro_copy(
     exec: &mut Exec<'_>,
     f: &MirFunction,
     env: &mut Env,
@@ -238,10 +192,7 @@ fn micro_copy(
     else {
         unreachable!()
     };
-    exec.burn(Span::dummy())?;
-    if exec.profile.is_some() {
-        exec.cur_span = *span;
-    }
+    exec.enter(*span)?;
     match slot_scalar(env, *a) {
         Ok(Some(z)) => {
             exec.charge(OpClass::ScalarAlu, 1);
@@ -264,7 +215,7 @@ fn micro_copy(
     Ok(())
 }
 
-fn micro_un(
+pub(super) fn micro_un(
     exec: &mut Exec<'_>,
     f: &MirFunction,
     env: &mut Env,
@@ -280,10 +231,7 @@ fn micro_un(
     else {
         unreachable!()
     };
-    exec.burn(Span::dummy())?;
-    if exec.profile.is_some() {
-        exec.cur_span = *span;
-    }
+    exec.enter(*span)?;
     match slot_scalar(env, *a) {
         Ok(Some(z)) => {
             exec.charge(OpClass::ScalarAlu, 1);
@@ -299,7 +247,7 @@ fn micro_un(
     Ok(())
 }
 
-fn micro_load1(
+pub(super) fn micro_load1(
     exec: &mut Exec<'_>,
     f: &MirFunction,
     env: &mut Env,
@@ -315,10 +263,7 @@ fn micro_load1(
     else {
         unreachable!()
     };
-    exec.burn(Span::dummy())?;
-    if exec.profile.is_some() {
-        exec.cur_span = *span;
-    }
+    exec.enter(*span)?;
     let fallback = |exec: &mut Exec<'_>, env: &mut Env| -> Result<(), SimError> {
         let val = exec.eval_index(f, env, *arr, &[Index::Scalar(*idx)], *span)?;
         def_finish(env, *dst, *scalar_dst, val);
@@ -353,7 +298,7 @@ fn micro_load1(
     Ok(())
 }
 
-fn micro_load2(
+pub(super) fn micro_load2(
     exec: &mut Exec<'_>,
     f: &MirFunction,
     env: &mut Env,
@@ -370,10 +315,7 @@ fn micro_load2(
     else {
         unreachable!()
     };
-    exec.burn(Span::dummy())?;
-    if exec.profile.is_some() {
-        exec.cur_span = *span;
-    }
+    exec.enter(*span)?;
     let fallback = |exec: &mut Exec<'_>, env: &mut Env| -> Result<(), SimError> {
         let val = exec.eval_index(f, env, *arr, &[Index::Scalar(*r), Index::Scalar(*c)], *span)?;
         def_finish(env, *dst, *scalar_dst, val);
@@ -414,7 +356,7 @@ fn micro_load2(
     Ok(())
 }
 
-fn micro_store1(
+pub(super) fn micro_store1(
     exec: &mut Exec<'_>,
     f: &MirFunction,
     env: &mut Env,
@@ -429,10 +371,7 @@ fn micro_store1(
     else {
         unreachable!()
     };
-    exec.burn(Span::dummy())?;
-    if exec.profile.is_some() {
-        exec.cur_span = *span;
-    }
+    exec.enter(*span)?;
     let fallback = |exec: &mut Exec<'_>, env: &mut Env| -> Result<(), SimError> {
         exec.exec_store(f, env, *arr, &[Index::Scalar(*idx)], *value, *span)
     };
@@ -474,7 +413,7 @@ fn z_index(z: Cx) -> i64 {
     z.re as i64 - 1
 }
 
-fn micro_store2(
+pub(super) fn micro_store2(
     exec: &mut Exec<'_>,
     f: &MirFunction,
     env: &mut Env,
@@ -490,10 +429,7 @@ fn micro_store2(
     else {
         unreachable!()
     };
-    exec.burn(Span::dummy())?;
-    if exec.profile.is_some() {
-        exec.cur_span = *span;
-    }
+    exec.enter(*span)?;
     let fallback = |exec: &mut Exec<'_>, env: &mut Env| -> Result<(), SimError> {
         exec.exec_store(
             f,
@@ -543,7 +479,7 @@ fn micro_store2(
 /// back to the original micro sequence whenever profiling is on, fuel may
 /// run out mid-chain, or a shape guard fails — before any side effect, so
 /// the fallback replays from a clean slate.
-fn micro_chain(
+pub(super) fn micro_chain(
     exec: &mut Exec<'_>,
     f: &MirFunction,
     env: &mut Env,
@@ -717,7 +653,10 @@ fn load2_oob(r0: i64, c0: i64, span: Span) -> SimError {
 
 #[cold]
 fn store1_oob(k: i64, total: usize, span: Span) -> SimError {
-    SimError::oob(format!("store index {} out of bounds ({total})", k + 1), span)
+    SimError::oob(
+        format!("store index {} out of bounds ({total})", k + 1),
+        span,
+    )
 }
 
 /// Error exit from the optimistic pass at op `i`: settles the deferred
@@ -775,7 +714,11 @@ fn chain_run_exact(
 ) -> Result<(), SimError> {
     for (i, op) in ops.iter().enumerate().skip(start) {
         let z = match &op.kind {
-            CKind::Bin { op: bop, class, evalf } => {
+            CKind::Bin {
+                op: bop,
+                class,
+                evalf,
+            } => {
                 let x = rd(op.a, tmps, env);
                 let y = rd(op.b, tmps, env);
                 if x.is_real() && y.is_real() {
@@ -888,7 +831,7 @@ fn run_chain_fallback(
     Ok(())
 }
 
-fn micro_def_generic(
+pub(super) fn micro_def_generic(
     exec: &mut Exec<'_>,
     f: &MirFunction,
     env: &mut Env,
@@ -903,16 +846,13 @@ fn micro_def_generic(
     else {
         unreachable!()
     };
-    exec.burn(Span::dummy())?;
-    if exec.profile.is_some() {
-        exec.cur_span = *span;
-    }
+    exec.enter(*span)?;
     let val = exec.eval_rvalue(f, env, *dst, rv, *span)?;
     def_finish(env, *dst, *scalar_dst, val);
     Ok(())
 }
 
-fn micro_store_generic(
+pub(super) fn micro_store_generic(
     exec: &mut Exec<'_>,
     f: &MirFunction,
     env: &mut Env,
@@ -927,16 +867,13 @@ fn micro_store_generic(
     else {
         unreachable!()
     };
-    exec.burn(Span::dummy())?;
-    if exec.profile.is_some() {
-        exec.cur_span = *span;
-    }
+    exec.enter(*span)?;
     exec.exec_store(f, env, *array, indices, *value, *span)
 }
 
 // ---- step handlers --------------------------------------------------------
 
-fn step_super(
+pub(super) fn step_super(
     exec: &mut Exec<'_>,
     f: &MirFunction,
     env: &mut Env,
@@ -953,7 +890,7 @@ fn step_super(
     Ok(pc + 1)
 }
 
-fn step_branch_burning(
+pub(super) fn step_branch_burning(
     exec: &mut Exec<'_>,
     f: &MirFunction,
     env: &mut Env,
@@ -965,7 +902,7 @@ fn step_branch_burning(
     step_branch(exec, f, env, frames, step, pc)
 }
 
-fn step_branch(
+pub(super) fn step_branch(
     exec: &mut Exec<'_>,
     f: &MirFunction,
     env: &mut Env,
@@ -996,7 +933,7 @@ fn step_branch(
     }
 }
 
-fn step_jump(
+pub(super) fn step_jump(
     _exec: &mut Exec<'_>,
     _f: &MirFunction,
     _env: &mut Env,
@@ -1010,7 +947,7 @@ fn step_jump(
     Ok(*target)
 }
 
-fn step_for_setup(
+pub(super) fn step_for_setup(
     exec: &mut Exec<'_>,
     f: &MirFunction,
     env: &mut Env,
@@ -1028,26 +965,18 @@ fn step_for_setup(
         unreachable!()
     };
     exec.burn(Span::dummy())?;
-    let span = Span::dummy();
-    let s = exec.real_of(f, env, *start, span)?;
-    let st = exec.real_of(f, env, *st_op, span)?;
-    let e = exec.real_of(f, env, *stop, span)?;
-    let n = if st == 0.0 {
-        0
-    } else {
-        (((e - s) / st + 1e-10).floor() as i64 + 1).max(0)
-    };
+    let (s, st, e) = exec.range_of(f, env, [*start, *st_op, *stop], Span::dummy())?;
     frames.push(Frame::For {
         var: *var,
         s,
         st,
-        n,
+        n: trip_count(s, st, e),
         k: 0,
     });
     Ok(pc + 1)
 }
 
-fn step_for_next(
+pub(super) fn step_for_next(
     exec: &mut Exec<'_>,
     _f: &MirFunction,
     env: &mut Env,
@@ -1067,10 +996,7 @@ fn step_for_next(
     } else {
         let (var, value) = (*var, *s + *st * *k as f64);
         *k += 1;
-        exec.burn(Span::dummy())?;
-        if exec.profile.is_some() {
-            exec.cur_span = *span;
-        }
+        exec.enter(*span)?;
         // Loop control: induction update + branch.
         exec.charge(OpClass::ScalarAlu, 1);
         exec.charge(OpClass::Branch, 1);
@@ -1079,7 +1005,7 @@ fn step_for_next(
     }
 }
 
-fn step_while_enter(
+pub(super) fn step_while_enter(
     exec: &mut Exec<'_>,
     _f: &MirFunction,
     _env: &mut Env,
@@ -1092,7 +1018,7 @@ fn step_while_enter(
     Ok(pc + 1)
 }
 
-fn step_while_iter(
+pub(super) fn step_while_iter(
     exec: &mut Exec<'_>,
     _f: &MirFunction,
     _env: &mut Env,
@@ -1104,7 +1030,7 @@ fn step_while_iter(
     Ok(pc + 1)
 }
 
-fn step_break(
+pub(super) fn step_break(
     exec: &mut Exec<'_>,
     _f: &MirFunction,
     _env: &mut Env,
@@ -1120,7 +1046,7 @@ fn step_break(
     Ok(*target)
 }
 
-fn step_continue(
+pub(super) fn step_continue(
     exec: &mut Exec<'_>,
     _f: &MirFunction,
     _env: &mut Env,
@@ -1135,7 +1061,7 @@ fn step_continue(
     Ok(*target)
 }
 
-fn step_return(
+pub(super) fn step_return(
     exec: &mut Exec<'_>,
     _f: &MirFunction,
     _env: &mut Env,
@@ -1147,7 +1073,7 @@ fn step_return(
     Ok(u32::MAX)
 }
 
-fn step_call_multi(
+pub(super) fn step_call_multi(
     exec: &mut Exec<'_>,
     f: &MirFunction,
     env: &mut Env,
@@ -1165,15 +1091,12 @@ fn step_call_multi(
     else {
         unreachable!()
     };
-    exec.burn(Span::dummy())?;
-    if exec.profile.is_some() {
-        exec.cur_span = *span;
-    }
+    exec.enter(*span)?;
     exec.exec_call_multi(f, env, dsts, func, args, *user, *span)?;
     Ok(pc + 1)
 }
 
-fn step_effect(
+pub(super) fn step_effect(
     exec: &mut Exec<'_>,
     f: &MirFunction,
     env: &mut Env,
@@ -1184,17 +1107,12 @@ fn step_effect(
     let NData::Effect { name, args, span } = &step.data else {
         unreachable!()
     };
-    exec.burn(Span::dummy())?;
-    if exec.profile.is_some() {
-        exec.cur_span = *span;
-    }
+    exec.enter(*span)?;
     exec.exec_effect(f, env, name, args, *span)?;
     Ok(pc + 1)
 }
 
-// ---- vector fast path -----------------------------------------------------
-
-fn step_vector(
+pub(super) fn step_vector(
     exec: &mut Exec<'_>,
     f: &MirFunction,
     env: &mut Env,
@@ -1205,250 +1123,14 @@ fn step_vector(
     let NData::Vector(vop) = &step.data else {
         unreachable!()
     };
-    exec.burn(Span::dummy())?;
-    if exec.profile.is_some() {
-        exec.cur_span = vop.span;
-    }
-    // Same prologue as `Exec::exec_vector_op`: length, then charges, then
-    // lane semantics.
-    let span = vop.span;
-    let len_f = exec.real_of(f, env, vop.len, span)?;
-    let len = if len_f > 0.0 { len_f as usize } else { 0 };
-    let inputs = 1 + u64::from(vop.b.is_some());
-    let is_store = !matches!(vop.kind, VecKind::Mac | VecKind::Reduce(_));
-    exec.charge_vector_op(vop, len as u64, inputs, is_store);
-    if len == 0 {
-        return Ok(pc + 1);
-    }
-    if !vector_fast(exec, f, env, vop, len) {
+    exec.enter(vop.span)?;
+    // The fast lane path touches nothing when it declines, and is
+    // bit-identical to the generic one when it runs.
+    let len = exec.vector_prologue(f, env, vop)?;
+    if len > 0 && !vector_fast(exec, env, vop, len) {
         exec.vector_op_lanes(f, env, vop, len)?;
     }
     Ok(pc + 1)
-}
-
-/// A resolved lane reference whose bounds are already validated: either a
-/// splat scalar or a strided in-bounds window over an array register.
-#[derive(Clone, Copy)]
-enum Lanes {
-    Splat(Cx),
-    Slice { var: VarId, s: i64, st: i64 },
-}
-
-/// Resolves a `VecRef` for the allocation-free path: slice base must be an
-/// array register with scalar start/step and every lane position in
-/// bounds. `None` means "fall back to the generic path" (which re-derives
-/// the identical error or semantics).
-#[inline]
-fn resolve_lanes(env: &Env, r: &VecRef, len: usize) -> Option<Lanes> {
-    match r {
-        VecRef::Splat(op) => slot_scalar(env, *op).ok().flatten().map(Lanes::Splat),
-        VecRef::Slice { array, start, step } => {
-            let s = slot_scalar(env, *start).ok().flatten()?.re as i64 - 1;
-            let st = slot_scalar(env, *step).ok().flatten()?.re as i64;
-            let Some(SimVal::Arr(m)) = &env[array.0 as usize] else {
-                return None;
-            };
-            let last = s + st * (len as i64 - 1);
-            let (lo, hi) = if st >= 0 { (s, last) } else { (last, s) };
-            if lo < 0 || hi >= m.numel() as i64 {
-                return None;
-            }
-            Some(Lanes::Slice {
-                var: *array,
-                s,
-                st,
-            })
-        }
-    }
-}
-
-/// Executes a vector op's lane semantics without the generic path's
-/// per-lane bounds `Result`s and temporary lane `Vec`s. Returns `false`
-/// (having touched nothing) when any precondition fails; once it commits,
-/// it cannot fail, and the values written are bit-identical to
-/// `Exec::vector_op_lanes` — same element order, same float accumulation
-/// sequence.
-fn vector_fast(
-    exec: &mut Exec<'_>,
-    _f: &MirFunction,
-    env: &mut Env,
-    vop: &VectorOp,
-    len: usize,
-) -> bool {
-    match &vop.kind {
-        VecKind::Mac | VecKind::Reduce(_) => {
-            let VecRef::Splat(Operand::Var(acc_var)) = vop.dst else {
-                return false;
-            };
-            let acc0 = match &env[acc_var.0 as usize] {
-                Some(SimVal::Scalar(z)) => *z,
-                _ => return false,
-            };
-            let Some(la) = resolve_lanes(env, &vop.a, len) else {
-                return false;
-            };
-            let lb = match &vop.b {
-                Some(r) => match resolve_lanes(env, r, len) {
-                    Some(l) => Some(l),
-                    None => return false,
-                },
-                None => None,
-            };
-            let data_of = |l: &Lanes| -> &[Cx] {
-                match l {
-                    Lanes::Splat(_) => &[],
-                    Lanes::Slice { var, .. } => match &env[var.0 as usize] {
-                        Some(SimVal::Arr(m)) => m.data(),
-                        _ => unreachable!(),
-                    },
-                }
-            };
-            let da = data_of(&la);
-            let db = lb.as_ref().map(data_of).unwrap_or(&[]);
-            let at = |l: Lanes, d: &[Cx], k: usize| -> Cx {
-                match l {
-                    Lanes::Splat(z) => z,
-                    Lanes::Slice { s, st, .. } => d[(s + st * k as i64) as usize],
-                }
-            };
-            let mut acc = acc0;
-            match &vop.kind {
-                VecKind::Mac => {
-                    let lb = lb.expect("MAC has two inputs");
-                    for k in 0..len {
-                        acc = acc + at(la, da, k) * at(lb, db, k);
-                    }
-                }
-                VecKind::Reduce(ReduceKind::Sum) => {
-                    for k in 0..len {
-                        acc = acc + at(la, da, k);
-                    }
-                }
-                VecKind::Reduce(ReduceKind::Prod) => {
-                    for k in 0..len {
-                        acc = acc * at(la, da, k);
-                    }
-                }
-                VecKind::Reduce(ReduceKind::Min) => {
-                    for k in 0..len {
-                        let z = at(la, da, k);
-                        if z.re < acc.re {
-                            acc = z;
-                        }
-                    }
-                }
-                VecKind::Reduce(ReduceKind::Max) => {
-                    for k in 0..len {
-                        let z = at(la, da, k);
-                        if z.re > acc.re {
-                            acc = z;
-                        }
-                    }
-                }
-                _ => unreachable!(),
-            }
-            exec.set(env, acc_var, SimVal::Scalar(acc));
-            true
-        }
-        kind => {
-            // Element-wise map writing a destination slice.
-            let VecRef::Slice { array: dvar, .. } = &vop.dst else {
-                return false;
-            };
-            // Lane computation must be infallible once committed.
-            enum MapOp {
-                Bin(BinOp),
-                Un(UnOp),
-                Builtin(fn(Cx) -> Cx),
-                Copy,
-            }
-            let mop = match kind {
-                VecKind::Map(BinOp::AndAnd | BinOp::OrOr) => return false,
-                VecKind::Map(op) => MapOp::Bin(*op),
-                VecKind::MapUnary(op) => MapOp::Un(*op),
-                VecKind::MapBuiltin(name) => MapOp::Builtin(match name.as_str() {
-                    "abs" => |z: Cx| Cx::real(z.abs()),
-                    "conj" => |z: Cx| z.conj(),
-                    "sqrt" => |z: Cx| z.sqrt(),
-                    "real" => |z: Cx| Cx::real(z.re),
-                    "imag" => |z: Cx| Cx::real(z.im),
-                    "floor" => |z: Cx| Cx::real(z.re.floor()),
-                    "ceil" => |z: Cx| Cx::real(z.re.ceil()),
-                    "round" => |z: Cx| Cx::real(z.re.round()),
-                    _ => return false,
-                }),
-                VecKind::Copy => MapOp::Copy,
-                VecKind::Mac | VecKind::Reduce(_) => unreachable!(),
-            };
-            // The generic path snapshots input lanes before writing, so an
-            // in-place destination aliasing an input is only safe if we
-            // fall back.
-            let aliases = |r: &VecRef| matches!(r, VecRef::Slice { array, .. } if array == dvar);
-            if aliases(&vop.a) || vop.b.as_ref().is_some_and(aliases) {
-                return false;
-            }
-            let Some(la) = resolve_lanes(env, &vop.a, len) else {
-                return false;
-            };
-            let lb = match &vop.b {
-                Some(r) => match resolve_lanes(env, r, len) {
-                    Some(l) => Some(l),
-                    None => return false,
-                },
-                None => None,
-            };
-            if matches!(kind, VecKind::Map(_)) && lb.is_none() {
-                return false; // binary map always has two inputs
-            }
-            let Some(ld) = resolve_lanes(env, &vop.dst, len) else {
-                return false;
-            };
-            let Lanes::Slice { s: ds, st: dst_st, .. } = ld else {
-                unreachable!("dst resolved from a Slice")
-            };
-            // Take the destination out (same copy-on-write discipline as
-            // `write_lanes`), then read inputs straight from the env.
-            let Some(SimVal::Arr(mut base)) = env[dvar.0 as usize].take() else {
-                unreachable!("dst resolved as Arr")
-            };
-            {
-                let data_of = |l: &Lanes| -> &[Cx] {
-                    match l {
-                        Lanes::Splat(_) => &[],
-                        Lanes::Slice { var, .. } => match &env[var.0 as usize] {
-                            Some(SimVal::Arr(m)) => m.data(),
-                            _ => unreachable!(),
-                        },
-                    }
-                };
-                let da = data_of(&la);
-                let db = lb.as_ref().map(data_of).unwrap_or(&[]);
-                let at = |l: Lanes, d: &[Cx], k: usize| -> Cx {
-                    match l {
-                        Lanes::Splat(z) => z,
-                        Lanes::Slice { s, st, .. } => d[(s + st * k as i64) as usize],
-                    }
-                };
-                let out = base.data_mut();
-                for k in 0..len {
-                    let av = at(la, da, k);
-                    let z = match &mop {
-                        MapOp::Bin(op) => {
-                            let bv = at(lb.unwrap(), db, k);
-                            apply_binop_scalar(*op, av, bv)
-                                .expect("short-circuit ops excluded from fast path")
-                        }
-                        MapOp::Un(op) => apply_unop(*op, av),
-                        MapOp::Builtin(bf) => bf(av),
-                        MapOp::Copy => av,
-                    };
-                    out[(ds + dst_st * k as i64) as usize] = z;
-                }
-            }
-            env[dvar.0 as usize] = Some(SimVal::Arr(base));
-            true
-        }
-    }
 }
 
 // ---- slice micro-ops -------------------------------------------------------
@@ -1506,7 +1188,7 @@ impl RAxis {
     }
 }
 
-impl<'a> Exec<'a> {
+impl Exec<'_> {
     /// Evaluates one axis of a slice subscript, reading operands in the
     /// same order (and with the same errors) as `slice_positions`.
     fn resolve_axis(
@@ -1521,13 +1203,8 @@ impl<'a> Exec<'a> {
             AxisSel::Pos(op) => Ok(RAxis::One(self.index0(f, env, *op, span)?)),
             AxisSel::Full => Ok(RAxis::Iota(full_len)),
             AxisSel::Range { start, step, stop } => {
-                let s = self.real_of(f, env, *start, span)?;
-                let st = self.real_of(f, env, *step, span)?;
-                let e = self.real_of(f, env, *stop, span)?;
-                if st == 0.0 {
-                    return Ok(RAxis::Rng { s, st, len: 0 });
-                }
-                let len = (((e - s) / st + 1e-10).floor() as i64 + 1).max(0) as usize;
+                let (s, st, e) = self.range_of(f, env, [*start, *step, *stop], span)?;
+                let len = trip_count(s, st, e) as usize;
                 Ok(RAxis::Rng { s, st, len })
             }
         }
@@ -1548,7 +1225,7 @@ fn store_slice_oob(p: usize, total: usize, span: Span) -> SimError {
 }
 
 /// `dst = arr(sel)` for one slice-like subscript (`Range` or `Full`).
-fn micro_slice_load_lin(
+pub(super) fn micro_slice_load_lin(
     exec: &mut Exec<'_>,
     f: &MirFunction,
     env: &mut Env,
@@ -1564,10 +1241,7 @@ fn micro_slice_load_lin(
     else {
         unreachable!()
     };
-    exec.burn(Span::dummy())?;
-    if exec.profile.is_some() {
-        exec.cur_span = *span;
-    }
+    exec.enter(*span)?;
     // Base first, like `eval_index`.
     let base = match &env[arr.0 as usize] {
         Some(SimVal::Arr(m)) => m.clone(),
@@ -1615,7 +1289,7 @@ fn micro_slice_load_lin(
 }
 
 /// `dst = arr(rsel, csel)` with at least one slice-like axis.
-fn micro_slice_load_2d(
+pub(super) fn micro_slice_load_2d(
     exec: &mut Exec<'_>,
     f: &MirFunction,
     env: &mut Env,
@@ -1632,10 +1306,7 @@ fn micro_slice_load_2d(
     else {
         unreachable!()
     };
-    exec.burn(Span::dummy())?;
-    if exec.profile.is_some() {
-        exec.cur_span = *span;
-    }
+    exec.enter(*span)?;
     let base = match &env[arr.0 as usize] {
         Some(SimVal::Arr(m)) => m.clone(),
         Some(SimVal::Scalar(z)) => Matrix::scalar(*z),
@@ -1681,12 +1352,17 @@ fn micro_slice_load_2d(
         exec.charge(OpClass::Store, 0);
         exec.charge(OpClass::Branch, 0);
     }
-    def_finish(env, *dst, *scalar_dst, SimVal::Arr(Matrix::new(rn, cn, out)));
+    def_finish(
+        env,
+        *dst,
+        *scalar_dst,
+        SimVal::Arr(Matrix::new(rn, cn, out)),
+    );
     Ok(())
 }
 
 /// `arr(sel) = value` for one slice-like subscript.
-fn micro_slice_store_lin(
+pub(super) fn micro_slice_store_lin(
     exec: &mut Exec<'_>,
     f: &MirFunction,
     env: &mut Env,
@@ -1701,10 +1377,7 @@ fn micro_slice_store_lin(
     else {
         unreachable!()
     };
-    exec.burn(Span::dummy())?;
-    if exec.profile.is_some() {
-        exec.cur_span = *span;
-    }
+    exec.enter(*span)?;
     // Value first, then the base is *taken* for in-place mutation — the
     // same sequence (and therefore error order) as `exec_store`.
     let val = exec.operand(f, env, *value, *span)?;
@@ -1777,7 +1450,7 @@ fn micro_slice_store_lin(
 }
 
 /// `arr(rsel, csel) = value` with at least one slice-like axis.
-fn micro_slice_store_2d(
+pub(super) fn micro_slice_store_2d(
     exec: &mut Exec<'_>,
     f: &MirFunction,
     env: &mut Env,
@@ -1793,10 +1466,7 @@ fn micro_slice_store_2d(
     else {
         unreachable!()
     };
-    exec.burn(Span::dummy())?;
-    if exec.profile.is_some() {
-        exec.cur_span = *span;
-    }
+    exec.enter(*span)?;
     let val = exec.operand(f, env, *value, *span)?;
     let mut base = match env[arr.0 as usize].take() {
         Some(SimVal::Arr(m)) => m,

@@ -1,8 +1,8 @@
 //! **Continuous differential verification** — the long-running,
 //! parallel front end of the `matic-fuzz` harness.
 //!
-//! Sweeps `--cases` seeded random programs through all seven execution
-//! legs (interpreter, tree-walk, linear/native × opt/base, compiled C),
+//! Sweeps `--cases` seeded random programs through all five execution
+//! legs (interpreter, simulator at opt and base, tree-walk, compiled C),
 //! mixing in mutated ISA design-space points, and reports the grammar
 //! coverage table plus the C-leg skip accounting. Any disagreement is
 //! delta-debugged to a minimal repro and written into the regression

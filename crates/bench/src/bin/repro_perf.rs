@@ -2,12 +2,10 @@
 //! itself, not of the code it models.
 //!
 //! Times repeated [`matic::Compiled::simulator`] runs over the whole
-//! benchmark suite at both opt levels and all three execution engines
-//! (tree-walk, linear, native), writing the results to
+//! benchmark suite at both opt levels, writing the results to
 //! `BENCH_simulator.json` (median ns per run, plus simulated-cycles per
 //! host-second as the throughput figure). Simulated cycle counts are
-//! deterministic and must agree across engines; only the host timings
-//! vary run to run. Regenerate with:
+//! deterministic; only the host timings vary run to run. Regenerate with:
 //! `cargo run --release -p matic-bench --bin repro_perf`
 //!
 //! **Regression gate**: when a committed `BENCH_simulator.json` already
@@ -20,12 +18,16 @@
 //! numbers are written out regardless, so `git diff` shows exactly what
 //! changed.
 
-use matic::{Compiler, Engine, OptLevel};
+use matic::{Compiler, OptLevel};
 use matic_bench::render_table;
 use matic_benchkit::{to_sim, SUITE};
 use matic_isa::json::{parse, Json};
 use std::process::ExitCode;
 use std::time::Instant;
+
+/// The simulator engine every cell runs on, recorded in each row and cell
+/// key (`bench_opt_engine`) so earlier baselines stay comparable.
+const ENGINE: &str = "native";
 
 /// Allowed geomean throughput regression vs. the committed baseline.
 const MAX_GEOMEAN_REGRESSION: f64 = 0.15;
@@ -43,7 +45,6 @@ fn small_n(id: &str) -> usize {
 struct Timing {
     bench: &'static str,
     opt: &'static str,
-    engine: Engine,
     n: usize,
     cycles: u64,
     median_ns: u64,
@@ -52,7 +53,7 @@ struct Timing {
 
 impl Timing {
     fn cell(&self) -> String {
-        format!("{}_{}_{}", self.bench, self.opt, self.engine)
+        format!("{}_{}_{ENGINE}", self.bench, self.opt)
     }
 }
 
@@ -61,54 +62,38 @@ fn median_ns(samples: &mut [u64]) -> u64 {
     samples[samples.len() / 2]
 }
 
-/// Times one (bench, opt) cell on every engine. The engines must agree on
-/// the simulated cycle count bit-for-bit — a cheap standing differential
-/// check on every perf run.
-fn time_cell(bench: &matic_benchkit::Benchmark, opt: OptLevel, label: &'static str) -> Vec<Timing> {
+/// Times one (bench, opt) cell.
+fn time_cell(bench: &matic_benchkit::Benchmark, opt: OptLevel, label: &'static str) -> Timing {
     let n = small_n(bench.id);
     let compiled = Compiler::new()
         .opt_level(opt)
         .compile(bench.source, bench.entry, &bench.arg_types(n))
         .unwrap_or_else(|e| panic!("{}: compile failed: {e}", bench.id));
     let inputs: Vec<_> = bench.inputs(n, 3).iter().map(to_sim).collect();
-    let mut cycles_by_engine = Vec::new();
-    let mut timings = Vec::new();
-    for engine in Engine::ALL {
-        let sim = compiled.simulator().with_engine(engine);
-        // Warm up (also forces the one-time decode/fuse) and pin cycles.
-        let cycles = sim.run(inputs.clone()).expect("sim ok").cycles.total;
-        cycles_by_engine.push(cycles);
-        let mut samples = Vec::with_capacity(40);
-        let budget = Instant::now();
-        while samples.len() < 40 && (samples.len() < 10 || budget.elapsed().as_millis() < 300) {
-            let t = Instant::now();
-            let out = sim.run(inputs.clone()).expect("sim ok");
-            samples.push(t.elapsed().as_nanos() as u64);
-            assert_eq!(out.cycles.total, cycles, "simulation must be deterministic");
-        }
-        let med = median_ns(&mut samples);
-        timings.push(Timing {
-            bench: bench.id,
-            opt: label,
-            engine,
-            n,
-            cycles,
-            median_ns: med,
-            cycles_per_sec: cycles as f64 / (med.max(1) as f64 / 1e9),
-        });
+    let sim = compiled.simulator();
+    // Warm up (also forces the one-time decode/fuse) and pin cycles.
+    let cycles = sim.run(inputs.clone()).expect("sim ok").cycles.total;
+    let mut samples = Vec::with_capacity(40);
+    let budget = Instant::now();
+    while samples.len() < 40 && (samples.len() < 10 || budget.elapsed().as_millis() < 300) {
+        let t = Instant::now();
+        let out = sim.run(inputs.clone()).expect("sim ok");
+        samples.push(t.elapsed().as_nanos() as u64);
+        assert_eq!(out.cycles.total, cycles, "simulation must be deterministic");
     }
-    assert!(
-        cycles_by_engine.windows(2).all(|w| w[0] == w[1]),
-        "{}_{label}: engines disagree on cycle count: {cycles_by_engine:?}",
-        bench.id
-    );
-    timings
+    let med = median_ns(&mut samples);
+    Timing {
+        bench: bench.id,
+        opt: label,
+        n,
+        cycles,
+        median_ns: med,
+        cycles_per_sec: cycles as f64 / (med.max(1) as f64 / 1e9),
+    }
 }
 
 /// Reads the committed baseline's per-cell throughput, keyed by
-/// `bench_opt_engine`. Baselines written before the engine column existed
-/// measured the then-default linear engine, so a missing `engine` field
-/// maps to `linear`. `None` when no baseline exists (first run on a
+/// `bench_opt_engine`. `None` when no baseline exists (first run on a
 /// machine).
 fn read_baseline(path: &str) -> Option<Vec<(String, f64)>> {
     let text = std::fs::read_to_string(path).ok()?;
@@ -121,11 +106,7 @@ fn read_baseline(path: &str) -> Option<Vec<(String, f64)>> {
         .filter_map(|r| {
             let bench = r.get("bench")?.as_str()?;
             let opt = r.get("opt")?.as_str()?;
-            let engine = r
-                .get("engine")
-                .and_then(|e| e.as_str())
-                .unwrap_or("linear")
-                .to_string();
+            let engine = r.get("engine")?.as_str()?;
             let tput = r.get("sim_cycles_per_sec")?.as_f64()?;
             (tput > 0.0).then(|| (format!("{bench}_{opt}_{engine}"), tput))
         })
@@ -201,54 +182,11 @@ fn gate_against_baseline(timings: &[Timing], baseline: &[(String, f64)]) -> Resu
     Ok(())
 }
 
-/// Prints the native engine's speedup per cell against whatever engine the
-/// committed baseline measured (legacy baselines: linear). This is the
-/// headline number for the fused direct-threaded engine.
-fn print_native_speedup(timings: &[Timing], baseline: &[(String, f64)]) {
-    let mut rows = Vec::new();
-    let mut log_sum = 0.0f64;
-    let mut count = 0usize;
-    for t in timings.iter().filter(|t| t.engine == Engine::Native) {
-        let committed = baseline
-            .iter()
-            .find(|(k, _)| *k == format!("{}_{}_linear", t.bench, t.opt))
-            .or_else(|| {
-                baseline
-                    .iter()
-                    .find(|(k, _)| *k == format!("{}_{}_native", t.bench, t.opt))
-            });
-        let Some((_, old)) = committed else { continue };
-        let ratio = t.cycles_per_sec / old;
-        log_sum += ratio.ln();
-        count += 1;
-        rows.push(vec![
-            format!("{}_{}", t.bench, t.opt),
-            format!("{:.1}", old / 1e6),
-            format!("{:.1}", t.cycles_per_sec / 1e6),
-            format!("{ratio:.2}x"),
-        ]);
-    }
-    if count == 0 {
-        return;
-    }
-    println!();
-    println!("native engine vs committed baseline (Mcyc/s):");
-    println!();
-    println!(
-        "{}",
-        render_table(&["cell", "committed", "native", "speedup"], &rows)
-    );
-    println!(
-        "native speedup geomean: {:.2}x over {count} cells",
-        (log_sum / count as f64).exp()
-    );
-}
-
 fn main() -> ExitCode {
     let mut timings = Vec::new();
     for b in SUITE {
-        timings.extend(time_cell(b, OptLevel::baseline(), "base"));
-        timings.extend(time_cell(b, OptLevel::full(), "opt"));
+        timings.push(time_cell(b, OptLevel::baseline(), "base"));
+        timings.push(time_cell(b, OptLevel::full(), "opt"));
     }
     let rows: Vec<Vec<String>> = timings
         .iter()
@@ -262,7 +200,7 @@ fn main() -> ExitCode {
             ]
         })
         .collect();
-    println!("Simulator throughput (reusable-machine API, per engine)");
+    println!("Simulator throughput (reusable-machine API)");
     println!();
     println!(
         "{}",
@@ -277,7 +215,7 @@ fn main() -> ExitCode {
             Json::Obj(vec![
                 ("bench".into(), Json::Str(t.bench.into())),
                 ("opt".into(), Json::Str(t.opt.into())),
-                ("engine".into(), Json::Str(t.engine.to_string())),
+                ("engine".into(), Json::Str(ENGINE.into())),
                 ("n".into(), Json::Num(t.n as f64)),
                 ("cycles".into(), Json::Num(t.cycles as f64)),
                 ("median_ns".into(), Json::Num(t.median_ns as f64)),
@@ -299,9 +237,7 @@ fn main() -> ExitCode {
     println!("wrote {path}");
     if let Some(baseline) = baseline {
         println!();
-        let gate = gate_against_baseline(&timings, &baseline);
-        print_native_speedup(&timings, &baseline);
-        if let Err(e) = gate {
+        if let Err(e) = gate_against_baseline(&timings, &baseline) {
             eprintln!("repro_perf: {e}");
             return ExitCode::FAILURE;
         }

@@ -5,11 +5,10 @@
 //!       [--baseline] [-o <dir>]        compile to C (+ runtime headers)
 //! matic mir     <file.m> --entry <fn> --sig <spec>   dump optimized MIR
 //! matic cycles  <file.m> --entry <fn> --sig <spec>   baseline-vs-optimized
-//!       [--n <size>] [--engine <e>] [--profile]        cycle comparison
-//!       [--profile-json <p>]
+//!       [--n <size>] [--profile] [--profile-json <p>]  cycle comparison
 //! matic targets [--dump <name>]                       list/export targets
 //! matic explore [--benchmarks <ids>] [--widths <list>] [--scales <list>]
-//!       [--engine <e>] [--area-model <json>] [--json <out>]  design-space search
+//!       [--area-model <json>] [--json <out>]          design-space search
 //!       [--resume <frontier.json>]
 //! matic discover [--frontier <json>] [--benchmarks <ids>]    guided ISA search +
 //!       [--seed <k>] [--budget <evals>] [--json <out>]         instruction mining
@@ -23,7 +22,7 @@
 //! vector, `m<R>x<C>` matrix — e.g. `--sig v1024,v64` for `fir(x, h)`.
 
 use matic::reportfmt::{self, DEFAULT_MAX_CYCLES};
-use matic::{Compiler, Engine, IsaSpec, OptLevel, Ty};
+use matic::{Compiler, IsaSpec, OptLevel, Ty};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -63,11 +62,11 @@ const USAGE: &str = "usage:
   matic compile <file.m> --entry <fn> --sig <spec> [--target <json>] [--baseline] [-o <dir>]
   matic mir     <file.m> --entry <fn> --sig <spec> [--target <json>]
   matic cycles  <file.m> --entry <fn> --sig <spec> [--target <json>] [--seed <k>] [--max-cycles <N>]
-                [--engine tree|linear|native] [--profile] [--profile-json <path>]
+                [--profile] [--profile-json <path>]
   matic targets [--dump <name>]
   matic explore [--benchmarks <ids>] [--widths <list>] [--scales <list>] [--n <size>]
-                [--seed <k>] [--max-cycles <N>] [--engine tree|linear|native]
-                [--area-model <json>] [--json <out>] [--quick] [--resume <frontier.json>]
+                [--seed <k>] [--max-cycles <N>] [--area-model <json>] [--json <out>]
+                [--quick] [--resume <frontier.json>]
   matic discover [--frontier <json>] [--benchmarks <ids>] [--seed <k>] [--budget <evals>]
                 [--json <out>] [--quick]
   matic serve   [--addr <host:port>] [--workers <n>] [--max-fuel <N>] [--max-source-bytes <N>]
@@ -86,9 +85,6 @@ annealing over ISA mutations plus automatic custom-instruction mining
 for real); writes a matic-discover-v2 document
 --max-cycles caps the simulated step budget (default 100000000); runaway
 programs stop with a fuel-exhaustion diagnostic instead of hanging
---engine picks the simulator implementation (default native, the fused
-direct-threaded engine); cycle counts are identical on every engine, only
-wall-clock differs
 --profile prints a per-source-line cycle report for the optimized build;
 --profile-json writes the same data as a matic-profile-v1 JSON document
 --trace-passes (any command) prints per-pass wall-time and the
@@ -110,7 +106,6 @@ struct Opts {
     out_dir: String,
     seed: u64,
     max_cycles: u64,
-    engine: Engine,
     profile: bool,
     profile_json: Option<String>,
     trace_passes: bool,
@@ -126,7 +121,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
     let mut out_dir = "matic_out".to_string();
     let mut seed = 1u64;
     let mut max_cycles = DEFAULT_MAX_CYCLES;
-    let mut engine = Engine::default();
     let mut profile = false;
     let mut profile_json = None;
     let mut trace_passes = false;
@@ -163,7 +157,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
                     return Err("--max-cycles expects a positive integer".to_string());
                 }
             }
-            "--engine" => engine = next(&mut it, "--engine")?.parse()?,
             other if !other.starts_with('-') && file.is_none() => file = Some(other.to_string()),
             other => return Err(format!("unexpected argument `{other}`")),
         }
@@ -178,7 +171,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         out_dir,
         seed,
         max_cycles,
-        engine,
         profile,
         profile_json,
         trace_passes,
@@ -305,10 +297,10 @@ fn cmd_cycles(args: &[String]) -> Result<(), String> {
         &src,
     )?;
     let copts = reportfmt::CyclesOptions {
-        engine: opts.engine,
         seed: opts.seed,
         max_cycles: opts.max_cycles,
         profile: opts.profile || opts.profile_json.is_some(),
+        ..reportfmt::CyclesOptions::default()
     };
     let run = reportfmt::run_cycles(&baseline, &optimized, &opts.sig, &copts)
         .map_err(|e| e.to_string())?;
@@ -341,7 +333,6 @@ fn clone_opts(o: &Opts) -> Opts {
         out_dir: o.out_dir.clone(),
         seed: o.seed,
         max_cycles: o.max_cycles,
-        engine: o.engine,
         profile: o.profile,
         profile_json: o.profile_json.clone(),
         trace_passes: o.trace_passes,
@@ -446,11 +437,12 @@ fn cmd_explore(args: &[String]) -> Result<(), String> {
                     .collect::<Result<_, _>>()?;
             }
             "--n" => {
-                cfg.n = Some(
-                    next(&mut it, "--n")?
-                        .parse()
-                        .map_err(|_| "--n expects a positive integer".to_string())?,
-                );
+                let n = next(&mut it, "--n")?
+                    .parse()
+                    .ok()
+                    .filter(|&n| n > 0)
+                    .ok_or("--n expects a positive integer")?;
+                cfg.n = Some(n);
             }
             "--seed" => {
                 cfg.seed = next(&mut it, "--seed")?
@@ -472,7 +464,6 @@ fn cmd_explore(args: &[String]) -> Result<(), String> {
                 cfg.area = AreaModel::from_json(&text)?;
             }
             "--json" => json_out = Some(next(&mut it, "--json")?),
-            "--engine" => cfg.engine = next(&mut it, "--engine")?.parse()?,
             "--quick" => cfg.grid = GridConfig::quick(),
             "--resume" => {
                 // Already applied above; skip the path operand here.
@@ -595,7 +586,6 @@ fn build_request(op: &str, opts: &Opts, src: String) -> Result<matic_isa::json::
     match op {
         "compile" => fields.push(("baseline".to_string(), Json::Bool(opts.baseline))),
         _ => {
-            fields.push(("engine".to_string(), Json::Str(opts.engine.to_string())));
             fields.push(("seed".to_string(), Json::Num(opts.seed as f64)));
             fields.push(("max_cycles".to_string(), Json::Num(opts.max_cycles as f64)));
             fields.push(("profile".to_string(), Json::Bool(opts.profile)));

@@ -146,7 +146,7 @@ pub struct CodegenArtifact {
 /// from one compilation (and, through the stage cache, by every
 /// compilation of the same MIR): the pre-decoded instruction streams and
 /// the fused native-engine program. Both are built at most once, on first
-/// need — tree/linear-only callers never pay for superinstruction fusion.
+/// need — callers that never run a simulator never pay for fusion.
 #[derive(Debug, Default)]
 pub struct ExecShared {
     pub(crate) decoded: OnceLock<Arc<matic_asip::DecodedProgram>>,
@@ -472,11 +472,9 @@ impl Compiled {
     /// `matic-explore` design-space search is built on: compile once,
     /// simulate against hundreds of [`IsaSpec`] variants in parallel.
     ///
-    /// Superinstruction fusion for the native engine is *not* run here:
-    /// it happens lazily, inside the first [`matic_asip::Simulator::run`]
-    /// that actually selects [`matic_asip::Engine::Native`], and the
-    /// result is shared by every simulator spawned from this compilation.
-    /// Tree/linear-only callers never pay for fusion.
+    /// Superinstruction fusion is *not* run here: it happens lazily,
+    /// inside the first [`matic_asip::Simulator::run`], and the result is
+    /// shared by every simulator spawned from this compilation.
     pub fn simulator_for(&self, spec: Arc<IsaSpec>) -> matic_asip::Simulator<'_> {
         let mut machine = matic_asip::AsipMachine::from_shared(spec);
         if !self.opt.intrinsics {
@@ -495,7 +493,7 @@ impl Compiled {
     }
 
     /// Whether the native engine's fused program has been built yet.
-    /// `false` until the first native-engine run — fusion is lazy.
+    /// `false` until the first simulator run — fusion is lazy.
     pub fn native_is_built(&self) -> bool {
         self.exec.native.get().is_some()
     }
@@ -645,9 +643,8 @@ mod tests {
 
     #[test]
     fn native_fusion_is_lazy() {
-        // Building simulators — and running the tree/linear engines —
-        // must not trigger superinstruction fusion; only the first
-        // native-engine run pays for it, once, shared per compilation.
+        // Building simulators must not trigger superinstruction fusion;
+        // only the first run pays for it, once, shared per compilation.
         let src = "function s = dotp(a, b)\ns = sum(a .* b);\nend";
         let compiled = Compiler::new()
             .compile(src, "dotp", &[arg::vector(8), arg::vector(8)])
@@ -660,32 +657,22 @@ mod tests {
         };
         assert!(!compiled.native_is_built());
         let sim = compiled.simulator();
+        let other = compiled.simulator();
         assert!(!compiled.native_is_built(), "construction must not fuse");
-        sim.with_engine(matic_asip::Engine::Tree)
-            .run(inputs())
-            .expect("tree run ok");
-        compiled
-            .simulator()
-            .with_engine(matic_asip::Engine::Linear)
-            .run(inputs())
-            .expect("linear run ok");
+        let first = sim.run(inputs()).expect("first run ok");
         assert!(
-            !compiled.native_is_built(),
-            "tree/linear runs must not fuse"
+            compiled.native_is_built(),
+            "the first run builds the fusion"
         );
-        let native = compiled
-            .simulator()
-            .with_engine(matic_asip::Engine::Native)
-            .run(inputs())
-            .expect("native run ok");
-        assert!(compiled.native_is_built(), "native run builds the fusion");
-        let linear = compiled
-            .simulator()
-            .with_engine(matic_asip::Engine::Linear)
-            .run(inputs())
-            .expect("linear rerun ok");
-        assert_eq!(native.cycles, linear.cycles);
-        assert_eq!(native.outputs, linear.outputs);
+        let fused = compiled.exec.native.get().map(Arc::as_ptr);
+        let second = other.run(inputs()).expect("second simulator runs");
+        assert_eq!(
+            compiled.exec.native.get().map(Arc::as_ptr),
+            fused,
+            "a second simulator reuses the fused program instead of fusing again"
+        );
+        assert_eq!(first.cycles, second.cycles);
+        assert_eq!(first.outputs, second.outputs);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //!
 //! Both the `matic` CLI and the `matic serve` request handler build on
 //! this module, so a served `cycles` response is bit-identical to what
-//! `matic cycles` prints for the same source, signature, target, seed
-//! and engine — the CI smoke test diffs the two byte-for-byte.
+//! `matic cycles` prints for the same source, signature, target and
+//! seed — the CI smoke test diffs the two byte-for-byte.
 
 use crate::pipeline::{arg, Compiled};
 use matic_asip::{Engine, SimError, SimOutcome, SimVal};
@@ -110,7 +110,8 @@ pub fn synth_inputs(sig: &[Ty], seed: u64) -> Vec<SimVal> {
 /// Knobs for a baseline-vs-optimized cycles measurement.
 #[derive(Debug, Clone, Copy)]
 pub struct CyclesOptions {
-    /// Simulator engine to measure with.
+    /// Always [`Engine::Native`], the only engine; kept only because
+    /// `perfbench/` still sets it, and can go together with that use.
     pub engine: Engine,
     /// Stimulus seed (see [`synth_inputs`]).
     pub seed: u64,
@@ -156,12 +157,10 @@ pub fn run_cycles(
     let inputs = synth_inputs(sig, opts.seed);
     let baseline = baseline
         .simulator()
-        .with_engine(opts.engine)
         .with_fuel(opts.max_cycles)
         .run(inputs.clone())?;
     let optimized = optimized
         .simulator()
-        .with_engine(opts.engine)
         .with_fuel(opts.max_cycles)
         .with_profiling(opts.profile)
         .run(inputs)?;

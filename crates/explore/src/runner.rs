@@ -35,10 +35,8 @@ pub struct ExploreConfig {
     pub grid: GridConfig,
     /// The area model pricing each candidate.
     pub area: AreaModel,
-    /// Execution engine for every simulation in the sweep. Cycle counts
-    /// are engine-independent (pinned by the engine differential tests),
-    /// so this only affects wall-clock; the native engine is the default
-    /// because sweeps are simulation-bound.
+    /// Always [`Engine::Native`], the only engine; kept only because
+    /// `perfbench/` still reads it, and can go together with that use.
     pub engine: Engine,
 }
 
@@ -244,7 +242,6 @@ fn explore_bench(
         let inputs: Vec<_> = bench.inputs(n, cfg.seed).iter().map(to_sim).collect();
         let outcome = compiled
             .simulator_for(Arc::new(cand.spec.clone()))
-            .with_engine(cfg.engine)
             .with_fuel(cfg.fuel)
             .run(inputs)
             .map_err(|e| format!("{}/{}: {e}", bench.id, cand.name()))?;
@@ -311,7 +308,6 @@ fn profile_best(
     let context = |e: String| format!("{}/{} (profiled): {e}", bench.id, cand.name());
     let outcome = compiled
         .simulator_for(Arc::new(cand.spec.clone()))
-        .with_engine(cfg.engine)
         .with_fuel(cfg.fuel)
         .with_profiling(true)
         .run(inputs)

@@ -563,7 +563,7 @@ impl Case {
 }
 
 /// Generates one well-typed random case. Every construct emitted here is
-/// supported by all seven engines.
+/// supported by every execution leg.
 pub fn gen_case(rng: &mut Rng) -> Case {
     let n = 4 + rng.below(13) as usize; // 4..=16
                                         // Pools carry (name, len, complex) so every pick is type-correct by

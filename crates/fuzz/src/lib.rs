@@ -1,7 +1,7 @@
 //! `matic-fuzz` — the coverage-driven differential verification harness.
 //!
 //! Pulls the whole toolchain through randomized cross-checking:
-//! structured random programs ([`gen`]) run on all seven execution legs
+//! structured random programs ([`gen`]) run on all five execution legs
 //! ([`legs`]) over both the default ISA and randomly mutated design-space
 //! points ([`mutate`]); every case's grammar constructs are recorded into
 //! a coverage table ([`coverage`]); a disagreement is delta-debugged to a

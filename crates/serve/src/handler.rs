@@ -1,12 +1,17 @@
 //! Request handling: turns one decoded request object into one response
 //! envelope, consulting the shared stage cache for all compilation work.
 
-use crate::protocol::{err, need_str, obj, ok, opt_bool, opt_str, opt_u64};
+use crate::protocol::{err, need_str, obj, ok, opt_bool, opt_u64};
 use matic::reportfmt::{self, CyclesOptions, DEFAULT_MAX_CYCLES};
 use matic::{CompileError, Compiled, Compiler, OptLevel, SimErrorKind, StageCache, Ty};
 use matic_isa::json::Json;
 use matic_isa::IsaSpec;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Largest problem size an `explore` request may ask for: the largest
+/// size the paper measures. matmul's inputs are `n`×`n`, so an unbounded
+/// `n` lets one request allocate without limit in a shared worker.
+pub const MAX_EXPLORE_N: u64 = 1024;
 
 /// Per-request resource budgets. Every limit produces a structured
 /// `budget` error (never a silent truncation), except `max_fuel`, which
@@ -222,10 +227,6 @@ impl ServeState {
     fn cycles_op(&self, req: &Json) -> Result<Json, Failure> {
         let (source, entry, sig, target) = self.common(req)?;
         let opts = CyclesOptions {
-            engine: match opt_str(req, "engine")? {
-                Some(name) => name.parse().map_err(Failure::protocol)?,
-                None => Default::default(),
-            },
             seed: opt_u64(req, "seed")?.unwrap_or(1),
             // Over-budget fuel requests clamp to the server ceiling.
             max_cycles: opt_u64(req, "max_cycles")?
@@ -233,6 +234,7 @@ impl ServeState {
                 .min(self.budgets.max_fuel)
                 .max(1),
             profile: opt_bool(req, "profile")?.unwrap_or(false),
+            ..CyclesOptions::default()
         };
         let optimized =
             self.compile_cached(target.clone(), OptLevel::full(), &source, &entry, &sig)?;
@@ -280,6 +282,14 @@ impl ServeState {
                 .collect::<Result<_, _>>()?;
         }
         if let Some(n) = opt_u64(req, "n")? {
+            if n == 0 {
+                return Err(Failure::protocol("field `n` must be a positive integer"));
+            }
+            if n > MAX_EXPLORE_N {
+                return Err(Failure::budget(format!(
+                    "field `n` = {n} exceeds the server's limit of {MAX_EXPLORE_N}"
+                )));
+            }
             cfg.n = Some(n as usize);
         }
         if let Some(seed) = opt_u64(req, "seed")? {
@@ -289,9 +299,6 @@ impl ServeState {
             .unwrap_or(cfg.fuel)
             .min(self.budgets.max_fuel)
             .max(1);
-        if let Some(name) = opt_str(req, "engine")? {
-            cfg.engine = name.parse().map_err(Failure::protocol)?;
-        }
         let result = explore(&cfg).map_err(Failure::protocol)?;
         Ok(obj(vec![
             ("text", Json::Str(result.render_text())),

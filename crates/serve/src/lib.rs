@@ -34,5 +34,5 @@ pub mod protocol;
 pub mod server;
 
 pub use client::Client;
-pub use handler::{Budgets, ServeState};
+pub use handler::{Budgets, ServeState, MAX_EXPLORE_N};
 pub use server::{Server, ServerConfig};

@@ -111,21 +111,6 @@ pub fn need_str<'a>(req: &'a Json, key: &str) -> Result<&'a str, String> {
         .ok_or_else(|| format!("request is missing string field `{key}`"))
 }
 
-/// Extracts an optional string field (`None` when absent or null).
-///
-/// # Errors
-///
-/// Returns a protocol-error message when present with a non-string type.
-pub fn opt_str<'a>(req: &'a Json, key: &str) -> Result<Option<&'a str>, String> {
-    match req.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(v) => v
-            .as_str()
-            .map(Some)
-            .ok_or_else(|| format!("field `{key}` must be a string")),
-    }
-}
-
 /// Extracts an optional unsigned integer field.
 ///
 /// # Errors

@@ -4,7 +4,7 @@
 //! visible in the stats op.
 
 use matic_isa::json::{parse, Json};
-use matic_serve::{Budgets, Client, Server, ServerConfig};
+use matic_serve::{Budgets, Client, Server, ServerConfig, MAX_EXPLORE_N};
 
 const GAIN: &str = "function y = gain(x, k)\ny = k .* x;\nend";
 
@@ -142,6 +142,34 @@ fn served_cycles_matches_offline_report_bit_for_bit() {
         r.get("optimized_cycles").and_then(Json::as_u64),
         Some(run.optimized.cycles.total)
     );
+    assert_eq!(r.get("engine").and_then(Json::as_str), Some("native"));
+    server.shutdown();
+}
+
+#[test]
+fn explore_rejects_zero_and_oversized_problem_sizes() {
+    // The limit must admit every size the paper measures.
+    const { assert!(MAX_EXPLORE_N >= 1024) };
+    let server = spawn();
+    let mut client = connect(&server);
+    let explore = |n: u64| {
+        obj(&[
+            ("op", s("explore")),
+            ("quick", Json::Bool(true)),
+            ("benchmarks", Json::Arr(vec![s("fir")])),
+            ("n", Json::Num(n as f64)),
+        ])
+    };
+
+    let resp = client.request(&explore(0)).unwrap();
+    let (kind, message, _) = error_of(&resp);
+    assert_eq!(kind, "protocol");
+    assert!(message.contains("positive"), "{message}");
+
+    let resp = client.request(&explore(MAX_EXPLORE_N + 1)).unwrap();
+    let (kind, message, _) = error_of(&resp);
+    assert_eq!(kind, "budget");
+    assert!(message.contains(&MAX_EXPLORE_N.to_string()), "{message}");
     server.shutdown();
 }
 

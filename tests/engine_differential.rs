@@ -1,15 +1,26 @@
-//! Differential test for the pre-decoded execution engine: for every
-//! benchmark × opt-level × target cell, the linear engine (`run`, via the
-//! decode stage) must produce a bit-identical [`matic_asip::SimOutcome`] —
-//! outputs, printed text, total cycles, instruction count, and the full
-//! per-class cycle breakdown — to the original tree-walking interpreter
-//! (`run_interpreted`). The decode stage is a pure representation change;
-//! any divergence is a bug.
+//! Differential test for the simulator's engine: for every benchmark ×
+//! opt-level × target cell, the fused native engine (`Simulator::run`,
+//! via decode and fusion) must produce a bit-identical
+//! [`matic_asip::SimOutcome`] — outputs, printed text, total cycles,
+//! instruction count, and the full per-class cycle breakdown — to the
+//! tree-walking reference semantics (`run_interpreted`). Decode and
+//! fusion are pure representation changes; any divergence is a bug.
 
-use matic::{Compiler, Engine, IsaSpec, OptLevel};
+use matic::{Compiled, Compiler, IsaSpec, OptLevel};
 use matic_asip::AsipMachine;
 use matic_benchkit::{to_sim, SUITE};
 use std::sync::Arc;
+
+/// The tree walker's machine, configured exactly as
+/// `Compiled::simulator` configures the engine's.
+fn oracle(compiled: &Compiled, opt: OptLevel) -> AsipMachine {
+    let machine = AsipMachine::from_shared(Arc::clone(&compiled.spec));
+    if opt.intrinsics {
+        machine
+    } else {
+        machine.without_intrinsics()
+    }
+}
 
 /// Small-but-representative sizes so the whole suite runs quickly.
 fn test_size(id: &str) -> usize {
@@ -30,57 +41,48 @@ fn check_cell(spec_name: &str, spec: IsaSpec, label: &str, opt: OptLevel) {
             .unwrap_or_else(|e| panic!("{} [{spec_name}/{label}]: compile failed: {e}", b.id));
         let inputs: Vec<_> = b.inputs(n, 42).iter().map(to_sim).collect();
 
-        // Tree-walking engine on the same machine configuration — the
+        // The tree walker on the same machine configuration — the
         // reference semantics.
-        let mut machine = AsipMachine::from_shared(Arc::clone(&compiled.spec));
-        if !opt.intrinsics {
-            machine = machine.without_intrinsics();
-        }
-        let interpreted = machine
+        let interpreted = oracle(&compiled, opt)
             .run_interpreted(&compiled.mir, &compiled.entry, inputs.clone())
             .unwrap_or_else(|e| {
                 panic!("{} [{spec_name}/{label}]: tree-walk sim failed: {e}", b.id)
             });
 
-        // Every engine exposed through the public reusable-simulator API
-        // must reproduce it bit-for-bit.
-        for engine in Engine::ALL {
-            let outcome = compiled
-                .simulator()
-                .with_engine(engine)
-                .run(inputs.clone())
-                .unwrap_or_else(|e| {
-                    panic!("{} [{spec_name}/{label}/{engine}]: sim failed: {e}", b.id)
-                });
-            assert_eq!(
-                outcome.cycles.total, interpreted.cycles.total,
-                "{} [{spec_name}/{label}/{engine}]: total cycles diverge",
-                b.id
-            );
-            assert_eq!(
-                outcome.cycles.instructions, interpreted.cycles.instructions,
-                "{} [{spec_name}/{label}/{engine}]: instruction counts diverge",
-                b.id
-            );
-            assert_eq!(
-                outcome.cycles.by_class, interpreted.cycles.by_class,
-                "{} [{spec_name}/{label}/{engine}]: per-class cycle breakdown diverges",
-                b.id
-            );
-            // Outputs and printed text must be bit-identical, not close.
-            assert_eq!(
-                outcome, interpreted,
-                "{} [{spec_name}/{label}/{engine}]: outcomes diverge",
-                b.id
-            );
-        }
+        // The engine behind the public reusable-simulator API must
+        // reproduce it bit-for-bit.
+        let outcome = compiled
+            .simulator()
+            .run(inputs.clone())
+            .unwrap_or_else(|e| panic!("{} [{spec_name}/{label}]: sim failed: {e}", b.id));
+        assert_eq!(
+            outcome.cycles.total, interpreted.cycles.total,
+            "{} [{spec_name}/{label}]: total cycles diverge",
+            b.id
+        );
+        assert_eq!(
+            outcome.cycles.instructions, interpreted.cycles.instructions,
+            "{} [{spec_name}/{label}]: instruction counts diverge",
+            b.id
+        );
+        assert_eq!(
+            outcome.cycles.by_class, interpreted.cycles.by_class,
+            "{} [{spec_name}/{label}]: per-class cycle breakdown diverges",
+            b.id
+        );
+        // Outputs and printed text must be bit-identical, not close.
+        assert_eq!(
+            outcome, interpreted,
+            "{} [{spec_name}/{label}]: outcomes diverge",
+            b.id
+        );
     }
 }
 
 /// Profiling must be observationally free: enabling per-span attribution
 /// may not change a single cycle, instruction, output byte, or printed
-/// character on either engine — the profiler only *observes* charges that
-/// happen anyway.
+/// character on the engine or the tree walker — the profiler only
+/// *observes* charges that happen anyway.
 fn check_profiling_is_free(spec_name: &str, spec: IsaSpec, opt: OptLevel) {
     for b in SUITE {
         let n = test_size(b.id);
@@ -91,7 +93,7 @@ fn check_profiling_is_free(spec_name: &str, spec: IsaSpec, opt: OptLevel) {
             .unwrap_or_else(|e| panic!("{} [{spec_name}]: compile failed: {e}", b.id));
         let inputs: Vec<_> = b.inputs(n, 42).iter().map(to_sim).collect();
 
-        // Decoded engine: off vs on.
+        // The engine: off vs on.
         let plain = compiled.simulator().run(inputs.clone()).unwrap();
         let profiled = compiled
             .simulator()
@@ -115,22 +117,15 @@ fn check_profiling_is_free(spec_name: &str, spec: IsaSpec, opt: OptLevel) {
         assert_eq!(
             (&plain.outputs, &plain.printed, &plain.cycles),
             (&profiled.outputs, &profiled.printed, &profiled.cycles),
-            "{} [{spec_name}]: profiling changed decoded-engine behavior",
+            "{} [{spec_name}]: profiling changed engine behavior",
             b.id
         );
 
-        // Tree-walk engine: same invariant.
-        let machine = || {
-            let mut m = AsipMachine::from_shared(Arc::clone(&compiled.spec));
-            if !opt.intrinsics {
-                m = m.without_intrinsics();
-            }
-            m
-        };
-        let plain_tw = machine()
+        // The tree walker: same invariant.
+        let plain_tw = oracle(&compiled, opt)
             .run_interpreted(&compiled.mir, &compiled.entry, inputs.clone())
             .unwrap();
-        let profiled_tw = machine()
+        let profiled_tw = oracle(&compiled, opt)
             .with_profiling(true)
             .run_interpreted(&compiled.mir, &compiled.entry, inputs)
             .unwrap();
@@ -145,10 +140,10 @@ fn check_profiling_is_free(spec_name: &str, spec: IsaSpec, opt: OptLevel) {
             b.id
         );
 
-        // Both engines must attribute identically, span by span.
+        // Both must attribute identically, span by span.
         assert_eq!(
             profiled.profile, profiled_tw.profile,
-            "{} [{spec_name}]: per-span attribution diverges between engines",
+            "{} [{spec_name}]: per-span attribution diverges from the tree walker",
             b.id
         );
     }
@@ -200,15 +195,15 @@ fn decoded_engine_matches_tree_walker_scalar_full() {
 }
 
 /// Sweeps every fuel value from 0 to one past the program's full budget
-/// and checks that all three engines agree exactly on the outcome at each
-/// value: same success/failure, same error kind, same message and span on
-/// failure, bit-identical outcome on success.
+/// and checks that the engine and the tree walker agree exactly on the
+/// outcome at each value: same success/failure, same error kind, same
+/// message and span on failure, bit-identical outcome on success.
 ///
 /// This pins the native engine's bulk fuel accounting: superinstructions
 /// and compiled chains subtract fuel for a whole block up front (after
 /// checking it is available) and otherwise fall back to per-op execution,
 /// so every fuel value that would exhaust *mid*-block must still report
-/// exhaustion at exactly the statement the linear engine would.
+/// exhaustion at exactly the statement the tree walker would.
 fn check_fuel_sweep(source: &str, entry: &str, sig: &[matic::Ty], opt: OptLevel) {
     let compiled = Compiler::new()
         .opt_level(opt)
@@ -232,33 +227,27 @@ fn check_fuel_sweep(source: &str, entry: &str, sig: &[matic::Ty], opt: OptLevel)
     let mut completed_at = None;
     let mut fuel = 0u64;
     while fuel <= budget {
-        let mut results = Vec::new();
-        for engine in Engine::ALL {
-            let r = compiled
-                .simulator()
-                .with_engine(engine)
-                .with_fuel(fuel)
-                .run(inputs.clone());
-            results.push((engine, r));
-        }
-        let (_, reference) = &results[0];
-        for (engine, r) in &results[1..] {
-            match (reference, r) {
-                (Ok(a), Ok(b)) => assert_eq!(a, b, "fuel {fuel}: {engine} outcome diverges"),
-                (Err(a), Err(b)) => {
-                    assert_eq!(a.kind, b.kind, "fuel {fuel}: {engine} error kind diverges");
-                    assert_eq!(
-                        a.to_string(),
-                        b.to_string(),
-                        "fuel {fuel}: {engine} error message diverges"
-                    );
-                }
-                _ => panic!(
-                    "fuel {fuel}: {engine} disagrees with tree on success: {:?} vs {:?}",
-                    reference.as_ref().map(|_| ()),
-                    r.as_ref().map(|_| ())
-                ),
+        let reference = oracle(&compiled, opt).with_fuel(fuel).run_interpreted(
+            &compiled.mir,
+            &compiled.entry,
+            inputs.clone(),
+        );
+        let r = compiled.simulator().with_fuel(fuel).run(inputs.clone());
+        match (&reference, &r) {
+            (Ok(a), Ok(b)) => assert_eq!(a, b, "fuel {fuel}: outcome diverges"),
+            (Err(a), Err(b)) => {
+                assert_eq!(a.kind, b.kind, "fuel {fuel}: error kind diverges");
+                assert_eq!(
+                    a.to_string(),
+                    b.to_string(),
+                    "fuel {fuel}: error message diverges"
+                );
             }
+            _ => panic!(
+                "fuel {fuel}: engine disagrees with tree on success: {:?} vs {:?}",
+                reference.as_ref().map(|_| ()),
+                r.as_ref().map(|_| ())
+            ),
         }
         match reference {
             Err(e) => {

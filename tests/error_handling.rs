@@ -242,7 +242,7 @@ fn entry_signature_arity_mismatch_is_a_sema_error() {
 
 #[test]
 fn user_error_messages_cannot_spoof_structured_kinds() {
-    use matic::{Engine, SimErrorKind};
+    use matic::{AsipMachine, SimError, SimErrorKind};
     // The message deliberately contains every substring the fallback
     // classifier keys on; the structured kind recorded at the raise site
     // must win over any message-based re-derivation.
@@ -256,18 +256,21 @@ fn user_error_messages_cannot_spoof_structured_kinds() {
     assert_eq!(err.kind, SimErrorKind::Trap, "{}", err.message);
     assert!(err.message.contains("out of bounds"), "{}", err.message);
 
-    // Simulator path: the same trap kind on every engine.
+    // Simulator path: the same trap kind on the engine and on the
+    // tree-walking reference semantics.
+    let sim_errors = |compiled: &matic::Compiled, inputs: Vec<SimVal>| -> [(&str, SimError); 2] {
+        let engine = compiled.simulator().run(inputs.clone()).unwrap_err();
+        let walked = AsipMachine::from_shared(compiled.spec.clone())
+            .run_interpreted(&compiled.mir, &compiled.entry, inputs)
+            .unwrap_err();
+        [("native", engine), ("tree-walk", walked)]
+    };
     let compiled = Compiler::new()
         .compile(src, "f", &[arg::scalar()])
         .expect("compiles");
-    for engine in Engine::ALL {
-        let err = compiled
-            .simulator()
-            .with_engine(engine)
-            .run(vec![SimVal::scalar(1.0)])
-            .unwrap_err();
-        assert_eq!(err.kind, SimErrorKind::Trap, "engine {engine}: {err}");
-        assert!(!err.is_fuel_exhausted(), "engine {engine}");
+    for (path, err) in sim_errors(&compiled, vec![SimVal::scalar(1.0)]) {
+        assert_eq!(err.kind, SimErrorKind::Trap, "{path}: {err}");
+        assert!(!err.is_fuel_exhausted(), "{path}");
     }
 
     // A real out-of-bounds access still classifies structurally even
@@ -276,16 +279,7 @@ fn user_error_messages_cannot_spoof_structured_kinds() {
     let compiled = Compiler::new()
         .compile(oob_src, "f", &[arg::vector(4)])
         .expect("compiles");
-    for engine in Engine::ALL {
-        let err = compiled
-            .simulator()
-            .with_engine(engine)
-            .run(vec![SimVal::row(&[1.0, 2.0, 3.0, 4.0])])
-            .unwrap_err();
-        assert_eq!(
-            err.kind,
-            SimErrorKind::OutOfBounds,
-            "engine {engine}: {err}"
-        );
+    for (path, err) in sim_errors(&compiled, vec![SimVal::row(&[1.0, 2.0, 3.0, 4.0])]) {
+        assert_eq!(err.kind, SimErrorKind::OutOfBounds, "{path}: {err}");
     }
 }

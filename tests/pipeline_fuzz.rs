@@ -3,10 +3,10 @@
 //! every execution engine agrees on the *outcome* — both successful
 //! outputs and error outcomes (out-of-bounds reads, fuel exhaustion).
 //!
-//! Seven legs per program (see `matic_fuzz::legs`): the reference
-//! interpreter, the tree-walking ASIP simulator, the linear and native
-//! simulators at full optimization and at the scalar baseline, and the
-//! generated C compiled with `-DMATIC_BOUNDS_CHECK`.
+//! Five legs per program (see `matic_fuzz::legs`): the reference
+//! interpreter, the ASIP simulator at full optimization and at the
+//! scalar baseline, the simulator's tree-walking reference semantics, and
+//! the generated C compiled with `-DMATIC_BOUNDS_CHECK`.
 //!
 //! On top of the original agreement sweep this run:
 //!
