@@ -5,22 +5,39 @@
 //! * the **baseline** runs on unvectorized MIR and therefore produces the
 //!   naive element-at-a-time loops a MATLAB-Coder-class tool emits;
 //! * the **intrinsic** backend runs on vectorized MIR and maps
-//!   [`VectorOp`]s to the target's custom-instruction intrinsics, falling
-//!   back to scalar loops for operations the ISA description does not
-//!   provide (that fallback is what makes the compiler retargetable).
+//!   [`VectorOp`](matic_mir::VectorOp)s to the target's custom-instruction
+//!   intrinsics, falling back to scalar loops for operations the ISA
+//!   description does not provide (that fallback is what makes the
+//!   compiler retargetable).
 //!
 //! Conventions of the generated code: column-major descriptors from
 //! `matic_rt.h`, scratch-pool allocation (no frees), user functions are
 //! `void mt_<name>(inputs..., outputs...)` with outputs as pointers.
+//!
+//! The emitter is split by concern. This module holds the public API,
+//! `Repr` and the per-function emitter core: declarations, parameter
+//! binding, statements and control flow. Its private submodules hold the
+//! rest:
+//!
+//! * `expr` — operand access and the two C tables every path shares: one
+//!   for operators (`binop`, `unop`) and one for element functions
+//!   (`elem_fn`);
+//! * `array` — allocation, element-wise operations, matmul, transpose,
+//!   ranges, literals, indexed loads and stores;
+//! * `builtin` — builtins, reductions, calls and effects;
+//! * `vector` — vector-op intrinsics and their scalar fallback.
+
+mod array;
+mod builtin;
+mod expr;
+mod vector;
 
 use crate::runtime;
-use matic_frontend::ast::{BinOp, UnOp};
+use expr::unop;
+use matic_frontend::ast::BinOp;
 use matic_frontend::span::Span;
 use matic_isa::IsaSpec;
-use matic_mir::{
-    AllocKind, Index, MirFunction, MirProgram, Operand, ReduceKind, Rvalue, Stmt, VarId, VecKind,
-    VecRef, VectorOp,
-};
+use matic_mir::{MirFunction, MirProgram, Operand, Rvalue, Stmt, VarId, VecRef};
 use matic_sema::{Class, Ty};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -35,16 +52,11 @@ pub struct CodegenError {
 }
 
 impl CodegenError {
-    fn new(message: impl Into<String>, span: Span) -> Self {
+    pub(crate) fn new(message: impl Into<String>, span: Span) -> Self {
         CodegenError {
             message: message.into(),
             span,
         }
-    }
-
-    /// Crate-internal constructor used by sibling modules.
-    pub(crate) fn new_public(message: impl Into<String>, span: Span) -> Self {
-        Self::new(message, span)
     }
 }
 
@@ -109,6 +121,22 @@ impl Repr {
             Repr::CxScalar => "matic_cx",
             Repr::RealArr => "matic_arr",
             Repr::CxArr => "matic_carr",
+        }
+    }
+    /// The runtime allocator for a descriptor of this element type.
+    fn alloc_fn(self) -> &'static str {
+        if self.is_cx() {
+            "matic_carr_alloc"
+        } else {
+            "matic_arr_alloc"
+        }
+    }
+    /// The runtime deep copy for a descriptor of this element type.
+    fn clone_fn(self) -> &'static str {
+        if self.is_cx() {
+            "matic_carr_clone"
+        } else {
+            "matic_arr_clone"
         }
     }
 }
@@ -223,6 +251,25 @@ pub(crate) fn c_name(f: &MirFunction, v: VarId) -> String {
     format!("v{}_{}", v.0, safe)
 }
 
+/// Formats an f64 as a C literal that round-trips exactly.
+pub(crate) fn fmt_f64(v: f64) -> String {
+    if v == f64::INFINITY {
+        return "INFINITY".to_string();
+    }
+    if v == f64::NEG_INFINITY {
+        return "-INFINITY".to_string();
+    }
+    if v.is_nan() {
+        return "NAN".to_string();
+    }
+    if v == v.trunc() && v.abs() < 1e15 {
+        format!("{:.1}", v)
+    } else {
+        // {:?} prints the shortest representation that round-trips.
+        format!("{v:?}")
+    }
+}
+
 struct FnEmitter<'a> {
     f: &'a MirFunction,
     spec: &'a IsaSpec,
@@ -273,6 +320,18 @@ impl<'a> FnEmitter<'a> {
         self.out.push('\n');
     }
 
+    /// Emits `text` and indents what follows.
+    fn open(&mut self, text: &str) {
+        self.line(text);
+        self.indent += 1;
+    }
+
+    /// Dedents and emits `text`.
+    fn close(&mut self, text: &str) {
+        self.indent -= 1;
+        self.line(text);
+    }
+
     fn fresh(&mut self, stem: &str) -> String {
         self.tmp += 1;
         format!("mi_{stem}{}", self.tmp)
@@ -313,7 +372,7 @@ impl<'a> FnEmitter<'a> {
         body.push_str(" {\n");
 
         // Declarations.
-        for (i, _info) in self.f.vars.iter().enumerate() {
+        for i in 0..self.f.vars.len() {
             let v = VarId(i as u32);
             if self.strings.contains_key(&v) {
                 continue;
@@ -336,29 +395,18 @@ impl<'a> FnEmitter<'a> {
         for &p in &self.f.params {
             let r = self.repr(p)?;
             let name = c_name(self.f, p);
-            match r {
-                Repr::RealScalar | Repr::CxScalar => {
-                    body.push_str(&format!("    {name} = {name}_in;\n"));
-                }
-                Repr::RealArr => {
-                    if stored.contains(&p) {
-                        body.push_str(&format!("    {name} = matic_arr_clone({name}_in);\n"));
-                    } else {
-                        body.push_str(&format!("    {name} = *{name}_in;\n"));
-                    }
-                }
-                Repr::CxArr => {
-                    if stored.contains(&p) {
-                        body.push_str(&format!("    {name} = matic_carr_clone({name}_in);\n"));
-                    } else {
-                        body.push_str(&format!("    {name} = *{name}_in;\n"));
-                    }
-                }
+            if r.is_scalar() {
+                body.push_str(&format!("    {name} = {name}_in;\n"));
+            } else if stored.contains(&p) {
+                body.push_str(&format!("    {name} = {}({name}_in);\n", r.clone_fn()));
+            } else {
+                body.push_str(&format!("    {name} = *{name}_in;\n"));
             }
         }
         body.push('\n');
 
-        self.emit_stmts(&self.f.body.clone())?;
+        let f = self.f;
+        self.emit_stmts(&f.body)?;
         body.push_str(&self.out);
 
         // Epilogue: write outputs.
@@ -380,80 +428,6 @@ impl<'a> FnEmitter<'a> {
         }
         Ok(())
     }
-
-    // ---- operand expressions --------------------------------------------
-
-    /// C expression for a scalar-valued operand. `want_cx` selects the
-    /// complex representation (reals are wrapped, complex is never
-    /// silently truncated).
-    fn scalar(&self, op: Operand, want_cx: bool, span: Span) -> Result<String, CodegenError> {
-        let raw = match op {
-            Operand::Const(v) => {
-                let lit = fmt_f64(v);
-                return Ok(if want_cx {
-                    format!("cx_make({lit}, 0.0)")
-                } else {
-                    lit
-                });
-            }
-            Operand::ConstC(re, im) => {
-                if !want_cx {
-                    return Err(CodegenError::new(
-                        "complex constant used where a real scalar is required",
-                        span,
-                    ));
-                }
-                return Ok(format!("cx_make({}, {})", fmt_f64(re), fmt_f64(im)));
-            }
-            Operand::Var(v) => {
-                let name = c_name(self.f, v);
-                match self.repr(v)? {
-                    Repr::RealScalar => (name, false),
-                    Repr::CxScalar => (name, true),
-                    // A runtime-scalar held in a descriptor.
-                    Repr::RealArr => (format!("{name}.data[0]"), false),
-                    Repr::CxArr => (format!("{name}.data[0]"), true),
-                }
-            }
-        };
-        let (expr, is_cx) = raw;
-        Ok(match (is_cx, want_cx) {
-            (false, true) => format!("cx_make({expr}, 0.0)"),
-            (true, false) => {
-                return Err(CodegenError::new(
-                    "complex value used where a real scalar is required",
-                    span,
-                ))
-            }
-            _ => expr,
-        })
-    }
-
-    /// C int expression for an index operand (1-based MATLAB value).
-    fn index0(&self, op: Operand, span: Span) -> Result<String, CodegenError> {
-        Ok(format!("((int)({}) - 1)", self.scalar(op, false, span)?))
-    }
-
-    /// Truthiness test of an operand.
-    fn truthy(&mut self, op: Operand, span: Span) -> Result<String, CodegenError> {
-        match self.op_repr(op)? {
-            Repr::RealScalar => Ok(format!("({} != 0.0)", self.scalar(op, false, span)?)),
-            Repr::CxScalar => {
-                let e = self.scalar(op, true, span)?;
-                Ok(format!("({e}.re != 0.0 || {e}.im != 0.0)"))
-            }
-            Repr::RealArr => {
-                let v = self.array_var(op, span)?;
-                Ok(format!("matic_all(&{})", c_name(self.f, v)))
-            }
-            Repr::CxArr => {
-                let v = self.array_var(op, span)?;
-                Ok(format!("matic_call(&{})", c_name(self.f, v)))
-            }
-        }
-    }
-
-    // ---- statements -------------------------------------------------------
 
     fn emit_stmt(&mut self, stmt: &Stmt) -> Result<(), CodegenError> {
         match stmt {
@@ -479,19 +453,14 @@ impl<'a> FnEmitter<'a> {
                 ..
             } => {
                 let c = self.truthy(*cond, Span::dummy())?;
-                self.line(&format!("if ({c}) {{"));
-                self.indent += 1;
+                self.open(&format!("if ({c}) {{"));
                 self.emit_stmts(then_body)?;
-                self.indent -= 1;
-                if else_body.is_empty() {
-                    self.line("}");
-                } else {
-                    self.line("} else {");
+                if !else_body.is_empty() {
+                    self.close("} else {");
                     self.indent += 1;
                     self.emit_stmts(else_body)?;
-                    self.indent -= 1;
-                    self.line("}");
                 }
+                self.close("}");
                 Ok(())
             }
             Stmt::For {
@@ -502,30 +471,18 @@ impl<'a> FnEmitter<'a> {
                 body,
                 ..
             } => {
-                let span = Span::dummy();
                 let vname = c_name(self.f, *var);
-                let s = self.scalar(*start, false, span)?;
-                let st = self.scalar(*step, false, span)?;
-                let e = self.scalar(*stop, false, span)?;
-                let n = self.fresh("n");
-                let k = self.fresh("k");
-                let s_var = self.fresh("s");
-                let st_var = self.fresh("st");
-                self.line("{");
-                self.indent += 1;
-                self.line(&format!("double {s_var} = {s}, {st_var} = {st};"));
-                self.line(&format!(
-                    "int {n} = ({st_var} == 0.0) ? 0 : (int)floor((({e}) - {s_var}) / {st_var} + 1e-10) + 1;"
-                ));
+                let t = self.open_trip_count(*start, *step, *stop, "k", false, Span::dummy())?;
+                let k = &t.counter;
                 self.line(&format!("int {k};"));
-                self.line(&format!("for ({k} = 0; {k} < {n}; ++{k}) {{"));
-                self.indent += 1;
-                self.line(&format!("{vname} = {s_var} + {st_var} * (double){k};"));
+                self.open(&format!("for ({k} = 0; {k} < {}; ++{k}) {{", t.n));
+                self.line(&format!(
+                    "{vname} = {} + {} * (double){k};",
+                    t.start, t.step
+                ));
                 self.emit_stmts(body)?;
-                self.indent -= 1;
-                self.line("}");
-                self.indent -= 1;
-                self.line("}");
+                self.close("}");
+                self.close("}");
                 Ok(())
             }
             Stmt::While {
@@ -534,14 +491,12 @@ impl<'a> FnEmitter<'a> {
                 body,
                 ..
             } => {
-                self.line("for (;;) {");
-                self.indent += 1;
+                self.open("for (;;) {");
                 self.emit_stmts(cond_defs)?;
                 let c = self.truthy(*cond, Span::dummy())?;
                 self.line(&format!("if (!{c}) break;"));
                 self.emit_stmts(body)?;
-                self.indent -= 1;
-                self.line("}");
+                self.close("}");
                 Ok(())
             }
             Stmt::Break(_) => {
@@ -568,100 +523,32 @@ impl<'a> FnEmitter<'a> {
         let drepr = self.repr(dst)?;
         match rv {
             Rvalue::Use(op) => self.emit_assign(dst, *op, span),
-            Rvalue::Unary { op, a } => match drepr {
-                Repr::RealScalar => {
-                    let e = self.scalar(*a, false, span)?;
-                    let expr = match op {
-                        UnOp::Neg => format!("-({e})"),
-                        UnOp::Plus => e,
-                        UnOp::Not => format!("(({e}) == 0.0 ? 1.0 : 0.0)"),
-                    };
-                    self.line(&format!("{dname} = {expr};"));
-                    Ok(())
-                }
-                Repr::CxScalar => {
-                    let e = self.scalar(*a, true, span)?;
-                    let expr = match op {
-                        UnOp::Neg => format!("cx_neg({e})"),
-                        UnOp::Plus => e,
-                        UnOp::Not => return Err(CodegenError::new("`~` on complex value", span)),
-                    };
-                    self.line(&format!("{dname} = {expr};"));
-                    Ok(())
-                }
-                _ => self.emit_elementwise_unary(dst, *op, *a, span),
-            },
+            Rvalue::Unary { op, a } if drepr.is_scalar() => {
+                let e = self.scalar(*a, drepr.is_cx(), span)?;
+                let expr = unop(*op, &e, drepr.is_cx(), span)?;
+                self.line(&format!("{dname} = {expr};"));
+                Ok(())
+            }
+            Rvalue::Unary { op, a } => self.emit_elementwise_unary(dst, *op, *a, span),
             Rvalue::Binary { op, a, b } => {
-                if drepr.is_scalar()
-                    && self.op_repr(*a)?.is_scalar()
-                    && self.op_repr(*b)?.is_scalar()
-                {
-                    let expr = self.scalar_binop(*op, *a, *b, drepr.is_cx(), span)?;
+                let (ra, rb) = (self.op_repr(*a)?, self.op_repr(*b)?);
+                if drepr.is_scalar() && ra.is_scalar() && rb.is_scalar() {
+                    let expr = self.binop_at(*op, *a, *b, "0", drepr.is_cx(), span)?;
                     self.line(&format!("{dname} = {expr};"));
                     Ok(())
-                } else if matches!(op, BinOp::MatMul)
-                    && !self.op_repr(*a)?.is_scalar()
-                    && !self.op_repr(*b)?.is_scalar()
-                {
+                } else if matches!(op, BinOp::MatMul) && !ra.is_scalar() && !rb.is_scalar() {
                     self.emit_matmul(dst, *a, *b, span)
                 } else {
-                    self.emit_elementwise_binary(dst, *op, *a, *b, span)
+                    let want_cx = drepr.is_cx();
+                    self.emit_zip(dst, *a, *b, span, |em, i| {
+                        em.binop_at(*op, *a, *b, i, want_cx, span)
+                    })
                 }
             }
             Rvalue::Transpose { a, conjugate } => self.emit_transpose(dst, *a, *conjugate, span),
             Rvalue::Index { array, indices } => self.emit_index_load(dst, *array, indices, span),
             Rvalue::Range { start, step, stop } => self.emit_range(dst, *start, *step, *stop, span),
-            Rvalue::Alloc { kind, rows, cols } => {
-                let r = self.scalar(*rows, false, span)?;
-                let c = self.scalar(*cols, false, span)?;
-                let alloc = match drepr {
-                    Repr::RealArr => "matic_arr_alloc",
-                    Repr::CxArr => "matic_carr_alloc",
-                    _ => {
-                        // zeros(1,1) etc. assigned to a scalar register.
-                        let z = match drepr {
-                            Repr::RealScalar => "0.0".to_string(),
-                            _ => "cx_make(0.0, 0.0)".to_string(),
-                        };
-                        let v = match kind {
-                            AllocKind::Zeros => z,
-                            AllocKind::Ones | AllocKind::Eye => match drepr {
-                                Repr::RealScalar => "1.0".to_string(),
-                                _ => "cx_make(1.0, 0.0)".to_string(),
-                            },
-                        };
-                        self.line(&format!("{dname} = {v};"));
-                        return Ok(());
-                    }
-                };
-                self.line(&format!("{dname} = {alloc}((int)({r}), (int)({c}));"));
-                match kind {
-                    AllocKind::Zeros => {}
-                    AllocKind::Ones => {
-                        let i = self.fresh("i");
-                        let one = if drepr.is_cx() {
-                            "cx_make(1.0, 0.0)"
-                        } else {
-                            "1.0"
-                        };
-                        self.line(&format!(
-                            "{{ int {i}; for ({i} = 0; {i} < {dname}.rows * {dname}.cols; ++{i}) {dname}.data[{i}] = {one}; }}"
-                        ));
-                    }
-                    AllocKind::Eye => {
-                        let i = self.fresh("i");
-                        let one = if drepr.is_cx() {
-                            "cx_make(1.0, 0.0)"
-                        } else {
-                            "1.0"
-                        };
-                        self.line(&format!(
-                            "{{ int {i}; for ({i} = 0; {i} < ({dname}.rows < {dname}.cols ? {dname}.rows : {dname}.cols); ++{i}) {dname}.data[{i} * {dname}.rows + {i}] = {one}; }}"
-                        ));
-                    }
-                }
-                Ok(())
-            }
+            Rvalue::Alloc { kind, rows, cols } => self.emit_alloc(dst, *kind, *rows, *cols, span),
             Rvalue::Builtin { name, args } => self.emit_builtin(dst, name, args, span),
             Rvalue::Call { func, args } => {
                 let call = self.user_call_expr(func, args, &[Some(dst)], span)?;
@@ -686,22 +573,13 @@ impl<'a> FnEmitter<'a> {
             }
             (Repr::RealArr, Repr::RealArr) | (Repr::CxArr, Repr::CxArr) => {
                 let v = self.array_var(op, span)?;
-                let clone = if drepr.is_cx() {
-                    "matic_carr_clone"
-                } else {
-                    "matic_arr_clone"
-                };
+                let clone = drepr.clone_fn();
                 self.line(&format!("{dname} = {clone}(&{});", c_name(self.f, v)));
             }
             // Scalar stored into an array-represented register: 1x1.
-            (Repr::RealArr, s) if s.is_scalar() => {
-                let e = self.scalar(op, false, span)?;
-                self.line(&format!("{dname} = matic_arr_alloc(1, 1);"));
-                self.line(&format!("{dname}.data[0] = {e};"));
-            }
-            (Repr::CxArr, s) if s.is_scalar() => {
-                let e = self.scalar(op, true, span)?;
-                self.line(&format!("{dname} = matic_carr_alloc(1, 1);"));
+            (d, s) if s.is_scalar() => {
+                let e = self.scalar(op, d.is_cx(), span)?;
+                self.alloc(&dname, d, "1", "1");
                 self.line(&format!("{dname}.data[0] = {e};"));
             }
             // Real array into complex array: widen.
@@ -709,12 +587,13 @@ impl<'a> FnEmitter<'a> {
                 let v = self.array_var(op, span)?;
                 let sname = c_name(self.f, v);
                 let i = self.fresh("i");
-                self.line(&format!(
-                    "{dname} = matic_carr_alloc({sname}.rows, {sname}.cols);"
-                ));
-                self.line(&format!(
-                    "{{ int {i}; for ({i} = 0; {i} < {sname}.rows * {sname}.cols; ++{i}) {dname}.data[{i}] = cx_make({sname}.data[{i}], 0.0); }}"
-                ));
+                self.alloc_like(&dname, drepr, &sname);
+                self.fill(
+                    &dname,
+                    &i,
+                    &format!("{sname}.rows * {sname}.cols"),
+                    &format!("cx_make({sname}.data[{i}], 0.0)"),
+                );
             }
             _ => {
                 return Err(CodegenError::new(
@@ -725,522 +604,7 @@ impl<'a> FnEmitter<'a> {
         }
         Ok(())
     }
-
-    fn scalar_binop(
-        &self,
-        op: BinOp,
-        a: Operand,
-        b: Operand,
-        want_cx: bool,
-        span: Span,
-    ) -> Result<String, CodegenError> {
-        let any_cx = self.op_repr(a)?.is_cx() || self.op_repr(b)?.is_cx();
-        if any_cx || (want_cx && !op.is_comparison()) {
-            let ea = self.scalar(a, true, span)?;
-            let eb = self.scalar(b, true, span)?;
-            let expr = match op {
-                BinOp::Add => format!("cx_add({ea}, {eb})"),
-                BinOp::Sub => format!("cx_sub({ea}, {eb})"),
-                BinOp::ElemMul | BinOp::MatMul => format!("cx_mul({ea}, {eb})"),
-                BinOp::ElemDiv | BinOp::MatDiv => format!("cx_div({ea}, {eb})"),
-                BinOp::ElemLeftDiv | BinOp::MatLeftDiv => format!("cx_div({eb}, {ea})"),
-                BinOp::ElemPow | BinOp::MatPow => format!("cx_pow({ea}, {eb})"),
-                BinOp::Eq => {
-                    return Ok(format!(
-                        "(({ea}.re == {eb}.re && {ea}.im == {eb}.im) ? 1.0 : 0.0)"
-                    ))
-                }
-                BinOp::Ne => {
-                    return Ok(format!(
-                        "(({ea}.re != {eb}.re || {ea}.im != {eb}.im) ? 1.0 : 0.0)"
-                    ))
-                }
-                BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                    let c = match op {
-                        BinOp::Lt => "<",
-                        BinOp::Le => "<=",
-                        BinOp::Gt => ">",
-                        _ => ">=",
-                    };
-                    return Ok(format!("(({ea}.re {c} {eb}.re) ? 1.0 : 0.0)"));
-                }
-                _ => {
-                    return Err(CodegenError::new(
-                        format!("operator `{op}` on complex scalars"),
-                        span,
-                    ))
-                }
-            };
-            // When the destination is real but operands were complex this
-            // would silently truncate; the repr check upstream prevents it.
-            if !want_cx {
-                return Err(CodegenError::new(
-                    "complex result assigned to real destination",
-                    span,
-                ));
-            }
-            return Ok(expr);
-        }
-        let ea = self.scalar(a, false, span)?;
-        let eb = self.scalar(b, false, span)?;
-        let expr = match op {
-            BinOp::Add => format!("({ea} + {eb})"),
-            BinOp::Sub => format!("({ea} - {eb})"),
-            BinOp::ElemMul | BinOp::MatMul => format!("({ea} * {eb})"),
-            BinOp::ElemDiv | BinOp::MatDiv => format!("({ea} / {eb})"),
-            BinOp::ElemLeftDiv | BinOp::MatLeftDiv => format!("({eb} / {ea})"),
-            BinOp::ElemPow | BinOp::MatPow => format!("pow({ea}, {eb})"),
-            BinOp::Eq => format!("(({ea} == {eb}) ? 1.0 : 0.0)"),
-            BinOp::Ne => format!("(({ea} != {eb}) ? 1.0 : 0.0)"),
-            BinOp::Lt => format!("(({ea} < {eb}) ? 1.0 : 0.0)"),
-            BinOp::Le => format!("(({ea} <= {eb}) ? 1.0 : 0.0)"),
-            BinOp::Gt => format!("(({ea} > {eb}) ? 1.0 : 0.0)"),
-            BinOp::Ge => format!("(({ea} >= {eb}) ? 1.0 : 0.0)"),
-            BinOp::And => format!("((({ea}) != 0.0 && ({eb}) != 0.0) ? 1.0 : 0.0)"),
-            BinOp::Or => format!("((({ea}) != 0.0 || ({eb}) != 0.0) ? 1.0 : 0.0)"),
-            BinOp::AndAnd | BinOp::OrOr => {
-                return Err(CodegenError::new(
-                    "short-circuit operator reached codegen (should be lowered)",
-                    span,
-                ))
-            }
-        };
-        let _ = want_cx;
-        Ok(expr)
-    }
-
-    /// The register behind an array-represented operand.
-    ///
-    /// Array reprs are only ever assigned to registers, so a constant here
-    /// means the repr analysis and the emitter disagree — reported as a
-    /// structured error instead of a panic.
-    fn array_var(&self, op: Operand, span: Span) -> Result<VarId, CodegenError> {
-        op.as_var()
-            .ok_or_else(|| CodegenError::new("array-valued operand is not a register", span))
-    }
-
-    /// Element access for an operand inside an element-wise loop (`i` is
-    /// the 0-based linear element index); scalars broadcast.
-    fn elem(
-        &self,
-        op: Operand,
-        i: &str,
-        want_cx: bool,
-        span: Span,
-    ) -> Result<String, CodegenError> {
-        let r = self.op_repr(op)?;
-        if r.is_scalar() {
-            return self.scalar(op, want_cx, span);
-        }
-        let v = self.array_var(op, span)?;
-        let name = c_name(self.f, v);
-        // 1x1 runtime values held in descriptors broadcast to index 0;
-        // for same-size arrays the compiler emits a dimension check first
-        // and any remaining out-of-range lane traps instead of wrapping.
-        let e = format!("{name}.data[matic_bcast({i}, {name}.rows * {name}.cols, \"{name}\")]");
-        Ok(match (r.is_cx(), want_cx) {
-            (false, true) => format!("cx_make({e}, 0.0)"),
-            (true, false) => {
-                return Err(CodegenError::new(
-                    "complex array element used as real",
-                    span,
-                ))
-            }
-            _ => e,
-        })
-    }
-
-    fn numel_expr(&self, op: Operand) -> Option<String> {
-        let v = op.as_var()?;
-        let r = self.repr(v).ok()?;
-        if r.is_scalar() {
-            return None;
-        }
-        let name = c_name(self.f, v);
-        Some(format!("({name}.rows * {name}.cols)"))
-    }
-
-    fn emit_elementwise_binary(
-        &mut self,
-        dst: VarId,
-        op: BinOp,
-        a: Operand,
-        b: Operand,
-        span: Span,
-    ) -> Result<(), CodegenError> {
-        let dname = c_name(self.f, dst);
-        let drepr = self.repr(dst)?;
-        let na = self.numel_expr(a);
-        let nb = self.numel_expr(b);
-        let (like, n) = match (&na, &nb) {
-            (Some(_), Some(_nb_e)) => {
-                // Dimension agreement check (scalar 1x1 descriptors pass
-                // via broadcast below).
-                let av = self.array_var(a, span)?;
-                let bv = self.array_var(b, span)?;
-                let an = c_name(self.f, av);
-                let bn = c_name(self.f, bv);
-                self.line(&format!(
-                    "if (!({an}.rows * {an}.cols == 1 || {bn}.rows * {bn}.cols == 1 || ({an}.rows == {bn}.rows && {an}.cols == {bn}.cols))) matic_fatal(\"matrix dimensions must agree\");"
-                ));
-                let like =
-                    format!("({an}.rows * {an}.cols >= {bn}.rows * {bn}.cols ? {an} : {bn})");
-                (like, format!("({an}.rows * {an}.cols >= {bn}.rows * {bn}.cols ? {an}.rows * {an}.cols : {bn}.rows * {bn}.cols)"))
-            }
-            (Some(_), None) => {
-                let av = self.array_var(a, span)?;
-                let an = c_name(self.f, av);
-                (an.clone(), format!("({an}.rows * {an}.cols)"))
-            }
-            (None, Some(_)) => {
-                let bv = self.array_var(b, span)?;
-                let bn = c_name(self.f, bv);
-                (bn.clone(), format!("({bn}.rows * {bn}.cols)"))
-            }
-            (None, None) => {
-                return Err(CodegenError::new(
-                    "element-wise operation without array operand",
-                    span,
-                ))
-            }
-        };
-        let alloc = if drepr.is_cx() {
-            "matic_carr_alloc"
-        } else {
-            "matic_arr_alloc"
-        };
-        self.line(&format!("{dname} = {alloc}({like}.rows, {like}.cols);"));
-        let i = self.fresh("i");
-        self.line(&format!("{{ int {i};"));
-        self.indent += 1;
-        self.line(&format!("for ({i} = 0; {i} < {n}; ++{i}) {{"));
-        self.indent += 1;
-        let want_cx = drepr.is_cx();
-        let expr = self.elem_binop(op, a, b, &i, want_cx, span)?;
-        self.line(&format!("{dname}.data[{i}] = {expr};"));
-        self.indent -= 1;
-        self.line("}");
-        self.indent -= 1;
-        self.line("}");
-        Ok(())
-    }
-
-    fn elem_binop(
-        &self,
-        op: BinOp,
-        a: Operand,
-        b: Operand,
-        i: &str,
-        want_cx: bool,
-        span: Span,
-    ) -> Result<String, CodegenError> {
-        if want_cx {
-            let ea = self.elem(a, i, true, span)?;
-            let eb = self.elem(b, i, true, span)?;
-            Ok(match op {
-                BinOp::Add => format!("cx_add({ea}, {eb})"),
-                BinOp::Sub => format!("cx_sub({ea}, {eb})"),
-                BinOp::ElemMul | BinOp::MatMul => format!("cx_mul({ea}, {eb})"),
-                BinOp::ElemDiv | BinOp::MatDiv => format!("cx_div({ea}, {eb})"),
-                BinOp::ElemLeftDiv | BinOp::MatLeftDiv => format!("cx_div({eb}, {ea})"),
-                BinOp::ElemPow | BinOp::MatPow => format!("cx_pow({ea}, {eb})"),
-                _ => {
-                    return Err(CodegenError::new(
-                        format!("complex element-wise `{op}` unsupported"),
-                        span,
-                    ))
-                }
-            })
-        } else {
-            let ea = self.elem(a, i, false, span)?;
-            let eb = self.elem(b, i, false, span)?;
-            Ok(match op {
-                BinOp::Add => format!("({ea} + {eb})"),
-                BinOp::Sub => format!("({ea} - {eb})"),
-                BinOp::ElemMul | BinOp::MatMul => format!("({ea} * {eb})"),
-                BinOp::ElemDiv | BinOp::MatDiv => format!("({ea} / {eb})"),
-                BinOp::ElemLeftDiv | BinOp::MatLeftDiv => format!("({eb} / {ea})"),
-                BinOp::ElemPow | BinOp::MatPow => format!("pow({ea}, {eb})"),
-                BinOp::Eq => format!("(({ea} == {eb}) ? 1.0 : 0.0)"),
-                BinOp::Ne => format!("(({ea} != {eb}) ? 1.0 : 0.0)"),
-                BinOp::Lt => format!("(({ea} < {eb}) ? 1.0 : 0.0)"),
-                BinOp::Le => format!("(({ea} <= {eb}) ? 1.0 : 0.0)"),
-                BinOp::Gt => format!("(({ea} > {eb}) ? 1.0 : 0.0)"),
-                BinOp::Ge => format!("(({ea} >= {eb}) ? 1.0 : 0.0)"),
-                BinOp::And => format!("((({ea}) != 0.0 && ({eb}) != 0.0) ? 1.0 : 0.0)"),
-                BinOp::Or => format!("((({ea}) != 0.0 || ({eb}) != 0.0) ? 1.0 : 0.0)"),
-                _ => {
-                    return Err(CodegenError::new(
-                        format!("element-wise `{op}` unsupported"),
-                        span,
-                    ))
-                }
-            })
-        }
-    }
-
-    fn emit_elementwise_unary(
-        &mut self,
-        dst: VarId,
-        op: UnOp,
-        a: Operand,
-        span: Span,
-    ) -> Result<(), CodegenError> {
-        let dname = c_name(self.f, dst);
-        let drepr = self.repr(dst)?;
-        let Some(n) = self.numel_expr(a) else {
-            return Err(CodegenError::new("unary array op on scalar", span));
-        };
-        let av = self.array_var(a, span)?;
-        let an = c_name(self.f, av);
-        let alloc = if drepr.is_cx() {
-            "matic_carr_alloc"
-        } else {
-            "matic_arr_alloc"
-        };
-        self.line(&format!("{dname} = {alloc}({an}.rows, {an}.cols);"));
-        let i = self.fresh("i");
-        let expr = match (op, drepr.is_cx()) {
-            (UnOp::Neg, false) => format!("-({})", self.elem(a, &i, false, span)?),
-            (UnOp::Neg, true) => format!("cx_neg({})", self.elem(a, &i, true, span)?),
-            (UnOp::Plus, false) => self.elem(a, &i, false, span)?,
-            (UnOp::Plus, true) => self.elem(a, &i, true, span)?,
-            (UnOp::Not, false) => {
-                format!("(({}) == 0.0 ? 1.0 : 0.0)", self.elem(a, &i, false, span)?)
-            }
-            (UnOp::Not, true) => return Err(CodegenError::new("`~` on complex array", span)),
-        };
-        self.line(&format!(
-            "{{ int {i}; for ({i} = 0; {i} < {n}; ++{i}) {dname}.data[{i}] = {expr}; }}"
-        ));
-        Ok(())
-    }
-
-    fn emit_matmul(
-        &mut self,
-        dst: VarId,
-        a: Operand,
-        b: Operand,
-        span: Span,
-    ) -> Result<(), CodegenError> {
-        let dname = c_name(self.f, dst);
-        let drepr = self.repr(dst)?;
-        let av = a
-            .as_var()
-            .ok_or_else(|| CodegenError::new("matmul operand", span))?;
-        let bv = b
-            .as_var()
-            .ok_or_else(|| CodegenError::new("matmul operand", span))?;
-        let an = c_name(self.f, av);
-        let bn = c_name(self.f, bv);
-        self.line(&format!(
-            "if ({an}.cols != {bn}.rows) matic_fatal(\"inner matrix dimensions must agree\");"
-        ));
-        let alloc = if drepr.is_cx() {
-            "matic_carr_alloc"
-        } else {
-            "matic_arr_alloc"
-        };
-        self.line(&format!("{dname} = {alloc}({an}.rows, {bn}.cols);"));
-        let (i, j, k) = (self.fresh("i"), self.fresh("j"), self.fresh("k"));
-        self.line(&format!("{{ int {i}, {j}, {k};"));
-        self.indent += 1;
-        self.line(&format!("for ({j} = 0; {j} < {bn}.cols; ++{j})"));
-        self.line(&format!("for ({k} = 0; {k} < {an}.cols; ++{k})"));
-        self.line(&format!("for ({i} = 0; {i} < {an}.rows; ++{i})"));
-        if drepr.is_cx() {
-            let ea = self.cast_elem(av, &format!("{k} * {an}.rows + {i}"), true)?;
-            let eb = self.cast_elem(bv, &format!("{j} * {bn}.rows + {k}"), true)?;
-            self.line(&format!(
-                "    {dname}.data[{j} * {dname}.rows + {i}] = cx_add({dname}.data[{j} * {dname}.rows + {i}], cx_mul({ea}, {eb}));"
-            ));
-        } else {
-            self.line(&format!(
-                "    {dname}.data[{j} * {dname}.rows + {i}] += {an}.data[{k} * {an}.rows + {i}] * {bn}.data[{j} * {bn}.rows + {k}];"
-            ));
-        }
-        self.indent -= 1;
-        self.line("}");
-        Ok(())
-    }
-
-    /// Element of array `v` at C index expression `idx`, coerced to
-    /// complex when asked.
-    fn cast_elem(&self, v: VarId, idx: &str, want_cx: bool) -> Result<String, CodegenError> {
-        let name = c_name(self.f, v);
-        let e = format!("{name}.data[{idx}]");
-        let is_cx = self.repr(v)?.is_cx();
-        Ok(match (is_cx, want_cx) {
-            (false, true) => format!("cx_make({e}, 0.0)"),
-            (true, false) => {
-                return Err(CodegenError::new(
-                    "complex element used as real",
-                    Span::dummy(),
-                ))
-            }
-            _ => e,
-        })
-    }
-
-    fn emit_transpose(
-        &mut self,
-        dst: VarId,
-        a: Operand,
-        conjugate: bool,
-        span: Span,
-    ) -> Result<(), CodegenError> {
-        let drepr = self.repr(dst)?;
-        let dname = c_name(self.f, dst);
-        if drepr.is_scalar() {
-            // Transpose of a scalar: conj for `'`.
-            let e = self.scalar(a, drepr.is_cx(), span)?;
-            if drepr.is_cx() && conjugate {
-                self.line(&format!("{dname} = cx_conj({e});"));
-            } else {
-                self.line(&format!("{dname} = {e};"));
-            }
-            return Ok(());
-        }
-        let av = a
-            .as_var()
-            .ok_or_else(|| CodegenError::new("transpose of constant", span))?;
-        let an = c_name(self.f, av);
-        let alloc = if drepr.is_cx() {
-            "matic_carr_alloc"
-        } else {
-            "matic_arr_alloc"
-        };
-        self.line(&format!("{dname} = {alloc}({an}.cols, {an}.rows);"));
-        let (i, j) = (self.fresh("i"), self.fresh("j"));
-        let src = self.cast_elem(av, &format!("{j} * {an}.rows + {i}"), drepr.is_cx())?;
-        let val = if drepr.is_cx() && conjugate {
-            format!("cx_conj({src})")
-        } else {
-            src
-        };
-        self.line(&format!(
-            "{{ int {i}, {j}; for ({j} = 0; {j} < {an}.cols; ++{j}) for ({i} = 0; {i} < {an}.rows; ++{i}) {dname}.data[{i} * {dname}.rows + {j}] = {val}; }}"
-        ));
-        Ok(())
-    }
-
-    fn emit_range(
-        &mut self,
-        dst: VarId,
-        start: Operand,
-        step: Operand,
-        stop: Operand,
-        span: Span,
-    ) -> Result<(), CodegenError> {
-        let dname = c_name(self.f, dst);
-        let drepr = self.repr(dst)?;
-        if drepr.is_cx() {
-            return Err(CodegenError::new("complex range", span));
-        }
-        let s = self.scalar(start, false, span)?;
-        let st = self.scalar(step, false, span)?;
-        let e = self.scalar(stop, false, span)?;
-        let n = self.fresh("n");
-        let i = self.fresh("i");
-        let sv = self.fresh("s");
-        let stv = self.fresh("st");
-        self.line("{");
-        self.indent += 1;
-        self.line(&format!("double {sv} = {s}, {stv} = {st};"));
-        self.line(&format!(
-            "int {n} = ({stv} == 0.0) ? 0 : (int)floor((({e}) - {sv}) / {stv} + 1e-10) + 1;"
-        ));
-        self.line(&format!("if ({n} < 0) {n} = 0;"));
-        self.line(&format!("{dname} = matic_arr_alloc(1, {n});"));
-        self.line(&format!(
-            "{{ int {i}; for ({i} = 0; {i} < {n}; ++{i}) {dname}.data[{i}] = {sv} + {stv} * (double){i}; }}"
-        ));
-        self.indent -= 1;
-        self.line("}");
-        Ok(())
-    }
-
-    fn emit_matrix_lit(
-        &mut self,
-        dst: VarId,
-        rows: &[Vec<Operand>],
-        span: Span,
-    ) -> Result<(), CodegenError> {
-        let dname = c_name(self.f, dst);
-        let drepr = self.repr(dst)?;
-        if rows.is_empty() {
-            let alloc = if drepr.is_cx() {
-                "matic_carr_alloc"
-            } else {
-                "matic_arr_alloc"
-            };
-            self.line(&format!("{dname} = {alloc}(0, 0);"));
-            return Ok(());
-        }
-        // Scalar-element literals only (the common kernel case); anything
-        // else must have been handled upstream.
-        for row in rows {
-            for o in row {
-                if !self.op_repr(*o)?.is_scalar() {
-                    return Err(CodegenError::new(
-                        "matrix literal with non-scalar elements is not supported by the C backend",
-                        span,
-                    ));
-                }
-            }
-        }
-        let nrows = rows.len();
-        let ncols = rows[0].len();
-        if rows.iter().any(|r| r.len() != ncols) {
-            return Err(CodegenError::new("ragged matrix literal", span));
-        }
-        if drepr.is_scalar() {
-            let e = self.scalar(rows[0][0], drepr.is_cx(), span)?;
-            self.line(&format!("{dname} = {e};"));
-            return Ok(());
-        }
-        let alloc = if drepr.is_cx() {
-            "matic_carr_alloc"
-        } else {
-            "matic_arr_alloc"
-        };
-        self.line(&format!("{dname} = {alloc}({nrows}, {ncols});"));
-        for (r, row) in rows.iter().enumerate() {
-            for (c, o) in row.iter().enumerate() {
-                let e = self.scalar(*o, drepr.is_cx(), span)?;
-                self.line(&format!("{dname}.data[{}] = {e};", c * nrows + r));
-            }
-        }
-        Ok(())
-    }
-
-    // (continued in emit2.rs include) --------------------------------------
 }
-
-pub(crate) use fmt_f64_impl::fmt_f64;
-
-mod fmt_f64_impl {
-    /// Formats an f64 as a C literal that round-trips exactly.
-    pub fn fmt_f64(v: f64) -> String {
-        if v == f64::INFINITY {
-            return "INFINITY".to_string();
-        }
-        if v == f64::NEG_INFINITY {
-            return "-INFINITY".to_string();
-        }
-        if v.is_nan() {
-            return "NAN".to_string();
-        }
-        if v == v.trunc() && v.abs() < 1e15 {
-            format!("{:.1}", v)
-        } else {
-            // {:?} prints the shortest representation that round-trips.
-            format!("{v:?}")
-        }
-    }
-}
-
-include!("emit_part2.rs");
 
 #[cfg(test)]
 mod tests {

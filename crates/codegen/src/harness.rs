@@ -178,7 +178,7 @@ impl Harness {
         repeat: usize,
     ) -> Result<String, CodegenError> {
         if inputs.len() != func.params.len() {
-            return Err(CodegenError::new_public(
+            return Err(CodegenError::new(
                 format!(
                     "harness: {} inputs for {} parameters",
                     inputs.len(),
@@ -196,7 +196,7 @@ impl Harness {
             match (repr.is_scalar(), repr.is_cx()) {
                 (true, false) => {
                     if val.is_complex() {
-                        return Err(CodegenError::new_public(
+                        return Err(CodegenError::new(
                             format!("harness: complex input {k} for real parameter"),
                             Span::dummy(),
                         ));
@@ -216,7 +216,7 @@ impl Harness {
                 }
                 (false, false) => {
                     if val.is_complex() {
-                        return Err(CodegenError::new_public(
+                        return Err(CodegenError::new(
                             format!("harness: complex input {k} for real array parameter"),
                             Span::dummy(),
                         ));

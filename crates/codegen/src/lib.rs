@@ -12,6 +12,13 @@
 //!   target's parameterized [ISA description](matic_isa), with scalar
 //!   fallback for anything the target lacks.
 //!
+//! The emitter ([`emit`]) is split by concern: operand access and the
+//! shared C tables (one for operators, one for element functions such as
+//! `abs`, `sqrt`, `conj` and `angle`), array operations, builtins and
+//! reductions, and vector operations. Scalar statements, element-wise
+//! array loops and the vector-op scalar fallback all spell an operation
+//! through the same table entry, so they cannot disagree.
+//!
 //! Generated modules are self-contained: `matic_rt.h` (descriptors +
 //! scratch allocator) and `matic_intrinsics.h` (portable intrinsic
 //! definitions) are emitted alongside, so the output compiles with any

@@ -3,10 +3,12 @@
 //! executed, and its outputs compared against the reference interpreter —
 //! for every benchmark, at both optimization levels.
 //!
-//! Skipped gracefully when no C compiler is installed.
+//! Skipped gracefully when no C compiler is installed, unless
+//! `MATIC_FUZZ_REQUIRE_C=1` asks for the host-C leg to be mandatory.
 
+use matic::{arg, Class, Interpreter, Shape, Ty};
 use matic::{CValue, Compiler, Harness, OptLevel};
-use matic_benchkit::{outputs_close, SUITE};
+use matic_benchkit::{from_interp, outputs_close, to_interp, SUITE};
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -18,6 +20,20 @@ fn cc() -> Option<&'static str> {
             .map(|o| o.status.success())
             .unwrap_or(false)
     })
+}
+
+/// The host C compiler, or `None` to skip the test. With
+/// `MATIC_FUZZ_REQUIRE_C=1` a missing compiler fails instead.
+fn cc_or_skip() -> Option<&'static str> {
+    let found = cc();
+    if found.is_none() {
+        assert!(
+            std::env::var("MATIC_FUZZ_REQUIRE_C").map_or(true, |v| v != "1"),
+            "no C compiler found, and MATIC_FUZZ_REQUIRE_C=1 requires one"
+        );
+        eprintln!("skipping: no C compiler found");
+    }
+    found
 }
 
 fn test_size(id: &str) -> usize {
@@ -80,8 +96,7 @@ fn run_c_kernel(
 
 #[test]
 fn generated_c_matches_interpreter_for_every_benchmark() {
-    let Some(compiler) = cc() else {
-        eprintln!("skipping: no C compiler found");
+    let Some(compiler) = cc_or_skip() else {
         return;
     };
     for b in SUITE {
@@ -105,8 +120,7 @@ fn generated_c_matches_interpreter_for_every_benchmark() {
 fn generated_c_is_target_portable() {
     // The same kernel generated for different ISA descriptions must all
     // compile and agree — the retargetability claim, checked end to end.
-    let Some(compiler) = cc() else {
-        eprintln!("skipping: no C compiler found");
+    let Some(compiler) = cc_or_skip() else {
         return;
     };
     let b = matic_benchkit::benchmark("cmult").expect("cmult exists");
@@ -132,4 +146,118 @@ fn generated_c_is_target_portable() {
         let outs = run_c_kernel(&compiled, &inputs, &format!("retarget_{name}"), compiler);
         outputs_close(&outs[0], expected, 1e-9).unwrap_or_else(|e| panic!("{name}: {e}"));
     }
+}
+
+/// Compiles `src` at both optimization levels, runs the host-C build on
+/// `inputs` and checks each of the `nout` outputs against the reference
+/// interpreter. Returns the interpreter's outputs.
+fn check_program(
+    src: &str,
+    entry: &str,
+    nout: usize,
+    args: &[Ty],
+    inputs: &[CValue],
+) -> Vec<CValue> {
+    let mut interp = Interpreter::from_source(src).expect("source parses");
+    let vals = inputs.iter().map(to_interp).collect();
+    let expected: Vec<CValue> = interp
+        .call(entry, vals, nout)
+        .expect("interpreter runs")
+        .iter()
+        .map(|v| from_interp(v).expect("numeric output"))
+        .collect();
+    let Some(compiler) = cc_or_skip() else {
+        return expected;
+    };
+    for (label, opt) in [("base", OptLevel::baseline()), ("opt", OptLevel::full())] {
+        let compiled = Compiler::new()
+            .opt_level(opt)
+            .compile(src, entry, args)
+            .unwrap_or_else(|e| panic!("{entry} [{label}]: {e}"));
+        let outs = run_c_kernel(&compiled, inputs, &format!("{entry}_{label}"), compiler);
+        assert_eq!(
+            outs.len(),
+            expected.len(),
+            "{entry} [{label}]: output count"
+        );
+        for (k, (got, want)) in outs.iter().zip(&expected).enumerate() {
+            outputs_close(got, want, 1e-12)
+                .unwrap_or_else(|e| panic!("{entry} [{label}] output {k}: {e}"));
+        }
+    }
+    expected
+}
+
+#[test]
+fn two_argument_min_max_with_an_array_operand() {
+    let src = "function [p, q, r, s] = mm(x, y)\np = max(x, 0);\nq = min(x, y);\nr = max(0, x);\ns = min(y, 1.5);\nend";
+    let x = CValue::row(&[-2.0, 0.5, 3.0, -0.25, 7.0, 1.0]);
+    let y = CValue::row(&[1.0, -1.0, 4.0, -3.0, 2.0, 1.0]);
+    let out = check_program(src, "mm", 4, &[arg::vector(6), arg::vector(6)], &[x, y]);
+    assert_eq!(out[0].re, [0.0, 0.5, 3.0, 0.0, 7.0, 1.0]);
+    assert_eq!(out[1].re, [-2.0, -1.0, 3.0, -3.0, 2.0, 1.0]);
+}
+
+#[test]
+fn flips_of_a_real_vector_and_a_complex_matrix() {
+    let src = "function [a, b] = fl(x)\na = fliplr(x);\nb = flipud(x);\nend";
+    let x = CValue::row(&[1.0, 2.0, 3.0, 4.0]);
+    let out = check_program(src, "fl", 2, &[arg::vector(4)], &[x]);
+    assert_eq!(out[0].re, [4.0, 3.0, 2.0, 1.0]);
+
+    let a = CValue {
+        rows: 2,
+        cols: 3,
+        re: vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+        im: Some(vec![-1.0, 0.5, 0.0, 2.0, -3.0, 1.0]),
+    };
+    let ty = Ty::new(Class::Complex, Shape::known(2, 3));
+    let out = check_program(src, "fl", 2, &[ty], &[a]);
+    assert_eq!(out[0].re, [5.0, 6.0, 3.0, 4.0, 1.0, 2.0]);
+    assert_eq!(
+        out[1].im.as_deref(),
+        Some(&[0.5, -1.0, 2.0, 0.0, 1.0, -3.0][..])
+    );
+}
+
+#[test]
+fn angle_of_a_real_array_matches_the_interpreter() {
+    let src = "function y = an(x)\ny = angle(x);\nend";
+    let x = CValue::row(&[-0.0, f64::NAN, -2.0, 3.0]);
+    let out = check_program(src, "an", 1, &[arg::vector(4)], &[x]);
+    let pi = std::f64::consts::PI;
+    assert_eq!(out[0].re[0], pi);
+    assert!(out[0].re[1].is_nan());
+    assert_eq!(out[0].re[2..], [pi, 0.0]);
+}
+
+#[test]
+fn matrix_reductions_are_column_wise() {
+    let src = "function [s, p, m, lo, hi, an, al, mx, k] = rd(A)\ns = sum(A);\np = prod(A);\nm = mean(A);\nlo = min(A);\nhi = max(A);\nan = any(A);\nal = all(A);\n[mx, k] = max(A);\nend";
+    let a = CValue {
+        rows: 2,
+        cols: 3,
+        re: vec![1.0, -2.0, 0.0, 4.0, 5.0, 0.0],
+        im: None,
+    };
+    let out = check_program(src, "rd", 9, &[arg::matrix(2, 3)], &[a]);
+    assert_eq!(out[0].re, [-1.0, 4.0, 5.0]);
+    assert_eq!(out[6].re, [1.0, 0.0, 0.0]);
+    assert_eq!(out[8].re, [1.0, 2.0, 1.0]);
+
+    // A statically unshaped argument that is a row vector at run time
+    // reduces to one 1x1 slice, as in the interpreter.
+    let row = CValue::row(&[3.0, -1.0, 2.0, 0.5]);
+    let unshaped = Ty::new(Class::Double, Shape::unknown());
+    let out = check_program(src, "rd", 9, &[unshaped], &[row]);
+    assert_eq!((&out[0].re[..], &out[8].re[..]), (&[4.5][..], &[1.0][..]));
+}
+
+#[test]
+fn complex_vector_min_max_compare_real_parts() {
+    let src = "function [lo, hi, m, k] = cm(z)\nlo = min(z);\nhi = max(z);\n[m, k] = max(z);\nend";
+    let z = CValue::cx_row(&[(1.0, 5.0), (-2.0, 0.0), (3.0, -1.0), (0.5, 9.0)]);
+    let out = check_program(src, "cm", 4, &[arg::cx_vector(4)], &[z]);
+    assert_eq!((out[0].re[0], out[1].re[0]), (-2.0, 3.0));
+    assert_eq!((out[2].re[0], out[3].re[0]), (3.0, 3.0));
 }
