@@ -213,20 +213,6 @@ impl Exec<'_> {
                             acc = acc * *z;
                         }
                     }
-                    VecKind::Reduce(ReduceKind::Min) => {
-                        for z in &a {
-                            if z.re < acc.re {
-                                acc = *z;
-                            }
-                        }
-                    }
-                    VecKind::Reduce(ReduceKind::Max) => {
-                        for z in &a {
-                            if z.re > acc.re {
-                                acc = *z;
-                            }
-                        }
-                    }
                     _ => unreachable!(),
                 }
                 self.set(env, acc_var, SimVal::Scalar(acc));
@@ -369,22 +355,6 @@ pub(super) fn vector_fast(exec: &mut Exec<'_>, env: &mut Env, vop: &VectorOp, le
                 VecKind::Reduce(ReduceKind::Prod) => {
                     for k in 0..len {
                         acc = acc * at(la, da, k);
-                    }
-                }
-                VecKind::Reduce(ReduceKind::Min) => {
-                    for k in 0..len {
-                        let z = at(la, da, k);
-                        if z.re < acc.re {
-                            acc = z;
-                        }
-                    }
-                }
-                VecKind::Reduce(ReduceKind::Max) => {
-                    for k in 0..len {
-                        let z = at(la, da, k);
-                        if z.re > acc.re {
-                            acc = z;
-                        }
                     }
                 }
                 _ => unreachable!(),

@@ -13,7 +13,7 @@
 //! matic discover [--frontier <json>] [--benchmarks <ids>]    guided ISA search +
 //!       [--seed <k>] [--budget <evals>] [--json <out>]         instruction mining
 //! matic serve   [--addr <host:port>] [--workers <n>]  compile server with a
-//!       [--max-fuel <N>] [--max-source-bytes <N>]       shared stage cache
+//!       [--max-fuel <N>] [--max-source-bytes <N>]       shared compile cache
 //! matic request <addr> <op> ...                       client for `matic serve`
 //! ```
 //!
@@ -89,9 +89,9 @@ programs stop with a fuel-exhaustion diagnostic instead of hanging
 --profile-json writes the same data as a matic-profile-v1 JSON document
 --trace-passes (any command) prints per-pass wall-time and the
 vectorizer's per-loop accept/reject decisions on stderr
-serve runs a compile server (default 127.0.0.1:9123) whose repeated
-requests share parsed/analyzed/generated artifacts through a
-content-addressed stage cache; request is its client — compile prints the
+serve runs a compile server (default 127.0.0.1:9123) that answers a
+repeated request from a cache holding one compiled result per distinct
+request; request is its client — compile prints the
 generated C and cycles prints the same report bytes `matic cycles` would";
 
 /// Parsed common options.

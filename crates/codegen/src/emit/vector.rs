@@ -190,12 +190,6 @@ impl FnEmitter<'_> {
                         format!("{acc} = cx_mul({acc}, {ea});")
                     }
                     (VecKind::Reduce(ReduceKind::Prod), false) => format!("{acc} *= {ea};"),
-                    (VecKind::Reduce(ReduceKind::Min), _) => {
-                        format!("if ({ea} < {acc}) {acc} = {ea};")
-                    }
-                    (VecKind::Reduce(ReduceKind::Max), _) => {
-                        format!("if ({ea} > {acc}) {acc} = {ea};")
-                    }
                     _ => unreachable!("outer match admits only MAC and reductions"),
                 };
                 self.line(&format!("for ({i} = 0; {i} < {n}; ++{i}) {update}"));

@@ -1,298 +1,120 @@
-//! Content-addressed stage cache: identical compilation requests share
-//! work across callers (the `matic serve` request path).
+//! The compile cache: identical compilation requests share one
+//! [`Compiled`] across callers (the `matic serve` request path).
 //!
-//! Each pipeline stage's artifact is keyed by a 64-bit FNV-1a content
-//! hash: the parse stage by the source text, the frontend/MIR stage by
-//! the parse key plus entry signature and optimization flags, and the
-//! codegen stage by the frontend key plus the ISA fingerprint. Keys chain
-//! — a stage's key folds in its upstream stage's key — so any change to
-//! an input invalidates exactly the suffix of the pipeline it affects:
+//! The compiler is a one-shot translator — one (source, entry signature,
+//! optimization level, target) request in, one C module out — so the
+//! cache is one map from that request to its result. An entry's key *is*
+//! the request: the source text, entry name, argument types, [`OptLevel`]
+//! and [`IsaSpec`], stored whole next to the artifact. A lookup hits only
+//! when every one of them is equal; the hash merely picks the bucket, so
+//! two requests whose hashes collide still get their own artifacts.
 //!
-//! ```text
-//! parse_key   = fnv(source)
-//! front_key   = fnv(parse_key, entry, arg types, scalar/inline/vectorize)
-//! codegen_key = fnv(front_key, fnv(isa spec json), intrinsics)
-//! exec (decode + native fusion) is keyed by front_key: target-independent
-//! ```
+//! There is no invalidation protocol: an entry is the output of a pure
+//! function of its key, so it never goes stale, and a changed input is a
+//! different key. [`StageCache::clear`] exists for memory pressure (it
+//! also resets the hit/miss counters, starting a fresh statistics window).
 //!
-//! A repeated source therefore skips parse/sema/lower/vectorize entirely,
-//! and a changed `IsaSpec` reuses the frontend/MIR artifacts (and the
-//! decoded program) while re-running only codegen. There is no
-//! invalidation protocol: content-addressed entries never go stale;
-//! [`StageCache::clear`] exists for memory pressure (it also resets the
-//! hit/miss counters, starting a fresh statistics window).
-//!
-//! The cache is sharded (16 `Mutex<HashMap>` shards per stage, selected
-//! by the key's low bits) so concurrent requests rarely contend on the
-//! same lock. Failed compilations are *not* cached — errors are cheap to
-//! recompute and keeping them out of the cache keeps every entry
-//! immutable and always-valid.
+//! Every hit returns a clone of the stored [`Compiled`], whose decode and
+//! native-fusion cell is shared, so simulators spawned from any hit reuse
+//! the same decoded and fused program. Failed compilations are *not*
+//! cached: errors are cheap to recompute, and keeping them out keeps
+//! every entry immutable and always valid. Because entries are inserted
+//! whole and never mutated, a lock poisoned by a panicking thread still
+//! guards a consistent map, and lookups carry on through the poison.
 
-use crate::pipeline::{
-    CodegenArtifact, CompileError, Compiled, Compiler, ExecShared, FrontArtifact, OptLevel,
-    ParseArtifact,
-};
+use crate::pipeline::{CompileError, Compiled, Compiler, OptLevel};
 use matic_isa::IsaSpec;
-use matic_sema::{Dim, Ty};
+use matic_sema::{Class, Shape, Ty};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// Shards per stage map; must be a power of two.
-const SHARD_COUNT: usize = 16;
+/// Builds the hashers that pick a request's bucket. Unit tests pin every
+/// request to one bucket, so each of them also exercises the equality
+/// check that separates colliding requests.
+#[cfg(not(test))]
+type Buckets = std::collections::hash_map::RandomState;
+#[cfg(test)]
+type Buckets = std::hash::BuildHasherDefault<tests::OneBucket>;
 
-/// Incremental FNV-1a 64-bit hasher — stable across platforms and runs,
-/// so cache keys double as content fingerprints in logs and tests.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Fnv(u64);
-
-impl Fnv {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    pub(crate) fn new() -> Fnv {
-        Fnv(Self::OFFSET)
-    }
-
-    pub(crate) fn bytes(mut self, bytes: &[u8]) -> Fnv {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-        self
-    }
-
-    pub(crate) fn str(self, s: &str) -> Fnv {
-        // Length-prefix every string so ("ab","c") and ("a","bc") hash
-        // differently.
-        self.u64(s.len() as u64).bytes(s.as_bytes())
-    }
-
-    pub(crate) fn u64(self, v: u64) -> Fnv {
-        self.bytes(&v.to_le_bytes())
-    }
-
-    pub(crate) fn u8(self, v: u8) -> Fnv {
-        self.bytes(&[v])
-    }
-
-    pub(crate) fn finish(self) -> u64 {
-        self.0
-    }
+/// Everything that determines a compilation's output. Argument-type
+/// constants are kept by bit pattern, so equality is exact.
+#[derive(Debug, PartialEq, Eq, Hash)]
+struct Request {
+    source: String,
+    entry: String,
+    sig: Vec<(Class, Shape, Option<u64>)>,
+    opt: OptLevel,
+    spec: Arc<IsaSpec>,
 }
 
-/// One sharded `key → value` map with optional LRU bounding.
-///
-/// Entries carry a recency stamp drawn from a per-stage logical clock;
-/// when a shard is at its entry cap, inserting a new key evicts that
-/// shard's least-recently-used entry first. Eviction is per *shard* (the
-/// global order is approximated, as is standard for sharded LRU), which
-/// keeps the hot path a single short critical section. `cap = 0` means
-/// unbounded — the default, preserving the PR 8 behavior.
-#[derive(Debug)]
-struct Shards<V> {
-    shards: Vec<Mutex<HashMap<u64, (V, u64)>>>,
-    /// Max entries per shard (0 = unbounded).
-    cap: usize,
-    /// Logical clock for recency stamps.
-    tick: AtomicU64,
-    /// Entries evicted to enforce `cap`.
-    evictions: AtomicU64,
-}
-
-impl<V: Clone> Shards<V> {
-    fn new(cap: usize) -> Shards<V> {
-        Shards {
-            shards: (0..SHARD_COUNT)
-                .map(|_| Mutex::new(HashMap::new()))
+impl Request {
+    fn new(compiler: &Compiler, source: &str, entry: &str, arg_types: &[Ty]) -> Request {
+        Request {
+            source: source.to_string(),
+            entry: entry.to_string(),
+            sig: arg_types
+                .iter()
+                .map(|t| (t.class, t.shape, t.constant.map(f64::to_bits)))
                 .collect(),
-            cap,
-            tick: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            opt: compiler.opt(),
+            spec: Arc::clone(&compiler.spec),
         }
-    }
-
-    fn shard(&self, key: u64) -> &Mutex<HashMap<u64, (V, u64)>> {
-        &self.shards[(key as usize) & (SHARD_COUNT - 1)]
-    }
-
-    fn stamp(&self) -> u64 {
-        self.tick.fetch_add(1, Ordering::Relaxed)
-    }
-
-    fn get(&self, key: u64) -> Option<V> {
-        let stamp = self.stamp();
-        let mut shard = self.shard(key).lock().expect("cache shard lock");
-        shard.get_mut(&key).map(|(v, s)| {
-            *s = stamp;
-            v.clone()
-        })
-    }
-
-    /// Inserts `value` unless another thread beat us to it; returns the
-    /// canonical entry either way, so every concurrent requester of one
-    /// key ends up sharing the same artifact. A full shard evicts its
-    /// least-recently-used entry to make room.
-    fn insert_or_get(&self, key: u64, value: V) -> V {
-        let stamp = self.stamp();
-        let mut shard = self.shard(key).lock().expect("cache shard lock");
-        if let Some((v, s)) = shard.get_mut(&key) {
-            *s = stamp;
-            return v.clone();
-        }
-        if self.cap > 0 && shard.len() >= self.cap {
-            if let Some(&victim) = shard.iter().min_by_key(|(_, (_, s))| *s).map(|(k, _)| k) {
-                shard.remove(&victim);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        shard.insert(key, (value.clone(), stamp));
-        value
-    }
-
-    fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache shard lock").len())
-            .sum()
-    }
-
-    fn evicted(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    fn clear(&self) {
-        for s in &self.shards {
-            s.lock().expect("cache shard lock").clear();
-        }
-        self.evictions.store(0, Ordering::Relaxed);
     }
 }
 
-/// Hit/miss counters, one pair per stage. Monotonic between clears;
-/// [`StageCache::clear`] resets them along with the entries.
-#[derive(Debug, Default)]
-struct Counters {
-    parse_hits: AtomicU64,
-    parse_misses: AtomicU64,
-    front_hits: AtomicU64,
-    front_misses: AtomicU64,
-    codegen_hits: AtomicU64,
-    codegen_misses: AtomicU64,
-    exec_hits: AtomicU64,
-    exec_misses: AtomicU64,
-}
-
-fn bump(c: &AtomicU64) {
-    c.fetch_add(1, Ordering::Relaxed);
-}
-
-/// A point-in-time snapshot of the cache's hit/miss counters and entry
-/// counts (see [`StageCache::stats`]).
+/// A point-in-time snapshot of the cache's counters (see
+/// [`StageCache::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Parse-stage lookups served from the cache.
-    pub parse_hits: u64,
-    /// Parse-stage lookups that had to run the parser.
-    pub parse_misses: u64,
-    /// Frontend/MIR-stage lookups served from the cache (sema, lowering,
-    /// optimization and vectorization all skipped).
-    pub front_hits: u64,
-    /// Frontend/MIR-stage lookups that had to run the passes.
-    pub front_misses: u64,
-    /// Codegen-stage lookups served from the cache.
-    pub codegen_hits: u64,
-    /// Codegen-stage lookups that had to run the backend.
-    pub codegen_misses: u64,
-    /// Requests that found an existing decode/fusion cell for their MIR.
-    pub exec_hits: u64,
-    /// Requests that created a fresh decode/fusion cell.
-    pub exec_misses: u64,
-    /// Live parse entries.
-    pub parse_entries: usize,
-    /// Live frontend/MIR entries.
-    pub front_entries: usize,
-    /// Live codegen entries.
-    pub codegen_entries: usize,
-    /// Entries evicted (across all stages) to enforce the per-shard entry
-    /// cap. Always 0 for an unbounded cache.
-    pub evictions: u64,
+    hits: u64,
+    misses: u64,
+    entries: usize,
 }
 
 impl CacheStats {
-    /// Total hits across all stages.
+    /// Requests served from the cache.
     pub fn hits(&self) -> u64 {
-        self.parse_hits + self.front_hits + self.codegen_hits + self.exec_hits
+        self.hits
     }
 
-    /// Total misses across all stages.
+    /// Requests that had to compile.
     pub fn misses(&self) -> u64 {
-        self.parse_misses + self.front_misses + self.codegen_misses + self.exec_misses
+        self.misses
+    }
+
+    /// Live entries: distinct requests that compiled successfully.
+    pub fn entries(&self) -> usize {
+        self.entries
     }
 }
 
-/// The shared, thread-safe stage cache (see the module docs for the
-/// keying scheme). One instance is shared by every worker thread of a
-/// `matic serve` process; it is also usable directly via
-/// [`Compiler::compile_cached`].
-#[derive(Debug)]
+/// The shared, thread-safe compile cache (see the module docs). One
+/// instance is shared by every worker thread of a `matic serve` process;
+/// it is also usable directly via [`Compiler::compile_cached`].
+#[derive(Debug, Default)]
 pub struct StageCache {
-    parse: Shards<Arc<ParseArtifact>>,
-    front: Shards<Arc<FrontArtifact>>,
-    codegen: Shards<Arc<CodegenArtifact>>,
-    exec: Shards<Arc<ExecShared>>,
-    counters: Counters,
-}
-
-impl Default for StageCache {
-    fn default() -> StageCache {
-        StageCache::new()
-    }
+    entries: Mutex<HashMap<Request, Compiled, Buckets>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
 impl StageCache {
-    /// An empty, unbounded cache.
+    /// An empty cache.
     pub fn new() -> StageCache {
-        StageCache::with_capacity(0)
+        StageCache::default()
     }
 
-    /// An empty cache holding at most `per_shard` entries per shard per
-    /// stage (each stage has 16 shards, so a stage retains at most
-    /// `16 × per_shard` artifacts; `0` means unbounded). When a shard is
-    /// full, inserting a new artifact evicts that shard's
-    /// least-recently-used entry and bumps [`CacheStats::evictions`].
-    /// Eviction affects only *retention*: an evicted key recompiles on
-    /// next use and the rebuilt artifact is bit-identical, since entries
-    /// are content-addressed.
-    pub fn with_capacity(per_shard: usize) -> StageCache {
-        StageCache {
-            parse: Shards::new(per_shard),
-            front: Shards::new(per_shard),
-            codegen: Shards::new(per_shard),
-            exec: Shards::new(per_shard),
-            counters: Counters::default(),
-        }
+    fn entries(&self) -> MutexGuard<'_, HashMap<Request, Compiled, Buckets>> {
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Snapshot of hit/miss counters and live entry counts.
+    /// Snapshot of the hit/miss counters and the live entry count.
     pub fn stats(&self) -> CacheStats {
-        let c = &self.counters;
         CacheStats {
-            parse_hits: c.parse_hits.load(Ordering::Relaxed),
-            parse_misses: c.parse_misses.load(Ordering::Relaxed),
-            front_hits: c.front_hits.load(Ordering::Relaxed),
-            front_misses: c.front_misses.load(Ordering::Relaxed),
-            codegen_hits: c.codegen_hits.load(Ordering::Relaxed),
-            codegen_misses: c.codegen_misses.load(Ordering::Relaxed),
-            exec_hits: c.exec_hits.load(Ordering::Relaxed),
-            exec_misses: c.exec_misses.load(Ordering::Relaxed),
-            parse_entries: self.parse.len(),
-            front_entries: self.front.len(),
-            codegen_entries: self.codegen.len(),
-            evictions: self.parse.evicted()
-                + self.front.evicted()
-                + self.codegen.evicted()
-                + self.exec.evicted(),
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            entries: self.entries().len(),
         }
     }
 
@@ -300,91 +122,23 @@ impl StageCache {
     /// statistics read after a clear describe only the work done since —
     /// `matic request stats` on a freshly cleared server reports fresh
     /// numbers instead of telemetry for entries that no longer exist.
-    /// Content-addressed entries never go *stale*; clearing exists for
-    /// memory pressure (and for starting a new measurement window).
     pub fn clear(&self) {
-        self.parse.clear();
-        self.front.clear();
-        self.codegen.clear();
-        self.exec.clear();
-        let c = &self.counters;
-        for counter in [
-            &c.parse_hits,
-            &c.parse_misses,
-            &c.front_hits,
-            &c.front_misses,
-            &c.codegen_hits,
-            &c.codegen_misses,
-            &c.exec_hits,
-            &c.exec_misses,
-        ] {
-            counter.store(0, Ordering::Relaxed);
-        }
+        self.entries().clear();
+        self.hits.store(0, Ordering::Relaxed);
+        self.misses.store(0, Ordering::Relaxed);
     }
-
-    /// The parse-stage key for `src`.
-    pub fn parse_key(src: &str) -> u64 {
-        Fnv::new().str("parse").str(src).finish()
-    }
-
-    /// The frontend/MIR-stage key: parse key ⊕ entry signature ⊕ the
-    /// optimization flags that shape MIR (`intrinsics` is codegen-only).
-    pub fn front_key(parse_key: u64, entry: &str, arg_types: &[Ty], opt: OptLevel) -> u64 {
-        let mut h = Fnv::new()
-            .str("front")
-            .u64(parse_key)
-            .str(entry)
-            .u8(opt.scalar_opts as u8)
-            .u8(opt.inline as u8)
-            .u8(opt.vectorize as u8)
-            .u64(arg_types.len() as u64);
-        for ty in arg_types {
-            h = h.u8(ty.class as u8);
-            h = hash_dim(h, ty.shape.rows);
-            h = hash_dim(h, ty.shape.cols);
-            h = match ty.constant {
-                Some(c) => h.u8(1).u64(c.to_bits()),
-                None => h.u8(0),
-            };
-        }
-        h.finish()
-    }
-
-    /// The codegen-stage key: frontend key ⊕ ISA fingerprint ⊕ whether
-    /// intrinsics may be emitted.
-    pub fn codegen_key(front_key: u64, spec: &IsaSpec, opt: OptLevel) -> u64 {
-        Fnv::new()
-            .str("codegen")
-            .u64(front_key)
-            .u64(spec_fingerprint(spec))
-            .u8(opt.intrinsics as u8)
-            .finish()
-    }
-}
-
-fn hash_dim(h: Fnv, d: Dim) -> Fnv {
-    match d {
-        Dim::Known(n) => h.u8(1).u64(n as u64),
-        Dim::Unknown => h.u8(0),
-    }
-}
-
-/// A stable content fingerprint of an ISA spec: the hash of its canonical
-/// JSON serialization, which covers name, width, features, cost model and
-/// intrinsic prefix.
-pub fn spec_fingerprint(spec: &IsaSpec) -> u64 {
-    Fnv::new().str("isa").str(&spec.to_json()).finish()
 }
 
 impl Compiler {
-    /// Like [`Compiler::compile`], but consults (and fills) `cache` at
-    /// every stage boundary. The result is bit-identical to an uncached
-    /// compilation of the same inputs — same C text, same MIR, same cycle
-    /// reports from any simulator spawned from it — because cached
-    /// artifacts *are* the artifacts an uncached run would have produced.
+    /// Like [`Compiler::compile`], but serves a repeated request from
+    /// `cache` and stores a new one in it. The result is bit-identical to
+    /// an uncached compilation of the same inputs — same C text, same MIR,
+    /// same cycle reports from any simulator spawned from it — because a
+    /// cached entry *is* the result an uncached run produced.
     ///
-    /// Per-pass timings report the cost of producing each artifact; for a
-    /// cache hit that is the cost paid by the request that built it.
+    /// A hit reports the per-pass timings of the request that built it.
+    /// When several threads miss on one request at once, each compiles,
+    /// the first to finish stores its result and all of them return it.
     ///
     /// # Errors
     ///
@@ -396,58 +150,14 @@ impl Compiler {
         entry: &str,
         arg_types: &[Ty],
     ) -> Result<Compiled, CompileError> {
-        let c = &cache.counters;
-        let pk = StageCache::parse_key(src);
-        let parsed = match cache.parse.get(pk) {
-            Some(a) => {
-                bump(&c.parse_hits);
-                a
-            }
-            None => {
-                bump(&c.parse_misses);
-                let a = Arc::new(Compiler::parse_stage(src)?);
-                cache.parse.insert_or_get(pk, a)
-            }
-        };
-        let fk = StageCache::front_key(pk, entry, arg_types, self.opt());
-        let front = match cache.front.get(fk) {
-            Some(a) => {
-                bump(&c.front_hits);
-                a
-            }
-            None => {
-                bump(&c.front_misses);
-                let a = Arc::new(self.front_stage(&parsed.program, entry, arg_types)?);
-                cache.front.insert_or_get(fk, a)
-            }
-        };
-        let ck = StageCache::codegen_key(fk, self.spec(), self.opt());
-        let cg = match cache.codegen.get(ck) {
-            Some(a) => {
-                bump(&c.codegen_hits);
-                a
-            }
-            None => {
-                bump(&c.codegen_misses);
-                let a = Arc::new(self.codegen_stage(&front.mir)?);
-                cache.codegen.insert_or_get(ck, a)
-            }
-        };
-        // Decode and native fusion are target-independent, so the cell is
-        // keyed by the frontend key: a changed ISA spec still reuses them.
-        let exec = match cache.exec.get(fk) {
-            Some(e) => {
-                bump(&c.exec_hits);
-                e
-            }
-            None => {
-                bump(&c.exec_misses);
-                cache
-                    .exec
-                    .insert_or_get(fk, Arc::new(ExecShared::default()))
-            }
-        };
-        Ok(self.assemble(entry, &parsed, &front, &cg, exec))
+        let request = Request::new(self, src, entry, arg_types);
+        if let Some(hit) = cache.entries().get(&request).cloned() {
+            cache.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(hit);
+        }
+        cache.misses.fetch_add(1, Ordering::Relaxed);
+        let compiled = self.compile(src, entry, arg_types)?;
+        Ok(cache.entries().entry(request).or_insert(compiled).clone())
     }
 }
 
@@ -455,6 +165,19 @@ impl Compiler {
 mod tests {
     use super::*;
     use crate::pipeline::arg;
+    use std::hash::{BuildHasher, Hasher};
+
+    /// A hasher that sends every key to the same bucket.
+    #[derive(Default)]
+    pub(super) struct OneBucket;
+
+    impl Hasher for OneBucket {
+        fn write(&mut self, _: &[u8]) {}
+
+        fn finish(&self) -> u64 {
+            0
+        }
+    }
 
     const SRC: &str = "function s = dotp(a, b)\ns = sum(a .* b);\nend";
 
@@ -462,50 +185,26 @@ mod tests {
         vec![arg::vector(64), arg::vector(64)]
     }
 
+    fn counts(cache: &StageCache) -> (u64, u64, usize) {
+        let s = cache.stats();
+        (s.hits(), s.misses(), s.entries())
+    }
+
     #[test]
-    fn repeated_source_skips_every_frontend_stage() {
+    fn repeated_request_is_served_from_the_cache() {
         let cache = StageCache::new();
         let compiler = Compiler::new();
         let a = compiler
             .compile_cached(&cache, SRC, "dotp", &args())
             .expect("first compile");
-        let s = cache.stats();
-        assert_eq!((s.parse_hits, s.parse_misses), (0, 1));
-        assert_eq!((s.front_hits, s.front_misses), (0, 1));
-        assert_eq!((s.codegen_hits, s.codegen_misses), (0, 1));
+        assert_eq!(counts(&cache), (0, 1, 1));
         let b = compiler
             .compile_cached(&cache, SRC, "dotp", &args())
             .expect("second compile");
-        let s = cache.stats();
-        assert_eq!((s.parse_hits, s.parse_misses), (1, 1));
-        assert_eq!((s.front_hits, s.front_misses), (1, 1));
-        assert_eq!((s.codegen_hits, s.codegen_misses), (1, 1));
+        assert_eq!(counts(&cache), (1, 1, 1));
         // Same artifacts, not merely equal ones.
         assert!(Arc::ptr_eq(&a.mir, &b.mir));
         assert!(Arc::ptr_eq(&a.c, &b.c));
-    }
-
-    #[test]
-    fn changed_isa_reuses_frontend_and_decode() {
-        let cache = StageCache::new();
-        let a = Compiler::new()
-            .compile_cached(&cache, SRC, "dotp", &args())
-            .expect("dsp16 compile");
-        let b = Compiler::new()
-            .target(IsaSpec::with_width(4))
-            .compile_cached(&cache, SRC, "dotp", &args())
-            .expect("w4 compile");
-        let s = cache.stats();
-        assert_eq!((s.front_hits, s.front_misses), (1, 1), "front reused");
-        assert_eq!(
-            (s.codegen_hits, s.codegen_misses),
-            (0, 2),
-            "codegen re-ran for the new target"
-        );
-        assert_eq!((s.exec_hits, s.exec_misses), (1, 1), "decode cell reused");
-        assert!(Arc::ptr_eq(&a.mir, &b.mir));
-        assert!(!Arc::ptr_eq(&a.c, &b.c));
-        assert_ne!(a.c.source, b.c.source);
     }
 
     #[test]
@@ -536,31 +235,108 @@ mod tests {
     }
 
     #[test]
-    fn distinct_inputs_get_distinct_keys() {
-        let pk = StageCache::parse_key(SRC);
-        assert_ne!(pk, StageCache::parse_key("function y = f(x)\ny = x;\nend"));
-        let full = OptLevel::full();
-        let fk = StageCache::front_key(pk, "dotp", &args(), full);
+    fn colliding_requests_each_get_their_own_artifact() {
+        // Every request below differs from the first in one part of its
+        // key, and all of them land in one bucket.
+        let base = (Compiler::new(), SRC, "dotp", args());
+        let requests = [
+            base.clone(),
+            (
+                Compiler::new(),
+                "function s = dotp(a, b)\ns = sum(a - b);\nend",
+                "dotp",
+                args(),
+            ),
+            (
+                Compiler::new(),
+                "function s = dotp(a, b)\ns = sum(a .* b);\nend\nfunction y = g(x)\ny = x;\nend",
+                "g",
+                vec![arg::vector(8)],
+            ),
+            (
+                Compiler::new(),
+                SRC,
+                "dotp",
+                vec![arg::vector(32), arg::vector(32)],
+            ),
+            (
+                Compiler::new().opt_level(OptLevel::baseline()),
+                SRC,
+                "dotp",
+                args(),
+            ),
+            (
+                Compiler::new().target(IsaSpec::with_width(4)),
+                SRC,
+                "dotp",
+                args(),
+            ),
+        ];
+        let keys: Vec<Request> = requests
+            .iter()
+            .map(|(c, src, entry, sig)| Request::new(c, src, entry, sig))
+            .collect();
+        let buckets = Buckets::default();
+        for key in &keys[1..] {
+            assert_ne!(key, &keys[0]);
+            assert_eq!(buckets.hash_one(key), buckets.hash_one(&keys[0]));
+        }
+
+        let cache = StageCache::new();
+        for _ in 0..2 {
+            for (compiler, src, entry, sig) in &requests {
+                let cached = compiler
+                    .compile_cached(&cache, src, entry, sig)
+                    .expect("cached compile");
+                let fresh = compiler.compile(src, entry, sig).expect("fresh compile");
+                assert_eq!(cached.c.source, fresh.c.source, "{entry} {sig:?}");
+                assert_eq!(cached.mir_dump(), fresh.mir_dump());
+            }
+        }
+        let n = requests.len();
+        assert_eq!(counts(&cache), (n as u64, n as u64, n));
+    }
+
+    #[test]
+    fn a_poisoned_lock_keeps_serving() {
+        let cache = StageCache::new();
+        let compiler = Compiler::new();
+        let first = compiler
+            .compile_cached(&cache, SRC, "dotp", &args())
+            .expect("first compile");
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = cache.entries.lock();
+                panic!("poison the cache lock");
+            })
+            .join()
+            .expect_err("the thread panics");
+        });
+        assert!(cache.entries.is_poisoned());
+
+        let hit = compiler
+            .compile_cached(&cache, SRC, "dotp", &args())
+            .expect("hit through the poisoned lock");
+        assert!(Arc::ptr_eq(&hit.c, &first.c));
+        let other = Compiler::new().opt_level(OptLevel::baseline());
+        let miss = other
+            .compile_cached(&cache, SRC, "dotp", &args())
+            .expect("miss through the poisoned lock");
+        let fresh = other.compile(SRC, "dotp", &args()).expect("fresh compile");
+        assert_eq!(miss.c.source, fresh.c.source);
+        assert_eq!(counts(&cache), (1, 2, 2));
+    }
+
+    #[test]
+    fn argument_constants_are_compared_exactly() {
+        let mut zero = arg::scalar();
+        zero.constant = Some(0.0);
+        let mut negative_zero = arg::scalar();
+        negative_zero.constant = Some(-0.0);
+        let compiler = Compiler::new();
         assert_ne!(
-            fk,
-            StageCache::front_key(pk, "dotp", &[arg::vector(32), arg::vector(64)], full),
-            "argument shapes are part of the key"
-        );
-        assert_ne!(
-            fk,
-            StageCache::front_key(pk, "dotp", &args(), OptLevel::baseline()),
-            "optimization flags are part of the key"
-        );
-        assert_ne!(
-            fk,
-            StageCache::front_key(pk, "other", &args(), full),
-            "entry name is part of the key"
-        );
-        let ck = StageCache::codegen_key(fk, &IsaSpec::dsp16(), full);
-        assert_ne!(
-            ck,
-            StageCache::codegen_key(fk, &IsaSpec::with_width(4), full),
-            "ISA spec is part of the key"
+            Request::new(&compiler, SRC, "f", &[zero]),
+            Request::new(&compiler, SRC, "f", &[negative_zero])
         );
     }
 
@@ -573,113 +349,19 @@ mod tests {
                 .compile_cached(&cache, "x = ;", "f", &[])
                 .expect_err("parse error");
         }
-        let s = cache.stats();
-        assert_eq!(s.parse_entries, 0);
-        assert_eq!(s.parse_misses, 2, "errors recompile every time");
-    }
-
-    /// Generates `count` distinct single-function sources.
-    fn distinct_sources(count: usize) -> Vec<String> {
-        (0..count)
-            .map(|i| format!("function y = f(x)\ny = x * {i} + {i};\nend"))
-            .collect()
-    }
-
-    #[test]
-    fn capped_cache_stays_bounded_and_counts_evictions() {
-        let per_shard = 2;
-        let cache = StageCache::with_capacity(per_shard);
-        let compiler = Compiler::new();
-        let ty = vec![arg::scalar()];
-        for src in distinct_sources(200) {
-            compiler
-                .compile_cached(&cache, &src, "f", &ty)
-                .expect("compile");
-        }
-        let s = cache.stats();
-        let bound = per_shard * SHARD_COUNT;
-        assert!(
-            s.parse_entries <= bound,
-            "parse {} > {bound}",
-            s.parse_entries
-        );
-        assert!(
-            s.front_entries <= bound,
-            "front {} > {bound}",
-            s.front_entries
-        );
-        assert!(
-            s.codegen_entries <= bound,
-            "codegen {} > {bound}",
-            s.codegen_entries
-        );
-        assert!(s.evictions > 0, "200 sources through 32 slots must evict");
-        // Unbounded cache under the same workload: no evictions ever.
-        let unbounded = StageCache::new();
-        for src in distinct_sources(50) {
-            compiler
-                .compile_cached(&unbounded, &src, "f", &ty)
-                .expect("compile");
-        }
-        assert_eq!(unbounded.stats().evictions, 0);
-    }
-
-    #[test]
-    fn capped_cache_results_stay_bit_identical() {
-        // A 1-entry-per-shard cache thrashes constantly; every result must
-        // still match an uncached compilation bit for bit.
-        let cache = StageCache::with_capacity(1);
-        let compiler = Compiler::new();
-        let ty = vec![arg::scalar()];
-        let sources = distinct_sources(24);
-        // Two interleaved passes so the second pass sees a mix of
-        // surviving and evicted keys.
-        for src in sources.iter().chain(sources.iter()) {
-            let cached = compiler
-                .compile_cached(&cache, src, "f", &ty)
-                .expect("cached compile");
-            let fresh = compiler.compile(src, "f", &ty).expect("fresh compile");
-            assert_eq!(cached.c.source, fresh.c.source);
-            assert_eq!(cached.mir_dump(), fresh.mir_dump());
-            let rc = cached
-                .simulate(vec![matic_asip::SimVal::scalar(3.5)])
-                .expect("cached sim");
-            let rf = fresh
-                .simulate(vec![matic_asip::SimVal::scalar(3.5)])
-                .expect("fresh sim");
-            assert_eq!(rc.cycles, rf.cycles);
-            assert_eq!(rc.outputs, rf.outputs);
-        }
-        assert!(cache.stats().evictions > 0, "the tiny cache must thrash");
-    }
-
-    #[test]
-    fn lru_evicts_the_least_recently_used_key() {
-        // Single-shard view: keys that collide in one shard with cap 2.
-        let shards: Shards<u64> = Shards::new(2);
-        let k = |i: u64| i * SHARD_COUNT as u64; // all land in shard 0
-        shards.insert_or_get(k(1), 101);
-        shards.insert_or_get(k(2), 102);
-        // Touch k1 so k2 becomes the LRU victim.
-        assert_eq!(shards.get(k(1)), Some(101));
-        shards.insert_or_get(k(3), 103);
-        assert_eq!(shards.evicted(), 1);
-        assert_eq!(shards.get(k(2)), None, "LRU entry evicted");
-        assert_eq!(shards.get(k(1)), Some(101), "recently-used entry kept");
-        assert_eq!(shards.get(k(3)), Some(103), "new entry present");
+        assert_eq!(counts(&cache), (0, 2, 0), "errors recompile every time");
     }
 
     #[test]
     fn clear_empties_entries_and_resets_counters() {
         let cache = StageCache::new();
-        Compiler::new()
-            .compile_cached(&cache, SRC, "dotp", &args())
-            .expect("compile");
-        assert!(cache.stats().parse_entries > 0);
-        assert_eq!(cache.stats().misses(), 4);
+        for _ in 0..2 {
+            Compiler::new()
+                .compile_cached(&cache, SRC, "dotp", &args())
+                .expect("compile");
+        }
+        assert_eq!(counts(&cache), (1, 1, 1));
         cache.clear();
-        let s = cache.stats();
-        assert_eq!(s.parse_entries + s.front_entries + s.codegen_entries, 0);
-        assert_eq!(s, CacheStats::default(), "clear starts a fresh window");
+        assert_eq!(cache.stats(), CacheStats::default(), "a fresh window");
     }
 }

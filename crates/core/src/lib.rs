@@ -40,7 +40,7 @@ pub mod cache;
 pub mod pipeline;
 pub mod reportfmt;
 
-pub use cache::{spec_fingerprint, CacheStats, StageCache};
+pub use cache::{CacheStats, StageCache};
 pub use matic_asip::{
     AsipMachine, CycleReport, Engine, NativeProgram, Profile, SimError, SimErrorKind, SimOutcome,
     SimVal, Simulator, SpanCounters, PROFILE_SCHEMA,

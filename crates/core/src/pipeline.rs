@@ -1,13 +1,10 @@
 //! The compiler driver: parse → analyze → lower → optimize → vectorize →
 //! emit, as one configurable pipeline.
 //!
-//! The pipeline is factored into three *stages* with immutable,
-//! `Arc`-shared artifacts — [`Compiler::parse_stage`] (source → AST),
-//! [`Compiler::front_stage`] (AST → typed, optimized, vectorized MIR) and
-//! [`Compiler::codegen_stage`] (MIR → C module) — so a content-addressed
-//! cache (see [`crate::cache::StageCache`]) can skip any prefix of the
-//! work when an identical request was compiled before. [`Compiler::compile`]
-//! simply runs the three stages back to back.
+//! [`Compiler::compile`] runs the passes back to back and returns every
+//! artifact in one immutable, `Arc`-shared [`Compiled`], so the compile
+//! cache (see [`crate::cache::StageCache`]) can hand a stored result to
+//! any number of identical requests by cloning pointers.
 
 use matic_codegen::{CBackend, CModule, CodegenOptions};
 use matic_frontend::diag::Diagnostic;
@@ -60,7 +57,7 @@ impl fmt::Display for CompileError {
 impl std::error::Error for CompileError {}
 
 /// Optimization configuration for one compilation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OptLevel {
     /// Run the scalar optimization pipeline (const fold, copy prop, DCE).
     pub scalar_opts: bool,
@@ -104,53 +101,15 @@ pub struct PassTiming {
     pub duration: Duration,
 }
 
-/// Result of the parse stage: the AST plus the time it took to build.
-///
-/// The artifact is immutable; the timing travels with it so a compilation
-/// assembled from cached artifacts still reports a uniform per-pass timing
-/// vector (the cost of *producing* each artifact, whether it was produced
-/// by this request or an earlier identical one).
-#[derive(Debug)]
-pub struct ParseArtifact {
-    /// The parsed source.
-    pub program: Arc<Program>,
-    /// Wall-clock time of the parse.
-    pub timing: PassTiming,
-}
-
-/// Result of the frontend/MIR stage: sema → lower → optimize → inline →
-/// vectorize, target-independent.
-#[derive(Debug)]
-pub struct FrontArtifact {
-    /// Sema results (types per function).
-    pub analysis: Arc<Analysis>,
-    /// The final MIR (post-optimization/vectorization).
-    pub mir: Arc<MirProgram>,
-    /// What the vectorizer recognized.
-    pub report: Arc<VectorizeReport>,
-    /// Per-pass wall-clock timings (`sema`, `lower`, `optimize`?,
-    /// `inline`?, `vectorize`? — optional passes appear only when run).
-    pub timings: Vec<PassTiming>,
-}
-
-/// Result of the codegen stage: the C module for one (MIR, ISA) pair.
-#[derive(Debug)]
-pub struct CodegenArtifact {
-    /// The generated C module.
-    pub c: Arc<CModule>,
-    /// Wall-clock time of code generation.
-    pub timing: PassTiming,
-}
-
 /// Lazily-built execution artifacts shared by every simulator spawned
-/// from one compilation (and, through the stage cache, by every
-/// compilation of the same MIR): the pre-decoded instruction streams and
-/// the fused native-engine program. Both are built at most once, on first
-/// need — callers that never run a simulator never pay for fusion.
+/// from one compilation (and, through the compile cache, by every hit on
+/// it): the pre-decoded instruction streams and the fused native-engine
+/// program. Both are built at most once, on first need — callers that
+/// never run a simulator never pay for fusion.
 #[derive(Debug, Default)]
-pub struct ExecShared {
-    pub(crate) decoded: OnceLock<Arc<matic_asip::DecodedProgram>>,
-    pub(crate) native: OnceLock<Arc<matic_asip::NativeProgram>>,
+struct ExecShared {
+    decoded: OnceLock<Arc<matic_asip::DecodedProgram>>,
+    native: OnceLock<Arc<matic_asip::NativeProgram>>,
 }
 
 /// A fluent front door to the compiler.
@@ -171,7 +130,7 @@ pub struct ExecShared {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Compiler {
-    spec: Arc<IsaSpec>,
+    pub(crate) spec: Arc<IsaSpec>,
     opt: OptLevel,
 }
 
@@ -207,50 +166,23 @@ impl Compiler {
         &self.spec
     }
 
-    /// The configured target, shared.
-    pub fn spec_shared(&self) -> Arc<IsaSpec> {
-        Arc::clone(&self.spec)
-    }
-
     /// The configured optimization level.
     pub fn opt(&self) -> OptLevel {
         self.opt
     }
 
-    /// Runs the parse stage alone: source text → AST artifact.
+    /// Compiles `src`, treating `entry` called with `arg_types` as the
+    /// program entry point.
     ///
     /// # Errors
     ///
-    /// Returns [`CompileError::Parse`] on the first lex/parse diagnostic.
-    pub fn parse_stage(src: &str) -> Result<ParseArtifact, CompileError> {
-        let t0 = Instant::now();
-        let (program, diags) = matic_frontend::parse(src);
-        let timing = PassTiming {
-            name: "parse",
-            duration: t0.elapsed(),
-        };
-        if let Some(d) = diags.first_error() {
-            return Err(CompileError::Parse(d.clone()));
-        }
-        Ok(ParseArtifact {
-            program: Arc::new(program),
-            timing,
-        })
-    }
-
-    /// Runs the frontend/MIR stage: sema, lowering and the configured
-    /// optimization passes. Target-independent — the artifact can be fed
-    /// to [`Compiler::codegen_stage`] for any ISA.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first sema or lowering diagnostic.
-    pub fn front_stage(
+    /// Returns the first error from any stage.
+    pub fn compile(
         &self,
-        program: &Program,
+        src: &str,
         entry: &str,
         arg_types: &[Ty],
-    ) -> Result<FrontArtifact, CompileError> {
+    ) -> Result<Compiled, CompileError> {
         let mut timings = Vec::new();
         let mut time = |name: &'static str, t0: Instant| {
             timings.push(PassTiming {
@@ -259,13 +191,19 @@ impl Compiler {
             });
         };
         let t0 = Instant::now();
-        let analysis = matic_sema::analyze(program, entry, arg_types);
+        let (program, diags) = matic_frontend::parse(src);
+        time("parse", t0);
+        if let Some(d) = diags.first_error() {
+            return Err(CompileError::Parse(d.clone()));
+        }
+        let t0 = Instant::now();
+        let analysis = matic_sema::analyze(&program, entry, arg_types);
         time("sema", t0);
         if let Some(d) = analysis.diags.first_error() {
             return Err(CompileError::Sema(d.clone()));
         }
         let t0 = Instant::now();
-        let (mut mir, diags) = matic_mir::lower_program(program, &analysis);
+        let (mut mir, diags) = matic_mir::lower_program(&program, &analysis);
         time("lower", t0);
         if let Some(d) = diags.first_error() {
             return Err(CompileError::Lower(d.clone()));
@@ -291,21 +229,6 @@ impl Compiler {
         } else {
             VectorizeReport::default()
         };
-        Ok(FrontArtifact {
-            analysis: Arc::new(analysis),
-            mir: Arc::new(mir),
-            report: Arc::new(report),
-            timings,
-        })
-    }
-
-    /// Runs the backend stage: MIR → C module for the configured target.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompileError::Codegen`] when the backend rejects a
-    /// construct.
-    pub fn codegen_stage(&self, mir: &MirProgram) -> Result<CodegenArtifact, CompileError> {
         let backend = CBackend::new(
             (*self.spec).clone(),
             CodegenOptions {
@@ -314,102 +237,27 @@ impl Compiler {
         );
         let t0 = Instant::now();
         let c = backend
-            .generate(mir)
+            .generate(&mir)
             .map_err(|e| CompileError::Codegen(e.to_string()))?;
-        Ok(CodegenArtifact {
-            c: Arc::new(c),
-            timing: PassTiming {
-                name: "codegen",
-                duration: t0.elapsed(),
-            },
-        })
-    }
-
-    /// Assembles a [`Compiled`] from the three stage artifacts.
-    pub(crate) fn assemble(
-        &self,
-        entry: &str,
-        parsed: &ParseArtifact,
-        front: &FrontArtifact,
-        cg: &CodegenArtifact,
-        exec: Arc<ExecShared>,
-    ) -> Compiled {
-        let mut timings = Vec::with_capacity(front.timings.len() + 2);
-        timings.push(parsed.timing);
-        timings.extend(front.timings.iter().copied());
-        timings.push(cg.timing);
-        Compiled {
+        time("codegen", t0);
+        Ok(Compiled {
             entry: entry.to_string(),
-            ast: Arc::clone(&parsed.program),
-            analysis: Arc::clone(&front.analysis),
-            mir: Arc::clone(&front.mir),
-            report: Arc::clone(&front.report),
-            c: Arc::clone(&cg.c),
+            ast: Arc::new(program),
+            analysis: Arc::new(analysis),
+            mir: Arc::new(mir),
+            report: Arc::new(report),
+            c: Arc::new(c),
             spec: Arc::clone(&self.spec),
             opt: self.opt,
             timings,
-            exec,
-        }
-    }
-
-    /// Compiles `src`, treating `entry` called with `arg_types` as the
-    /// program entry point.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first error from any stage.
-    pub fn compile(
-        &self,
-        src: &str,
-        entry: &str,
-        arg_types: &[Ty],
-    ) -> Result<Compiled, CompileError> {
-        let parsed = Compiler::parse_stage(src)?;
-        self.compile_stages(&parsed, entry, arg_types)
-    }
-
-    /// Compiles an already-parsed program.
-    ///
-    /// The timing vector of the result is *uniform* with
-    /// [`Compiler::compile`]: a `parse` entry is always present (with zero
-    /// duration here, since the caller already paid for the parse), so
-    /// `--trace-passes`-style consumers see the same pass sequence on both
-    /// entry paths.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first error from any stage.
-    pub fn compile_program(
-        &self,
-        program: Program,
-        entry: &str,
-        arg_types: &[Ty],
-    ) -> Result<Compiled, CompileError> {
-        let parsed = ParseArtifact {
-            program: Arc::new(program),
-            timing: PassTiming {
-                name: "parse",
-                duration: Duration::ZERO,
-            },
-        };
-        self.compile_stages(&parsed, entry, arg_types)
-    }
-
-    fn compile_stages(
-        &self,
-        parsed: &ParseArtifact,
-        entry: &str,
-        arg_types: &[Ty],
-    ) -> Result<Compiled, CompileError> {
-        let front = self.front_stage(&parsed.program, entry, arg_types)?;
-        let cg = self.codegen_stage(&front.mir)?;
-        Ok(self.assemble(entry, parsed, &front, &cg, Arc::new(ExecShared::default())))
+            exec: Arc::default(),
+        })
     }
 }
 
 /// Everything a compilation produces, kept around so callers can inspect
 /// intermediate results (C-INTERMEDIATE). All artifacts are `Arc`-shared:
-/// cloning a `Compiled` — or assembling one from the stage cache — copies
+/// cloning a `Compiled` — or serving one from the compile cache — copies
 /// pointers, not programs.
 #[derive(Debug, Clone)]
 pub struct Compiled {
@@ -430,13 +278,12 @@ pub struct Compiled {
     pub spec: Arc<IsaSpec>,
     /// The optimization level the module was compiled at.
     pub opt: OptLevel,
-    /// Wall-clock time per pass. Always starts with a `parse` entry (zero
-    /// when built from an already-parsed program) so the vector shape is
-    /// identical on every entry path.
+    /// Wall-clock time per pass, starting with `parse`; optional passes
+    /// appear only when they ran.
     pub timings: Vec<PassTiming>,
     /// Lazily-built execution artifacts (decode + native fusion), shared
     /// by every simulator spawned from this compilation and — through the
-    /// stage cache — by other compilations of the same MIR.
+    /// compile cache — by every hit on it.
     exec: Arc<ExecShared>,
 }
 
@@ -496,12 +343,6 @@ impl Compiled {
     /// `false` until the first simulator run — fusion is lazy.
     pub fn native_is_built(&self) -> bool {
         self.exec.native.get().is_some()
-    }
-
-    /// Whether the pre-decoded instruction streams have been built yet
-    /// (they are built by the first [`Compiled::simulator`] call).
-    pub fn decode_is_built(&self) -> bool {
-        self.exec.decoded.get().is_some()
     }
 
     /// The entry function's MIR.
@@ -617,28 +458,6 @@ mod tests {
         // simulation *values* are deliberately not, and stay per-thread).
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Compiled>();
-    }
-
-    #[test]
-    fn timings_are_uniform_across_entry_paths() {
-        // Regression: `compile_program` used to pass an empty timing
-        // vector, so consumers saw `parse` present or absent depending on
-        // the entry point. Both paths must now record the same pass
-        // sequence.
-        let src = "function y = f(x)\ny = 2 * x;\nend";
-        let via_src = Compiler::new()
-            .compile(src, "f", &[arg::scalar()])
-            .expect("compile ok");
-        let (program, diags) = matic_frontend::parse(src);
-        assert!(diags.first_error().is_none());
-        let via_ast = Compiler::new()
-            .compile_program(program, "f", &[arg::scalar()])
-            .expect("compile ok");
-        let names = |c: &Compiled| c.timings.iter().map(|t| t.name).collect::<Vec<_>>();
-        assert_eq!(names(&via_src), names(&via_ast));
-        assert_eq!(via_src.timings.first().map(|t| t.name), Some("parse"));
-        assert_eq!(via_ast.timings[0].duration, Duration::ZERO);
-        assert!(via_src.timings[0].duration > Duration::ZERO);
     }
 
     #[test]

@@ -7,14 +7,14 @@
 //! a budgeted simulated-annealing search over [`SearchState`]s, where
 //! every evaluation is a *real fuel-bounded simulation* checked against
 //! the reference interpreter's outputs ([`check_outputs`]), priced by
-//! the seed document's area model, memoized by spec fingerprint, and
+//! the seed document's area model, memoized by the priced spec itself, and
 //! deterministic in the run seed. The winner's cycles-vs-area point is
 //! then compared against the committed best and frontier, and the
 //! verdict recorded.
 
 use crate::mine::{mine_function, rewrite_with, MinedOp};
 use crate::search::{propose, SearchState};
-use matic::{spec_fingerprint, Compiled, Compiler, IsaSpec};
+use matic::{Compiled, Compiler, IsaSpec};
 use matic_asip::{decode_program, AsipMachine, DecodedProgram, NativeProgram};
 use matic_benchkit::{benchmark, to_sim, Benchmark};
 use matic_explore::grid::{enumerate, Candidate};
@@ -22,7 +22,7 @@ use matic_explore::{check_outputs, BenchExploration, CandidatePoint, Exploration
 use matic_fuzz::case_rng;
 use matic_isa::{FusedOp, OpClass};
 use matic_mir::MirProgram;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, OnceLock};
 
 /// Everything one discovery run needs.
@@ -130,10 +130,10 @@ pub struct Discovery {
     pub benches: Vec<BenchDiscovery>,
 }
 
-/// Memoization key: the priced spec's fingerprint plus the fused choice
-/// (the fingerprint alone cannot tell two fused kinds at equal cost
-/// apart — the spec carries the price, not the kind).
-type EvalKey = (u64, Option<(FusedOp, u32)>);
+/// Memoization key: the priced spec plus the fused choice (the spec
+/// alone cannot tell two fused kinds at equal cost apart — it carries the
+/// price, not the kind).
+type EvalKey = (IsaSpec, Option<(FusedOp, u32)>);
 
 /// One MIR variant with a fused kind rewritten in, pre-decoded and with
 /// a shared native-fusion cell so repeated evaluations decode and fuse
@@ -242,7 +242,7 @@ fn discover_bench(
     // One evaluation = one fuel-bounded simulation checked against the
     // reference outputs. `u64::MAX` cycles marks an early-abandoned
     // point (fuel exhausted under the tightened per-eval budget).
-    let mut memo: BTreeMap<EvalKey, (u64, f64)> = BTreeMap::new();
+    let mut memo: HashMap<EvalKey, (u64, f64)> = HashMap::new();
     let mut sims = 0usize;
     let mut eval_fuel = doc.fuel;
     let mut eval =
@@ -252,7 +252,7 @@ fn discover_bench(
                 spec.costs.set_cost(OpClass::Fused, cost);
             }
             let area = doc.area.price(&state.spec, state.fused);
-            let key = (spec_fingerprint(&spec), state.fused);
+            let key = (spec.clone(), state.fused);
             if let Some(&hit) = memo.get(&key) {
                 return Ok(hit);
             }

@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 /// Which custom-instruction families a target implements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Features {
     /// SIMD element-wise/reduction instructions (`vadd`, `vmul`, `vred*`…).
     pub simd: bool,
@@ -66,7 +66,7 @@ impl Features {
 /// Costs are *per issue*: a `VectorMul` costs `cost(VectorMul)` cycles and
 /// retires `vector_width` lane results, which is exactly how the custom
 /// instructions of the paper's ASIP amortize work.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CostModel {
     costs: BTreeMap<OpClass, u32>,
 }
@@ -143,7 +143,7 @@ impl Default for CostModel {
 }
 
 /// A complete parameterized target description.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct IsaSpec {
     /// Target name (used in reports and generated-file headers).
     pub name: String,

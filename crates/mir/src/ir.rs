@@ -115,10 +115,6 @@ pub enum ReduceKind {
     Sum,
     /// Product of elements.
     Prod,
-    /// Minimum.
-    Min,
-    /// Maximum.
-    Max,
 }
 
 /// A right-hand-side value computation.
@@ -472,11 +468,6 @@ impl MirProgram {
     /// Looks up a function by name.
     pub fn function(&self, name: &str) -> Option<&MirFunction> {
         self.functions.iter().find(|f| f.name == name)
-    }
-
-    /// Mutable lookup by name.
-    pub fn function_mut(&mut self, name: &str) -> Option<&mut MirFunction> {
-        self.functions.iter_mut().find(|f| f.name == name)
     }
 }
 

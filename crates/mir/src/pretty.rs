@@ -247,8 +247,6 @@ fn print_stmt(out: &mut String, f: &MirFunction, s: &Stmt, level: usize) {
                 VecKind::Mac => "vmac".to_string(),
                 VecKind::Reduce(ReduceKind::Sum) => "vred[+]".to_string(),
                 VecKind::Reduce(ReduceKind::Prod) => "vred[*]".to_string(),
-                VecKind::Reduce(ReduceKind::Min) => "vred[min]".to_string(),
-                VecKind::Reduce(ReduceKind::Max) => "vred[max]".to_string(),
                 VecKind::Copy => "vcopy".to_string(),
             };
             let b = vop

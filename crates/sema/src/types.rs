@@ -49,11 +49,6 @@ impl Class {
         }
     }
 
-    /// Whether values of this class may carry a nonzero imaginary part.
-    pub fn may_be_complex(self) -> bool {
-        matches!(self, Class::Complex | Class::Unknown)
-    }
-
     /// The class of the result of ordinary arithmetic on two operands.
     pub fn arith(self, other: Class) -> Class {
         let j = self.join(other);

@@ -1,5 +1,7 @@
 //! Request handling: turns one decoded request object into one response
-//! envelope, consulting the shared stage cache for all compilation work.
+//! envelope, serving every compilation through the shared compile cache,
+//! which holds one entry per distinct (source, entry, signature,
+//! optimization level, target) request.
 
 use crate::protocol::{err, need_str, obj, ok, opt_bool, opt_u64};
 use matic::reportfmt::{self, CyclesOptions, DEFAULT_MAX_CYCLES};
@@ -12,6 +14,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// size the paper measures. matmul's inputs are `n`×`n`, so an unbounded
 /// `n` lets one request allocate without limit in a shared worker.
 pub const MAX_EXPLORE_N: u64 = 1024;
+
+/// Most elements one signature slot may declare. A `cycles` request
+/// synthesizes an input of that many elements, so an unbounded slot lets
+/// one request allocate without limit in a shared worker.
+pub const MAX_SIG_ELEMS: usize = 1 << 20;
+
+/// Most SIMD widths an `explore` request may list; the default grid uses
+/// six. Every width multiplies the candidate grid.
+pub const MAX_EXPLORE_WIDTHS: usize = 16;
 
 /// Per-request resource budgets. Every limit produces a structured
 /// `budget` error (never a silent truncation), except `max_fuel`, which
@@ -38,8 +49,8 @@ impl Default for Budgets {
     }
 }
 
-/// Shared server state: one stage cache and the request counters, shared
-/// by every worker thread.
+/// Shared server state: one compile cache and the request counters,
+/// shared by every worker thread.
 #[derive(Debug, Default)]
 pub struct ServeState {
     /// Per-request limits.
@@ -115,7 +126,7 @@ impl ServeState {
         }
     }
 
-    /// The shared stage cache (exposed for tests and stats).
+    /// The shared compile cache (exposed for tests and stats).
     pub fn cache(&self) -> &StageCache {
         &self.cache
     }
@@ -152,17 +163,9 @@ impl ServeState {
             (
                 "cache",
                 obj(vec![
-                    ("parse_hits", n(s.parse_hits)),
-                    ("parse_misses", n(s.parse_misses)),
-                    ("front_hits", n(s.front_hits)),
-                    ("front_misses", n(s.front_misses)),
-                    ("codegen_hits", n(s.codegen_hits)),
-                    ("codegen_misses", n(s.codegen_misses)),
-                    ("exec_hits", n(s.exec_hits)),
-                    ("exec_misses", n(s.exec_misses)),
-                    ("parse_entries", n(s.parse_entries as u64)),
-                    ("front_entries", n(s.front_entries as u64)),
-                    ("codegen_entries", n(s.codegen_entries as u64)),
+                    ("hits", n(s.hits())),
+                    ("misses", n(s.misses())),
+                    ("entries", n(s.entries() as u64)),
                 ]),
             ),
         ])
@@ -180,6 +183,7 @@ impl ServeState {
         }
         let entry = need_str(req, "entry")?.to_string();
         let sig = reportfmt::parse_sig(need_str(req, "sig")?).map_err(Failure::protocol)?;
+        check_sig(&sig)?;
         let target = resolve_target(req.get("target"))?;
         Ok((source, entry, sig, target))
     }
@@ -272,6 +276,12 @@ impl ServeState {
                 .collect::<Result<_, _>>()?;
         }
         if let Some(Json::Arr(items)) = req.get("widths") {
+            if items.len() > MAX_EXPLORE_WIDTHS {
+                return Err(Failure::budget(format!(
+                    "{} widths exceed the server's limit of {MAX_EXPLORE_WIDTHS}",
+                    items.len()
+                )));
+            }
             cfg.grid.widths = items
                 .iter()
                 .map(|v| {
@@ -307,6 +317,22 @@ impl ServeState {
     }
 }
 
+/// Rejects a signature with a slot of more than [`MAX_SIG_ELEMS`]
+/// elements, before anything is built for it.
+fn check_sig(sig: &[Ty]) -> Result<(), Failure> {
+    for (k, ty) in sig.iter().enumerate() {
+        let (rows, cols) = (ty.shape.rows.known(), ty.shape.cols.known());
+        let elems = rows.unwrap_or(1).checked_mul(cols.unwrap_or(1));
+        if elems.is_none_or(|n| n > MAX_SIG_ELEMS) {
+            return Err(Failure::budget(format!(
+                "signature slot {} exceeds the server's limit of {MAX_SIG_ELEMS} elements",
+                k + 1
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// Resolves the optional `target` field: absent → `dsp16`; a string →
 /// one of the builtin target names; an object → a full ISA spec document
 /// (validated).
@@ -333,5 +359,26 @@ fn resolve_target(field: Option<&Json>) -> Result<IsaSpec, Failure> {
         Some(_) => Err(Failure::protocol(
             "field `target` must be a builtin name or a spec object",
         )),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn oversized_signature_slots_are_rejected_without_building_them() {
+        for sig in [
+            "v100000000000",
+            "cv1048577",
+            "m1025x1024",
+            "m4294967296x4294967296",
+        ] {
+            let sig = reportfmt::parse_sig(sig).expect("well-formed signature");
+            let failure = check_sig(&sig).expect_err("over the element cap");
+            assert_eq!(failure.kind, "budget");
+        }
+        let at_cap = reportfmt::parse_sig("s, v1048576, m1024x1024, cs").expect("signature");
+        assert!(check_sig(&at_cap).is_ok());
     }
 }

@@ -3,9 +3,10 @@
 //! Compilation-as-a-service for the matic MATLAB-to-C ASIP compiler: a
 //! long-running daemon that accepts MATLAB source plus an ISA spec over
 //! a tiny TCP protocol and answers with generated C, cycle reports, or
-//! design-space frontiers — amortizing the compiler's frontend across
-//! requests through the content-addressed stage cache
-//! ([`matic::StageCache`]).
+//! design-space frontiers. A repeated `compile` or `cycles` request is
+//! served from the compile cache ([`matic::StageCache`]), which holds one
+//! entry per distinct request and matches on the whole request, never on
+//! a hash alone.
 //!
 //! Everything is std-only: `std::net::TcpListener`, a fixed thread
 //! pool, and length-prefixed JSON frames (see [`protocol`]). Responses
@@ -34,5 +35,5 @@ pub mod protocol;
 pub mod server;
 
 pub use client::Client;
-pub use handler::{Budgets, ServeState, MAX_EXPLORE_N};
+pub use handler::{Budgets, ServeState, MAX_EXPLORE_N, MAX_EXPLORE_WIDTHS, MAX_SIG_ELEMS};
 pub use server::{Server, ServerConfig};

@@ -4,7 +4,9 @@
 //! visible in the stats op.
 
 use matic_isa::json::{parse, Json};
-use matic_serve::{Budgets, Client, Server, ServerConfig, MAX_EXPLORE_N};
+use matic_serve::{
+    Budgets, Client, Server, ServerConfig, MAX_EXPLORE_N, MAX_EXPLORE_WIDTHS, MAX_SIG_ELEMS,
+};
 
 const GAIN: &str = "function y = gain(x, k)\ny = k .* x;\nend";
 
@@ -174,6 +176,68 @@ fn explore_rejects_zero_and_oversized_problem_sizes() {
 }
 
 #[test]
+fn oversized_signatures_and_width_lists_are_budget_errors() {
+    let server = spawn();
+    let mut client = connect(&server);
+    // Each slot is one element over the cap: small enough to be harmless
+    // if it were built, so the test proves rejection, not survival.
+    for (op, sig) in [
+        ("cycles", format!("v{}", MAX_SIG_ELEMS + 1)),
+        ("compile", format!("s,m{}x2", MAX_SIG_ELEMS / 2 + 1)),
+    ] {
+        let resp = client
+            .request(&obj(&[
+                ("op", s(op)),
+                ("source", s(GAIN)),
+                ("entry", s("gain")),
+                ("sig", s(&sig)),
+            ]))
+            .unwrap();
+        let (kind, message, _) = error_of(&resp);
+        assert_eq!(kind, "budget", "{op} {sig}");
+        assert!(message.contains(&MAX_SIG_ELEMS.to_string()), "{message}");
+    }
+    // A slot at the cap still compiles.
+    let resp = client
+        .request(&obj(&[
+            ("op", s("compile")),
+            ("source", s(GAIN)),
+            ("entry", s("gain")),
+            ("sig", s(&format!("v{MAX_SIG_ELEMS},s"))),
+        ]))
+        .unwrap();
+    result(&resp);
+
+    let widths = (1..=MAX_EXPLORE_WIDTHS as u64 + 1)
+        .map(|w| Json::Num(w as f64))
+        .collect();
+    let resp = client
+        .request(&obj(&[
+            ("op", s("explore")),
+            ("quick", Json::Bool(true)),
+            ("benchmarks", Json::Arr(vec![s("fir")])),
+            ("widths", Json::Arr(widths)),
+        ]))
+        .unwrap();
+    let (kind, message, _) = error_of(&resp);
+    assert_eq!(kind, "budget");
+    assert!(
+        message.contains(&MAX_EXPLORE_WIDTHS.to_string()),
+        "{message}"
+    );
+    let stats = client
+        .request(&parse(r#"{"op": "stats"}"#).unwrap())
+        .unwrap();
+    let cache = result(&stats).get("cache").expect("cache stats");
+    assert_eq!(
+        cache.get("misses").and_then(Json::as_u64),
+        Some(1),
+        "rejected requests never reach the compiler"
+    );
+    server.shutdown();
+}
+
+#[test]
 fn repeated_requests_hit_the_stage_cache() {
     let server = spawn();
     let mut client = connect(&server);
@@ -181,17 +245,23 @@ fn repeated_requests_hit_the_stage_cache() {
         let resp = client.request(&gain_compile_req()).unwrap();
         result(&resp);
     }
+    let mut baseline = gain_compile_req();
+    if let Json::Obj(fields) = &mut baseline {
+        fields.push(("baseline".to_string(), Json::Bool(true)));
+    }
+    result(&client.request(&baseline).unwrap());
     let stats = client
         .request(&parse(r#"{"op": "stats"}"#).unwrap())
         .unwrap();
     let cache = result(&stats).get("cache").expect("cache stats").clone();
     let field = |k: &str| cache.get(k).and_then(Json::as_u64).expect("stat field");
-    assert_eq!(field("parse_misses"), 1);
-    assert_eq!(field("parse_hits"), 2);
-    assert_eq!(field("front_misses"), 1);
-    assert_eq!(field("front_hits"), 2);
-    assert_eq!(field("codegen_misses"), 1);
-    assert_eq!(field("codegen_hits"), 2);
+    assert_eq!(field("hits"), 2, "the two repeats hit");
+    assert_eq!(
+        field("misses"),
+        2,
+        "the first request and the baseline miss"
+    );
+    assert_eq!(field("entries"), 2, "one entry per distinct request");
     server.shutdown();
 }
 
