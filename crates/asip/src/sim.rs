@@ -16,7 +16,9 @@
 //! only as the reference semantics the differential tests compare
 //! against. Both share this module's `Exec` core — charging, fuel, value
 //! access and the call frame — and the statement semantics in `eval.rs`,
-//! `builtins.rs` and `vector.rs`.
+//! `builtins.rs` and `vector.rs`. The engine's micro-ops specialize
+//! dispatch for scalar work; semantics such as slice loads and stores
+//! exist once, in `eval.rs`.
 
 mod builtins;
 mod eval;

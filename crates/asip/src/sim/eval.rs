@@ -1,6 +1,10 @@
 //! Statement semantics shared by both execution paths: rvalues, indexing,
 //! stores, calls and effects. The native engine's specialized micro-ops
-//! fall back to these whenever a runtime shape leaves their fast path.
+//! cover only scalar element accesses and fall back to these whenever a
+//! runtime shape leaves their fast path; every other statement, slices
+//! included, runs here on both paths. Slice loads and stores are a
+//! closed-form gather/scatter over per-axis descriptors ([`Axis`],
+//! [`Slice`]) that allocates nothing beyond the loaded result.
 
 use super::{trip_count, Env, Exec, SimError, SimVal};
 use matic_frontend::ast::{BinOp, UnOp};
@@ -272,7 +276,8 @@ impl Exec<'_> {
         }
     }
 
-    /// The general slice/gather subscript forms of [`Exec::eval_index`].
+    /// The slice subscript forms of [`Exec::eval_index`]: a closed-form
+    /// gather, column-outer and row-inner like the C backend's loops.
     fn eval_index_slices(
         &mut self,
         f: &MirFunction,
@@ -281,81 +286,96 @@ impl Exec<'_> {
         indices: &[Index],
         span: Span,
     ) -> Result<SimVal, SimError> {
-        // Slices: evaluate via positions like the C backend loops.
-        let (positions, rows, cols) = self.slice_positions(f, env, base, indices, span)?;
-        let n = positions.len() as u64;
-        self.charge(OpClass::Load, n);
-        self.charge(OpClass::Store, n);
-        self.charge(OpClass::Branch, n);
-        let mut data = Vec::with_capacity(positions.len());
-        for p in &positions {
-            data.push(*base.data().get(*p).ok_or_else(|| {
-                SimError::oob(format!("slice index {} out of bounds", p + 1), span)
-            })?);
+        let sl = self.resolve_slice(f, env, base, indices, span)?;
+        let (rows, cols) = sl.shape;
+        let n = rows * cols;
+        self.charge(OpClass::Load, n as u64);
+        self.charge(OpClass::Store, n as u64);
+        self.charge(OpClass::Branch, n as u64);
+        let data = base.data();
+        if let Some(p) = sl.first_oob(data.len()) {
+            return Err(SimError::oob(
+                format!("slice index {} out of bounds", p.saturating_add(1)),
+                span,
+            ));
         }
-        Ok(SimVal::Arr(Matrix::new(rows, cols, data)))
+        let mut out = Vec::with_capacity(n);
+        sl.each(|p| {
+            out.push(data[p]);
+            true
+        });
+        Ok(SimVal::Arr(Matrix::new(rows, cols, out)))
     }
 
-    /// Resolves slice-like subscripts into 0-based linear positions plus
-    /// the result shape, mirroring the C backend's loops.
-    fn slice_positions(
-        &mut self,
+    /// Resolves slice-like subscripts (`x(a:s:b)`, `x(:)` and the two-axis
+    /// forms) into a [`Slice`], reading the subscript operands in order.
+    /// A negative position is an error here, before the caller charges
+    /// anything.
+    fn resolve_slice(
+        &self,
         f: &MirFunction,
         env: &Env,
         base: &Matrix,
         indices: &[Index],
         span: Span,
-    ) -> Result<(Vec<usize>, usize, usize), SimError> {
-        let range_list = |(s, st, e): (f64, f64, f64)| -> Vec<i64> {
-            (0..trip_count(s, st, e))
-                .map(|k| (s + st * k as f64) as i64 - 1)
-                .collect()
-        };
-        match indices {
-            [Index::Range { start, step, stop }] => {
-                let list = range_list(self.range_of(f, env, [*start, *step, *stop], span)?);
-                let n = list.len();
-                let mut out = Vec::with_capacity(n);
-                for k in list {
-                    if k < 0 {
-                        return Err(SimError::oob("index must be positive", span));
-                    }
-                    out.push(k as usize);
-                }
-                Ok((out, 1, n))
+    ) -> Result<Slice, SimError> {
+        // A linear subscript walks its positions as the inner `row` axis
+        // (`col` is the single offset 0); `x(a:s:b)` is shaped as a row,
+        // `x(:)` as a column.
+        let (row, col, stride, shape) = match indices {
+            [ix @ Index::Range { .. }] => {
+                let row = self.axis(f, env, ix, 0, span)?;
+                (row, Axis::One(0), 0, (1, row.len()))
             }
-            [Index::Full] => {
-                let n = base.numel();
-                Ok(((0..n).collect(), n, 1))
-            }
+            [Index::Full] => (Axis::Iota(base.numel()), Axis::One(0), 0, (base.numel(), 1)),
             [ri, ci] => {
-                let rlist: Vec<i64> = match ri {
-                    Index::Scalar(op) => vec![self.index0(f, env, *op, span)?],
-                    Index::Full => (0..base.rows() as i64).collect(),
-                    Index::Range { start, step, stop } => {
-                        range_list(self.range_of(f, env, [*start, *step, *stop], span)?)
-                    }
-                };
-                let clist: Vec<i64> = match ci {
-                    Index::Scalar(op) => vec![self.index0(f, env, *op, span)?],
-                    Index::Full => (0..base.cols() as i64).collect(),
-                    Index::Range { start, step, stop } => {
-                        range_list(self.range_of(f, env, [*start, *step, *stop], span)?)
-                    }
-                };
-                let mut out = Vec::with_capacity(rlist.len() * clist.len());
-                for &c in &clist {
-                    for &r in &rlist {
-                        if r < 0 || c < 0 {
-                            return Err(SimError::oob("index must be positive", span));
-                        }
-                        out.push(c as usize * base.rows() + r as usize);
-                    }
-                }
-                Ok((out, rlist.len(), clist.len()))
+                let row = self.axis(f, env, ri, base.rows(), span)?;
+                let col = self.axis(f, env, ci, base.cols(), span)?;
+                (row, col, base.rows(), (row.len(), col.len()))
             }
-            _ => Err(SimError::new("unsupported subscript form", span)),
+            _ => return Err(SimError::new("unsupported subscript form", span)),
+        };
+        let mut end = 0;
+        if row.len() > 0 && col.len() > 0 {
+            let ((rlo, rhi), (clo, chi)) = (row.bounds(), col.bounds());
+            if rlo < 0 || clo < 0 {
+                return Err(SimError::oob("index must be positive", span));
+            }
+            end = (chi as usize)
+                .saturating_mul(stride)
+                .saturating_add(rhi as usize)
+                .saturating_add(1);
         }
+        Ok(Slice {
+            row,
+            col,
+            stride,
+            shape,
+            end,
+        })
+    }
+
+    /// One subscript axis over an extent of `full` elements.
+    fn axis(
+        &self,
+        f: &MirFunction,
+        env: &Env,
+        ix: &Index,
+        full: usize,
+        span: Span,
+    ) -> Result<Axis, SimError> {
+        Ok(match ix {
+            Index::Scalar(op) => Axis::One(self.index0(f, env, *op, span)?),
+            Index::Full => Axis::Iota(full),
+            Index::Range { start, step, stop } => {
+                let (s, st, e) = self.range_of(f, env, [*start, *step, *stop], span)?;
+                Axis::Rng {
+                    s,
+                    st,
+                    len: trip_count(s, st, e) as usize,
+                }
+            }
+        })
     }
 
     pub(super) fn exec_store(
@@ -419,7 +439,8 @@ impl Exec<'_> {
         Ok(())
     }
 
-    /// The general slice/gather subscript forms of [`Exec::exec_store`].
+    /// The slice subscript forms of [`Exec::exec_store`]: a closed-form
+    /// scatter in the gather order of [`Exec::eval_index_slices`].
     fn store_slices(
         &mut self,
         f: &MirFunction,
@@ -429,39 +450,42 @@ impl Exec<'_> {
         val: &SimVal,
         span: Span,
     ) -> Result<(), SimError> {
-        let (positions, ..) = self.slice_positions(f, env, base, indices, span)?;
-        let n = positions.len() as u64;
-        self.charge(OpClass::Store, n);
-        self.charge(OpClass::Branch, n);
-        match val {
-            SimVal::Scalar(z) => {
-                for p in &positions {
-                    let total = base.numel();
-                    let slot = base.data_mut().get_mut(*p).ok_or_else(|| {
-                        SimError::oob(
-                            format!("store slice {} out of bounds ({total})", p + 1),
-                            span,
-                        )
-                    })?;
-                    *slot = *z;
-                }
+        let sl = self.resolve_slice(f, env, base, indices, span)?;
+        let (rows, cols) = sl.shape;
+        let n = rows * cols;
+        self.charge(OpClass::Store, n as u64);
+        self.charge(OpClass::Branch, n as u64);
+        if let SimVal::Arr(src) = val {
+            self.charge(OpClass::Load, n as u64);
+            if src.numel() != n {
+                return Err(SimError::new("store size mismatch", span));
             }
+        }
+        let total = base.numel();
+        if let Some(p) = sl.first_oob(total) {
+            return Err(SimError::oob(
+                format!(
+                    "store slice {} out of bounds ({total})",
+                    p.saturating_add(1)
+                ),
+                span,
+            ));
+        }
+        // When the source aliases `base`, `data_mut` copies the shared
+        // payload first, so the source keeps reading the old values.
+        let data = base.data_mut();
+        match val {
+            SimVal::Scalar(z) => sl.each(|p| {
+                data[p] = *z;
+                true
+            }),
             SimVal::Arr(src) => {
-                self.charge(OpClass::Load, n);
-                if src.numel() != positions.len() {
-                    return Err(SimError::new("store size mismatch", span));
-                }
-                for (k, p) in positions.iter().enumerate() {
-                    let total = base.numel();
-                    let z = src.lin(k);
-                    let slot = base.data_mut().get_mut(*p).ok_or_else(|| {
-                        SimError::oob(
-                            format!("store slice {} out of bounds ({total})", p + 1),
-                            span,
-                        )
-                    })?;
-                    *slot = z;
-                }
+                let (src, mut k) = (src.data(), 0);
+                sl.each(|p| {
+                    data[p] = src[k];
+                    k += 1;
+                    true
+                });
             }
         }
         Ok(())
@@ -597,6 +621,97 @@ impl Exec<'_> {
                 span,
             )),
         }
+    }
+}
+
+/// One axis of a slice subscript in closed form: the 0-based positions
+/// `elem(0..len())`, computed on demand rather than materialized.
+#[derive(Clone, Copy)]
+enum Axis {
+    /// One scalar position.
+    One(i64),
+    /// `0, 1, .., n-1` (a `:` over an axis of length `n`).
+    Iota(usize),
+    /// The `s:st:e` list of `len` elements, each evaluated in floating
+    /// point from `s` and `st` like the C backend's loop counter.
+    Rng { s: f64, st: f64, len: usize },
+}
+
+impl Axis {
+    fn len(self) -> usize {
+        match self {
+            Axis::One(_) => 1,
+            Axis::Iota(n) => n,
+            Axis::Rng { len, .. } => len,
+        }
+    }
+
+    #[inline(always)]
+    fn elem(self, k: usize) -> i64 {
+        match self {
+            Axis::One(v) => v,
+            Axis::Iota(_) => k as i64,
+            Axis::Rng { s, st, .. } => (s + st * k as f64) as i64 - 1,
+        }
+    }
+
+    /// `(smallest, largest)` element; only meaningful when `len() > 0`.
+    /// Range elements are monotone in `k` (truncation preserves order), so
+    /// the extremes sit at the ends.
+    fn bounds(self) -> (i64, i64) {
+        let (a, b) = (self.elem(0), self.elem(self.len() - 1));
+        (a.min(b), a.max(b))
+    }
+}
+
+/// A resolved slice subscript: the positions `col.elem(j) * stride +
+/// row.elem(i)`, column-outer and row-inner, fill a result of `shape`.
+/// Built only once both axes are known non-negative (see
+/// [`Exec::resolve_slice`]).
+#[derive(Clone, Copy)]
+struct Slice {
+    row: Axis,
+    col: Axis,
+    stride: usize,
+    shape: (usize, usize),
+    /// One past the largest position (0 for an empty slice), from the
+    /// axes' closed-form extremes.
+    end: usize,
+}
+
+impl Slice {
+    /// Calls `visit` with each base position, column-outer and row-inner,
+    /// until it returns `false`. Positions saturate rather than overflow,
+    /// so an absurdly large subscript still reads as out of bounds.
+    #[inline(always)]
+    fn each(&self, mut visit: impl FnMut(usize) -> bool) {
+        let Slice {
+            row, col, stride, ..
+        } = *self;
+        for j in 0..col.len() {
+            let off = (col.elem(j) as usize).saturating_mul(stride);
+            for i in 0..row.len() {
+                if !visit(off.saturating_add(row.elem(i) as usize)) {
+                    return;
+                }
+            }
+        }
+    }
+
+    /// The first position, in gather order, at or past `len`; `end`
+    /// settles the in-bounds case without a scan.
+    fn first_oob(&self, len: usize) -> Option<usize> {
+        if self.end <= len {
+            return None;
+        }
+        let mut oob = None;
+        self.each(|p| {
+            if p >= len {
+                oob = Some(p);
+            }
+            oob.is_none()
+        });
+        oob
     }
 }
 

@@ -12,12 +12,14 @@
 //! Fusion is a pure representation change: micro-ops burn fuel, charge
 //! cycles, and raise errors in exactly the order the tree walker does for
 //! the statements they came from, so outcomes stay bit-identical (pinned by
-//! `tests/engine_differential.rs` and the pipeline fuzzer).
+//! `tests/engine_differential.rs` and the pipeline fuzzer). Only scalar
+//! element accesses and scalar arithmetic get specialized micro-ops; every
+//! other `Def`/`Store` (slices included) becomes a generic micro-op that
+//! calls the semantics in `eval.rs`, so those exist once.
 
 use super::native::{
     micro_bin, micro_bin_fast, micro_chain, micro_copy, micro_def_generic, micro_load1,
-    micro_load2, micro_slice_load_2d, micro_slice_load_lin, micro_slice_store_2d,
-    micro_slice_store_lin, micro_store1, micro_store2, micro_store_generic, micro_un, step_branch,
+    micro_load2, micro_store1, micro_store2, micro_store_generic, micro_un, step_branch,
     step_branch_burning, step_break, step_call_multi, step_continue, step_effect, step_for_next,
     step_for_setup, step_jump, step_return, step_super, step_vector, step_while_enter,
     step_while_iter, Frame,
@@ -193,38 +195,6 @@ pub(super) enum MicroData {
         value: Operand,
         span: Span,
     },
-    /// `dst = arr(sel)` for a single slice-like subscript (`Range`/`Full`).
-    SliceLoadLin {
-        arr: VarId,
-        sel: AxisSel,
-        dst: VarId,
-        scalar_dst: bool,
-        span: Span,
-    },
-    /// `dst = arr(rsel, csel)` where at least one axis is slice-like.
-    SliceLoad2 {
-        arr: VarId,
-        rsel: AxisSel,
-        csel: AxisSel,
-        dst: VarId,
-        scalar_dst: bool,
-        span: Span,
-    },
-    /// `arr(sel) = value` for a single slice-like subscript.
-    SliceStoreLin {
-        arr: VarId,
-        sel: AxisSel,
-        value: Operand,
-        span: Span,
-    },
-    /// `arr(rsel, csel) = value` where at least one axis is slice-like.
-    SliceStore2 {
-        arr: VarId,
-        rsel: AxisSel,
-        csel: AxisSel,
-        value: Operand,
-        span: Span,
-    },
     /// A compiled straight-line run of scalar micro-ops executed with
     /// intermediate values held in a local temp stack instead of the
     /// environment (see [`ChainData`]).
@@ -328,37 +298,6 @@ pub(super) enum CKind {
     Store1 { arr: u32 },
     /// `arr(a, b) = c`.
     Store2 { arr: u32 },
-}
-
-/// One pre-compiled subscript axis of a slice micro-op; mirrors
-/// [`Index`], with operands still to be read from the environment at run
-/// time.
-#[derive(Clone, Copy)]
-pub(super) enum AxisSel {
-    /// A single scalar position.
-    Pos(Operand),
-    /// The whole axis (`:`).
-    Full,
-    /// `start : step : stop`.
-    Range {
-        start: Operand,
-        step: Operand,
-        stop: Operand,
-    },
-}
-
-impl AxisSel {
-    fn of(ix: &Index) -> AxisSel {
-        match ix {
-            Index::Scalar(op) => AxisSel::Pos(*op),
-            Index::Full => AxisSel::Full,
-            Index::Range { start, step, stop } => AxisSel::Range {
-                start: *start,
-                step: *step,
-                stop: *stop,
-            },
-        }
-    }
 }
 
 /// The real-scalar cost class and compute fn for `op`; paired with the
@@ -967,27 +906,6 @@ fn make_micro(inst: &DInst) -> Micro {
                             span,
                         },
                     },
-                    [ix @ (Index::Full | Index::Range { .. })] => Micro {
-                        run: micro_slice_load_lin,
-                        data: MicroData::SliceLoadLin {
-                            arr: *array,
-                            sel: AxisSel::of(ix),
-                            dst,
-                            scalar_dst,
-                            span,
-                        },
-                    },
-                    [ri, ci] => Micro {
-                        run: micro_slice_load_2d,
-                        data: MicroData::SliceLoad2 {
-                            arr: *array,
-                            rsel: AxisSel::of(ri),
-                            csel: AxisSel::of(ci),
-                            dst,
-                            scalar_dst,
-                            span,
-                        },
-                    },
                     _ => Micro {
                         run: micro_def_generic,
                         data: MicroData::Def {
@@ -1030,25 +948,6 @@ fn make_micro(inst: &DInst) -> Micro {
                     arr: *array,
                     r: *r,
                     c: *c,
-                    value: *value,
-                    span: *span,
-                },
-            },
-            [ix @ (Index::Full | Index::Range { .. })] => Micro {
-                run: micro_slice_store_lin,
-                data: MicroData::SliceStoreLin {
-                    arr: *array,
-                    sel: AxisSel::of(ix),
-                    value: *value,
-                    span: *span,
-                },
-            },
-            [ri, ci] => Micro {
-                run: micro_slice_store_2d,
-                data: MicroData::SliceStore2 {
-                    arr: *array,
-                    rsel: AxisSel::of(ri),
-                    csel: AxisSel::of(ci),
                     value: *value,
                     span: *span,
                 },

@@ -7,7 +7,9 @@
 //! `pc = (step.run)(...)` — no instruction-enum match — and micro-ops with
 //! scalar-specialized fast paths skip the generic `Rvalue` machinery
 //! entirely, falling back to it whenever a runtime value shape disagrees
-//! with the specialization.
+//! with the specialization. Micro-ops specialize dispatch only: every
+//! other statement (slices, builtins, calls) runs the shared semantics in
+//! `eval.rs` through `micro_def_generic`/`micro_store_generic`.
 //!
 //! Bit-exactness contract: every handler burns fuel, charges cycles, and
 //! raises errors in exactly the order the tree walker's `exec_stmt`
@@ -17,8 +19,8 @@
 
 use super::eval::{apply_binop_scalar, apply_unop};
 use super::fuse::{
-    AxisSel, CKind, CSrc, ChainData, ChainOp, Guard, Micro, MicroData, NData, NStep,
-    NativeFunction, CHAIN_MAX,
+    CKind, CSrc, ChainData, ChainOp, Guard, Micro, MicroData, NData, NStep, NativeFunction,
+    CHAIN_MAX,
 };
 use super::vector::vector_fast;
 use super::{def_finish, slot_scalar, trip_count, Env, Exec, SimError, SimVal};
@@ -1131,427 +1133,4 @@ pub(super) fn step_vector(
         exec.vector_op_lanes(f, env, vop, len)?;
     }
     Ok(pc + 1)
-}
-
-// ---- slice micro-ops -------------------------------------------------------
-//
-// Direct gather/scatter for slice-like subscripts, replacing the generic
-// `slice_positions` path (which materializes per-axis index lists and a
-// flat position vector) with closed-form axis iterators — no allocation
-// beyond the result payload. Charges and error order are exactly those of
-// `eval_index_slices`/`store_slices`: axis operands are read (and
-// negativity rejected) before any charge, charges land before bounds
-// errors, and gather order is column-outer/row-inner.
-
-/// A resolved subscript axis: 0-based positions `elem(0..len)`.
-#[derive(Clone, Copy)]
-enum RAxis {
-    /// One scalar position.
-    One(i64),
-    /// `0, 1, .., n-1` (a `:` over an axis of length `n`).
-    Iota(usize),
-    /// The `start:step:stop` list; elements reproduce `slice_positions`'s
-    /// float evaluation exactly.
-    Rng { s: f64, st: f64, len: usize },
-}
-
-impl RAxis {
-    fn len(self) -> usize {
-        match self {
-            RAxis::One(_) => 1,
-            RAxis::Iota(n) => n,
-            RAxis::Rng { len, .. } => len,
-        }
-    }
-
-    #[inline(always)]
-    fn elem(self, k: usize) -> i64 {
-        match self {
-            RAxis::One(v) => v,
-            RAxis::Iota(_) => k as i64,
-            RAxis::Rng { s, st, .. } => (s + st * k as f64) as i64 - 1,
-        }
-    }
-
-    /// `(smallest, largest)` element; only meaningful when `len() > 0`.
-    /// Range lists are monotone in `k` (truncation preserves order), so
-    /// the extremes sit at the ends.
-    fn bounds(self) -> (i64, i64) {
-        match self {
-            RAxis::One(v) => (v, v),
-            RAxis::Iota(n) => (0, n as i64 - 1),
-            RAxis::Rng { len, .. } => {
-                let (a, b) = (self.elem(0), self.elem(len - 1));
-                (a.min(b), a.max(b))
-            }
-        }
-    }
-}
-
-impl Exec<'_> {
-    /// Evaluates one axis of a slice subscript, reading operands in the
-    /// same order (and with the same errors) as `slice_positions`.
-    fn resolve_axis(
-        &mut self,
-        f: &MirFunction,
-        env: &Env,
-        sel: &AxisSel,
-        full_len: usize,
-        span: Span,
-    ) -> Result<RAxis, SimError> {
-        match sel {
-            AxisSel::Pos(op) => Ok(RAxis::One(self.index0(f, env, *op, span)?)),
-            AxisSel::Full => Ok(RAxis::Iota(full_len)),
-            AxisSel::Range { start, step, stop } => {
-                let (s, st, e) = self.range_of(f, env, [*start, *step, *stop], span)?;
-                let len = trip_count(s, st, e) as usize;
-                Ok(RAxis::Rng { s, st, len })
-            }
-        }
-    }
-}
-
-#[cold]
-fn slice_oob(p: usize, span: Span) -> SimError {
-    SimError::oob(format!("slice index {} out of bounds", p + 1), span)
-}
-
-#[cold]
-fn store_slice_oob(p: usize, total: usize, span: Span) -> SimError {
-    SimError::oob(
-        format!("store slice {} out of bounds ({total})", p + 1),
-        span,
-    )
-}
-
-/// `dst = arr(sel)` for one slice-like subscript (`Range` or `Full`).
-pub(super) fn micro_slice_load_lin(
-    exec: &mut Exec<'_>,
-    f: &MirFunction,
-    env: &mut Env,
-    data: &MicroData,
-) -> Result<(), SimError> {
-    let MicroData::SliceLoadLin {
-        arr,
-        sel,
-        dst,
-        scalar_dst,
-        span,
-    } = data
-    else {
-        unreachable!()
-    };
-    exec.enter(*span)?;
-    // Base first, like `eval_index`.
-    let base = match &env[arr.0 as usize] {
-        Some(SimVal::Arr(m)) => m.clone(),
-        Some(SimVal::Scalar(z)) => Matrix::scalar(*z),
-        None => return Err(unset_err(f, *arr, *span)),
-    };
-    let ax = exec.resolve_axis(f, env, sel, base.numel(), *span)?;
-    let n = ax.len();
-    let mut out = Vec::with_capacity(n);
-    if n > 0 {
-        let (lo, hi) = ax.bounds();
-        if lo < 0 {
-            return Err(SimError::oob("index must be positive", *span));
-        }
-        exec.charge(OpClass::Load, n as u64);
-        exec.charge(OpClass::Store, n as u64);
-        exec.charge(OpClass::Branch, n as u64);
-        let bd = base.data();
-        if (hi as usize) < bd.len() {
-            for k in 0..n {
-                out.push(bd[ax.elem(k) as usize]);
-            }
-        } else {
-            // Exact first-out-of-bounds position, like the generic path.
-            for k in 0..n {
-                let p = ax.elem(k) as usize;
-                if p >= bd.len() {
-                    return Err(slice_oob(p, *span));
-                }
-                out.push(bd[p]);
-            }
-        }
-    } else {
-        exec.charge(OpClass::Load, 0);
-        exec.charge(OpClass::Store, 0);
-        exec.charge(OpClass::Branch, 0);
-    }
-    // `x(a:b)` yields a row, `x(:)` a column (as `slice_positions` shapes).
-    let m = match sel {
-        AxisSel::Full => Matrix::new(n, 1, out),
-        _ => Matrix::new(1, n, out),
-    };
-    def_finish(env, *dst, *scalar_dst, SimVal::Arr(m));
-    Ok(())
-}
-
-/// `dst = arr(rsel, csel)` with at least one slice-like axis.
-pub(super) fn micro_slice_load_2d(
-    exec: &mut Exec<'_>,
-    f: &MirFunction,
-    env: &mut Env,
-    data: &MicroData,
-) -> Result<(), SimError> {
-    let MicroData::SliceLoad2 {
-        arr,
-        rsel,
-        csel,
-        dst,
-        scalar_dst,
-        span,
-    } = data
-    else {
-        unreachable!()
-    };
-    exec.enter(*span)?;
-    let base = match &env[arr.0 as usize] {
-        Some(SimVal::Arr(m)) => m.clone(),
-        Some(SimVal::Scalar(z)) => Matrix::scalar(*z),
-        None => return Err(unset_err(f, *arr, *span)),
-    };
-    let ra = exec.resolve_axis(f, env, rsel, base.rows(), *span)?;
-    let ca = exec.resolve_axis(f, env, csel, base.cols(), *span)?;
-    let (rn, cn) = (ra.len(), ca.len());
-    let n = rn * cn;
-    let mut out = Vec::with_capacity(n);
-    if rn > 0 && cn > 0 {
-        let (rlo, rhi) = ra.bounds();
-        let (clo, chi) = ca.bounds();
-        if rlo < 0 || clo < 0 {
-            return Err(SimError::oob("index must be positive", *span));
-        }
-        exec.charge(OpClass::Load, n as u64);
-        exec.charge(OpClass::Store, n as u64);
-        exec.charge(OpClass::Branch, n as u64);
-        let rows = base.rows();
-        let bd = base.data();
-        if (chi as usize) * rows + (rhi as usize) < bd.len() {
-            for jc in 0..cn {
-                let coff = ca.elem(jc) as usize * rows;
-                for ir in 0..rn {
-                    out.push(bd[coff + ra.elem(ir) as usize]);
-                }
-            }
-        } else {
-            for jc in 0..cn {
-                let coff = ca.elem(jc) as usize * rows;
-                for ir in 0..rn {
-                    let p = coff + ra.elem(ir) as usize;
-                    if p >= bd.len() {
-                        return Err(slice_oob(p, *span));
-                    }
-                    out.push(bd[p]);
-                }
-            }
-        }
-    } else {
-        exec.charge(OpClass::Load, 0);
-        exec.charge(OpClass::Store, 0);
-        exec.charge(OpClass::Branch, 0);
-    }
-    def_finish(
-        env,
-        *dst,
-        *scalar_dst,
-        SimVal::Arr(Matrix::new(rn, cn, out)),
-    );
-    Ok(())
-}
-
-/// `arr(sel) = value` for one slice-like subscript.
-pub(super) fn micro_slice_store_lin(
-    exec: &mut Exec<'_>,
-    f: &MirFunction,
-    env: &mut Env,
-    data: &MicroData,
-) -> Result<(), SimError> {
-    let MicroData::SliceStoreLin {
-        arr,
-        sel,
-        value,
-        span,
-    } = data
-    else {
-        unreachable!()
-    };
-    exec.enter(*span)?;
-    // Value first, then the base is *taken* for in-place mutation — the
-    // same sequence (and therefore error order) as `exec_store`.
-    let val = exec.operand(f, env, *value, *span)?;
-    let mut base = match env[arr.0 as usize].take() {
-        Some(SimVal::Arr(m)) => m,
-        Some(SimVal::Scalar(z)) => Matrix::scalar(z),
-        None => return Err(unset_err(f, *arr, *span)),
-    };
-    let ax = exec.resolve_axis(f, env, sel, base.numel(), *span)?;
-    let n = ax.len();
-    if n > 0 {
-        let (lo, hi) = ax.bounds();
-        if lo < 0 {
-            return Err(SimError::oob("index must be positive", *span));
-        }
-        exec.charge(OpClass::Store, n as u64);
-        exec.charge(OpClass::Branch, n as u64);
-        let total = base.numel();
-        match &val {
-            SimVal::Scalar(z) => {
-                let bd = base.data_mut();
-                if (hi as usize) < bd.len() {
-                    for k in 0..n {
-                        bd[ax.elem(k) as usize] = *z;
-                    }
-                } else {
-                    for k in 0..n {
-                        let p = ax.elem(k) as usize;
-                        match bd.get_mut(p) {
-                            Some(slot) => *slot = *z,
-                            None => return Err(store_slice_oob(p, total, *span)),
-                        }
-                    }
-                }
-            }
-            SimVal::Arr(src) => {
-                exec.charge(OpClass::Load, n as u64);
-                if src.numel() != n {
-                    return Err(SimError::new("store size mismatch", *span));
-                }
-                let src = src.clone();
-                let bd = base.data_mut();
-                if (hi as usize) < bd.len() {
-                    for k in 0..n {
-                        bd[ax.elem(k) as usize] = src.lin(k);
-                    }
-                } else {
-                    for k in 0..n {
-                        let p = ax.elem(k) as usize;
-                        match bd.get_mut(p) {
-                            Some(slot) => *slot = src.lin(k),
-                            None => return Err(store_slice_oob(p, total, *span)),
-                        }
-                    }
-                }
-            }
-        }
-    } else {
-        exec.charge(OpClass::Store, 0);
-        exec.charge(OpClass::Branch, 0);
-        if let SimVal::Arr(src) = &val {
-            exec.charge(OpClass::Load, 0);
-            if src.numel() != 0 {
-                return Err(SimError::new("store size mismatch", *span));
-            }
-        }
-    }
-    env[arr.0 as usize] = Some(SimVal::Arr(base));
-    Ok(())
-}
-
-/// `arr(rsel, csel) = value` with at least one slice-like axis.
-pub(super) fn micro_slice_store_2d(
-    exec: &mut Exec<'_>,
-    f: &MirFunction,
-    env: &mut Env,
-    data: &MicroData,
-) -> Result<(), SimError> {
-    let MicroData::SliceStore2 {
-        arr,
-        rsel,
-        csel,
-        value,
-        span,
-    } = data
-    else {
-        unreachable!()
-    };
-    exec.enter(*span)?;
-    let val = exec.operand(f, env, *value, *span)?;
-    let mut base = match env[arr.0 as usize].take() {
-        Some(SimVal::Arr(m)) => m,
-        Some(SimVal::Scalar(z)) => Matrix::scalar(z),
-        None => return Err(unset_err(f, *arr, *span)),
-    };
-    let ra = exec.resolve_axis(f, env, rsel, base.rows(), *span)?;
-    let ca = exec.resolve_axis(f, env, csel, base.cols(), *span)?;
-    let (rn, cn) = (ra.len(), ca.len());
-    let n = rn * cn;
-    if rn > 0 && cn > 0 {
-        let (rlo, rhi) = ra.bounds();
-        let (clo, chi) = ca.bounds();
-        if rlo < 0 || clo < 0 {
-            return Err(SimError::oob("index must be positive", *span));
-        }
-        exec.charge(OpClass::Store, n as u64);
-        exec.charge(OpClass::Branch, n as u64);
-        let total = base.numel();
-        let rows = base.rows();
-        match &val {
-            SimVal::Scalar(z) => {
-                let bd = base.data_mut();
-                if (chi as usize) * rows + (rhi as usize) < bd.len() {
-                    for jc in 0..cn {
-                        let coff = ca.elem(jc) as usize * rows;
-                        for ir in 0..rn {
-                            bd[coff + ra.elem(ir) as usize] = *z;
-                        }
-                    }
-                } else {
-                    for jc in 0..cn {
-                        let coff = ca.elem(jc) as usize * rows;
-                        for ir in 0..rn {
-                            let p = coff + ra.elem(ir) as usize;
-                            match bd.get_mut(p) {
-                                Some(slot) => *slot = *z,
-                                None => return Err(store_slice_oob(p, total, *span)),
-                            }
-                        }
-                    }
-                }
-            }
-            SimVal::Arr(src) => {
-                exec.charge(OpClass::Load, n as u64);
-                if src.numel() != n {
-                    return Err(SimError::new("store size mismatch", *span));
-                }
-                let src = src.clone();
-                let bd = base.data_mut();
-                if (chi as usize) * rows + (rhi as usize) < bd.len() {
-                    let mut k = 0usize;
-                    for jc in 0..cn {
-                        let coff = ca.elem(jc) as usize * rows;
-                        for ir in 0..rn {
-                            bd[coff + ra.elem(ir) as usize] = src.lin(k);
-                            k += 1;
-                        }
-                    }
-                } else {
-                    let mut k = 0usize;
-                    for jc in 0..cn {
-                        let coff = ca.elem(jc) as usize * rows;
-                        for ir in 0..rn {
-                            let p = coff + ra.elem(ir) as usize;
-                            match bd.get_mut(p) {
-                                Some(slot) => *slot = src.lin(k),
-                                None => return Err(store_slice_oob(p, total, *span)),
-                            }
-                            k += 1;
-                        }
-                    }
-                }
-            }
-        }
-    } else {
-        exec.charge(OpClass::Store, 0);
-        exec.charge(OpClass::Branch, 0);
-        if let SimVal::Arr(src) = &val {
-            exec.charge(OpClass::Load, 0);
-            if src.numel() != n {
-                return Err(SimError::new("store size mismatch", *span));
-            }
-        }
-    }
-    env[arr.0 as usize] = Some(SimVal::Arr(base));
-    Ok(())
 }

@@ -1,97 +1,48 @@
 //! **Table 3 — compile-time breakdown of the flow.**
 //!
-//! Wall-clock time per pipeline stage (parse, sema, lower+optimize,
-//! vectorize, C emission) for each benchmark. Regenerate with:
+//! Wall-clock time per compiler pass for each benchmark, read from the
+//! compiler's own per-pass timings (`Compiled::timings`) of a
+//! full-optimization compile, so the table times exactly the passes
+//! `Compiler::compile` runs. Regenerate with:
 //! `cargo run -p matic-bench --bin repro_table3 --release`
 
-use matic::{CodegenOptions, IsaSpec};
+use matic::Compiler;
 use matic_bench::render_table;
 use matic_benchkit::SUITE;
-use std::time::Instant;
-
-fn micros(d: std::time::Duration) -> String {
-    format!("{:.1}", d.as_secs_f64() * 1e6)
-}
 
 fn main() {
     const REPS: u32 = 50;
+    let compiler = Compiler::new();
+    let mut passes: Vec<&str> = Vec::new();
     let mut rows = Vec::new();
     for b in SUITE {
         let args = b.arg_types(b.default_n);
-
-        let t0 = Instant::now();
-        let mut parsed = None;
+        let mut seconds: Vec<f64> = Vec::new();
+        let mut c_bytes = 0;
         for _ in 0..REPS {
-            let (p, d) = matic::parse(b.source);
-            assert!(!d.has_errors());
-            parsed = Some(p);
+            let compiled = compiler
+                .compile(b.source, b.entry, &args)
+                .unwrap_or_else(|e| panic!("{}: {e}", b.id));
+            passes = compiled.timings.iter().map(|t| t.name).collect();
+            seconds.resize(passes.len(), 0.0);
+            for (sum, t) in seconds.iter_mut().zip(&compiled.timings) {
+                *sum += t.duration.as_secs_f64();
+            }
+            c_bytes = compiled.c.source.len();
         }
-        let t_parse = t0.elapsed() / REPS;
-        let program = parsed.expect("parsed");
-
-        let t0 = Instant::now();
-        let mut analysis = None;
-        for _ in 0..REPS {
-            analysis = Some(matic_sema::analyze(&program, b.entry, &args));
-        }
-        let t_sema = t0.elapsed() / REPS;
-        let analysis = analysis.expect("analyzed");
-
-        let t0 = Instant::now();
-        let mut lowered = None;
-        for _ in 0..REPS {
-            let (mut mir, d) = matic_mir::lower_program(&program, &analysis);
-            assert!(!d.has_errors());
-            matic_mir::optimize_program(&mut mir);
-            lowered = Some(mir);
-        }
-        let t_lower = t0.elapsed() / REPS;
-        let mir = lowered.expect("lowered");
-
-        let t0 = Instant::now();
-        let mut vectorized = None;
-        for _ in 0..REPS {
-            let mut m = mir.clone();
-            matic_vectorize::vectorize_program(&mut m);
-            vectorized = Some(m);
-        }
-        let t_vec = t0.elapsed() / REPS;
-        let vmir = vectorized.expect("vectorized");
-
-        let backend = matic_codegen::CBackend::new(IsaSpec::dsp16(), CodegenOptions::default());
-        let t0 = Instant::now();
-        let mut emitted = 0usize;
-        for _ in 0..REPS {
-            let m = backend.generate(&vmir).expect("codegen ok");
-            emitted = m.source.len();
-        }
-        let t_emit = t0.elapsed() / REPS;
-
-        rows.push(vec![
-            b.id.to_string(),
-            micros(t_parse),
-            micros(t_sema),
-            micros(t_lower),
-            micros(t_vec),
-            micros(t_emit),
-            emitted.to_string(),
-        ]);
+        let mut row = vec![b.id.to_string()];
+        row.extend(
+            seconds
+                .iter()
+                .map(|s| format!("{:.1}", s * 1e6 / f64::from(REPS))),
+        );
+        row.push(c_bytes.to_string());
+        rows.push(row);
     }
-    println!("Table 3: compile-time per stage (microseconds, mean of {REPS} runs)");
+    let mut header = vec!["bench"];
+    header.extend(&passes);
+    header.push("C-bytes");
+    println!("Table 3: compile time per pass (microseconds, mean of {REPS} compiles)");
     println!();
-    println!(
-        "{}",
-        render_table(
-            &[
-                "bench",
-                "parse",
-                "sema",
-                "lower+opt",
-                "vectorize",
-                "emit-C",
-                "C-bytes"
-            ],
-            &rows
-        )
-    );
+    println!("{}", render_table(&header, &rows));
 }

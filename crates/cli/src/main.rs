@@ -484,23 +484,15 @@ fn cmd_explore(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_targets(args: &[String]) -> Result<(), String> {
-    let builtin = [
-        IsaSpec::dsp16(),
-        IsaSpec::scalar_baseline(),
-        IsaSpec::with_width(4),
-        IsaSpec::with_width(16),
-    ];
     if let Some(pos) = args.iter().position(|a| a == "--dump") {
         let name = args.get(pos + 1).ok_or("--dump expects a target name")?;
-        let spec = builtin
-            .iter()
-            .find(|s| &s.name == name)
-            .ok_or_else(|| format!("unknown builtin target `{name}`"))?;
+        let spec =
+            IsaSpec::builtin(name).ok_or_else(|| format!("unknown builtin target `{name}`"))?;
         println!("{}", spec.to_json());
         return Ok(());
     }
     println!("builtin targets (export with `matic targets --dump <name>`):");
-    for s in &builtin {
+    for s in &IsaSpec::builtins() {
         println!("  {s}");
     }
     Ok(())

@@ -11,8 +11,11 @@
 //!
 //! There is no invalidation protocol: an entry is the output of a pure
 //! function of its key, so it never goes stale, and a changed input is a
-//! different key. [`StageCache::clear`] exists for memory pressure (it
-//! also resets the hit/miss counters, starting a fresh statistics window).
+//! different key. Memory is bounded instead: the cache holds at most
+//! [`MAX_ENTRIES`] requests, and inserting a new one into a full cache
+//! evicts an arbitrary entry (an evicted request simply compiles again).
+//! [`StageCache::clear`] drops everything and also resets the hit/miss
+//! counters, starting a fresh statistics window.
 //!
 //! Every hit returns a clone of the stored [`Compiled`], whose decode and
 //! native-fusion cell is shared, so simulators spawned from any hit reuse
@@ -37,9 +40,14 @@ type Buckets = std::collections::hash_map::RandomState;
 #[cfg(test)]
 type Buckets = std::hash::BuildHasherDefault<tests::OneBucket>;
 
+/// The most requests one [`StageCache`] keeps. Each entry holds its
+/// source, AST, MIR and C, so without a cap every distinct request a
+/// long-running server ever compiled would stay resident.
+pub const MAX_ENTRIES: usize = 256;
+
 /// Everything that determines a compilation's output. Argument-type
 /// constants are kept by bit pattern, so equality is exact.
-#[derive(Debug, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct Request {
     source: String,
     entry: String,
@@ -83,7 +91,8 @@ impl CacheStats {
         self.misses
     }
 
-    /// Live entries: distinct requests that compiled successfully.
+    /// Live entries: distinct requests that compiled successfully and
+    /// have not been evicted (at most [`MAX_ENTRIES`]).
     pub fn entries(&self) -> usize {
         self.entries
     }
@@ -139,6 +148,7 @@ impl Compiler {
     /// A hit reports the per-pass timings of the request that built it.
     /// When several threads miss on one request at once, each compiles,
     /// the first to finish stores its result and all of them return it.
+    /// Storing a new request in a full cache first evicts another one.
     ///
     /// # Errors
     ///
@@ -157,7 +167,13 @@ impl Compiler {
         }
         cache.misses.fetch_add(1, Ordering::Relaxed);
         let compiled = self.compile(src, entry, arg_types)?;
-        Ok(cache.entries().entry(request).or_insert(compiled).clone())
+        let mut entries = cache.entries();
+        if entries.len() >= MAX_ENTRIES && !entries.contains_key(&request) {
+            if let Some(victim) = entries.keys().next().cloned() {
+                entries.remove(&victim);
+            }
+        }
+        Ok(entries.entry(request).or_insert(compiled).clone())
     }
 }
 
@@ -350,6 +366,23 @@ mod tests {
                 .expect_err("parse error");
         }
         assert_eq!(counts(&cache), (0, 2, 0), "errors recompile every time");
+    }
+
+    #[test]
+    fn a_full_cache_evicts_and_stays_bounded() {
+        let cache = StageCache::new();
+        let compiler = Compiler::new();
+        let requests = MAX_ENTRIES + 8;
+        for n in 1..=requests {
+            let sig = [arg::vector(n), arg::vector(n)];
+            let cached = compiler
+                .compile_cached(&cache, SRC, "dotp", &sig)
+                .expect("cached compile");
+            let fresh = compiler.compile(SRC, "dotp", &sig).expect("fresh compile");
+            assert_eq!(cached.c.source, fresh.c.source, "n = {n}");
+            assert!(cache.stats().entries() <= MAX_ENTRIES);
+        }
+        assert_eq!(counts(&cache), (0, requests as u64, MAX_ENTRIES));
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //!    frontier document and driven entirely by *re-simulation* of the
 //!    benchmark (never by the cost model alone). Every evaluation is
 //!    fuel-bounded (early abandon for pathological points), memoized by
-//!    spec fingerprint, and bit-reproducible from the run seed via the
+//!    the whole (spec, fused-instruction choice) pair, and
+//!    bit-reproducible from the run seed via the
 //!    same splitmix64 indexing the fuzz harness uses
 //!    ([`matic_fuzz::case_rng`]).
 //! 2. **Custom-instruction mining** ([`mine`]): recurring connected

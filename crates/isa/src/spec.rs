@@ -188,6 +188,24 @@ impl IsaSpec {
         }
     }
 
+    /// The builtin targets, in listing order: `dsp16`, `scalar`,
+    /// `dsp16_w4` and `dsp16_w16`. `matic targets` lists and dumps them,
+    /// and the compile server resolves a request's `target` name against
+    /// them.
+    pub fn builtins() -> [IsaSpec; 4] {
+        [
+            IsaSpec::dsp16(),
+            IsaSpec::scalar_baseline(),
+            IsaSpec::with_width(4),
+            IsaSpec::with_width(16),
+        ]
+    }
+
+    /// The builtin target called `name` (see [`IsaSpec::builtins`]).
+    pub fn builtin(name: &str) -> Option<IsaSpec> {
+        IsaSpec::builtins().into_iter().find(|s| s.name == name)
+    }
+
     /// A `dsp16` variant with a different SIMD width (for the
     /// width-sweep experiment).
     pub fn with_width(width: usize) -> IsaSpec {
@@ -707,5 +725,16 @@ mod tests {
         });
         assert_ne!(a.name, b.name);
         assert_ne!(b.name, c.name);
+    }
+
+    #[test]
+    fn builtins_resolve_by_name() {
+        let names: Vec<String> = IsaSpec::builtins().into_iter().map(|s| s.name).collect();
+        assert_eq!(names, ["dsp16", "scalar", "dsp16_w4", "dsp16_w16"]);
+        for spec in IsaSpec::builtins() {
+            assert!(spec.validate().is_ok(), "{}", spec.name);
+            assert_eq!(IsaSpec::builtin(&spec.name), Some(spec));
+        }
+        assert_eq!(IsaSpec::builtin("dsp8"), None);
     }
 }

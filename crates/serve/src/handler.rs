@@ -339,18 +339,8 @@ fn check_sig(sig: &[Ty]) -> Result<(), Failure> {
 fn resolve_target(field: Option<&Json>) -> Result<IsaSpec, Failure> {
     match field {
         None | Some(Json::Null) => Ok(IsaSpec::dsp16()),
-        Some(Json::Str(name)) => {
-            let builtin = [
-                IsaSpec::dsp16(),
-                IsaSpec::scalar_baseline(),
-                IsaSpec::with_width(4),
-                IsaSpec::with_width(16),
-            ];
-            builtin
-                .into_iter()
-                .find(|s| &s.name == name)
-                .ok_or_else(|| Failure::protocol(format!("unknown builtin target `{name}`")))
-        }
+        Some(Json::Str(name)) => IsaSpec::builtin(name)
+            .ok_or_else(|| Failure::protocol(format!("unknown builtin target `{name}`"))),
         Some(doc @ Json::Obj(_)) => {
             let spec = IsaSpec::from_json(&doc.pretty()).map_err(Failure::protocol)?;
             spec.validate().map_err(Failure::protocol)?;

@@ -29,6 +29,9 @@ enum Expect {
     Ok,
     /// Every execution fails with an out-of-bounds error.
     Oob,
+    /// As `Oob`, for a subscript below 1: the slice path rejects it before
+    /// it reads or charges anything.
+    NonPositive,
     /// The simulator traps out of bounds; the interpreter grows the array.
     OobStoreGrows,
     /// Every execution succeeds with the same values in the same order,
@@ -105,16 +108,34 @@ fn cases() -> Vec<Case> {
         vcase("x(a:b)", load_range, 2.0, 6.0, Ok),
         vcase("x(a:b) empty", load_range, 5.0, 4.0, Ok),
         vcase("x(a:b) oob lane", load_range, 6.0, 9.0, Oob),
-        vcase("x(a:b) negative start", load_range, -1.0, 3.0, Oob),
-        vcase("x(a:b) zero start", load_range, 0.0, 3.0, Oob),
+        vcase("x(a:b) negative start", load_range, -1.0, 3.0, NonPositive),
+        vcase("x(a:b) zero start", load_range, 0.0, 3.0, NonPositive),
         vcase("x(b:-2:a)", load_neg_step, 2.0, 7.0, Ok),
-        vcase("x(b:-2:a) negative end", load_neg_step, -1.0, 3.0, Oob),
+        vcase(
+            "x(b:-2:a) negative end",
+            load_neg_step,
+            -1.0,
+            3.0,
+            NonPositive,
+        ),
         vcase("x(b:-2:a) oob first lane", load_neg_step, 5.0, 10.0, Oob),
         vcase("x(a:b) = s", store_scalar, 3.0, 5.0, Ok),
         vcase("x(a:b) = s oob", store_scalar, 6.0, 10.0, OobStoreGrows),
-        vcase("x(a:b) = s negative start", store_scalar, -2.0, 3.0, Oob),
+        vcase(
+            "x(a:b) = s negative start",
+            store_scalar,
+            -2.0,
+            3.0,
+            NonPositive,
+        ),
         vcase("x(a:b) = v", store_array, 4.0, 8.0, Ok),
-        vcase("x(a:b) = v negative start", store_array, -1.0, 2.0, Oob),
+        vcase(
+            "x(a:b) = v negative start",
+            store_array,
+            -1.0,
+            2.0,
+            NonPositive,
+        ),
         vcase("x(b:-2:a) = v", store_neg_step, 3.0, 8.0, Ok),
         vcase(
             "x(a:b) = x(a-1:b-1) (shifted alias)",
@@ -158,8 +179,22 @@ fn cases() -> Vec<Case> {
     out.extend([
         mcase("A(r, a:b)", a_row_range, 3.0, 2.0, 4.0, Ok),
         mcase("A(r, a:b) oob column", a_row_range, 1.0, 4.0, 6.0, Oob),
-        mcase("A(r, a:b) negative start", a_row_range, 2.0, -1.0, 2.0, Oob),
-        mcase("A(r, a:b) negative row", a_row_range, 0.0, 1.0, 2.0, Oob),
+        mcase(
+            "A(r, a:b) negative start",
+            a_row_range,
+            2.0,
+            -1.0,
+            2.0,
+            NonPositive,
+        ),
+        mcase(
+            "A(r, a:b) negative row",
+            a_row_range,
+            0.0,
+            1.0,
+            2.0,
+            NonPositive,
+        ),
         mcase(
             "A(:)",
             "function y = f(A, r, a, b)\ny = A(:) - r;\nend",
@@ -171,7 +206,14 @@ fn cases() -> Vec<Case> {
         mcase("A(:, c)", a_col, 0.0, 5.0, 0.0, Ok),
         mcase("A(:, c) oob column", a_col, 0.0, 6.0, 0.0, Oob),
         mcase("A(a:b, :)", a_rows, 0.0, 2.0, 3.0, Ok),
-        mcase("A(a:b, :) negative start", a_rows, 0.0, 0.0, 3.0, Oob),
+        mcase(
+            "A(a:b, :) negative start",
+            a_rows,
+            0.0,
+            0.0,
+            3.0,
+            NonPositive,
+        ),
         mcase(
             "A(r, a:b) = s",
             "function B = f(A, r, a, b)\nB = A;\nB(r, a:b) = -r;\nend",
@@ -234,7 +276,7 @@ fn cases() -> Vec<Case> {
             0.0,
             -1.0,
             1.0,
-            Oob,
+            NonPositive,
         ),
         mcase(
             "A(:, a:b) = A(:, b:-1:a) (reversed alias)",
@@ -302,9 +344,14 @@ fn check(case: &Case, label: &str, opt: OptLevel) {
             assert_eq!(shape, (want.rows(), want.cols()), "{ctx}: shapes differ");
             assert!(outcome.cycles.total > 0, "{ctx}: no cycles charged");
         }
-        (Expect::Oob | Expect::OobStoreGrows, Err(err)) => {
+        (Expect::Oob | Expect::NonPositive | Expect::OobStoreGrows, Err(err)) => {
             assert_eq!(err.kind, SimErrorKind::OutOfBounds, "{ctx}: {err}");
-            if case.expect == Expect::Oob {
+            // Unvectorized, every slice stays a slice statement; the
+            // vectorizer may turn one into a vector op with its own message.
+            if case.expect == Expect::NonPositive && !opt.vectorize {
+                assert_eq!(err.message, "index must be positive", "{ctx}");
+            }
+            if case.expect != Expect::OobStoreGrows {
                 let e = reference.expect_err(&format!("{ctx}: interpreter must fail too"));
                 assert_eq!(e.kind, SimErrorKind::OutOfBounds, "{ctx}: {e:?}");
             } else {
