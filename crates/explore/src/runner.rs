@@ -478,4 +478,19 @@ mod tests {
         assert!(err.contains("fuel"), "{err}");
         assert!(err.contains("fir/"), "{err}");
     }
+
+    #[test]
+    fn the_first_failing_cell_in_kernel_and_grid_order_wins() {
+        // Every cell of every kernel runs out of fuel; the error reported
+        // is the first kernel's first grid candidate, however the cells
+        // are scheduled.
+        let cfg = ExploreConfig {
+            fuel: 10,
+            ..ExploreConfig::default()
+        };
+        assert_eq!(
+            explore(&cfg).unwrap_err(),
+            "fir/scalar: asip sim: simulation fuel exhausted at 0..0"
+        );
+    }
 }
