@@ -1,14 +1,25 @@
 //! The exploration driver: compile once, simulate against every candidate.
 //!
-//! For each benchmark the runner compiles the MATLAB source a single time
-//! at full optimization, pins correctness against the reference
-//! interpreter, then fans the shared pre-decoded program out across the
-//! candidate grid on all cores ([`crate::par_map`]). Each (benchmark,
-//! candidate) cell is one fuel-limited simulation; its cycle count is
-//! bit-identical to what a from-scratch compilation for that candidate
-//! would report (see [`matic::Compiled::simulator_for`]). The best
-//! candidate is re-run with profiling enabled to answer *why* it wins —
-//! which source line its cycles concentrate on.
+//! Each benchmark is compiled a single time at full optimization and its
+//! reference outputs come from the reference interpreter; the shared
+//! pre-decoded program then runs against every candidate of the grid.
+//! Each (benchmark, candidate) cell is one fuel-limited simulation whose
+//! outputs are checked against the reference inside the cell; its cycle
+//! count is bit-identical to what a from-scratch compilation for that
+//! candidate would report (see [`matic::Compiled::simulator_for`]). The
+//! best candidate is re-run with profiling enabled to answer *why* it
+//! wins — which source line its cycles concentrate on.
+//!
+//! The work runs as three fan-outs on [`crate::par_map`], so no kernel's
+//! reference run waits for another kernel's sweep:
+//!
+//! 1. compile and reference run, one task per benchmark;
+//! 2. every (benchmark, candidate) cell of the whole suite at once;
+//! 3. frontier and profiled re-run, one task per benchmark.
+//!
+//! The error reported is the one a kernel-by-kernel run would meet first:
+//! benchmarks in requested order, and within one benchmark its compile,
+//! its reference run, its first failing cell in grid order, its profile.
 
 use crate::area::AreaModel;
 use crate::grid::{enumerate, Candidate, GridConfig};
@@ -203,9 +214,34 @@ pub fn explore(cfg: &ExploreConfig) -> Result<Exploration, String> {
         })
         .collect::<Result<_, _>>()?;
 
-    let mut out = Vec::with_capacity(benches.len());
-    for bench in benches {
-        out.push(explore_bench(bench, &candidates, cfg)?);
+    // Fan-out 1: compile and reference run per benchmark. A later stage
+    // runs only the benchmarks before the first failure, since an error of
+    // a later benchmark could never be the one reported.
+    let (prepared, mut first_err) = ok_prefix(par_map(&benches, |&bench| prepare(bench, cfg)));
+
+    // Fan-out 2: every (benchmark, candidate) cell in one pool.
+    let jobs: Vec<(&Prepared, &Candidate)> = prepared
+        .iter()
+        .flat_map(|p| candidates.iter().map(move |cand| (p, cand)))
+        .collect();
+    let mut cells = par_map(&jobs, |&(p, cand)| run_cell(p, cand, cfg)).into_iter();
+    let mut swept: Vec<(&Prepared, Vec<CandidatePoint>)> = Vec::with_capacity(prepared.len());
+    for p in &prepared {
+        match cells.by_ref().take(candidates.len()).collect() {
+            Ok(points) => swept.push((p, points)),
+            Err(e) => {
+                first_err = Some(e);
+                break;
+            }
+        }
+    }
+
+    // Fan-out 3: frontier and profiled re-run per benchmark.
+    let (out, err) = ok_prefix(par_map(&swept, |(p, points)| {
+        summarize(p, points, &candidates, cfg)
+    }));
+    if let Some(e) = err.or(first_err) {
+        return Err(e);
     }
     let suite = aggregate_suite(&candidates, &out, &cfg.area);
     Ok(Exploration {
@@ -219,49 +255,79 @@ pub fn explore(cfg: &ExploreConfig) -> Result<Exploration, String> {
     })
 }
 
-fn explore_bench(
+/// The results before the first error, and that error.
+fn ok_prefix<T>(results: Vec<Result<T, String>>) -> (Vec<T>, Option<String>) {
+    let mut ok = Vec::with_capacity(results.len());
+    for r in results {
+        match r {
+            Ok(v) => ok.push(v),
+            Err(e) => return (ok, Some(e)),
+        }
+    }
+    (ok, None)
+}
+
+/// One benchmark compiled once, with its reference outputs.
+struct Prepared {
     bench: &'static Benchmark,
-    candidates: &[Candidate],
-    cfg: &ExploreConfig,
-) -> Result<BenchExploration, String> {
+    n: usize,
+    /// The decoded program is target-independent and shared by every
+    /// candidate's simulator.
+    compiled: Compiled,
+    reference: Vec<CValue>,
+}
+
+fn prepare(bench: &'static Benchmark, cfg: &ExploreConfig) -> Result<Prepared, String> {
     let n = cfg.n.unwrap_or_else(|| default_n(bench.id));
-    // Compile once; the decoded program is target-independent and shared
-    // by every candidate's simulator.
-    let compiled: Compiled = Compiler::new()
+    let compiled = Compiler::new()
         .compile(bench.source, bench.entry, &bench.arg_types(n))
         .map_err(|e| format!("{}: compile failed: {e}", bench.id))?;
     let reference = bench
         .reference_outputs(&bench.inputs(n, cfg.seed))
         .map_err(|e| format!("{}: reference run failed: {e}", bench.id))?;
+    Ok(Prepared {
+        bench,
+        n,
+        compiled,
+        reference,
+    })
+}
 
-    // Fan out: one fuel-limited simulation per candidate. Inputs are
-    // rebuilt inside each worker — simulation values are `Rc`-backed and
-    // must not cross threads — while `compiled` and the reference outputs
-    // are plain shared state.
-    let cells: Vec<Result<CandidatePoint, String>> = par_map(candidates, |cand| {
-        let inputs: Vec<_> = bench.inputs(n, cfg.seed).iter().map(to_sim).collect();
-        let outcome = compiled
-            .simulator_for(Arc::new(cand.spec.clone()))
-            .with_fuel(cfg.fuel)
-            .run(inputs)
-            .map_err(|e| format!("{}/{}: {e}", bench.id, cand.name()))?;
-        check_outputs(&outcome.outputs, &reference)
-            .map_err(|e| format!("{}/{}: {e}", bench.id, cand.name()))?;
-        Ok(CandidatePoint {
-            name: cand.name().to_string(),
-            width: cand.width,
-            features: cand.features,
-            cost_scale: cand.cost_scale,
-            area: cfg.area.area(cand),
-            cycles: outcome.cycles.total,
-            instructions: outcome.cycles.instructions,
-            vector_cycles: outcome.cycles.vector_cycles(),
-            complex_cycles: outcome.cycles.complex_cycles(),
-            on_frontier: false,
-        })
-    });
-    let mut points: Vec<CandidatePoint> = cells.into_iter().collect::<Result<_, _>>()?;
+/// One fuel-limited simulation, checked against the reference. Inputs are
+/// rebuilt inside the worker: simulation values are `Rc`-backed and must
+/// not cross threads.
+fn run_cell(p: &Prepared, cand: &Candidate, cfg: &ExploreConfig) -> Result<CandidatePoint, String> {
+    let context = |e: String| format!("{}/{}: {e}", p.bench.id, cand.name());
+    let inputs: Vec<_> = p.bench.inputs(p.n, cfg.seed).iter().map(to_sim).collect();
+    let outcome = p
+        .compiled
+        .simulator_for(Arc::new(cand.spec.clone()))
+        .with_fuel(cfg.fuel)
+        .run(inputs)
+        .map_err(|e| context(e.to_string()))?;
+    check_outputs(&outcome.outputs, &p.reference).map_err(context)?;
+    Ok(CandidatePoint {
+        name: cand.name().to_string(),
+        width: cand.width,
+        features: cand.features,
+        cost_scale: cand.cost_scale,
+        area: cfg.area.area(cand),
+        cycles: outcome.cycles.total,
+        instructions: outcome.cycles.instructions,
+        vector_cycles: outcome.cycles.vector_cycles(),
+        complex_cycles: outcome.cycles.complex_cycles(),
+        on_frontier: false,
+    })
+}
 
+/// Marks one benchmark's frontier, picks its best candidate and profiles it.
+fn summarize(
+    p: &Prepared,
+    points: &[CandidatePoint],
+    candidates: &[Candidate],
+    cfg: &ExploreConfig,
+) -> Result<BenchExploration, String> {
+    let mut points = points.to_vec();
     let coords: Vec<(f64, f64)> = points.iter().map(|p| (p.area, p.cycles as f64)).collect();
     for i in pareto_frontier(&coords) {
         points[i].on_frontier = true;
@@ -279,12 +345,12 @@ fn explore_bench(
     let best_speedup = scalar_cycles.map(|s| s as f64 / best.cycles.max(1) as f64);
     let best_cand = candidates.iter().find(|c| c.name() == best.name);
     let best_cand = best_cand.expect("points are built from the candidates");
-    let why = profile_best(bench, n, &compiled, &reference, best_cand, cfg)?;
+    let why = profile_best(p.bench, p.n, &p.compiled, &p.reference, best_cand, cfg)?;
 
     Ok(BenchExploration {
-        bench: bench.id.to_string(),
-        entry: bench.entry.to_string(),
-        n,
+        bench: p.bench.id.to_string(),
+        entry: p.bench.entry.to_string(),
+        n: p.n,
         points,
         frontier,
         best: best.name,
