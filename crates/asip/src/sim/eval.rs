@@ -335,16 +335,16 @@ impl Exec<'_> {
             }
             _ => return Err(SimError::new("unsupported subscript form", span)),
         };
-        let mut end = 0;
+        let (mut end, mut row_end) = (0, 0);
         if row.len() > 0 && col.len() > 0 {
             let ((rlo, rhi), (clo, chi)) = (row.bounds(), col.bounds());
             if rlo < 0 || clo < 0 {
                 return Err(SimError::oob("index must be positive", span));
             }
+            row_end = (rhi as usize).saturating_add(1);
             end = (chi as usize)
                 .saturating_mul(stride)
-                .saturating_add(rhi as usize)
-                .saturating_add(1);
+                .saturating_add(row_end);
         }
         Ok(Slice {
             row,
@@ -352,6 +352,7 @@ impl Exec<'_> {
             stride,
             shape,
             end,
+            row_end,
         })
     }
 
@@ -677,6 +678,8 @@ struct Slice {
     /// One past the largest position (0 for an empty slice), from the
     /// axes' closed-form extremes.
     end: usize,
+    /// One past the largest row-axis element (0 for an empty slice).
+    row_end: usize,
 }
 
 impl Slice {
@@ -698,20 +701,27 @@ impl Slice {
         }
     }
 
-    /// The first position, in gather order, at or past `len`; `end`
-    /// settles the in-bounds case without a scan.
+    /// The first position, in gather order, at or past `len`, or whose
+    /// row lies outside the row extent of a 2-D subscript (`stride`): a
+    /// row past the last one would otherwise wrap into the next column.
+    /// `end` and `row_end` settle the in-bounds case without a scan.
     fn first_oob(&self, len: usize) -> Option<usize> {
-        if self.end <= len {
+        let rows = if self.stride == 0 { len } else { self.stride };
+        if self.end <= len && self.row_end <= rows {
             return None;
         }
-        let mut oob = None;
-        self.each(|p| {
-            if p >= len {
-                oob = Some(p);
+        let Slice { row, col, .. } = *self;
+        for j in 0..col.len() {
+            let off = (col.elem(j) as usize).saturating_mul(self.stride);
+            for i in 0..row.len() {
+                let r = row.elem(i) as usize;
+                let p = off.saturating_add(r);
+                if r >= rows || p >= len {
+                    return Some(p);
+                }
             }
-            oob.is_none()
-        });
-        oob
+        }
+        None
     }
 }
 

@@ -6,9 +6,12 @@ use crate::cx::Cx;
 use crate::value::{Closure, Matrix, Value};
 use matic_frontend::ast::*;
 use matic_frontend::span::Span;
+use resolve::{RExpr, RLValue, RStmt, Scope, Slot, UserFn};
 use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
+
+mod resolve;
 
 /// Coarse classification of a runtime failure, shared by the interpreter
 /// and the ASIP simulator so differential harnesses can require the two
@@ -112,10 +115,31 @@ enum Flow {
     Return,
 }
 
-/// One call frame of local variables.
+/// One call frame: its scope's variables, by slot.
 #[derive(Default)]
 struct Frame {
-    vars: HashMap<String, Value>,
+    slots: Vec<Option<Value>>,
+}
+
+impl Frame {
+    fn new(slots: usize) -> Frame {
+        Frame {
+            slots: vec![None; slots],
+        }
+    }
+
+    fn get(&self, slot: Slot) -> Option<&Value> {
+        self.slots[slot].as_ref()
+    }
+
+    /// The value of a name that resolved to `slot`, if it has one.
+    fn lookup(&self, slot: Option<Slot>) -> Option<&Value> {
+        slot.and_then(|s| self.get(s))
+    }
+
+    fn set(&mut self, slot: Slot, value: Value) {
+        self.slots[slot] = Some(value);
+    }
 }
 
 /// Deterministic xorshift64* random stream (MATLAB's `rand`/`randn`
@@ -162,6 +186,10 @@ impl Rng {
 
 /// The interpreter: owns a parsed [`Program`] and executes it.
 ///
+/// Each user function is resolved to slot form ([`resolve`]) once, when
+/// the interpreter is made; the script is resolved against the workspace
+/// on each [`Interpreter::run_script`].
+///
 /// # Examples
 ///
 /// ```
@@ -179,15 +207,18 @@ impl Rng {
 /// # }
 /// ```
 pub struct Interpreter {
-    program: Program,
+    script: Vec<Stmt>,
+    functions: Vec<Rc<UserFn>>,
     globals: HashMap<String, Value>,
     rng: Rng,
     output: String,
     fuel: u64,
-    /// Stack of `end` contexts: (extents per index position, total positions).
-    end_stack: Vec<(Vec<usize>, usize)>,
-    /// Script workspace (root frame), kept after `run_script`.
+    /// Extent that `end` stands for, one per enclosing subscript.
+    end_stack: Vec<usize>,
+    /// Script workspace (root frame) and its names, kept after
+    /// `run_script`.
     workspace: Frame,
+    workspace_scope: Scope,
 }
 
 impl Host for Interpreter {
@@ -212,13 +243,19 @@ impl Interpreter {
     /// Creates an interpreter over a parsed program.
     pub fn new(program: Program) -> Self {
         Interpreter {
-            program,
+            functions: program
+                .functions
+                .iter()
+                .map(|f| Rc::new(UserFn::resolve(f)))
+                .collect(),
+            script: program.script,
             globals: HashMap::new(),
             rng: Rng::new(0x9E3779B97F4A7C15),
             output: String::new(),
             fuel: DEFAULT_FUEL,
             end_stack: Vec::new(),
             workspace: Frame::default(),
+            workspace_scope: Scope::default(),
         }
     }
 
@@ -247,12 +284,16 @@ impl Interpreter {
 
     /// Reads a variable from the script workspace.
     pub fn var(&self, name: &str) -> Option<&Value> {
-        self.workspace.vars.get(name)
+        self.workspace.lookup(self.workspace_scope.get(name))
     }
 
     /// Sets a variable in the script workspace.
     pub fn set_var(&mut self, name: impl Into<String>, value: Value) {
-        self.workspace.vars.insert(name.into(), value);
+        let slot = self.workspace_scope.bind(&name.into());
+        self.workspace
+            .slots
+            .resize(self.workspace_scope.len(), None);
+        self.workspace.set(slot, value);
     }
 
     /// Runs the script part of the program in the workspace frame.
@@ -261,11 +302,11 @@ impl Interpreter {
     ///
     /// Returns the first runtime error raised.
     pub fn run_script(&mut self) -> Result<(), RuntimeError> {
-        let stmts = std::mem::take(&mut self.program.script);
+        let stmts = self.workspace_scope.resolve_body(&self.script);
         let mut frame = std::mem::take(&mut self.workspace);
+        frame.slots.resize(self.workspace_scope.len(), None);
         let result = self.exec_block(&stmts, &mut frame);
         self.workspace = frame;
-        self.program.script = stmts;
         result.map(|_| ())
     }
 
@@ -291,8 +332,8 @@ impl Interpreter {
         nargout: usize,
         span: Span,
     ) -> Result<Vec<Value>, RuntimeError> {
-        if let Some(func) = self.program.function(name) {
-            let func = func.clone();
+        if let Some(func) = self.functions.iter().find(|f| f.name == name) {
+            let func = Rc::clone(func);
             return self.call_user(&func, args, nargout, span);
         }
         if builtins::is_builtin(name) {
@@ -315,7 +356,7 @@ impl Interpreter {
 
     fn call_user(
         &mut self,
-        func: &Function,
+        func: &UserFn,
         args: Vec<Value>,
         nargout: usize,
         span: Span,
@@ -331,24 +372,20 @@ impl Interpreter {
                 span,
             ));
         }
-        let mut frame = Frame::default();
+        let mut frame = Frame::new(func.slots);
         let nargin = args.len();
         for (param, arg) in func.params.iter().zip(args) {
-            if param != "~" {
-                frame.vars.insert(param.clone(), arg);
+            if let Some(slot) = *param {
+                frame.set(slot, arg);
             }
         }
-        frame
-            .vars
-            .insert("nargin".into(), Value::scalar(nargin as f64));
-        frame
-            .vars
-            .insert("nargout".into(), Value::scalar(nargout as f64));
+        frame.set(func.nargin, Value::scalar(nargin as f64));
+        frame.set(func.nargout, Value::scalar(nargout as f64));
         self.exec_block(&func.body, &mut frame)?;
         let wanted = nargout.max(usize::from(!func.outputs.is_empty()));
         let mut outs = Vec::with_capacity(wanted);
-        for out_name in func.outputs.iter().take(wanted.max(1)) {
-            match frame.vars.get(out_name) {
+        for (out_name, slot) in func.outputs.iter().take(wanted.max(1)) {
+            match frame.get(*slot) {
                 Some(v) => outs.push(v.clone()),
                 None => {
                     if outs.len() < nargout {
@@ -375,7 +412,7 @@ impl Interpreter {
         Ok(())
     }
 
-    fn exec_block(&mut self, stmts: &[Stmt], frame: &mut Frame) -> Result<Flow, RuntimeError> {
+    fn exec_block(&mut self, stmts: &[RStmt], frame: &mut Frame) -> Result<Flow, RuntimeError> {
         for stmt in stmts {
             match self.exec_stmt(stmt, frame)? {
                 Flow::Normal => {}
@@ -385,10 +422,10 @@ impl Interpreter {
         Ok(Flow::Normal)
     }
 
-    fn exec_stmt(&mut self, stmt: &Stmt, frame: &mut Frame) -> Result<Flow, RuntimeError> {
+    fn exec_stmt(&mut self, stmt: &RStmt, frame: &mut Frame) -> Result<Flow, RuntimeError> {
         self.burn(stmt.span())?;
         match stmt {
-            Stmt::Assign {
+            RStmt::Assign {
                 target,
                 value,
                 suppressed,
@@ -397,19 +434,28 @@ impl Interpreter {
                 let v = self.eval(value, frame)?;
                 self.assign(target, v, frame)?;
                 if !*suppressed {
-                    self.display_var(target.name(), frame);
+                    self.display_var(target.name(), target.slot(), frame);
                 }
                 Ok(Flow::Normal)
             }
-            Stmt::MultiAssign {
+            RStmt::MultiAssign {
                 targets,
                 call,
                 suppressed,
                 span,
             } => {
                 let outs = match call {
-                    Expr::Call { name, args, .. } => {
-                        self.eval_call_multi(name, args, targets.len(), frame, *span)?
+                    RExpr::Call {
+                        slot, name, args, ..
+                    } => {
+                        if frame.lookup(*slot).is_some() {
+                            // Indexing a variable yields a single output.
+                            self.burn(*span)?;
+                            vec![self.eval_call(*slot, name, args, frame, *span)?]
+                        } else {
+                            let arg_vals = self.eval_args(args, frame)?;
+                            self.call_spanned(name, arg_vals, targets.len(), *span)?
+                        }
                     }
                     other => vec![self.eval(other, frame)?],
                 };
@@ -420,23 +466,26 @@ impl Interpreter {
                     if let Some(t) = target {
                         self.assign(t, value, frame)?;
                         if !*suppressed {
-                            self.display_var(t.name(), frame);
+                            self.display_var(t.name(), t.slot(), frame);
                         }
                     }
                 }
                 Ok(Flow::Normal)
             }
-            Stmt::ExprStmt {
-                expr, suppressed, ..
+            RStmt::ExprStmt {
+                expr,
+                ans,
+                suppressed,
+                ..
             } => {
                 let v = self.eval(expr, frame)?;
-                frame.vars.insert("ans".into(), v);
+                frame.set(*ans, v);
                 if !*suppressed {
-                    self.display_var("ans", frame);
+                    self.display_var("ans", *ans, frame);
                 }
                 Ok(Flow::Normal)
             }
-            Stmt::If {
+            RStmt::If {
                 arms, else_body, ..
             } => {
                 for (cond, body) in arms {
@@ -451,7 +500,7 @@ impl Interpreter {
                 }
                 Ok(Flow::Normal)
             }
-            Stmt::For {
+            RStmt::For {
                 var, iter, body, ..
             } => {
                 let seq = self
@@ -465,7 +514,7 @@ impl Interpreter {
                     seq.data().iter().map(|&z| Matrix::scalar(z)).collect()
                 };
                 for item in items {
-                    frame.vars.insert(var.clone(), Value::Num(item));
+                    frame.set(*var, Value::Num(item));
                     match self.exec_block(body, frame)? {
                         Flow::Break => break,
                         Flow::Return => return Ok(Flow::Return),
@@ -474,7 +523,7 @@ impl Interpreter {
                 }
                 Ok(Flow::Normal)
             }
-            Stmt::While { cond, body, .. } => {
+            RStmt::While { cond, body, .. } => {
                 loop {
                     self.burn(cond.span())?;
                     let c = self.eval(cond, frame)?;
@@ -490,25 +539,25 @@ impl Interpreter {
                 }
                 Ok(Flow::Normal)
             }
-            Stmt::Break(_) => Ok(Flow::Break),
-            Stmt::Continue(_) => Ok(Flow::Continue),
-            Stmt::Return(_) => Ok(Flow::Return),
-            Stmt::Global { names, .. } => {
-                for n in names {
+            RStmt::Break(_) => Ok(Flow::Break),
+            RStmt::Continue(_) => Ok(Flow::Continue),
+            RStmt::Return(_) => Ok(Flow::Return),
+            RStmt::Global { names, .. } => {
+                for (n, slot) in names {
                     let v = self
                         .globals
                         .get(n)
                         .cloned()
                         .unwrap_or(Value::Num(Matrix::empty()));
-                    frame.vars.insert(n.clone(), v);
+                    frame.set(*slot, v);
                 }
                 Ok(Flow::Normal)
             }
         }
     }
 
-    fn display_var(&mut self, name: &str, frame: &Frame) {
-        if let Some(v) = frame.vars.get(name) {
+    fn display_var(&mut self, name: &str, slot: Slot, frame: &Frame) {
+        if let Some(v) = frame.get(slot) {
             let text = format!("{name} = {v}\n");
             self.output.push_str(&text);
         }
@@ -516,21 +565,22 @@ impl Interpreter {
 
     fn assign(
         &mut self,
-        target: &LValue,
+        target: &RLValue,
         value: Value,
         frame: &mut Frame,
     ) -> Result<(), RuntimeError> {
         match target {
-            LValue::Name { name, .. } => {
-                frame.vars.insert(name.clone(), value);
+            RLValue::Name { slot, .. } => {
+                frame.set(*slot, value);
                 Ok(())
             }
-            LValue::Index {
+            RLValue::Index {
+                slot,
                 name,
                 indices,
                 span,
             } => {
-                let mut base = match frame.vars.get(name) {
+                let mut base = match frame.get(*slot) {
                     Some(Value::Num(m)) => m.clone(),
                     Some(_) => {
                         return Err(RuntimeError::new(
@@ -545,14 +595,13 @@ impl Interpreter {
                     .map_err(|m| RuntimeError::new(m, *span))?;
                 match indices.len() {
                     1 => {
-                        let idx = self.eval_index(&indices[0], frame, &[base.numel()], 0, *span)?;
+                        let idx = self.eval_index(&indices[0], frame, base.numel(), *span)?;
                         base.assign_linear(&idx, &rhs)
                             .map_err(|m| RuntimeError::new(m, *span))?;
                     }
                     2 => {
-                        let extents = [base.rows(), base.cols()];
-                        let ri = self.eval_index(&indices[0], frame, &extents, 0, *span)?;
-                        let ci = self.eval_index(&indices[1], frame, &extents, 1, *span)?;
+                        let ri = self.eval_index(&indices[0], frame, base.rows(), *span)?;
+                        let ci = self.eval_index(&indices[1], frame, base.cols(), *span)?;
                         base.assign_2d(&ri, &ci, &rhs)
                             .map_err(|m| RuntimeError::new(m, *span))?;
                     }
@@ -563,33 +612,26 @@ impl Interpreter {
                         ))
                     }
                 }
-                frame.vars.insert(name.clone(), Value::Num(base));
+                frame.set(*slot, Value::Num(base));
                 Ok(())
             }
         }
     }
 
-    /// Evaluates an index expression, resolving `:` and `end` against the
-    /// extents of the array being indexed.
+    /// Evaluates one subscript of an array whose indexed dimension has
+    /// `extent` positions: `:` takes them all, and `end` stands for
+    /// `extent`.
     fn eval_index(
         &mut self,
-        expr: &Expr,
+        expr: &RExpr,
         frame: &mut Frame,
-        extents: &[usize],
-        position: usize,
+        extent: usize,
         span: Span,
     ) -> Result<Matrix, RuntimeError> {
         match expr {
-            Expr::ColonAll { .. } => {
-                let extent = if extents.len() == 1 {
-                    extents[0]
-                } else {
-                    extents[position]
-                };
-                Ok(Matrix::colon_index(extent))
-            }
+            RExpr::ColonAll { .. } => Ok(Matrix::colon_index(extent)),
             _ => {
-                self.end_stack.push((extents.to_vec(), position));
+                self.end_stack.push(extent);
                 let r = self.eval(expr, frame);
                 self.end_stack.pop();
                 let v = r?;
@@ -598,43 +640,19 @@ impl Interpreter {
         }
     }
 
-    fn eval_call_multi(
-        &mut self,
-        name: &str,
-        args: &[Expr],
-        nargout: usize,
-        frame: &mut Frame,
-        span: Span,
-    ) -> Result<Vec<Value>, RuntimeError> {
-        // A variable takes precedence: indexing yields a single output.
-        if frame.vars.contains_key(name) {
-            let v = self.eval(
-                &Expr::Call {
-                    name: name.to_string(),
-                    args: args.to_vec(),
-                    span,
-                },
-                frame,
-            )?;
-            return Ok(vec![v]);
-        }
-        let arg_vals = self.eval_args(args, frame)?;
-        self.call_spanned(name, arg_vals, nargout, span)
-    }
-
-    fn eval_args(&mut self, args: &[Expr], frame: &mut Frame) -> Result<Vec<Value>, RuntimeError> {
+    fn eval_args(&mut self, args: &[RExpr], frame: &mut Frame) -> Result<Vec<Value>, RuntimeError> {
         args.iter().map(|a| self.eval(a, frame)).collect()
     }
 
     /// Evaluates an expression to a value.
-    fn eval(&mut self, expr: &Expr, frame: &mut Frame) -> Result<Value, RuntimeError> {
+    fn eval(&mut self, expr: &RExpr, frame: &mut Frame) -> Result<Value, RuntimeError> {
         self.burn(expr.span())?;
         match expr {
-            Expr::Number { value, .. } => Ok(Value::scalar(*value)),
-            Expr::Imaginary { value, .. } => Ok(Value::Num(Matrix::scalar(Cx::new(0.0, *value)))),
-            Expr::Str { value, .. } => Ok(Value::Str(value.clone())),
-            Expr::Ident { name, span } => {
-                if let Some(v) = frame.vars.get(name) {
+            RExpr::Number { value, .. } => Ok(Value::scalar(*value)),
+            RExpr::Imaginary { value, .. } => Ok(Value::Num(Matrix::scalar(Cx::new(0.0, *value)))),
+            RExpr::Str { value, .. } => Ok(Value::Str(value.clone())),
+            RExpr::Ident { slot, name, span } => {
+                if let Some(v) = frame.lookup(*slot) {
                     return Ok(v.clone());
                 }
                 self.call_spanned(name, vec![], 1, *span).map(|mut outs| {
@@ -645,8 +663,13 @@ impl Interpreter {
                     }
                 })
             }
-            Expr::Call { name, args, span } => self.eval_call(name, args, frame, *span),
-            Expr::Binary { op, lhs, rhs, span } => {
+            RExpr::Call {
+                slot,
+                name,
+                args,
+                span,
+            } => self.eval_call(*slot, name, args, frame, *span),
+            RExpr::Binary { op, lhs, rhs, span } => {
                 if matches!(op, BinOp::AndAnd | BinOp::OrOr) {
                     let l = self.eval(lhs, frame)?;
                     let lb = l.as_bool().map_err(|m| RuntimeError::new(m, *span))?;
@@ -682,7 +705,7 @@ impl Interpreter {
                     .map(Value::Num)
                     .map_err(|m| RuntimeError::new(m, *span))
             }
-            Expr::Unary { op, operand, .. } => {
+            RExpr::Unary { op, operand, .. } => {
                 let v = self
                     .eval(operand, frame)?
                     .into_matrix()
@@ -696,7 +719,7 @@ impl Interpreter {
                 };
                 Ok(Value::Num(out))
             }
-            Expr::Transpose {
+            RExpr::Transpose {
                 operand, conjugate, ..
             } => {
                 let v = self
@@ -705,11 +728,8 @@ impl Interpreter {
                     .map_err(|m| RuntimeError::new(m, operand.span()))?;
                 Ok(Value::Num(v.transpose(*conjugate)))
             }
-            Expr::Range {
-                start,
-                step,
-                stop,
-                span,
+            RExpr::Range {
+                start, step, stop, ..
             } => {
                 let s = self.eval_real(start, frame)?;
                 let e = self.eval_real(stop, frame)?;
@@ -717,53 +737,42 @@ impl Interpreter {
                     Some(x) => self.eval_real(x, frame)?,
                     None => 1.0,
                 };
-                let _ = span;
                 Ok(Value::Num(Matrix::range(s, st, e)))
             }
-            Expr::ColonAll { span } => Err(RuntimeError::new(
+            RExpr::ColonAll { span } => Err(RuntimeError::new(
                 "`:` is only valid inside an index",
                 *span,
             )),
-            Expr::EndKeyword { span } => match self.end_stack.last() {
-                Some((extents, position)) => {
-                    let v = if extents.len() == 1 {
-                        extents[0]
-                    } else {
-                        extents[*position]
-                    };
-                    Ok(Value::scalar(v as f64))
-                }
+            RExpr::EndKeyword { span } => match self.end_stack.last() {
+                Some(&extent) => Ok(Value::scalar(extent as f64)),
                 None => Err(RuntimeError::new(
                     "`end` used outside an index expression",
                     *span,
                 )),
             },
-            Expr::Matrix { rows, span } => self.eval_matrix(rows, frame, *span),
-            Expr::AnonFn { params, body, .. } => {
-                // Capture every currently bound variable that occurs free.
-                let mut captures = Vec::new();
-                body.walk(&mut |e| {
-                    if let Expr::Ident { name, .. } = e {
-                        if !params.contains(name) {
-                            if let Some(v) = frame.vars.get(name) {
-                                if !captures.iter().any(|(n, _): &(String, Value)| n == name) {
-                                    captures.push((name.clone(), v.clone()));
-                                }
-                            }
-                        }
-                    }
-                });
+            RExpr::Matrix { rows, span } => self.eval_matrix(rows, frame, *span),
+            RExpr::AnonFn {
+                params,
+                body,
+                captures,
+                ..
+            } => {
+                // Capture every candidate that holds a value now.
+                let captures = captures
+                    .iter()
+                    .filter_map(|(name, slot)| Some((name.clone(), frame.get(*slot)?.clone())))
+                    .collect();
                 Ok(Value::Anon(Rc::new(Closure {
                     params: params.clone(),
                     body: (**body).clone(),
                     captures,
                 })))
             }
-            Expr::FnHandle { name, .. } => Ok(Value::FnHandle(name.clone())),
+            RExpr::FnHandle { name, .. } => Ok(Value::FnHandle(name.clone())),
         }
     }
 
-    fn eval_real(&mut self, expr: &Expr, frame: &mut Frame) -> Result<f64, RuntimeError> {
+    fn eval_real(&mut self, expr: &RExpr, frame: &mut Frame) -> Result<f64, RuntimeError> {
         self.eval(expr, frame)?
             .into_matrix()
             .and_then(|m| m.as_real_scalar())
@@ -772,13 +781,14 @@ impl Interpreter {
 
     fn eval_call(
         &mut self,
+        slot: Option<Slot>,
         name: &str,
-        args: &[Expr],
+        args: &[RExpr],
         frame: &mut Frame,
         span: Span,
     ) -> Result<Value, RuntimeError> {
         // 1. Variable: indexing, or invoking a stored function handle.
-        if let Some(v) = frame.vars.get(name).cloned() {
+        if let Some(v) = frame.lookup(slot).cloned() {
             return match v {
                 Value::Num(m) => self.index_matrix(&m, args, frame, span).map(Value::Num),
                 Value::Str(s) => {
@@ -863,34 +873,46 @@ impl Interpreter {
                 span,
             ));
         }
-        let mut frame = Frame::default();
-        for (n, v) in &closure.captures {
-            frame.vars.insert(n.clone(), v.clone());
+        // The body's scope holds the captures, then the parameters.
+        let mut scope = Scope::default();
+        let captured: Vec<Slot> = closure
+            .captures
+            .iter()
+            .map(|(n, _)| scope.bind(n))
+            .collect();
+        let params: Vec<Slot> = closure.params.iter().map(|p| scope.bind(p)).collect();
+        let body = scope.expr(&closure.body);
+        let mut frame = Frame::new(scope.len());
+        for ((_, v), slot) in closure.captures.iter().zip(captured) {
+            frame.set(slot, v.clone());
         }
-        for (p, a) in closure.params.iter().zip(args) {
-            frame.vars.insert(p.clone(), a);
+        for (arg, slot) in args.into_iter().zip(params) {
+            frame.set(slot, arg);
         }
-        self.eval(&closure.body, &mut frame)
+        self.eval(&body, &mut frame)
     }
 
     fn index_matrix(
         &mut self,
         base: &Matrix,
-        args: &[Expr],
+        args: &[RExpr],
         frame: &mut Frame,
         span: Span,
     ) -> Result<Matrix, RuntimeError> {
         match args.len() {
             0 => Ok(base.clone()),
+            // `x(:)` is every element, in order, as one column.
+            1 if matches!(args[0], RExpr::ColonAll { .. }) => Ok(base
+                .reshape(base.numel(), 1)
+                .expect("a reshape to numel x 1 keeps the element count")),
             1 => {
-                let idx = self.eval_index(&args[0], frame, &[base.numel()], 0, span)?;
+                let idx = self.eval_index(&args[0], frame, base.numel(), span)?;
                 base.index_linear(&idx)
                     .map_err(|m| RuntimeError::new(m, span))
             }
             2 => {
-                let extents = [base.rows(), base.cols()];
-                let ri = self.eval_index(&args[0], frame, &extents, 0, span)?;
-                let ci = self.eval_index(&args[1], frame, &extents, 1, span)?;
+                let ri = self.eval_index(&args[0], frame, base.rows(), span)?;
+                let ci = self.eval_index(&args[1], frame, base.cols(), span)?;
                 base.index_2d(&ri, &ci)
                     .map_err(|m| RuntimeError::new(m, span))
             }
@@ -903,7 +925,7 @@ impl Interpreter {
 
     fn eval_matrix(
         &mut self,
-        rows: &[Vec<Expr>],
+        rows: &[Vec<RExpr>],
         frame: &mut Frame,
         span: Span,
     ) -> Result<Value, RuntimeError> {
