@@ -308,14 +308,17 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character.
+                    // Consume the run up to the next quote or escape. Both
+                    // are ASCII, so the run ends on a character boundary.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid UTF-8".to_string())?;
-                    let Some(c) = s.chars().next() else {
-                        return self.err("unterminated string");
-                    };
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..len])
+                        .map_err(|_| "invalid UTF-8".to_string())?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -375,6 +378,29 @@ mod tests {
         // Nested objects are checked too; sibling objects may repeat keys.
         assert!(parse("{\"a\": {\"k\": 1, \"k\": 2}}").is_err());
         assert!(parse("{\"a\": {\"k\": 1}, \"b\": {\"k\": 2}}").is_ok());
+    }
+
+    #[test]
+    fn strings_keep_multibyte_text_and_escapes() {
+        let v = parse(r#"["héllo → ✓", "a\"b\\c\u00e9\n", ""]"#).unwrap();
+        let Json::Arr(items) = v else {
+            panic!("not an array: {v:?}")
+        };
+        let texts: Vec<&str> = items.iter().filter_map(Json::as_str).collect();
+        assert_eq!(texts, ["héllo → ✓", "a\"b\\cé\n", ""]);
+        assert!(parse("\"open").unwrap_err().contains("unterminated string"));
+    }
+
+    #[test]
+    fn multi_megabyte_strings_parse_in_linear_time() {
+        // Re-validating the rest of the input per character would take
+        // hours on this input; one pass over each run takes milliseconds.
+        let text = "ab\u{e9}".repeat(1 << 20);
+        let doc = format!("{{\"k\": \"{text}\\n{text}\"}}");
+        let v = parse(&doc).unwrap();
+        let got = v.get("k").and_then(Json::as_str).unwrap();
+        assert_eq!(got.len(), 2 * text.len() + 1);
+        assert!(got.starts_with(&text) && got.ends_with(&text));
     }
 
     #[test]
