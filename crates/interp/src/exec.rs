@@ -508,12 +508,21 @@ impl Interpreter {
                     .into_matrix()
                     .map_err(|m| RuntimeError::new(m, iter.span()))?;
                 // Iterate over columns for matrices, elements for vectors.
-                let items: Vec<Matrix> = if seq.rows() > 1 {
-                    (0..seq.cols()).map(|c| seq.column(c)).collect()
-                } else {
-                    seq.data().iter().map(|&z| Matrix::scalar(z)).collect()
-                };
-                for item in items {
+                let by_column = seq.rows() > 1;
+                let count = if by_column { seq.cols() } else { seq.numel() };
+                for k in 0..count {
+                    let item = if by_column {
+                        seq.column(k)
+                    } else {
+                        // Overwrite the previous element in place when the
+                        // body left it a 1×1 number (unshared, no copy).
+                        match frame.slots[*var].take() {
+                            Some(Value::Num(m)) if m.is_scalar() && !m.is_logical() => {
+                                overwrite_scalar(m, seq.lin(k))
+                            }
+                            _ => Matrix::scalar(seq.lin(k)),
+                        }
+                    };
                     frame.set(*var, Value::Num(item));
                     match self.exec_block(body, frame)? {
                         Flow::Break => break,
@@ -648,8 +657,7 @@ impl Interpreter {
     fn eval(&mut self, expr: &RExpr, frame: &mut Frame) -> Result<Value, RuntimeError> {
         self.burn(expr.span())?;
         match expr {
-            RExpr::Number { value, .. } => Ok(Value::scalar(*value)),
-            RExpr::Imaginary { value, .. } => Ok(Value::Num(Matrix::scalar(Cx::new(0.0, *value)))),
+            RExpr::Const { value, .. } => Ok(value.clone()),
             RExpr::Str { value, .. } => Ok(Value::Str(value.clone())),
             RExpr::Ident { slot, name, span } => {
                 if let Some(v) = frame.lookup(*slot) {
@@ -701,6 +709,25 @@ impl Interpreter {
                     .eval(rhs, frame)?
                     .into_matrix()
                     .map_err(|m| RuntimeError::new(m, rhs.span()))?;
+                if l.is_scalar() && r.is_scalar() {
+                    if let Some((z, logical)) = scalar_binop(*op, l.lin(0), r.lin(0)) {
+                        // Write the result into an operand's buffer. A
+                        // computed operand's is usually unshared and is
+                        // reused; a variable's or literal's is shared, and
+                        // `data_mut` copies it, as a fresh result would.
+                        let computed =
+                            |e: &RExpr| !matches!(e, RExpr::Ident { .. } | RExpr::Const { .. });
+                        let (first, second) = if computed(lhs) { (l, r) } else { (r, l) };
+                        let out = if logical || !first.is_logical() {
+                            overwrite_scalar(first, z)
+                        } else if !second.is_logical() {
+                            overwrite_scalar(second, z)
+                        } else {
+                            Matrix::scalar(z)
+                        };
+                        return Ok(Value::Num(if logical { out.into_logical() } else { out }));
+                    }
+                }
                 apply_binop(*op, &l, &r)
                     .map(Value::Num)
                     .map_err(|m| RuntimeError::new(m, *span))
@@ -907,12 +934,21 @@ impl Interpreter {
                 .expect("a reshape to numel x 1 keeps the element count")),
             1 => {
                 let idx = self.eval_index(&args[0], frame, base.numel(), span)?;
+                if let Some(k) = scalar_position(&idx, base.numel()) {
+                    return Ok(overwrite_scalar(idx, base.lin(k)));
+                }
                 base.index_linear(&idx)
                     .map_err(|m| RuntimeError::new(m, span))
             }
             2 => {
                 let ri = self.eval_index(&args[0], frame, base.rows(), span)?;
                 let ci = self.eval_index(&args[1], frame, base.cols(), span)?;
+                if let (Some(r), Some(c)) = (
+                    scalar_position(&ri, base.rows()),
+                    scalar_position(&ci, base.cols()),
+                ) {
+                    return Ok(overwrite_scalar(ri, base.at(r, c)));
+                }
                 base.index_2d(&ri, &ci)
                     .map_err(|m| RuntimeError::new(m, span))
             }
@@ -975,6 +1011,52 @@ impl Interpreter {
         }
         Ok(Value::Num(acc))
     }
+}
+
+/// The 0-based position a subscript names when it is one in-bounds,
+/// non-logical, real positive integer: the element read that
+/// `Matrix::index_linear`/`index_2d` would return as a 1×1 matrix. Any
+/// other subscript (`None`) takes the general path and its errors.
+fn scalar_position(idx: &Matrix, extent: usize) -> Option<usize> {
+    if !idx.is_scalar() || idx.is_logical() {
+        return None;
+    }
+    let z = idx.lin(0);
+    let in_range = z.is_real() && z.re >= 1.0 && z.re == z.re.trunc() && z.re <= extent as f64;
+    in_range.then(|| z.re as usize - 1)
+}
+
+/// `z` in the buffer of `m`, a 1×1 matrix the caller owns: no allocation
+/// when the buffer is unshared, and otherwise the copy a fresh
+/// `Matrix::scalar` would cost. The logical flag of `m` is kept.
+fn overwrite_scalar(mut m: Matrix, z: Cx) -> Matrix {
+    m.data_mut()[0] = z;
+    m
+}
+
+/// [`apply_binop`] on two 1×1 operands: the result element and whether it
+/// is logical. `None` for the short-circuit operators, which
+/// `apply_binop` rejects.
+fn scalar_binop(op: BinOp, a: Cx, b: Cx) -> Option<(Cx, bool)> {
+    let test = |t: bool| (Cx::real(if t { 1.0 } else { 0.0 }), true);
+    let truthy = |z: Cx| z.re != 0.0 || z.im != 0.0;
+    Some(match op {
+        BinOp::Add => (a + b, false),
+        BinOp::Sub => (a - b, false),
+        BinOp::ElemMul | BinOp::MatMul => (a * b, false),
+        BinOp::ElemDiv | BinOp::MatDiv => (a / b, false),
+        BinOp::ElemLeftDiv | BinOp::MatLeftDiv => (b / a, false),
+        BinOp::ElemPow | BinOp::MatPow => (a.powc(b), false),
+        BinOp::Eq => test(a == b),
+        BinOp::Ne => test(a != b),
+        BinOp::Lt => test(a.re < b.re),
+        BinOp::Le => test(a.re <= b.re),
+        BinOp::Gt => test(a.re > b.re),
+        BinOp::Ge => test(a.re >= b.re),
+        BinOp::And => test(truthy(a) && truthy(b)),
+        BinOp::Or => test(truthy(a) || truthy(b)),
+        BinOp::AndAnd | BinOp::OrOr => return None,
+    })
 }
 
 /// Applies a (non-short-circuit) binary operator with MATLAB semantics.
@@ -1332,6 +1414,42 @@ mod tests {
         let src = "[~, idx] = max([3 9 4]);";
         let i = run(src);
         assert_eq!(var_f64(&i, "idx"), 2.0);
+    }
+
+    #[test]
+    fn colon_subscript_is_a_column() {
+        let i = run("v = [1 2 3];\nc = v(:);\na = [1 2; 3 4];\nd = a(:);");
+        assert_eq!(
+            (var_matrix(&i, "c").rows(), var_matrix(&i, "c").cols()),
+            (3, 1)
+        );
+        assert_eq!(
+            (var_matrix(&i, "d").rows(), var_matrix(&i, "d").cols()),
+            (4, 1)
+        );
+        assert_eq!(var_matrix(&i, "d").lin(1).re, 3.0);
+    }
+
+    #[test]
+    fn reused_scalar_buffers_never_alias_values() {
+        // The loop variable, literals and operands are written in place
+        // only when unshared: earlier copies keep their values.
+        let i = run(
+            "s = 0;\nfor k = 1:3\n if k == 1\n  first = k;\n end\n s = s + 1;\n t = (k + 0) * 2;\nend\nw = first + 1;",
+        );
+        assert_eq!(var_f64(&i, "first"), 1.0);
+        assert_eq!(var_f64(&i, "s"), 3.0);
+        assert_eq!(var_f64(&i, "t"), 6.0);
+        assert_eq!(var_f64(&i, "w"), 2.0);
+        assert_eq!(var_f64(&i, "k"), 3.0);
+    }
+
+    #[test]
+    fn variables_shadow_functions_only_once_bound() {
+        // `pi` is a call until the script assigns it, then a variable.
+        let i = run("a = pi;\npi = 3;\nb = pi;");
+        assert!((var_f64(&i, "a") - std::f64::consts::PI).abs() < 1e-15);
+        assert_eq!(var_f64(&i, "b"), 3.0);
     }
 
     #[test]

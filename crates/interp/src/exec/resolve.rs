@@ -12,6 +12,8 @@
 //! the evaluator burns fuel, evaluates operands and reports errors in the
 //! same order as it would walking the AST.
 
+use crate::cx::Cx;
+use crate::value::{Matrix, Value};
 use matic_frontend::ast::{BinOp, Expr, Function, LValue, Stmt, UnOp};
 use matic_frontend::span::Span;
 use std::collections::HashMap;
@@ -196,12 +198,12 @@ impl Scope {
     pub(super) fn expr(&self, expr: &Expr) -> RExpr {
         let boxed = |e: &Expr| Box::new(self.expr(e));
         match expr {
-            Expr::Number { value, span } => RExpr::Number {
-                value: *value,
+            Expr::Number { value, span } => RExpr::Const {
+                value: Value::scalar(*value),
                 span: *span,
             },
-            Expr::Imaginary { value, span } => RExpr::Imaginary {
-                value: *value,
+            Expr::Imaginary { value, span } => RExpr::Const {
+                value: Value::Num(Matrix::scalar(Cx::new(0.0, *value))),
                 span: *span,
             },
             Expr::Str { value, span } => RExpr::Str {
@@ -418,12 +420,9 @@ impl RLValue {
 
 /// An expression with its names resolved (see [`Expr`]).
 pub(super) enum RExpr {
-    Number {
-        value: f64,
-        span: Span,
-    },
-    Imaginary {
-        value: f64,
+    /// A numeric literal, built once; evaluating it shares the payload.
+    Const {
+        value: Value,
         span: Span,
     },
     Str {
@@ -492,8 +491,7 @@ pub(super) enum RExpr {
 impl RExpr {
     pub(super) fn span(&self) -> Span {
         match self {
-            RExpr::Number { span, .. }
-            | RExpr::Imaginary { span, .. }
+            RExpr::Const { span, .. }
             | RExpr::Str { span, .. }
             | RExpr::Ident { span, .. }
             | RExpr::Call { span, .. }
