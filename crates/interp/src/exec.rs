@@ -186,9 +186,10 @@ impl Rng {
 
 /// The interpreter: owns a parsed [`Program`] and executes it.
 ///
-/// Each user function is resolved to slot form ([`resolve`]) once, when
-/// the interpreter is made; the script is resolved against the workspace
-/// on each [`Interpreter::run_script`].
+/// Each user function is resolved once, when the interpreter is made,
+/// into a form whose frames hold variables by slot (the `resolve`
+/// module); the script is resolved against the workspace on each
+/// [`Interpreter::run_script`].
 ///
 /// # Examples
 ///
