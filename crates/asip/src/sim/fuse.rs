@@ -16,13 +16,22 @@
 //! element accesses and scalar arithmetic get specialized micro-ops; every
 //! other `Def`/`Store` (slices included) becomes a generic micro-op that
 //! calls the semantics in `eval.rs`, so those exist once.
+//!
+//! Runs of scalar micro-ops compile further into guarded chains
+//! ([`ChainData`]), and a counted `for` loop whose body is exactly one
+//! chain compiles into a loop step ([`compile_loops`]): its `ForNext`
+//! becomes a `ForChain` step sharing the chain, able to run the whole
+//! remaining trip at once. A loop qualifies only when the chain's own
+//! writes cannot break its shape guards, so guards that hold on entry hold
+//! for every iteration; the body and back-edge steps stay as the
+//! per-iteration path for profiling, low fuel and guard misses.
 
 use super::native::{
     micro_bin, micro_bin_fast, micro_chain, micro_copy, micro_def_generic, micro_load1,
     micro_load2, micro_store1, micro_store2, micro_store_generic, micro_un, step_branch,
-    step_branch_burning, step_break, step_call_multi, step_continue, step_effect, step_for_next,
-    step_for_setup, step_jump, step_return, step_super, step_vector, step_while_enter,
-    step_while_iter, Frame,
+    step_branch_burning, step_break, step_call_multi, step_continue, step_effect, step_for_chain,
+    step_for_next, step_for_setup, step_jump, step_return, step_super, step_vector,
+    step_while_enter, step_while_iter, Frame,
 };
 use super::{Env, Exec, SimError};
 use crate::decode::{DInst, DecodedFunction, DecodedProgram};
@@ -32,6 +41,7 @@ use matic_interp::Cx;
 use matic_isa::OpClass;
 use matic_mir::{Index, MirFunction, MirProgram, Operand, Rvalue, VarId, VecRef, VectorOp};
 use std::fmt;
+use std::sync::Arc;
 
 /// A decoded program pre-compiled for the direct-threaded native engine.
 ///
@@ -98,6 +108,13 @@ pub(super) enum NData {
     ForNext {
         end: u32,
         span: Span,
+    },
+    /// The `ForNext` of a counted loop whose body is one compiled chain
+    /// (see [`compile_loops`]); shares the chain with the body step.
+    ForChain {
+        end: u32,
+        span: Span,
+        chain: Arc<ChainData>,
     },
     Loop {
         target: u32,
@@ -197,8 +214,9 @@ pub(super) enum MicroData {
     },
     /// A compiled straight-line run of scalar micro-ops executed with
     /// intermediate values held in a local temp stack instead of the
-    /// environment (see [`ChainData`]).
-    Chain(Box<ChainData>),
+    /// environment (see [`ChainData`]). Shared with the enclosing loop's
+    /// `ForChain` step when the loop is compiled as a whole.
+    Chain(Arc<ChainData>),
     /// Any other `Def` — runs through `Exec::eval_rvalue`.
     Def {
         dst: VarId,
@@ -239,12 +257,13 @@ pub(super) struct ChainData {
     pub(super) guards: Vec<Guard>,
     /// The original micro sequence (profiling / low fuel / guard miss).
     pub(super) fallback: Vec<Micro>,
-    /// Per-class charge *counts* for the whole chain when every `Bin`
-    /// input is real (the only runtime-dependent cost). Cycle costs stay
-    /// machine-side, so `charge(class, count)` with these aggregates is
-    /// bit-identical to the per-op charge sequence; a complex value or a
-    /// mid-chain error deoptimizes to exact per-op accounting.
-    pub(super) real_counts: [u16; OpClass::COUNT],
+    /// The nonzero per-class charge *counts* for the whole chain when
+    /// every `Bin` input is real (the only runtime-dependent cost), in
+    /// `OpClass` order. Cycle costs stay machine-side, so
+    /// `charge(class, count)` with these aggregates is bit-identical to the
+    /// per-op charge sequence; a complex value or a mid-chain error
+    /// deoptimizes to exact per-op accounting.
+    pub(super) real_counts: Vec<(OpClass, u16)>,
 }
 
 /// A pre-resolved source of one chain op.
@@ -505,8 +524,59 @@ fn fuse_function(dfunc: &DecodedFunction, mfunc: &MirFunction) -> NativeFunction
             _ => {}
         }
     }
+    compile_loops(&mut steps);
 
     NativeFunction { steps }
+}
+
+/// Loop-level compilation. A counted `for` loop whose body is exactly one
+/// compiled chain — step `h` is `ForNext { end: h + 3 }`, step `h + 1` a
+/// `Super` step holding a single `Chain` micro, step `h + 2`
+/// `Jump { target: h }` — gets its `ForNext` replaced by a `ForChain` step
+/// sharing that chain, which may run every remaining iteration as one step
+/// (`step_for_chain` in `native.rs`). The body and back-edge steps stay in
+/// place as the per-iteration path. Only loops whose guards are
+/// loop-invariant (see [`guards_loop_invariant`]) qualify.
+fn compile_loops(steps: &mut [NStep]) {
+    for h in 0..steps.len().saturating_sub(2) {
+        let NData::ForNext { end, span } = steps[h].data else {
+            continue;
+        };
+        let NData::Super(body) = &steps[h + 1].data else {
+            continue;
+        };
+        let [Micro {
+            data: MicroData::Chain(chain),
+            ..
+        }] = body.as_slice()
+        else {
+            continue;
+        };
+        let back_edge = matches!(steps[h + 2].data, NData::Jump { target } if target as usize == h);
+        if end as usize != h + 3 || !back_edge || !guards_loop_invariant(chain) {
+            continue;
+        }
+        let chain = Arc::clone(chain);
+        steps[h] = NStep {
+            run: step_for_chain,
+            data: NData::ForChain { end, span, chain },
+        };
+    }
+}
+
+/// Whether the chain's own environment writes keep its shape guards true:
+/// no write lands on an array-guarded slot, and no non-scalar write on a
+/// scalar-guarded one (element stores update arrays in place and keep
+/// their shape). The loop step rewrites the loop variable as a scalar
+/// every iteration, so guards that hold once it is written on entry then
+/// hold for every remaining iteration.
+fn guards_loop_invariant(ch: &ChainData) -> bool {
+    ch.ops.iter().filter(|op| op.env_dst != u32::MAX).all(|op| {
+        ch.guards.iter().all(|g| match *g {
+            Guard::Arr(slot) => slot != op.env_dst,
+            Guard::Scalar(slot) => slot != op.env_dst || op.scalar_dst,
+        })
+    })
 }
 
 /// Whether `m` may join a scalar chain (`micro_bin`, kept for `&&`/`||`,
@@ -541,7 +611,7 @@ fn build_chains(items: Vec<(u32, Micro)>, reads: &[Vec<u32>], mfunc: &MirFunctio
                 let real_counts = chain_real_counts(&ops);
                 out.push(Micro {
                     run: micro_chain,
-                    data: MicroData::Chain(Box::new(ChainData {
+                    data: MicroData::Chain(Arc::new(ChainData {
                         ops,
                         guards,
                         fallback,
@@ -559,10 +629,10 @@ fn build_chains(items: Vec<(u32, Micro)>, reads: &[Vec<u32>], mfunc: &MirFunctio
     out
 }
 
-/// Aggregates the all-real per-class charge counts of a chain; the exact
-/// per-op counterpart lives in `chain_charge_real` (`native.rs`), which
-/// the deoptimized paths replay op by op.
-fn chain_real_counts(ops: &[ChainOp]) -> [u16; OpClass::COUNT] {
+/// Aggregates the all-real per-class charge counts of a chain, keeping the
+/// nonzero ones; the exact per-op counterpart lives in `chain_charge_real`
+/// (`native.rs`), which the deoptimized paths replay op by op.
+fn chain_real_counts(ops: &[ChainOp]) -> Vec<(OpClass, u16)> {
     let mut counts = [0u16; OpClass::COUNT];
     let mut add = |class: OpClass, n: u16| counts[class as usize] += n;
     for op in ops {
@@ -587,7 +657,11 @@ fn chain_real_counts(ops: &[ChainOp]) -> [u16; OpClass::COUNT] {
             }
         }
     }
-    counts
+    OpClass::ALL
+        .iter()
+        .filter(|&&class| counts[class as usize] != 0)
+        .map(|&class| (class, counts[class as usize]))
+        .collect()
 }
 
 /// Compiles the longest chain starting at `start`, or `None` when fewer

@@ -11,6 +11,14 @@
 //! other statement (slices, builtins, calls) runs the shared semantics in
 //! `eval.rs` through `micro_def_generic`/`micro_store_generic`.
 //!
+//! Loop-level chains: a counted loop whose body is one compiled chain runs
+//! through `step_for_chain`, which — when profiling is off, fuel covers
+//! the whole remaining trip (all or nothing), and the loop-invariant
+//! guards hold on entry — subtracts the trip's fuel once, runs every
+//! iteration's chain in one host loop with charges deferred, and settles
+//! them in one batch per class. Otherwise it is `ForNext` for a single
+//! iteration and the per-iteration steps take over.
+//!
 //! Bit-exactness contract: every handler burns fuel, charges cycles, and
 //! raises errors in exactly the order the tree walker's `exec_stmt`
 //! (`walk.rs`) does for the statement it came from. `cur_span` is only
@@ -494,14 +502,8 @@ pub(super) fn micro_chain(
     if exec.profile.is_some() || exec.fuel < n {
         return run_chain_fallback(exec, f, env, &ch.fallback);
     }
-    for g in &ch.guards {
-        let ok = match g {
-            Guard::Scalar(s) => matches!(&env[*s as usize], Some(SimVal::Scalar(_))),
-            Guard::Arr(s) => matches!(&env[*s as usize], Some(SimVal::Arr(_))),
-        };
-        if !ok {
-            return run_chain_fallback(exec, f, env, &ch.fallback);
-        }
+    if !guards_hold(&ch.guards, env) {
+        return run_chain_fallback(exec, f, env, &ch.fallback);
     }
     // Every chained micro burns exactly one fuel; with `fuel >= n`
     // exhaustion cannot occur mid-chain, so the per-op burns collapse to
@@ -510,34 +512,68 @@ pub(super) fn micro_chain(
     chain_run_fast(exec, env, ch)
 }
 
-/// Optimistic chain pass: computes values with cycle charges deferred.
-/// Valid while every `Bin` input is real — the only value-dependent cost —
-/// so on success the whole chain's accounting collapses to one batched
-/// `charge` per touched class from the precomputed `real_counts`
-/// (bit-identical: `charge(c, k1 + k2)` ≡ `charge(c, k1); charge(c, k2)`,
-/// and charge order within a chain is invisible with profiling off). The
-/// first complex input deoptimizes: settle the all-real prefix's charges
-/// exactly, then finish per-op in `chain_run_exact`.
+/// Whether every shape guard of a chain holds on the current environment.
+#[inline(always)]
+fn guards_hold(guards: &[Guard], env: &Env) -> bool {
+    guards.iter().all(|g| match g {
+        Guard::Scalar(s) => matches!(&env[*s as usize], Some(SimVal::Scalar(_))),
+        Guard::Arr(s) => matches!(&env[*s as usize], Some(SimVal::Arr(_))),
+    })
+}
+
+/// One run of a chain on the optimistic pass, then its all-real charges.
 #[inline(never)]
 fn chain_run_fast(exec: &mut Exec<'_>, env: &mut Env, ch: &ChainData) -> Result<(), SimError> {
-    let ops: &[ChainOp] = &ch.ops;
     let mut tmps = [Cx::ZERO; CHAIN_MAX];
+    if chain_run_deferred(exec, env, ch, &mut tmps)? {
+        charge_real_counts(exec, ch, 1);
+    }
+    Ok(())
+}
+
+/// Charges `runs` all-real runs of a chain in one batched `charge` per
+/// class it touches.
+#[inline(always)]
+fn charge_real_counts(exec: &mut Exec<'_>, ch: &ChainData, runs: u64) {
+    for &(class, cnt) in &ch.real_counts {
+        exec.charge(class, cnt as u64 * runs);
+    }
+}
+
+/// Optimistic chain pass: computes values with cycle charges deferred.
+/// Valid while every `Bin` input is real — the only value-dependent cost —
+/// so on success (`Ok(true)`) the run's accounting is exactly the
+/// precomputed `real_counts`, which the caller charges (batched over any
+/// number of runs: `charge(c, k1 + k2)` ≡ `charge(c, k1); charge(c, k2)`,
+/// and charge order is invisible with profiling off). The first complex
+/// input deoptimizes: settle the all-real prefix's charges exactly, then
+/// finish per-op in `chain_run_exact` and return `Ok(false)` — that run
+/// is fully charged. A bounds fault settles the run's prefix and the
+/// failing op before returning the error.
+#[inline(always)]
+fn chain_run_deferred(
+    exec: &mut Exec<'_>,
+    env: &mut Env,
+    ch: &ChainData,
+    tmps: &mut [Cx; CHAIN_MAX],
+) -> Result<bool, SimError> {
+    let ops: &[ChainOp] = &ch.ops;
     let mut deopt = ops.len();
     'fast: for (i, op) in ops.iter().enumerate() {
         let z = match &op.kind {
             CKind::Bin { evalf, .. } => {
-                let x = rd(op.a, &tmps, env);
-                let y = rd(op.b, &tmps, env);
+                let x = rd(op.a, tmps, env);
+                let y = rd(op.b, tmps, env);
                 if !(x.is_real() && y.is_real()) {
                     deopt = i;
                     break 'fast;
                 }
                 evalf(x, y)
             }
-            CKind::Un(uop) => apply_unop(*uop, rd(op.a, &tmps, env)),
-            CKind::Copy => rd(op.a, &tmps, env),
+            CKind::Un(uop) => apply_unop(*uop, rd(op.a, tmps, env)),
+            CKind::Copy => rd(op.a, tmps, env),
             CKind::Load1 { arr } => {
-                let k = rd(op.a, &tmps, env).re as i64 - 1;
+                let k = rd(op.a, tmps, env).re as i64 - 1;
                 let (elem, numel) = match &env[*arr as usize] {
                     Some(SimVal::Arr(m)) => (
                         m.data().get(k.max(0) as usize).copied().filter(|_| k >= 0),
@@ -551,8 +587,8 @@ fn chain_run_fast(exec: &mut Exec<'_>, env: &mut Env, ch: &ChainData) -> Result<
                 }
             }
             CKind::Load2 { arr } => {
-                let r0 = rd(op.a, &tmps, env).re as i64 - 1;
-                let c0 = rd(op.b, &tmps, env).re as i64 - 1;
+                let r0 = rd(op.a, tmps, env).re as i64 - 1;
+                let c0 = rd(op.b, tmps, env).re as i64 - 1;
                 let elem = match &env[*arr as usize] {
                     Some(SimVal::Arr(m)) => {
                         let ok = r0 >= 0
@@ -569,8 +605,8 @@ fn chain_run_fast(exec: &mut Exec<'_>, env: &mut Env, ch: &ChainData) -> Result<
                 }
             }
             CKind::Store1 { arr } => {
-                let k = z_index(rd(op.a, &tmps, env));
-                let zval = rd(op.b, &tmps, env);
+                let k = z_index(rd(op.a, tmps, env));
+                let zval = rd(op.b, tmps, env);
                 let Some(SimVal::Arr(m)) = &mut env[*arr as usize] else {
                     unreachable!("guarded array slot")
                 };
@@ -582,9 +618,9 @@ fn chain_run_fast(exec: &mut Exec<'_>, env: &mut Env, ch: &ChainData) -> Result<
                 continue 'fast;
             }
             CKind::Store2 { arr } => {
-                let r0 = z_index(rd(op.a, &tmps, env));
-                let c0 = z_index(rd(op.b, &tmps, env));
-                let zval = rd(op.c, &tmps, env);
+                let r0 = z_index(rd(op.a, tmps, env));
+                let c0 = z_index(rd(op.b, tmps, env));
+                let zval = rd(op.c, tmps, env);
                 let Some(SimVal::Arr(m)) = &mut env[*arr as usize] else {
                     unreachable!("guarded array slot")
                 };
@@ -610,20 +646,15 @@ fn chain_run_fast(exec: &mut Exec<'_>, env: &mut Env, ch: &ChainData) -> Result<
         }
     }
     if deopt == ops.len() {
-        for &class in OpClass::ALL {
-            let cnt = ch.real_counts[class as usize];
-            if cnt != 0 {
-                exec.charge(class, cnt as u64);
-            }
-        }
-        return Ok(());
+        return Ok(true);
     }
     // Deoptimized tail: ops[..deopt] completed with all-real charges
     // pending; settle them, then run the rest with exact accounting.
     for op in &ops[..deopt] {
         chain_charge_real(exec, op);
     }
-    chain_run_exact(exec, env, ops, deopt, &mut tmps)
+    chain_run_exact(exec, env, ops, deopt, tmps)?;
+    Ok(false)
 }
 
 /// Reads one chain source: an immediate, a temp produced earlier in the
@@ -671,7 +702,7 @@ fn chain_oob(
     ops: &[ChainOp],
     i: usize,
     err: SimError,
-) -> Result<(), SimError> {
+) -> Result<bool, SimError> {
     for op in &ops[..=i] {
         chain_charge_real(exec, op);
     }
@@ -989,21 +1020,102 @@ pub(super) fn step_for_next(
     let NData::ForNext { end, span } = &step.data else {
         unreachable!()
     };
+    for_next(exec, env, frames, *end, *span, pc)
+}
+
+/// One `ForNext`: leave the loop, or start the next iteration.
+#[inline(always)]
+fn for_next(
+    exec: &mut Exec<'_>,
+    env: &mut Env,
+    frames: &mut Vec<Frame>,
+    end: u32,
+    span: Span,
+    pc: u32,
+) -> Result<u32, SimError> {
     let Some(Frame::For { var, s, st, n, k }) = frames.last_mut() else {
         unreachable!("ForNext without a for frame");
     };
     if *k >= *n {
         frames.pop();
-        Ok(*end)
+        Ok(end)
     } else {
         let (var, value) = (*var, *s + *st * *k as f64);
         *k += 1;
-        exec.enter(*span)?;
+        exec.enter(span)?;
         // Loop control: induction update + branch.
         exec.charge(OpClass::ScalarAlu, 1);
         exec.charge(OpClass::Branch, 1);
         exec.set(env, var, SimVal::scalar(value));
         Ok(pc + 1)
+    }
+}
+
+/// The `ForNext` of a loop whose body is one compiled chain (see
+/// `compile_loops` in `fuse.rs`). Runs every remaining iteration as one
+/// step when profiling is off, fuel covers all of them, and the chain's
+/// guards hold once the loop variable is written — the fuse-time
+/// invariance check then makes them hold for every later iteration too.
+/// Fuel is subtracted once for the whole loop (each iteration burns its
+/// `ForNext` plus one per chained micro), iterations run the chain with
+/// charges deferred, and the loop-control and all-real chain charges are
+/// settled in one batch per class. An iteration that meets a complex
+/// value settles itself exactly; a bounds fault settles the completed
+/// iterations plus the faulting one's loop control and prefix, then
+/// raises the same error the per-iteration path would. In every other
+/// case this is `step_for_next` for one iteration, so a loop short of
+/// fuel still exhausts at the same statement.
+pub(super) fn step_for_chain(
+    exec: &mut Exec<'_>,
+    _f: &MirFunction,
+    env: &mut Env,
+    frames: &mut Vec<Frame>,
+    step: &NStep,
+    pc: u32,
+) -> Result<u32, SimError> {
+    let NData::ForChain { end, span, chain } = &step.data else {
+        unreachable!()
+    };
+    let Some(&Frame::For { var, s, st, n, k }) = frames.last() else {
+        unreachable!("ForNext without a for frame");
+    };
+    let left = n - k;
+    let need = (left as u64)
+        .checked_mul(1 + chain.ops.len() as u64)
+        .filter(|&need| exec.profile.is_none() && left > 0 && need <= exec.fuel);
+    let Some(need) = need else {
+        return for_next(exec, env, frames, *end, *span, pc);
+    };
+    exec.set(env, var, SimVal::scalar(s + st * k as f64));
+    if !guards_hold(&chain.guards, env) {
+        return for_next(exec, env, frames, *end, *span, pc);
+    }
+    exec.fuel -= need;
+    frames.pop();
+    let mut tmps = [Cx::ZERO; CHAIN_MAX];
+    let mut real_runs = 0u64;
+    for i in k..n {
+        exec.set(env, var, SimVal::scalar(s + st * i as f64));
+        match chain_run_deferred(exec, env, chain, &mut tmps) {
+            Ok(all_real) => real_runs += all_real as u64,
+            Err(e) => {
+                settle_loop(exec, chain, (i - k + 1) as u64, real_runs);
+                return Err(e);
+            }
+        }
+    }
+    settle_loop(exec, chain, left as u64, real_runs);
+    Ok(*end)
+}
+
+/// Charges the loop control of `iters` iterations (induction update and
+/// branch) and the deferred chain charges of the `real_runs` all-real
+/// ones. A class no run charged stays untouched.
+fn settle_loop(exec: &mut Exec<'_>, ch: &ChainData, iters: u64, real_runs: u64) {
+    exec.charge(OpClass::ScalarAlu, iters);
+    exec.charge(OpClass::Branch, iters);
+    if real_runs > 0 {
+        charge_real_counts(exec, ch, real_runs);
     }
 }
 

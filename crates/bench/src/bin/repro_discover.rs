@@ -9,6 +9,9 @@
 //! * `repro_discover --quick`: the reduced CI budget.
 //! * `repro_discover --json <path>`: output path override.
 //!
+//! The frontier is read from the workspace root, so the binary runs from
+//! any directory; the report path is relative to the current directory.
+//!
 //! The binary is self-validating twice over. After writing the document
 //! it re-reads and structurally validates it
 //! ([`matic_discover::validate_discover_json`] enforces the acceptance
@@ -98,8 +101,10 @@ fn run() -> Result<(), String> {
         }
     }
 
-    let frontier = std::fs::read_to_string("EXPLORE_frontier.json")
-        .map_err(|e| format!("cannot read EXPLORE_frontier.json: {e}"))?;
+    let frontier_path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../EXPLORE_frontier.json");
+    let frontier = std::fs::read_to_string(&frontier_path)
+        .map_err(|e| format!("cannot read {}: {e}", frontier_path.display()))?;
     let cfg = if quick {
         DiscoverConfig::quick(&frontier)
     } else {

@@ -5,7 +5,7 @@
 //!       [--baseline] [-o <dir>]        compile to C (+ runtime headers)
 //! matic mir     <file.m> --entry <fn> --sig <spec>   dump optimized MIR
 //! matic cycles  <file.m> --entry <fn> --sig <spec>   baseline-vs-optimized
-//!       [--n <size>] [--profile] [--profile-json <p>]  cycle comparison
+//!       [--profile] [--profile-json <p>]               cycle comparison
 //! matic targets [--dump <name>]                       list/export targets
 //! matic explore [--benchmarks <ids>] [--widths <list>] [--scales <list>]
 //!       [--area-model <json>] [--json <out>]          design-space search
@@ -23,23 +23,70 @@
 
 use matic::reportfmt::{self, DEFAULT_MAX_CYCLES};
 use matic::{Compiler, IsaSpec, OptLevel, Ty};
+use std::fmt;
+use std::io::{self, Write};
 use std::path::Path;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
+        Ok(()) | Err(Stop::ClosedPipe) => ExitCode::SUCCESS,
+        Err(Stop::Fail(msg)) => {
             eprintln!("matic: {msg}");
             ExitCode::from(1)
         }
     }
 }
 
-fn run(args: &[String]) -> Result<(), String> {
+/// Why a command ended early.
+enum Stop {
+    /// A failure, reported on stderr with exit status 1.
+    Fail(String),
+    /// The reader closed stdout (`matic … | head`): end quietly.
+    ClosedPipe,
+}
+
+impl From<String> for Stop {
+    fn from(msg: String) -> Stop {
+        Stop::Fail(msg)
+    }
+}
+
+impl From<&str> for Stop {
+    fn from(msg: &str) -> Stop {
+        Stop::Fail(msg.to_string())
+    }
+}
+
+/// Writes command output to stdout — every command prints through here,
+/// so a closed pipe ends the command instead of panicking in `print!`.
+fn write_out(args: fmt::Arguments<'_>) -> Result<(), Stop> {
+    let mut out = io::stdout().lock();
+    match out.write_fmt(args).and_then(|()| out.flush()) {
+        Ok(()) => Ok(()),
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => Err(Stop::ClosedPipe),
+        Err(e) => Err(Stop::Fail(format!("cannot write to stdout: {e}"))),
+    }
+}
+
+/// `print!` through [`write_out`]; evaluates to `Result<(), Stop>`.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_out(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_out`]; evaluates to `Result<(), Stop>`.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_out(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+fn run(args: &[String]) -> Result<(), Stop> {
     let Some(cmd) = args.first() else {
-        return Err(USAGE.to_string());
+        return Err(USAGE.into());
     };
     match cmd.as_str() {
         "compile" => cmd_compile(&args[1..]),
@@ -50,11 +97,8 @@ fn run(args: &[String]) -> Result<(), String> {
         "discover" => cmd_discover(&args[1..]),
         "serve" => cmd_serve(&args[1..]),
         "request" => cmd_request(&args[1..]),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command `{other}`\n{USAGE}")),
+        "help" | "--help" | "-h" => outln!("{USAGE}"),
+        other => Err(format!("unknown command `{other}`\n{USAGE}").into()),
     }
 }
 
@@ -245,7 +289,7 @@ fn reject_profile_flags(opts: &Opts, cmd: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_compile(args: &[String]) -> Result<(), String> {
+fn cmd_compile(args: &[String]) -> Result<(), Stop> {
     let opts = parse_opts(args)?;
     reject_profile_flags(&opts, "compile")?;
     let compiled = compile_with(&opts)?;
@@ -253,30 +297,30 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
     let path = matic_codegen::write_module(dir, &compiled.c, None)
         .map_err(|e| format!("cannot write output: {e}"))?;
     let r = &compiled.report;
-    println!("target      : {}", compiled.spec);
-    println!(
+    outln!("target      : {}", compiled.spec)?;
+    outln!(
         "vectorizer  : loops {} accepted / {} rejected, array ops {}, macs fused {}, slices forwarded {}",
         r.loops.maps + r.loops.macs + r.loops.reductions,
         r.loops.rejected,
         r.arrays.maps + r.arrays.reductions + r.arrays.copies,
         r.fuse.macs_fused,
         r.forward.inputs_forwarded + r.forward.outputs_forwarded,
-    );
-    println!("wrote       : {}", path.display());
-    println!("              {}", dir.join("matic_rt.h").display());
-    println!("              {}", dir.join("matic_intrinsics.h").display());
+    )?;
+    outln!("wrote       : {}", path.display())?;
+    outln!("              {}", dir.join("matic_rt.h").display())?;
+    outln!("              {}", dir.join("matic_intrinsics.h").display())?;
     Ok(())
 }
 
-fn cmd_mir(args: &[String]) -> Result<(), String> {
+fn cmd_mir(args: &[String]) -> Result<(), Stop> {
     let opts = parse_opts(args)?;
     reject_profile_flags(&opts, "mir")?;
     let compiled = compile_with(&opts)?;
-    print!("{}", compiled.mir_dump());
+    out!("{}", compiled.mir_dump())?;
     Ok(())
 }
 
-fn cmd_cycles(args: &[String]) -> Result<(), String> {
+fn cmd_cycles(args: &[String]) -> Result<(), Stop> {
     let opts = parse_opts(args)?;
     let src = read_source(&opts)?;
     let optimized = compile_src(
@@ -304,10 +348,10 @@ fn cmd_cycles(args: &[String]) -> Result<(), String> {
     };
     let run = reportfmt::run_cycles(&baseline, &optimized, &opts.sig, &copts)
         .map_err(|e| e.to_string())?;
-    print!(
+    out!(
         "{}",
         reportfmt::render_cycles(&run, &optimized, &src, &opts.entry, opts.profile)
-    );
+    )?;
     if let Some(path) = &opts.profile_json {
         if let Some(profile) = &run.optimized.profile {
             let map = matic_frontend::span::SourceMap::new(src.as_str());
@@ -316,7 +360,7 @@ fn cmd_cycles(args: &[String]) -> Result<(), String> {
             text.push('\n');
             std::fs::write(path, text)
                 .map_err(|e| format!("cannot write profile `{path}`: {e}"))?;
-            println!("\nprofile   : wrote {path}");
+            outln!("\nprofile   : wrote {path}")?;
         }
     }
     Ok(())
@@ -339,7 +383,7 @@ fn clone_opts(o: &Opts) -> Opts {
     }
 }
 
-fn cmd_discover(args: &[String]) -> Result<(), String> {
+fn cmd_discover(args: &[String]) -> Result<(), Stop> {
     use matic_discover::{discover, DiscoverConfig};
     // --quick only lowers the default budget; an explicit --budget wins
     // regardless of argument order.
@@ -375,23 +419,23 @@ fn cmd_discover(args: &[String]) -> Result<(), String> {
             }
             "--json" => json_out = Some(next(&mut it, "--json")?),
             "--quick" => {}
-            other => return Err(format!("unexpected argument `{other}`")),
+            other => return Err(Stop::Fail(format!("unexpected argument `{other}`"))),
         }
     }
     cfg.frontier_text = std::fs::read_to_string(&frontier_path)
         .map_err(|e| format!("cannot read frontier `{frontier_path}`: {e}"))?;
     let result = discover(&cfg)?;
-    print!("{}", result.render_text());
+    out!("{}", result.render_text())?;
     if let Some(path) = json_out {
         let mut text = result.to_json().pretty();
         text.push('\n');
         std::fs::write(&path, text).map_err(|e| format!("cannot write `{path}`: {e}"))?;
-        println!("wrote {path}");
+        outln!("wrote {path}")?;
     }
     Ok(())
 }
 
-fn cmd_explore(args: &[String]) -> Result<(), String> {
+fn cmd_explore(args: &[String]) -> Result<(), Stop> {
     use matic_explore::{explore, resume_config, AreaModel, ExploreConfig, GridConfig};
     // --resume seeds the whole config from a previous matic-explore-v1
     // document; any other flag then overrides the recovered value, so it
@@ -454,7 +498,9 @@ fn cmd_explore(args: &[String]) -> Result<(), String> {
                     .parse()
                     .map_err(|_| "--max-cycles expects a positive integer".to_string())?;
                 if cfg.fuel == 0 {
-                    return Err("--max-cycles expects a positive integer".to_string());
+                    return Err(Stop::Fail(
+                        "--max-cycles expects a positive integer".to_string(),
+                    ));
                 }
             }
             "--area-model" => {
@@ -469,36 +515,36 @@ fn cmd_explore(args: &[String]) -> Result<(), String> {
                 // Already applied above; skip the path operand here.
                 next(&mut it, "--resume")?;
             }
-            other => return Err(format!("unexpected argument `{other}`")),
+            other => return Err(Stop::Fail(format!("unexpected argument `{other}`"))),
         }
     }
     let result = explore(&cfg)?;
-    print!("{}", result.render_text());
+    out!("{}", result.render_text())?;
     if let Some(path) = json_out {
         let mut text = result.to_json().pretty();
         text.push('\n');
         std::fs::write(&path, text).map_err(|e| format!("cannot write `{path}`: {e}"))?;
-        println!("\nwrote {path}");
+        outln!("\nwrote {path}")?;
     }
     Ok(())
 }
 
-fn cmd_targets(args: &[String]) -> Result<(), String> {
+fn cmd_targets(args: &[String]) -> Result<(), Stop> {
     if let Some(pos) = args.iter().position(|a| a == "--dump") {
         let name = args.get(pos + 1).ok_or("--dump expects a target name")?;
         let spec =
             IsaSpec::builtin(name).ok_or_else(|| format!("unknown builtin target `{name}`"))?;
-        println!("{}", spec.to_json());
+        outln!("{}", spec.to_json())?;
         return Ok(());
     }
-    println!("builtin targets (export with `matic targets --dump <name>`):");
+    outln!("builtin targets (export with `matic targets --dump <name>`):")?;
     for s in &IsaSpec::builtins() {
-        println!("  {s}");
+        outln!("  {s}")?;
     }
     Ok(())
 }
 
-fn cmd_serve(args: &[String]) -> Result<(), String> {
+fn cmd_serve(args: &[String]) -> Result<(), Stop> {
     use matic_serve::{Server, ServerConfig};
     let mut addr = "127.0.0.1:9123".to_string();
     let mut cfg = ServerConfig::default();
@@ -511,7 +557,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                     .parse()
                     .map_err(|_| "--workers expects a positive integer".to_string())?;
                 if cfg.workers == 0 {
-                    return Err("--workers expects a positive integer".to_string());
+                    return Err(Stop::Fail(
+                        "--workers expects a positive integer".to_string(),
+                    ));
                 }
             }
             "--max-fuel" => {
@@ -519,7 +567,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                     .parse()
                     .map_err(|_| "--max-fuel expects a positive integer".to_string())?;
                 if cfg.budgets.max_fuel == 0 {
-                    return Err("--max-fuel expects a positive integer".to_string());
+                    return Err(Stop::Fail(
+                        "--max-fuel expects a positive integer".to_string(),
+                    ));
                 }
             }
             "--max-source-bytes" => {
@@ -527,18 +577,18 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                     .parse()
                     .map_err(|_| "--max-source-bytes expects an integer".to_string())?;
             }
-            other => return Err(format!("unexpected argument `{other}`")),
+            other => return Err(Stop::Fail(format!("unexpected argument `{other}`"))),
         }
     }
     let server = Server::bind(&addr, cfg).map_err(|e| format!("cannot bind `{addr}`: {e}"))?;
-    println!("matic serve: listening on {}", server.addr());
+    outln!("matic serve: listening on {}", server.addr())?;
     // Serve until killed; the acceptor and workers own all the activity.
     loop {
         std::thread::park();
     }
 }
 
-fn cmd_request(args: &[String]) -> Result<(), String> {
+fn cmd_request(args: &[String]) -> Result<(), Stop> {
     use matic_isa::json::Json;
     let addr = args.first().ok_or("request expects <addr> <op>")?;
     let op = args.get(1).ok_or("request expects <addr> <op>")?.as_str();
@@ -550,9 +600,9 @@ fn cmd_request(args: &[String]) -> Result<(), String> {
             build_request(op, &opts, src)?
         }
         other => {
-            return Err(format!(
+            return Err(Stop::Fail(format!(
                 "unknown request op `{other}` (expected ping, stats, compile, or cycles)"
-            ))
+            )))
         }
     };
     let mut client = matic_serve::Client::connect(addr)
@@ -588,7 +638,7 @@ fn build_request(op: &str, opts: &Opts, src: String) -> Result<matic_isa::json::
 
 /// Prints a response: raw payload text for compile/cycles (so output can
 /// be diffed against the offline CLI), pretty JSON otherwise.
-fn render_response(op: &str, resp: &matic_isa::json::Json) -> Result<(), String> {
+fn render_response(op: &str, resp: &matic_isa::json::Json) -> Result<(), Stop> {
     use matic_isa::json::Json;
     match resp.get("ok").and_then(Json::as_bool) {
         Some(true) => {}
@@ -600,7 +650,7 @@ fn render_response(op: &str, resp: &matic_isa::json::Json) -> Result<(), String>
                 ),
                 None => ("protocol", "malformed response envelope"),
             };
-            return Err(format!("server error ({kind}): {message}"));
+            return Err(Stop::Fail(format!("server error ({kind}): {message}")));
         }
     }
     let result = resp
@@ -617,9 +667,9 @@ fn render_response(op: &str, resp: &matic_isa::json::Json) -> Result<(), String>
                 .get(field)
                 .and_then(Json::as_str)
                 .ok_or_else(|| format!("malformed response: missing `{field}`"))?;
-            print!("{text}");
+            out!("{text}")?;
         }
-        None => println!("{}", result.pretty()),
+        None => outln!("{}", result.pretty())?,
     }
     Ok(())
 }

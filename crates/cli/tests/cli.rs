@@ -6,8 +6,8 @@
 //! These drive the actual `matic` binary (via `CARGO_BIN_EXE_matic`) so
 //! the exact user-visible text and exit codes are pinned.
 
-use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output, Stdio};
 
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_matic")
@@ -263,4 +263,24 @@ fn well_formed_program_still_succeeds() {
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_line(&out));
     let text = String::from_utf8_lossy(&out.stdout).into_owned();
     assert!(text.contains("speedup"));
+}
+
+/// A reader that closes the pipe early (`matic cycles … | head`) ends the
+/// command quietly: exit status 0, no panic, nothing on stderr.
+#[test]
+fn closed_stdout_pipe_ends_quietly() {
+    let fir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../benchmarks/fir.m");
+    let mut child = Command::new(bin())
+        .args(["cycles", fir.to_str().unwrap(), "--entry", "fir"])
+        .args(["--sig", "v256,v32"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("matic runs");
+    // Close the read end before the report is written.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("matic exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
 }

@@ -142,6 +142,54 @@ impl Frame {
     }
 }
 
+/// The largest position a subscript names (at least its length when it
+/// is logical): an indexed store grows the array when this exceeds the
+/// indexed extent.
+fn index_extent(idx: &Matrix) -> usize {
+    let named = idx.data().iter().map(|z| z.re as usize).max().unwrap_or(0);
+    if idx.is_logical() {
+        named.max(idx.numel())
+    } else {
+        named
+    }
+}
+
+/// Runs an indexed store on the array in `slot` in place: the array is
+/// taken out of the frame so the store does not copy it, then put back.
+/// A store that fails leaves the variable as it was. Without growth a
+/// store fails before it writes anything; a growing store copies the array
+/// anyway, so it keeps the original (a shared handle) to restore.
+fn store_in_place(
+    frame: &mut Frame,
+    slot: Slot,
+    grows: bool,
+    store: impl FnOnce(&mut Matrix) -> Result<(), String>,
+) -> Result<(), String> {
+    let backup = if grows {
+        frame.get(slot).cloned()
+    } else {
+        None
+    };
+    let old = frame.slots[slot].take();
+    let was_set = old.is_some();
+    let mut base = match old {
+        Some(Value::Num(m)) => m,
+        _ => Matrix::empty(),
+    };
+    match store(&mut base) {
+        Ok(()) => frame.set(slot, Value::Num(base)),
+        Err(e) => {
+            frame.slots[slot] = if grows {
+                backup
+            } else {
+                was_set.then_some(Value::Num(base))
+            };
+            return Err(e);
+        }
+    }
+    Ok(())
+}
+
 /// Deterministic xorshift64* random stream (MATLAB's `rand`/`randn`
 /// substitute; determinism matters more than the distribution's pedigree).
 struct Rng {
@@ -590,30 +638,33 @@ impl Interpreter {
                 indices,
                 span,
             } => {
-                let mut base = match frame.get(*slot) {
-                    Some(Value::Num(m)) => m.clone(),
+                // Subscripts are evaluated while the array is still in the
+                // frame (`end` and self-referencing subscripts read it);
+                // only the store itself takes it out.
+                let (numel, rows, cols) = match frame.get(*slot) {
+                    Some(Value::Num(m)) => (m.numel(), m.rows(), m.cols()),
                     Some(_) => {
                         return Err(RuntimeError::new(
                             format!("cannot index-assign non-matrix `{name}`"),
                             *span,
                         ))
                     }
-                    None => Matrix::empty(),
+                    None => (0, 0, 0),
                 };
                 let rhs = value
                     .into_matrix()
                     .map_err(|m| RuntimeError::new(m, *span))?;
-                match indices.len() {
+                let stored = match indices.len() {
                     1 => {
-                        let idx = self.eval_index(&indices[0], frame, base.numel(), *span)?;
-                        base.assign_linear(&idx, &rhs)
-                            .map_err(|m| RuntimeError::new(m, *span))?;
+                        let idx = self.eval_index(&indices[0], frame, numel, *span)?;
+                        let grows = index_extent(&idx) > numel;
+                        store_in_place(frame, *slot, grows, |base| base.assign_linear(&idx, &rhs))
                     }
                     2 => {
-                        let ri = self.eval_index(&indices[0], frame, base.rows(), *span)?;
-                        let ci = self.eval_index(&indices[1], frame, base.cols(), *span)?;
-                        base.assign_2d(&ri, &ci, &rhs)
-                            .map_err(|m| RuntimeError::new(m, *span))?;
+                        let ri = self.eval_index(&indices[0], frame, rows, *span)?;
+                        let ci = self.eval_index(&indices[1], frame, cols, *span)?;
+                        let grows = index_extent(&ri) > rows || index_extent(&ci) > cols;
+                        store_in_place(frame, *slot, grows, |base| base.assign_2d(&ri, &ci, &rhs))
                     }
                     n => {
                         return Err(RuntimeError::new(
@@ -621,9 +672,8 @@ impl Interpreter {
                             *span,
                         ))
                     }
-                }
-                frame.set(*slot, Value::Num(base));
-                Ok(())
+                };
+                stored.map_err(|m| RuntimeError::new(m, *span))
             }
         }
     }
@@ -1460,5 +1510,61 @@ mod tests {
         assert_eq!(x.lin(1).re, 5.0);
         assert_eq!(x.lin(2).re, 5.0);
         assert_eq!(x.lin(3).re, 0.0);
+    }
+
+    #[test]
+    fn element_store_fill_loop_runs_in_place() {
+        // Each `y(k) = ...` once copied the whole array, making this fill
+        // quadratic (over a terabyte copied at this size); in place it is
+        // a few million interpreter steps.
+        let n = 400_000;
+        let start = std::time::Instant::now();
+        let i = run(&format!(
+            "y = zeros(1, {n});\nfor k = 1:{n}\n  y(k) = 2 * k;\nend\n\
+             m = zeros(300, 300);\nfor k = 1:300\n  m(k, k) = k;\nend"
+        ));
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < std::time::Duration::from_secs(60),
+            "fill loop took {elapsed:?}"
+        );
+        let y = var_matrix(&i, "y");
+        assert_eq!((y.rows(), y.cols()), (1, n));
+        assert_eq!(y.lin(n - 1).re, 2.0 * n as f64);
+        let m = var_matrix(&i, "m");
+        assert_eq!(m.at(299, 299).re, 300.0);
+        assert_eq!(m.at(0, 299).re, 0.0);
+    }
+
+    #[test]
+    fn failing_indexed_store_leaves_the_variable_intact() {
+        let fails = |src: &str| {
+            let mut i = Interpreter::from_source(src).expect("parse ok");
+            let err = i.run_script().expect_err("store must fail");
+            assert!(err.message.contains("size mismatch"), "{src}: {err}");
+            i
+        };
+        // Grows to six elements, then the right-hand side does not fit.
+        let i = fails("y = [1 2 3];\ny([5 6]) = [7 8 9];");
+        let y = var_matrix(&i, "y");
+        assert_eq!((y.rows(), y.cols()), (1, 3));
+        assert_eq!(
+            y.data().iter().map(|z| z.re).collect::<Vec<_>>(),
+            [1.0, 2.0, 3.0]
+        );
+        // The same in two dimensions.
+        let i = fails("m = [1 2; 3 4];\nm(3, 1:2) = [5 6 7];");
+        let m = var_matrix(&i, "m");
+        assert_eq!((m.rows(), m.cols()), (2, 2));
+        assert_eq!(
+            m.data().iter().map(|z| z.re).collect::<Vec<_>>(),
+            [1.0, 3.0, 2.0, 4.0]
+        );
+        // No growth: fails before writing.
+        let i = fails("y = [1 2 3];\ny([1 2]) = [7 8 9];");
+        assert_eq!(var_matrix(&i, "y").lin(0).re, 1.0);
+        // An unset variable stays unset.
+        let i = fails("q([1 2]) = [7 8 9];");
+        assert!(i.var("q").is_none());
     }
 }
