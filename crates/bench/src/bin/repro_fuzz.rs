@@ -25,7 +25,7 @@
 //! one index all see identical populations, and the whole run is
 //! reproducible from the two numbers printed in its first line.
 
-use matic_bench::par_map;
+use matic_explore::par_map;
 use matic_fuzz::{
     mutate_spec, run_index, shrink_disagreement, write_repro, CaseStatus, Inject, RunOptions,
     SweepConfig, SweepStats,

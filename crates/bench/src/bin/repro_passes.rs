@@ -7,8 +7,8 @@
 //! Regenerate with: `cargo run --release -p matic-bench --bin repro_passes`
 
 use matic::{IsaSpec, OptLevel};
-use matic_bench::render_table;
 use matic_benchkit::{to_sim, SUITE};
+use matic_explore::render_table;
 
 /// Which vectorizer passes to run.
 #[derive(Clone, Copy)]

@@ -19,8 +19,9 @@
 //! changed.
 
 use matic::{Compiler, OptLevel};
-use matic_bench::render_table;
 use matic_benchkit::{to_sim, SUITE};
+use matic_explore::render_table;
+use matic_explore::runner::default_n;
 use matic_isa::json::{parse, Json};
 use std::process::ExitCode;
 use std::time::Instant;
@@ -31,16 +32,6 @@ const ENGINE: &str = "native";
 
 /// Allowed geomean throughput regression vs. the committed baseline.
 const MAX_GEOMEAN_REGRESSION: f64 = 0.15;
-
-/// Simulation sizes kept small enough that one run is well under a
-/// millisecond for most kernels (matches `benches/simulator.rs`).
-fn small_n(id: &str) -> usize {
-    match id {
-        "matmul" => 8,
-        "fft" => 64,
-        _ => 128,
-    }
-}
 
 struct Timing {
     bench: &'static str,
@@ -64,7 +55,7 @@ fn median_ns(samples: &mut [u64]) -> u64 {
 
 /// Times one (bench, opt) cell.
 fn time_cell(bench: &matic_benchkit::Benchmark, opt: OptLevel, label: &'static str) -> Timing {
-    let n = small_n(bench.id);
+    let n = default_n(bench.id);
     let compiled = Compiler::new()
         .opt_level(opt)
         .compile(bench.source, bench.entry, &bench.arg_types(n))

@@ -15,8 +15,8 @@
 //! non-zero on the first malformed document.
 
 use matic::{arg, Compiler, Cx, Matrix, OptLevel, SimVal, SourceMap, Ty, PROFILE_SCHEMA};
-use matic_bench::render_table;
 use matic_benchkit::{to_sim, Benchmark, SUITE};
+use matic_explore::render_table;
 use matic_isa::json::{parse, Json};
 use matic_isa::OpClass;
 use std::process::ExitCode;

@@ -7,8 +7,8 @@
 //! `cargo run -p matic-bench --bin repro_table3 --release`
 
 use matic::Compiler;
-use matic_bench::render_table;
 use matic_benchkit::SUITE;
+use matic_explore::render_table;
 
 fn main() {
     const REPS: u32 = 50;

@@ -1,32 +1,24 @@
 //! # matic-bench
 //!
-//! Shared measurement machinery for the reproduction binaries
-//! (`repro_table1` … `repro_fig4`), which regenerate the tables and
-//! figures of the DATE'16 evaluation on the virtual ASIP.
+//! Measurement machinery for the reproduction binaries. [`paper`] holds
+//! the DATE'16 evaluation itself (Table 1, Table 2 / Fig. 2, Fig. 3 and
+//! Fig. 4), which `repro_paper` writes to `PAPER_results.json` and
+//! EXPERIMENTS.md; the other `repro_*` binaries cover the reconstructed
+//! studies (pass ablation, compile time, simulator throughput, profiles,
+//! design-space exploration, discovery, fuzzing).
 
-use matic::{Compiled, Compiler, IsaSpec, OptLevel};
+pub mod paper;
+
+use matic::{Compiled, Compiler, CycleReport, IsaSpec, OptLevel};
 use matic_benchkit::{to_sim, Benchmark};
 
-// The fan-out/report helpers live with the design-space explorer (its
-// heaviest user); re-exported here so the repro binaries keep their
-// `matic_bench::{par_map, render_table}` imports.
-pub use matic_explore::{par_map, render_table};
-
-/// One measured (benchmark, target, opt-level) cell.
+/// What one (benchmark, target, opt-level) cell measured.
 #[derive(Debug, Clone)]
 pub struct Measurement {
-    /// Benchmark id.
-    pub bench: &'static str,
-    /// Target name.
-    pub target: String,
-    /// Total cycles of one kernel invocation.
-    pub cycles: u64,
-    /// Instructions issued.
-    pub instructions: u64,
-    /// Cycles in SIMD instruction classes.
-    pub vector_cycles: u64,
-    /// Cycles in complex-arithmetic instruction classes.
-    pub complex_cycles: u64,
+    /// Cycles, instructions and per-class cycles of one kernel invocation.
+    pub cycles: CycleReport,
+    /// Statements in the entry function's optimized MIR.
+    pub mir_stmts: usize,
     /// What the vectorizer recognized.
     pub report: matic::VectorizeReport,
 }
@@ -64,17 +56,13 @@ pub fn measure(
         )
     });
     Measurement {
-        bench: bench.id,
-        target: compiled.spec.name.clone(),
-        cycles: outcome.cycles.total,
-        instructions: outcome.cycles.instructions,
-        vector_cycles: outcome.cycles.vector_cycles(),
-        complex_cycles: outcome.cycles.complex_cycles(),
+        cycles: outcome.cycles,
+        mir_stmts: compiled.entry_mir().stmt_count(),
         report: (*compiled.report).clone(),
     }
 }
 
-/// Formats one speedup with two decimals.
+/// The speedup of `optimized` over `baseline` cycles.
 pub fn speedup(baseline: u64, optimized: u64) -> f64 {
     baseline as f64 / optimized.max(1) as f64
 }
@@ -83,14 +71,15 @@ pub fn speedup(baseline: u64, optimized: u64) -> f64 {
 mod tests {
     use super::*;
     use matic_benchkit::benchmark;
+    use matic_explore::par_map;
 
     #[test]
     fn measure_verifies_and_counts() {
         let b = benchmark("fir").unwrap();
         let m = measure(b, 64, IsaSpec::dsp16(), OptLevel::full(), 5);
-        assert!(m.cycles > 0);
-        assert!(m.instructions > 0);
-        assert!(m.vector_cycles > 0, "fir should use SIMD");
+        assert!(m.cycles.total > 0);
+        assert!(m.cycles.instructions > 0);
+        assert!(m.cycles.vector_cycles() > 0, "fir should use SIMD");
     }
 
     #[test]
@@ -109,11 +98,11 @@ mod tests {
         let b = benchmark("fir").unwrap();
         let cells = [OptLevel::baseline(), OptLevel::full()];
         let par = par_map(&cells, |&opt| {
-            measure(b, 64, IsaSpec::dsp16(), opt, 5).cycles
+            measure(b, 64, IsaSpec::dsp16(), opt, 5).cycles.total
         });
         let seq: Vec<u64> = cells
             .iter()
-            .map(|&opt| measure(b, 64, IsaSpec::dsp16(), opt, 5).cycles)
+            .map(|&opt| measure(b, 64, IsaSpec::dsp16(), opt, 5).cycles.total)
             .collect();
         assert_eq!(par, seq);
     }

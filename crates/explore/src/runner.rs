@@ -65,7 +65,8 @@ impl Default for ExploreConfig {
     }
 }
 
-/// Exploration-friendly problem sizes (same cells as `repro_perf`).
+/// Small problem sizes: exploration, `repro_perf` and the differential
+/// tests all run the suite at these.
 pub fn default_n(id: &str) -> usize {
     match id {
         "matmul" => 8,

@@ -1,7 +1,7 @@
 //! Shared fan-out and reporting machinery: the scoped-thread parallel map
 //! used to spread independent simulations over all cores, and the aligned
-//! text-table renderer used by the terminal reports. (Re-exported by
-//! `matic-bench` for the repro binaries.)
+//! text-table renderer used by the terminal reports (the repro binaries
+//! use both too).
 
 /// Maps `f` over `items` on all available cores, preserving input order.
 ///

@@ -213,6 +213,7 @@ impl IsaSpec {
         spec.name = format!("dsp16_w{width}");
         spec.vector_width = width.max(1);
         spec.normalize();
+        spec.describe_variant();
         spec
     }
 
@@ -231,7 +232,18 @@ impl IsaSpec {
             spec.name = "dsp16_none".to_string();
         }
         spec.normalize();
+        spec.describe_variant();
         spec
+    }
+
+    /// Describes a normalized `dsp16` variant by its own width and
+    /// features (not `dsp16`'s).
+    fn describe_variant(&mut self) {
+        let f = self.features;
+        self.description = format!(
+            "dsp16 variant: {} lanes, simd={}, complex={}, mac={}",
+            self.vector_width, f.simd, f.complex, f.mac
+        );
     }
 
     /// Canonicalizes the width/feature interaction in place: a spec
@@ -614,6 +626,19 @@ mod tests {
         assert_eq!(t.cost(OpClass::ScalarDiv), 8);
         t.costs.set_cost(OpClass::ScalarDiv, 16);
         assert_eq!(t.cost(OpClass::ScalarDiv), 16);
+    }
+
+    #[test]
+    fn variants_describe_their_own_width_and_features() {
+        assert_eq!(
+            IsaSpec::with_width(4).description,
+            "dsp16 variant: 4 lanes, simd=true, complex=true, mac=true"
+        );
+        let none = IsaSpec::with_features(Features::none());
+        assert_eq!(
+            none.description,
+            "dsp16 variant: 1 lanes, simd=false, complex=false, mac=false"
+        );
     }
 
     #[test]

@@ -5,20 +5,12 @@
 
 use matic::{Compiler, OptLevel};
 use matic_benchkit::{benchmark, outputs_close, sim_to_cvalue, to_sim, SUITE};
-
-/// Small-but-representative sizes so the whole suite runs quickly.
-fn test_size(id: &str) -> usize {
-    match id {
-        "matmul" => 8,
-        "fft" => 64,
-        _ => 128,
-    }
-}
+use matic_explore::runner::default_n;
 
 #[test]
 fn all_benchmarks_compile_at_both_levels() {
     for b in SUITE {
-        let n = test_size(b.id);
+        let n = default_n(b.id);
         let args = b.arg_types(n);
         for (label, opt) in [
             ("baseline", OptLevel::baseline()),
@@ -35,7 +27,7 @@ fn all_benchmarks_compile_at_both_levels() {
 #[test]
 fn simulated_outputs_match_interpreter_baseline() {
     for b in SUITE {
-        let n = test_size(b.id);
+        let n = default_n(b.id);
         let inputs = b.inputs(n, 2024);
         let expected = &b.reference_outputs(&inputs).expect("interp ok")[0];
         let compiled = Compiler::new()
@@ -54,7 +46,7 @@ fn simulated_outputs_match_interpreter_baseline() {
 #[test]
 fn simulated_outputs_match_interpreter_optimized() {
     for b in SUITE {
-        let n = test_size(b.id);
+        let n = default_n(b.id);
         let inputs = b.inputs(n, 777);
         let expected = &b.reference_outputs(&inputs).expect("interp ok")[0];
         let compiled = Compiler::new()
@@ -73,7 +65,7 @@ fn simulated_outputs_match_interpreter_optimized() {
 fn optimization_never_hurts_and_wins_where_expected() {
     let mut speedups = Vec::new();
     for b in SUITE {
-        let n = test_size(b.id);
+        let n = default_n(b.id);
         let inputs = b.inputs(n, 31337);
         let args = b.arg_types(n);
         let base = Compiler::new()
@@ -119,7 +111,7 @@ fn vectorizer_recognizes_the_expected_idioms() {
     ];
     for (id, check) in expectations {
         let b = benchmark(id).unwrap();
-        let n = test_size(id);
+        let n = default_n(id);
         let compiled = Compiler::new()
             .compile(b.source, b.entry, &b.arg_types(n))
             .unwrap_or_else(|e| panic!("{id}: {e}"));

@@ -9,6 +9,7 @@
 use matic::{Compiled, Compiler, IsaSpec, OptLevel};
 use matic_asip::AsipMachine;
 use matic_benchkit::{to_sim, SUITE};
+use matic_explore::runner::default_n;
 use std::sync::Arc;
 
 /// The tree walker's machine, configured exactly as
@@ -22,18 +23,9 @@ fn oracle(compiled: &Compiled, opt: OptLevel) -> AsipMachine {
     }
 }
 
-/// Small-but-representative sizes so the whole suite runs quickly.
-fn test_size(id: &str) -> usize {
-    match id {
-        "matmul" => 8,
-        "fft" => 64,
-        _ => 128,
-    }
-}
-
 fn check_cell(spec_name: &str, spec: IsaSpec, label: &str, opt: OptLevel) {
     for b in SUITE {
-        let n = test_size(b.id);
+        let n = default_n(b.id);
         let compiled = Compiler::new()
             .target(spec.clone())
             .opt_level(opt)
@@ -85,7 +77,7 @@ fn check_cell(spec_name: &str, spec: IsaSpec, label: &str, opt: OptLevel) {
 /// *observes* charges that happen anyway.
 fn check_profiling_is_free(spec_name: &str, spec: IsaSpec, opt: OptLevel) {
     for b in SUITE {
-        let n = test_size(b.id);
+        let n = default_n(b.id);
         let compiled = Compiler::new()
             .target(spec.clone())
             .opt_level(opt)
