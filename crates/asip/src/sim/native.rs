@@ -30,7 +30,6 @@ use super::fuse::{
     CKind, CSrc, ChainData, ChainOp, Guard, Micro, MicroData, NData, NStep, NativeFunction,
     CHAIN_MAX,
 };
-use super::vector::vector_fast;
 use super::{def_finish, slot_scalar, trip_count, Env, Exec, SimError, SimVal};
 use matic_frontend::span::Span;
 use matic_interp::{Cx, Matrix};
@@ -1238,11 +1237,6 @@ pub(super) fn step_vector(
         unreachable!()
     };
     exec.enter(vop.span)?;
-    // The fast lane path touches nothing when it declines, and is
-    // bit-identical to the generic one when it runs.
-    let len = exec.vector_prologue(f, env, vop)?;
-    if len > 0 && !vector_fast(exec, env, vop, len) {
-        exec.vector_op_lanes(f, env, vop, len)?;
-    }
+    exec.exec_vector_op(f, env, vop)?;
     Ok(pc + 1)
 }

@@ -137,10 +137,7 @@ impl Exec<'_> {
             Stmt::Continue(_) => Ok(Flow::Continue),
             Stmt::Return(_) => Ok(Flow::Return),
             Stmt::VectorOp(vop) => {
-                let len = self.vector_prologue(f, env, vop)?;
-                if len > 0 {
-                    self.vector_op_lanes(f, env, vop, len)?;
-                }
+                self.exec_vector_op(f, env, vop)?;
                 Ok(Flow::Normal)
             }
         }
