@@ -3,11 +3,12 @@
 //! Table 1, Table 2 / Fig. 2, Fig. 3 and Fig. 4 all read the same kind of
 //! cell: one (benchmark, N, ISA spec, opt level) compile-and-simulate,
 //! verified by [`measure`]. [`generate`] measures the union of their
-//! cells once each. [`Paper::to_json`] records them, with the full spec of
-//! every design point, as `PAPER_results.json`; [`Paper::blocks`] renders
-//! the four EXPERIMENTS.md tables from the same cycles, and [`splice`]
-//! writes them between `<!-- repro_paper:NAME -->` and
-//! `<!-- /repro_paper:NAME -->` markers.
+//! cells, each distinct machine once: specs that differ only in name and
+//! description share one measurement. [`Paper::to_json`] records them,
+//! with the full spec of every design point, as `PAPER_results.json`;
+//! [`Paper::blocks`] renders the four EXPERIMENTS.md tables from the
+//! same cycles, and [`splice`] writes them between
+//! `<!-- repro_paper:NAME -->` and `<!-- /repro_paper:NAME -->` markers.
 
 use crate::{measure, speedup, Measurement};
 use matic::{CycleReport, Features, IsaSpec, OptLevel};
@@ -97,22 +98,43 @@ pub fn generate() -> Paper {
             std::iter::once((b, &specs[0], BASELINE)).chain(full)
         })
         .collect();
-    let measured = par_map(&plan, |&(b, spec, opt)| {
-        let level = if opt == BASELINE {
+    // Specs that differ only in name and description are one machine
+    // (`with_width(8)` is `dsp16`): measure each distinct cell once.
+    let mut distinct: Vec<(&'static Benchmark, IsaSpec, &'static str)> = Vec::new();
+    let slots: Vec<usize> = plan
+        .iter()
+        .map(|&(bench, spec, opt)| {
+            let machine = IsaSpec {
+                name: String::new(),
+                description: String::new(),
+                ..spec.clone()
+            };
+            distinct
+                .iter()
+                .position(|(b, m, o)| b.id == bench.id && *m == machine && *o == opt)
+                .unwrap_or_else(|| {
+                    distinct.push((bench, machine, opt));
+                    distinct.len() - 1
+                })
+        })
+        .collect();
+    let measured = par_map(&distinct, |(b, spec, opt)| {
+        let level = if *opt == BASELINE {
             OptLevel::baseline()
         } else {
             OptLevel::full()
         };
         measure(b, b.default_n, spec.clone(), level, SEED)
     });
-    let cells = plan.iter().zip(measured);
     Paper {
-        cells: cells
-            .map(|(&(bench, spec, opt), measured)| Cell {
+        cells: plan
+            .iter()
+            .zip(slots)
+            .map(|(&(bench, spec, opt), slot)| Cell {
                 bench,
                 spec: spec.name.clone(),
                 opt,
-                measured,
+                measured: measured[slot].clone(),
             })
             .collect(),
     }
