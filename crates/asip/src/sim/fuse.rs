@@ -25,6 +25,15 @@
 //! writes cannot break its shape guards, so guards that hold on entry hold
 //! for every iteration; the body and back-edge steps stay as the
 //! per-iteration path for profiling, low fuel and guard misses.
+//!
+//! A loop chain of the form `acc = acc + A(ia) * B(ib)` (or `+ A(ia)`),
+//! with each subscript a tree of `+`/`-` over registers other than `acc`
+//! and integer constants, and no other register written, is also
+//! recognized as a [`Reduction`]. Its subscripts are flattened to integer
+//! sums of registers, so the loop step can fold its iterations natively
+//! as long as every leaf is an integer of magnitude at most 2⁴⁰ (the `f64`
+//! sums the chain would compute are then exact; see `fold_reduction` in
+//! `native.rs`).
 
 use super::native::{
     micro_bin, micro_bin_fast, micro_chain, micro_copy, micro_def_generic, micro_load1,
@@ -111,10 +120,13 @@ pub(super) enum NData {
     },
     /// The `ForNext` of a counted loop whose body is one compiled chain
     /// (see [`compile_loops`]); shares the chain with the body step.
+    /// `reduction` is set when the chain is a scalar reduction the loop
+    /// step may fold natively.
     ForChain {
         end: u32,
         span: Span,
         chain: Arc<ChainData>,
+        reduction: Option<Reduction>,
     },
     Loop {
         target: u32,
@@ -556,11 +568,167 @@ fn compile_loops(steps: &mut [NStep]) {
         if end as usize != h + 3 || !back_edge || !guards_loop_invariant(chain) {
             continue;
         }
+        let reduction = reduction_of(chain);
         let chain = Arc::clone(chain);
         steps[h] = NStep {
             run: step_for_chain,
-            data: NData::ForChain { end, span, chain },
+            data: NData::ForChain {
+                end,
+                span,
+                chain,
+                reduction,
+            },
         };
+    }
+}
+
+/// `x` as an integer when it is one of magnitude at most 2⁴⁰: the bound
+/// on every number a reduction kernel indexes with (a subscript register
+/// or constant, the loop variable's values and step).
+#[inline]
+pub(super) fn exact_int(x: f64) -> Option<i64> {
+    // The round trip through `i64` saturates and sends NaN to 0, so it
+    // matches `x` only for an integer (`fract` would be a libm call).
+    let v = x as i64;
+    (v as f64 == x && v.unsigned_abs() <= 1 << 40).then_some(v)
+}
+
+/// Bound on the number of leaf occurrences in one subscript tree. With
+/// every leaf an [`exact_int`], each intermediate sum stays below 2⁵²,
+/// where `f64` integer addition and subtraction are exact.
+const MAX_LEAVES: u32 = 1 << 12;
+
+/// A loop chain recognized as a scalar reduction: its last op is
+/// `acc = acc + p` (or `p + acc`) and `p` is `A(ia)` or `A(ia) * B(ib)`,
+/// where each subscript is a tree of `+`/`-` over registers other than
+/// `acc` and integer constants. Every other op of the chain feeds that
+/// tree and writes no register, so one iteration reads the loop variable,
+/// loop-invariant registers and two array elements, and writes only
+/// `acc`. `step_for_chain` uses it to fold the leading in-bounds, all-real
+/// iterations natively (see `fold_reduction` in `native.rs`).
+pub(super) struct Reduction {
+    /// The accumulator's register.
+    pub(super) acc: u32,
+    /// Whether the accumulating add reads `acc` as its left operand.
+    pub(super) acc_first: bool,
+    /// The loaded element, or the multiply's left operand.
+    pub(super) a: IndexedLoad,
+    /// The multiply's right operand; `None` when `p` is a bare load.
+    pub(super) b: Option<IndexedLoad>,
+}
+
+/// One `arr(idx)` read of a [`Reduction`], with the subscript flattened
+/// to `konst + Σ coef · register`.
+pub(super) struct IndexedLoad {
+    pub(super) arr: u32,
+    pub(super) konst: i64,
+    /// `(register, coefficient)`, one entry per distinct register.
+    pub(super) terms: Vec<(u32, i64)>,
+}
+
+/// Classifies a loop chain as a [`Reduction`], or `None` when its shape
+/// differs in any way.
+fn reduction_of(ch: &ChainData) -> Option<Reduction> {
+    let ops = &ch.ops;
+    let (last, body) = ops.split_last()?;
+    let CKind::Bin { op: BinOp::Add, .. } = last.kind else {
+        return None;
+    };
+    if !last.scalar_dst || body.iter().any(|op| op.env_dst != u32::MAX) {
+        return None;
+    }
+    let acc = last.env_dst;
+    let (acc_first, p) = match (last.a, last.b) {
+        (CSrc::Env(slot), CSrc::Tmp(p)) if slot == acc => (true, p),
+        (CSrc::Tmp(p), CSrc::Env(slot)) if slot == acc => (false, p),
+        _ => return None,
+    };
+    let mut used = vec![false; ops.len()];
+    used[ops.len() - 1] = true;
+    let (a, b) = match &ops[p as usize].kind {
+        CKind::Load1 { .. } => (indexed_load(ops, p, acc, &mut used)?, None),
+        CKind::Bin {
+            op: BinOp::ElemMul | BinOp::MatMul,
+            ..
+        } => {
+            used[p as usize] = true;
+            let mul = &ops[p as usize];
+            let (CSrc::Tmp(ta), CSrc::Tmp(tb)) = (mul.a, mul.b) else {
+                return None;
+            };
+            let a = indexed_load(ops, ta, acc, &mut used)?;
+            let b = indexed_load(ops, tb, acc, &mut used)?;
+            (a, Some(b))
+        }
+        _ => return None,
+    };
+    used.iter().all(|&u| u).then_some(Reduction {
+        acc,
+        acc_first,
+        a,
+        b,
+    })
+}
+
+/// Flattens the `Load1` at op `t` into an [`IndexedLoad`], marking every
+/// op it reads as used.
+fn indexed_load(ops: &[ChainOp], t: u8, acc: u32, used: &mut [bool]) -> Option<IndexedLoad> {
+    let op = &ops[t as usize];
+    let CKind::Load1 { arr } = op.kind else {
+        return None;
+    };
+    used[t as usize] = true;
+    let mut load = IndexedLoad {
+        arr,
+        konst: 0,
+        terms: Vec::new(),
+    };
+    let mut leaves = 0u32;
+    flatten_index(ops, op.a, 1, acc, used, &mut load, &mut leaves)?;
+    Some(load)
+}
+
+/// Adds `sign · src` to `load`'s subscript. Fails on any op but `+`/`-`,
+/// on `acc`, on a constant that is not an [`exact_int`], and past
+/// [`MAX_LEAVES`] leaf occurrences.
+fn flatten_index(
+    ops: &[ChainOp],
+    src: CSrc,
+    sign: i64,
+    acc: u32,
+    used: &mut [bool],
+    load: &mut IndexedLoad,
+    leaves: &mut u32,
+) -> Option<()> {
+    match src {
+        CSrc::Const(z) => {
+            *leaves += 1;
+            let v = exact_int(z.re).filter(|_| z.is_real() && *leaves <= MAX_LEAVES)?;
+            load.konst += sign * v;
+            Some(())
+        }
+        CSrc::Env(slot) => {
+            *leaves += 1;
+            if slot == acc || *leaves > MAX_LEAVES {
+                return None;
+            }
+            match load.terms.iter_mut().find(|t| t.0 == slot) {
+                Some(t) => t.1 += sign,
+                None => load.terms.push((slot, sign)),
+            }
+            Some(())
+        }
+        CSrc::Tmp(t) => {
+            let op = &ops[t as usize];
+            let sign_b = match op.kind {
+                CKind::Bin { op: BinOp::Add, .. } => sign,
+                CKind::Bin { op: BinOp::Sub, .. } => -sign,
+                _ => return None,
+            };
+            used[t as usize] = true;
+            flatten_index(ops, op.a, sign, acc, used, load, leaves)?;
+            flatten_index(ops, op.b, sign_b, acc, used, load, leaves)
+        }
     }
 }
 
@@ -1139,6 +1307,113 @@ fn make_step(inst: &DInst) -> NStep {
         },
         DInst::Def { .. } | DInst::Store { .. } => {
             unreachable!("fusable instruction outside a fused run")
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::decode::decode_program;
+    use matic_sema::{Class, Dim, Shape, Ty};
+
+    fn row(class: Class, n: usize) -> Ty {
+        Ty::new(class, Shape::row(Dim::Known(n)))
+    }
+
+    /// The six suite kernels with their entry points and signatures
+    /// (vectors of 128, fft at 64, matmul at 8×8).
+    fn kernels() -> Vec<(&'static str, &'static str, &'static str, Vec<Ty>)> {
+        let real = |n| row(Class::Double, n);
+        let cx = |n| row(Class::Complex, n);
+        let mat = Ty::new(Class::Double, Shape::known(8, 8));
+        vec![
+            (
+                "fir",
+                include_str!("../../../../benchmarks/fir.m"),
+                "fir",
+                vec![real(128), real(64)],
+            ),
+            (
+                "iir",
+                include_str!("../../../../benchmarks/iir.m"),
+                "iir",
+                vec![real(128), real(3), real(3)],
+            ),
+            (
+                "cmult",
+                include_str!("../../../../benchmarks/cmult.m"),
+                "cmult",
+                vec![cx(128), cx(128)],
+            ),
+            (
+                "fft",
+                include_str!("../../../../benchmarks/fft.m"),
+                "fft_r2",
+                vec![cx(64)],
+            ),
+            (
+                "matmul",
+                include_str!("../../../../benchmarks/matmul.m"),
+                "matmul",
+                vec![mat, mat],
+            ),
+            (
+                "xcorr",
+                include_str!("../../../../benchmarks/xcorr.m"),
+                "xcorr_k",
+                vec![real(128), real(128), Ty::double_scalar()],
+            ),
+        ]
+    }
+
+    /// Compiles `src` as the pipeline does at the baseline level (scalar
+    /// passes only) or the full one (inlining and vectorization too), then
+    /// decodes and fuses it.
+    fn fuse(src: &str, entry: &str, sig: &[Ty], full: bool) -> NativeProgram {
+        let (ast, diags) = matic_frontend::parse(src);
+        assert!(!diags.has_errors(), "{diags:?}");
+        let analysis = matic_sema::analyze(&ast, entry, sig);
+        let (mut mir, _) = matic_mir::lower_program(&ast, &analysis);
+        matic_mir::optimize_program(&mut mir);
+        if full {
+            matic_mir::inline_program(&mut mir, matic_mir::DEFAULT_INLINE_LIMIT);
+            matic_mir::optimize_program(&mut mir);
+            matic_vectorize::vectorize_program(&mut mir);
+        }
+        fuse_program(&mir, &decode_program(&mir))
+    }
+
+    /// The loop steps carrying a native reduction kernel are exactly the
+    /// scalar MAC loops of the baseline fir, xcorr and iir (two in iir):
+    /// losing one silently would leave the simulator correct but slow.
+    #[test]
+    fn reduction_kernels_cover_the_baseline_mac_loops() {
+        for (id, src, entry, sig) in kernels() {
+            for full in [false, true] {
+                let program = fuse(src, entry, &sig, full);
+                let found = program
+                    .funcs
+                    .iter()
+                    .flat_map(|f| &f.steps)
+                    .filter(|step| {
+                        matches!(
+                            step.data,
+                            NData::ForChain {
+                                reduction: Some(_),
+                                ..
+                            }
+                        )
+                    })
+                    .count();
+                let want = match (id, full) {
+                    ("fir" | "xcorr", false) => 1,
+                    ("iir", false) => 2,
+                    _ => 0,
+                };
+                let level = if full { "full" } else { "baseline" };
+                assert_eq!(found, want, "{id} at the {level} level");
+            }
         }
     }
 }

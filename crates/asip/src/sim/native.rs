@@ -19,6 +19,19 @@
 //! them in one batch per class. Otherwise it is `ForNext` for a single
 //! iteration and the per-iteration steps take over.
 //!
+//! Reduction kernels: when the loop's chain is a recognized reduction
+//! (`acc = acc + A(ia) * B(ib)` or `+ A(ia)`, see `Reduction` in
+//! `fuse.rs`) and the loop variable is not `acc`, the bulk loop first
+//! folds the leading iterations natively. Its preconditions: every
+//! subscript leaf and the loop variable's values are integers of
+//! magnitude at most 2⁴⁰, so the chain's `f64` index sums are exact and
+//! each subscript is an integer affine function of the iteration; both
+//! windows are then bounds-checked in closed form. Each lane makes the
+//! chain's `Cx` operations in the chain's order and stops before any lane
+//! the chain would run off its all-real path. The handover writes `acc`
+//! and the loop variable as the chain leaves them at that iteration
+//! boundary, and the per-iteration host loop runs the rest.
+//!
 //! Bit-exactness contract: every handler burns fuel, charges cycles, and
 //! raises errors in exactly the order the tree walker's `exec_stmt`
 //! (`walk.rs`) does for the statement it came from. `cur_span` is only
@@ -27,9 +40,10 @@
 
 use super::eval::{apply_binop_scalar, apply_unop};
 use super::fuse::{
-    CKind, CSrc, ChainData, ChainOp, Guard, Micro, MicroData, NData, NStep, NativeFunction,
-    CHAIN_MAX,
+    exact_int, CKind, CSrc, ChainData, ChainOp, Guard, IndexedLoad, Micro, MicroData, NData, NStep,
+    NativeFunction, Reduction, CHAIN_MAX,
 };
+use super::vector::{first_oob, lane};
 use super::{def_finish, slot_scalar, trip_count, Env, Exec, SimError, SimVal};
 use matic_frontend::span::Span;
 use matic_interp::{Cx, Matrix};
@@ -1072,7 +1086,13 @@ pub(super) fn step_for_chain(
     step: &NStep,
     pc: u32,
 ) -> Result<u32, SimError> {
-    let NData::ForChain { end, span, chain } = &step.data else {
+    let NData::ForChain {
+        end,
+        span,
+        chain,
+        reduction,
+    } = &step.data
+    else {
         unreachable!()
     };
     let Some(&Frame::For { var, s, st, n, k }) = frames.last() else {
@@ -1091,20 +1111,136 @@ pub(super) fn step_for_chain(
     }
     exec.fuel -= need;
     frames.pop();
-    let mut tmps = [Cx::ZERO; CHAIN_MAX];
-    let mut real_runs = 0u64;
-    for i in k..n {
-        exec.set(env, var, SimVal::scalar(s + st * i as f64));
-        match chain_run_deferred(exec, env, chain, &mut tmps) {
-            Ok(all_real) => real_runs += all_real as u64,
-            Err(e) => {
-                settle_loop(exec, chain, (i - k + 1) as u64, real_runs);
-                return Err(e);
+    let folded = match reduction {
+        Some(red) if red.acc != var.0 => fold_reduction(env, red, var, s, st, k, n),
+        _ => 0,
+    };
+    let mut real_runs = folded;
+    if folded < left as u64 {
+        let mut tmps = [Cx::ZERO; CHAIN_MAX];
+        for i in k + folded as i64..n {
+            exec.set(env, var, SimVal::scalar(s + st * i as f64));
+            match chain_run_deferred(exec, env, chain, &mut tmps) {
+                Ok(all_real) => real_runs += all_real as u64,
+                Err(e) => {
+                    settle_loop(exec, chain, (i - k + 1) as u64, real_runs);
+                    return Err(e);
+                }
             }
         }
     }
     settle_loop(exec, chain, left as u64, real_runs);
     Ok(*end)
+}
+
+/// Runs the leading iterations `k..` of a reduction loop (see
+/// [`Reduction`]) as one native fold and returns how many it ran; the
+/// caller's per-iteration loop runs the rest. The fold covers the
+/// iterations before the first one that would leave the all-real path:
+/// an out-of-bounds element, a complex element, or a complex `acc` or
+/// product. It writes `acc` and the loop variable as the chain would
+/// leave them after its last iteration, so the handover falls on an
+/// iteration boundary.
+///
+/// Exactness: every subscript leaf — a loop-invariant register, a
+/// constant, and the loop variable at its first and last value — must be
+/// an integer of magnitude at most 2⁴⁰, and fuse time bounds each
+/// subscript to 2¹² leaf occurrences. Every `f64` sum the chain computes
+/// then stays below 2⁵² and is exact, so each subscript is the integer
+/// affine function of the iteration the fold indexes with. Each lane
+/// makes the chain's `Cx` operations in the chain's order, and runs only
+/// when the chain's would stay on the all-real path: both factors real
+/// at the multiply, `acc` and the product real at the add.
+fn fold_reduction(
+    env: &mut Env,
+    red: &Reduction,
+    var: VarId,
+    s: f64,
+    st: f64,
+    k: i64,
+    n: i64,
+) -> u64 {
+    let at = |i: i64| s + st * i as f64;
+    let (Some(_), Some(step), Some(first), Some(_)) = (
+        exact_int(s),
+        exact_int(st),
+        exact_int(at(k)),
+        exact_int(at(n - 1)),
+    ) else {
+        return 0;
+    };
+    let left = (n - k) as usize;
+    let Some(wa) = reduction_window(env, &red.a, var, first, step) else {
+        return 0;
+    };
+    let wb = match &red.b {
+        Some(b) => match reduction_window(env, b, var, first, step) {
+            Some(w) => Some(w),
+            None => return 0,
+        },
+        None => None,
+    };
+    let in_bounds =
+        |(data, s, st): (&[Cx], i64, i64)| first_oob(s, st, left, data.len()).unwrap_or(left);
+    let m = in_bounds(wa).min(wb.map_or(left, in_bounds));
+    let Some(SimVal::Scalar(mut acc)) = env[red.acc as usize] else {
+        unreachable!("guarded scalar slot")
+    };
+    // `z.im == 0.0` (`Cx::is_real`) holds exactly when `z.im` is ±0, that
+    // is when its bits shifted past the sign are zero; one test then
+    // covers every realness check of a lane. A lane that fails any of
+    // them is not run, so their order does not matter.
+    let imag_bits = |z: Cx| z.im.to_bits() << 1;
+    let mut done = 0;
+    while done < m {
+        let x = lane(wa, done);
+        let (p, imag) = match wb {
+            Some(wb) => {
+                let y = lane(wb, done);
+                let p = x * y;
+                (p, imag_bits(x) | imag_bits(y) | imag_bits(p))
+            }
+            None => (x, imag_bits(x)),
+        };
+        if imag | imag_bits(acc) != 0 {
+            break;
+        }
+        acc = if red.acc_first { acc + p } else { p + acc };
+        done += 1;
+    }
+    if done > 0 {
+        env[red.acc as usize] = Some(SimVal::Scalar(acc));
+        env[var.0 as usize] = Some(SimVal::scalar(at(k + done as i64 - 1)));
+    }
+    done as u64
+}
+
+/// The window `(elements, s, st)` an [`IndexedLoad`] reads over a
+/// reduction loop's iterations: iteration `k + j` reads element
+/// `s + st * j`. `None` when a register leaf is not an exact integer.
+fn reduction_window<'e>(
+    env: &'e Env,
+    load: &IndexedLoad,
+    var: VarId,
+    first: i64,
+    step: i64,
+) -> Option<(&'e [Cx], i64, i64)> {
+    let (mut base, mut slope) = (load.konst, 0);
+    for &(slot, coef) in &load.terms {
+        if slot == var.0 {
+            base += coef * first;
+            slope += coef * step;
+            continue;
+        }
+        let Some(SimVal::Scalar(z)) = &env[slot as usize] else {
+            unreachable!("guarded scalar slot")
+        };
+        base += coef * exact_int(z.re).filter(|_| z.is_real())?;
+    }
+    let Some(SimVal::Arr(m)) = &env[load.arr as usize] else {
+        unreachable!("guarded array slot")
+    };
+    Some((m.data(), base - 1, slope))
 }
 
 /// Charges the loop control of `iters` iterations (induction update and

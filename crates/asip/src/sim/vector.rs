@@ -46,22 +46,27 @@ impl Window {
 
 /// Reads lane `k` of a window given as `(data, s, st)`.
 #[inline(always)]
-fn lane((data, s, st): (&[Cx], i64, i64), k: usize) -> Cx {
+pub(super) fn lane((data, s, st): (&[Cx], i64, i64), k: usize) -> Cx {
     data[(s + st * k as i64) as usize]
 }
 
-/// The first position `s + st * k` (`k < len`, `len > 0`) outside
-/// `0..n`, or `None`. The first and last lane settle the in-bounds case
-/// in closed form; only a failing window is scanned, and its first bad
-/// lane lies within `n + 1` steps.
+/// Position `s + st * k` of lane `k`, widened so that it cannot overflow.
+#[inline(always)]
+fn pos(s: i64, st: i64, k: usize) -> i128 {
+    s as i128 + st as i128 * k as i128
+}
+
+/// The first lane `k < len` (`len > 0`) whose position `s + st * k` lies
+/// outside `0..n`, or `None`. The first and last lane settle the
+/// in-bounds case in closed form; only a failing window is scanned, and
+/// its first bad lane lies within `n + 1` steps.
 #[inline]
-fn first_oob(s: i64, st: i64, len: usize, n: usize) -> Option<i128> {
-    let pos = |k: usize| s as i128 + st as i128 * k as i128;
-    let (first, last) = (pos(0), pos(len - 1));
+pub(super) fn first_oob(s: i64, st: i64, len: usize, n: usize) -> Option<usize> {
+    let (first, last) = (pos(s, st, 0), pos(s, st, len - 1));
     if first.min(last) >= 0 && first.max(last) < n as i128 {
         return None;
     }
-    (0..len).map(pos).find(|p| !(0..n as i128).contains(p))
+    (0..len).find(|&k| !(0..n as i128).contains(&pos(s, st, k)))
 }
 
 /// The per-lane function of a map.
@@ -238,9 +243,12 @@ impl Exec<'_> {
         let s = self.real_of(f, env, start, span)? as i64 - 1;
         let st = self.real_of(f, env, step, span)? as i64;
         let total = base.numel();
-        if let Some(p) = first_oob(s, st, len, total) {
+        if let Some(k) = first_oob(s, st, len, total) {
             return Err(SimError::oob(
-                format!("vector store lane {} out of bounds ({total})", p + 1),
+                format!(
+                    "vector store lane {} out of bounds ({total})",
+                    pos(s, st, k) + 1
+                ),
                 span,
             ));
         }
@@ -285,8 +293,8 @@ impl Exec<'_> {
                 (Src::Reg(*array), s, st, n)
             }
         };
-        if let Some(p) = first_oob(s, st, len, n) {
-            let message = format!("vector lane {} out of bounds", p + 1);
+        if let Some(k) = first_oob(s, st, len, n) {
+            let message = format!("vector lane {} out of bounds", pos(s, st, k) + 1);
             return Err(SimError::oob(message, span));
         }
         Ok(Window { src, s, st })

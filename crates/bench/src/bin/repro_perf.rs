@@ -3,10 +3,16 @@
 //!
 //! Times repeated [`matic::Compiled::simulator`] runs over the whole
 //! benchmark suite at both opt levels, writing the results to
-//! `BENCH_simulator.json` (median ns per run, plus simulated-cycles per
-//! host-second as the throughput figure). Simulated cycle counts are
+//! `BENCH_simulator.json` (the fastest run's ns, plus simulated cycles
+//! per host-second as the throughput figure). Simulated cycle counts are
 //! deterministic; only the host timings vary run to run. Regenerate with:
 //! `cargo run --release -p matic-bench --bin repro_perf`
+//!
+//! Cells are timed in interleaved rounds, every cell once per round, and
+//! each cell keeps its minimum: a burst of load on the host slows a few
+//! rounds of every cell instead of all the runs of one cell, and the
+//! minimum discards those rounds. It reads the cost of the code rather
+//! than the state of the host.
 //!
 //! **Regression gate**: when a committed `BENCH_simulator.json` already
 //! exists, the run compares per-cell throughput against it and prints a
@@ -18,7 +24,7 @@
 //! numbers are written out regardless, so `git diff` shows exactly what
 //! changed.
 
-use matic::{Compiler, OptLevel};
+use matic::{Compiled, Compiler, OptLevel, SimVal};
 use matic_benchkit::{to_sim, SUITE};
 use matic_explore::render_table;
 use matic_explore::runner::default_n;
@@ -33,12 +39,18 @@ const ENGINE: &str = "native";
 /// Allowed geomean throughput regression vs. the committed baseline.
 const MAX_GEOMEAN_REGRESSION: f64 = 0.15;
 
+/// Timing rounds: at least `MIN_ROUNDS`, then more until `BUDGET_MS` of
+/// wall time has passed or `MAX_ROUNDS` have run.
+const MIN_ROUNDS: usize = 50;
+const MAX_ROUNDS: usize = 1000;
+const BUDGET_MS: u128 = 2000;
+
 struct Timing {
     bench: &'static str,
     opt: &'static str,
     n: usize,
     cycles: u64,
-    median_ns: u64,
+    min_ns: u64,
     cycles_per_sec: f64,
 }
 
@@ -48,39 +60,58 @@ impl Timing {
     }
 }
 
-fn median_ns(samples: &mut [u64]) -> u64 {
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
-
-/// Times one (bench, opt) cell.
-fn time_cell(bench: &matic_benchkit::Benchmark, opt: OptLevel, label: &'static str) -> Timing {
+/// Compiles one (bench, opt) cell and draws its inputs.
+fn compile_cell(
+    bench: &'static matic_benchkit::Benchmark,
+    opt: OptLevel,
+) -> (Compiled, Vec<SimVal>) {
     let n = default_n(bench.id);
     let compiled = Compiler::new()
         .opt_level(opt)
         .compile(bench.source, bench.entry, &bench.arg_types(n))
         .unwrap_or_else(|e| panic!("{}: compile failed: {e}", bench.id));
-    let inputs: Vec<_> = bench.inputs(n, 3).iter().map(to_sim).collect();
-    let sim = compiled.simulator();
-    // Warm up (also forces the one-time decode/fuse) and pin cycles.
-    let cycles = sim.run(inputs.clone()).expect("sim ok").cycles.total;
-    let mut samples = Vec::with_capacity(40);
+    let inputs = bench.inputs(n, 3).iter().map(to_sim).collect();
+    (compiled, inputs)
+}
+
+/// Times every cell in interleaved rounds and keeps each cell's fastest
+/// run. A warm-up run per cell forces the one-time decode and fusion and
+/// pins the cycle count, which every timed run must reproduce.
+fn time_cells(cells: &[(&'static str, &'static str, Compiled, Vec<SimVal>)]) -> Vec<Timing> {
+    let sims: Vec<_> = cells.iter().map(|(.., c, _)| c.simulator()).collect();
+    let cycles: Vec<u64> = sims
+        .iter()
+        .zip(cells)
+        .map(|(sim, (.., inputs))| sim.run(inputs.clone()).expect("sim ok").cycles.total)
+        .collect();
+    let mut best = vec![u64::MAX; cells.len()];
     let budget = Instant::now();
-    while samples.len() < 40 && (samples.len() < 10 || budget.elapsed().as_millis() < 300) {
-        let t = Instant::now();
-        let out = sim.run(inputs.clone()).expect("sim ok");
-        samples.push(t.elapsed().as_nanos() as u64);
-        assert_eq!(out.cycles.total, cycles, "simulation must be deterministic");
+    let mut rounds = 0;
+    while rounds < MIN_ROUNDS || (rounds < MAX_ROUNDS && budget.elapsed().as_millis() < BUDGET_MS) {
+        for (i, (sim, (.., inputs))) in sims.iter().zip(cells).enumerate() {
+            let inputs = inputs.clone();
+            let t = Instant::now();
+            let out = sim.run(inputs).expect("sim ok");
+            best[i] = best[i].min(t.elapsed().as_nanos() as u64);
+            assert_eq!(
+                out.cycles.total, cycles[i],
+                "simulation must be deterministic"
+            );
+        }
+        rounds += 1;
     }
-    let med = median_ns(&mut samples);
-    Timing {
-        bench: bench.id,
-        opt: label,
-        n,
-        cycles,
-        median_ns: med,
-        cycles_per_sec: cycles as f64 / (med.max(1) as f64 / 1e9),
-    }
+    cells
+        .iter()
+        .zip(cycles.iter().zip(best))
+        .map(|((bench, opt, ..), (&cycles, min_ns))| Timing {
+            bench,
+            opt,
+            n: default_n(bench),
+            cycles,
+            min_ns,
+            cycles_per_sec: cycles as f64 / (min_ns.max(1) as f64 / 1e9),
+        })
+        .collect()
 }
 
 /// Reads the committed baseline's per-cell throughput, keyed by
@@ -174,11 +205,14 @@ fn gate_against_baseline(timings: &[Timing], baseline: &[(String, f64)]) -> Resu
 }
 
 fn main() -> ExitCode {
-    let mut timings = Vec::new();
+    let mut cells = Vec::new();
     for b in SUITE {
-        timings.push(time_cell(b, OptLevel::baseline(), "base"));
-        timings.push(time_cell(b, OptLevel::full(), "opt"));
+        for (label, opt) in [("base", OptLevel::baseline()), ("opt", OptLevel::full())] {
+            let (compiled, inputs) = compile_cell(b, opt);
+            cells.push((b.id, label, compiled, inputs));
+        }
     }
+    let timings = time_cells(&cells);
     let rows: Vec<Vec<String>> = timings
         .iter()
         .map(|t| {
@@ -186,7 +220,7 @@ fn main() -> ExitCode {
                 t.cell(),
                 t.n.to_string(),
                 t.cycles.to_string(),
-                t.median_ns.to_string(),
+                t.min_ns.to_string(),
                 format!("{:.1}", t.cycles_per_sec / 1e6),
             ]
         })
@@ -195,10 +229,7 @@ fn main() -> ExitCode {
     println!();
     println!(
         "{}",
-        render_table(
-            &["cell", "N", "sim-cycles", "median-ns/run", "Mcyc/s"],
-            &rows
-        )
+        render_table(&["cell", "N", "sim-cycles", "min-ns/run", "Mcyc/s"], &rows)
     );
     let results: Vec<Json> = timings
         .iter()
@@ -209,7 +240,7 @@ fn main() -> ExitCode {
                 ("engine".into(), Json::Str(ENGINE.into())),
                 ("n".into(), Json::Num(t.n as f64)),
                 ("cycles".into(), Json::Num(t.cycles as f64)),
-                ("median_ns".into(), Json::Num(t.median_ns as f64)),
+                ("min_ns".into(), Json::Num(t.min_ns as f64)),
                 (
                     "sim_cycles_per_sec".into(),
                     Json::Num(t.cycles_per_sec.round()),

@@ -102,7 +102,11 @@ impl LoopEnv {
     ///
     /// `local_defs` supplies symbolic bindings for temporaries defined
     /// earlier in the body (index arithmetic like `n - k + 1` lowers to a
-    /// chain of scalar `Def`s).
+    /// chain of scalar `Def`s), in body order. A temporary resolves to its
+    /// last def, whose operands resolve among the defs before it only: a
+    /// def that reads its own destination (`y = y - x(k)`) reads the value
+    /// from before it, which is carried across iterations and so not
+    /// affine.
     pub fn affine_of(&self, op: Operand, local_defs: &[(VarId, &Rvalue)]) -> Option<Affine> {
         match op {
             Operand::Const(c) => Some(Affine::constant(c)),
@@ -121,11 +125,8 @@ impl LoopEnv {
                     });
                 }
                 // A temporary defined in the body: follow its definition.
-                let rv = local_defs
-                    .iter()
-                    .rev()
-                    .find(|(d, _)| *d == v)
-                    .map(|(_, rv)| *rv)?;
+                let at = local_defs.iter().rposition(|(d, _)| *d == v)?;
+                let (rv, local_defs) = (local_defs[at].1, &local_defs[..at]);
                 match rv {
                     Rvalue::Use(inner) => self.affine_of(*inner, local_defs),
                     Rvalue::Binary { op, a, b } => {
@@ -345,6 +346,36 @@ mod tests {
         let defs = vec![(t, &rv)];
         let a = env.affine_of(Operand::Var(t), &defs).unwrap();
         assert_eq!(a.i_coeff, 2.0);
+    }
+
+    #[test]
+    fn def_reading_its_own_destination_is_not_affine() {
+        let (mut f, i, _) = setup();
+        let y = f.add_var("y", Ty::double_scalar());
+        let t = f.add_temp(Ty::double_scalar());
+        let load = Rvalue::Use(Operand::Var(i));
+        for op in [BinOp::Sub, BinOp::ElemMul, BinOp::ElemDiv, BinOp::Add] {
+            let rv = Rvalue::Binary {
+                op,
+                a: Operand::Var(y),
+                b: Operand::Var(t),
+            };
+            let body = [
+                Stmt::Def {
+                    dst: t,
+                    rv: load.clone(),
+                    span: Span::dummy(),
+                },
+                Stmt::Def {
+                    dst: y,
+                    rv: rv.clone(),
+                    span: Span::dummy(),
+                },
+            ];
+            let env = LoopEnv::new(i, &body);
+            let defs = vec![(t, &load), (y, &rv)];
+            assert_eq!(env.affine_of(Operand::Var(y), &defs), None, "{op:?}");
+        }
     }
 
     #[test]

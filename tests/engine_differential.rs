@@ -186,16 +186,59 @@ fn decoded_engine_matches_tree_walker_scalar_full() {
     );
 }
 
-/// Sweeps every fuel value from 0 to one past the program's full budget
-/// and checks that the engine and the tree walker agree exactly on the
-/// outcome at each value: same success/failure, same error kind, same
-/// message and span on failure, bit-identical outcome on success.
+/// Runs `compiled` on the engine and on the tree walker at every fuel
+/// value from 0 up to the first at which the tree walker no longer
+/// exhausts its fuel, then once more with the default budget, and checks
+/// that they agree exactly at each: same success or failure, the same
+/// error kind and message on failure, a bit-identical outcome on success.
+/// Returns that first non-exhausting fuel value and the default-budget
+/// outcome.
 ///
-/// This pins the native engine's bulk fuel accounting: superinstructions
-/// and compiled chains subtract fuel for a whole block up front (after
-/// checking it is available) and otherwise fall back to per-op execution,
-/// so every fuel value that would exhaust *mid*-block must still report
-/// exhaustion at exactly the statement the tree walker would.
+/// This pins the native engine's bulk fuel accounting: superinstructions,
+/// compiled chains and loop steps subtract fuel for a whole block up front
+/// (after checking it is available) and otherwise fall back to per-op
+/// execution, so every fuel value that would exhaust *mid*-block must
+/// still report exhaustion at exactly the statement the tree walker would.
+fn sweep_fuel(
+    compiled: &Compiled,
+    opt: OptLevel,
+    inputs: &[matic::SimVal],
+) -> (u64, Result<matic_asip::SimOutcome, matic_asip::SimError>) {
+    let agree = |fuel: Option<u64>| {
+        let (mut reference, mut sim) = (oracle(compiled, opt), compiled.simulator());
+        if let Some(fuel) = fuel {
+            reference = reference.with_fuel(fuel);
+            sim = sim.with_fuel(fuel);
+        }
+        let reference = reference.run_interpreted(&compiled.mir, &compiled.entry, inputs.to_vec());
+        let r = sim.run(inputs.to_vec());
+        match (&reference, &r) {
+            (Ok(a), Ok(b)) => assert_eq!(a, b, "fuel {fuel:?}: outcome diverges"),
+            (Err(a), Err(b)) => {
+                assert_eq!(a.kind, b.kind, "fuel {fuel:?}: error kind diverges");
+                assert_eq!(
+                    a.to_string(),
+                    b.to_string(),
+                    "fuel {fuel:?}: error message diverges"
+                );
+            }
+            _ => panic!(
+                "fuel {fuel:?}: engine disagrees with tree on success: {:?} vs {:?}",
+                reference.as_ref().map(|_| ()),
+                r.as_ref().map(|_| ())
+            ),
+        }
+        reference
+    };
+    let mut fuel = 0u64;
+    while agree(Some(fuel)).is_err_and(|e| e.kind == matic_asip::SimErrorKind::FuelExhausted) {
+        fuel += 1;
+    }
+    (fuel, agree(None))
+}
+
+/// [`sweep_fuel`] on `source` at `opt`, with a fixed stimulus; the
+/// program must complete and must exhaust at two fuel values at least.
 fn check_fuel_sweep(source: &str, entry: &str, sig: &[matic::Ty], opt: OptLevel) {
     let compiled = Compiler::new()
         .opt_level(opt)
@@ -208,64 +251,11 @@ fn check_fuel_sweep(source: &str, entry: &str, sig: &[matic::Ty], opt: OptLevel)
             matic::SimVal::row(&(0..n).map(|k| (k % 7) as f64 - 3.0).collect::<Vec<_>>())
         })
         .collect();
-    // Find a fuel budget that lets the program finish (statement count is
-    // bounded by total cycles).
-    let full = compiled
-        .simulator()
-        .run(inputs.clone())
-        .expect("unlimited run succeeds");
-    let budget = full.cycles.total + 1;
-    let mut exhausted_at = 0u64;
-    let mut completed_at = None;
-    let mut fuel = 0u64;
-    while fuel <= budget {
-        let reference = oracle(&compiled, opt).with_fuel(fuel).run_interpreted(
-            &compiled.mir,
-            &compiled.entry,
-            inputs.clone(),
-        );
-        let r = compiled.simulator().with_fuel(fuel).run(inputs.clone());
-        match (&reference, &r) {
-            (Ok(a), Ok(b)) => assert_eq!(a, b, "fuel {fuel}: outcome diverges"),
-            (Err(a), Err(b)) => {
-                assert_eq!(a.kind, b.kind, "fuel {fuel}: error kind diverges");
-                assert_eq!(
-                    a.to_string(),
-                    b.to_string(),
-                    "fuel {fuel}: error message diverges"
-                );
-            }
-            _ => panic!(
-                "fuel {fuel}: engine disagrees with tree on success: {:?} vs {:?}",
-                reference.as_ref().map(|_| ()),
-                r.as_ref().map(|_| ())
-            ),
-        }
-        match reference {
-            Err(e) => {
-                assert_eq!(
-                    e.kind,
-                    matic_asip::SimErrorKind::FuelExhausted,
-                    "fuel {fuel}: unexpected error {e}"
-                );
-                exhausted_at += 1;
-                fuel += 1;
-            }
-            Ok(_) => {
-                // Once any fuel value completes, every larger one must too
-                // (checked implicitly by the final full-budget iteration).
-                if completed_at.is_none() {
-                    completed_at = Some(fuel);
-                }
-                // The interesting boundary is behind us; jump to the end.
-                fuel = if fuel < budget { budget } else { budget + 1 };
-            }
-        }
-    }
-    let completed_at = completed_at.expect("sweep must reach a completing fuel value");
+    let (completes_at, full) = sweep_fuel(&compiled, opt, &inputs);
+    full.expect("unlimited run succeeds");
     assert!(
-        exhausted_at >= 2,
-        "sweep never exercised exhaustion (completes at {completed_at})"
+        completes_at >= 2,
+        "sweep never exercised exhaustion (completes at {completes_at})"
     );
 }
 
@@ -543,4 +533,379 @@ fn single_chain_loop_whose_guard_misses_on_entry_agrees() {
         ],
     )
     .expect("guard-miss loop runs");
+}
+
+/// The stimulus `[1 2 .. n]` scaled by `k`.
+fn ramp(n: usize, k: f64) -> matic::SimVal {
+    matic::SimVal::row(&(1..=n).map(|i| k * i as f64).collect::<Vec<_>>())
+}
+
+/// How a reduction case ends.
+enum Ends {
+    Ok,
+    Fault(matic_asip::SimErrorKind),
+}
+
+/// One reduction case: a label, the source of `f`, its signature and
+/// inputs, and how it ends at the baseline level.
+type ReductionCase = (
+    &'static str,
+    &'static str,
+    Vec<matic::Ty>,
+    Vec<matic::SimVal>,
+    Ends,
+);
+
+/// Scalar reduction loops, `acc = acc + A(i) * B(j)` or `acc = acc + A(i)`,
+/// which the native engine may fold in one step while the tree walker
+/// runs them statement by statement: every shape the fold accepts, and
+/// every way a loop leaves the fold part-way or never enters it.
+fn reduction_cases() -> Vec<ReductionCase> {
+    use matic::arg::{cx_vector, scalar, vector};
+    use matic_asip::SimErrorKind::OutOfBounds;
+    let cx = |pairs: &[(f64, f64)]| matic::SimVal::cx_row(pairs);
+    vec![
+        (
+            "fir",
+            "function y = f(x, h)\n\
+             n = numel(x);\n\
+             m = numel(h);\n\
+             y = zeros(1, n);\n\
+             for k = 1:n\n\
+               acc = 0;\n\
+               hi = min(k, m);\n\
+               for t = 1:hi\n\
+                 acc = acc + h(t) * x(k - t + 1);\n\
+               end\n\
+               y(k) = acc;\n\
+             end\n\
+             end\n",
+            vec![vector(12), vector(4)],
+            vec![ramp(12, 0.5), ramp(4, -1.25)],
+            Ends::Ok,
+        ),
+        (
+            "xcorr",
+            "function r = f(x, y, maxlag)\n\
+             n = numel(x);\n\
+             r = zeros(1, 2 * maxlag + 1);\n\
+             for lag = -maxlag:maxlag\n\
+               acc = 0;\n\
+               lo = max(1, 1 - lag);\n\
+               hi = min(n, n - lag);\n\
+               for t = lo:hi\n\
+                 acc = acc + x(t + lag) * y(t);\n\
+               end\n\
+               r(lag + maxlag + 1) = acc;\n\
+             end\n\
+             end\n",
+            vec![vector(10), vector(10), scalar()],
+            vec![ramp(10, 1.0), ramp(10, 0.25), matic::SimVal::scalar(3.0)],
+            Ends::Ok,
+        ),
+        (
+            "sum",
+            "function y = f(x)\n\
+             acc = 0;\n\
+             for t = 1:numel(x)\n\
+               acc = acc + x(t);\n\
+             end\n\
+             y = acc + 1000 * t;\n\
+             end\n",
+            vec![vector(9)],
+            vec![ramp(9, 1.5)],
+            Ends::Ok,
+        ),
+        (
+            "reversed loop",
+            "function y = f(x, h)\n\
+             n = numel(x);\n\
+             acc = 0;\n\
+             for t = n:-1:1\n\
+               acc = acc + x(t) * h(n - t + 1);\n\
+             end\n\
+             y = acc;\n\
+             end\n",
+            vec![vector(8), vector(8)],
+            vec![ramp(8, 1.0), ramp(8, 0.125)],
+            Ends::Ok,
+        ),
+        (
+            "stride 2",
+            "function y = f(x)\n\
+             acc = 0;\n\
+             for t = 1:2:numel(x) - 1\n\
+               acc = acc + x(t) * x(t + 1);\n\
+             end\n\
+             y = acc;\n\
+             end\n",
+            vec![vector(10)],
+            vec![ramp(10, 0.75)],
+            Ends::Ok,
+        ),
+        (
+            "non-integer bounds",
+            "function y = f(x)\n\
+             acc = 0;\n\
+             for t = 1.5:1:4.5\n\
+               acc = acc + x(t + t);\n\
+             end\n\
+             y = acc;\n\
+             end\n",
+            vec![vector(10)],
+            vec![ramp(10, 2.0)],
+            Ends::Ok,
+        ),
+        (
+            "fractional subscript register",
+            "function y = f(x, o)\n\
+             acc = 0;\n\
+             for t = 2:numel(x)\n\
+               acc = acc + x(t + o) * x(t);\n\
+             end\n\
+             y = acc;\n\
+             end\n",
+            vec![vector(8), scalar()],
+            vec![ramp(8, 1.0), matic::SimVal::scalar(-0.5)],
+            Ends::Ok,
+        ),
+        (
+            "subscript register of 2^53, where f64 sums round",
+            "function y = f(x, big)\n\
+             acc = 0;\n\
+             for t = 1:numel(x)\n\
+               acc = acc + x(t + big - big);\n\
+             end\n\
+             y = acc;\n\
+             end\n",
+            vec![vector(8), scalar()],
+            vec![ramp(8, 1.0), matic::SimVal::scalar(2f64.powi(53))],
+            Ends::Fault(OutOfBounds),
+        ),
+        (
+            "window leaves bounds at the top mid-trip",
+            "function y = f(x, h)\n\
+             acc = 0;\n\
+             for t = 1:numel(x)\n\
+               acc = acc + x(t) * h(t);\n\
+             end\n\
+             y = acc;\n\
+             end\n",
+            vec![vector(8), vector(5)],
+            vec![ramp(8, 1.0), ramp(5, 1.0)],
+            Ends::Fault(OutOfBounds),
+        ),
+        (
+            "window leaves bounds at the bottom mid-trip",
+            "function y = f(x, h)\n\
+             acc = 0;\n\
+             for t = numel(x):-1:1\n\
+               acc = acc + x(t) * h(t - 2);\n\
+             end\n\
+             y = acc;\n\
+             end\n",
+            vec![vector(8), vector(8)],
+            vec![ramp(8, 1.0), ramp(8, 1.0)],
+            Ends::Fault(OutOfBounds),
+        ),
+        (
+            "complex input arrays",
+            "function y = f(x, h)\n\
+             acc = 0;\n\
+             for t = 1:numel(x)\n\
+               acc = acc + x(t) * h(t);\n\
+             end\n\
+             y = acc;\n\
+             end\n",
+            vec![cx_vector(6), cx_vector(6)],
+            vec![
+                cx(&[
+                    (1.0, 1.0),
+                    (2.0, -1.0),
+                    (0.5, 0.0),
+                    (1.0, 0.0),
+                    (3.0, 2.0),
+                    (-1.0, 0.5),
+                ]),
+                cx(&[
+                    (1.0, 0.0),
+                    (2.0, 0.0),
+                    (0.0, 1.0),
+                    (4.0, 0.0),
+                    (1.0, 1.0),
+                    (2.0, 0.0),
+                ]),
+            ],
+            Ends::Ok,
+        ),
+        (
+            "complex elements from mid-trip",
+            "function y = f(x, h)\n\
+             acc = 0;\n\
+             for t = 1:numel(x)\n\
+               acc = acc + h(t) * x(t);\n\
+             end\n\
+             y = acc;\n\
+             end\n",
+            vec![cx_vector(6), vector(6)],
+            vec![
+                cx(&[
+                    (1.0, 0.0),
+                    (2.0, 0.0),
+                    (0.5, 0.0),
+                    (1.0, 3.0),
+                    (3.0, 0.0),
+                    (-1.0, 0.0),
+                ]),
+                ramp(6, 1.0),
+            ],
+            Ends::Ok,
+        ),
+        (
+            // (1 + 1i) * 0 is real, but the multiply still meets a
+            // complex factor and is charged as complex.
+            "a complex element times zero",
+            "function y = f(x, h)\n\
+             acc = 0;\n\
+             for t = 1:numel(x)\n\
+               acc = acc + x(t) * h(t);\n\
+             end\n\
+             y = acc;\n\
+             end\n",
+            vec![cx_vector(4), vector(4)],
+            vec![
+                cx(&[(1.0, 0.0), (2.0, 0.0), (1.0, 1.0), (3.0, 0.0)]),
+                matic::SimVal::row(&[1.0, 2.0, 0.0, 4.0]),
+            ],
+            Ends::Ok,
+        ),
+        (
+            "a sum meeting a complex element mid-trip",
+            "function y = f(x)\n\
+             acc = 0;\n\
+             for t = 1:numel(x)\n\
+               acc = acc + x(t);\n\
+             end\n\
+             y = acc;\n\
+             end\n",
+            vec![cx_vector(5)],
+            vec![cx(&[
+                (1.0, 0.0),
+                (2.0, 0.0),
+                (3.0, 4.0),
+                (5.0, 0.0),
+                (1.0, -4.0),
+            ])],
+            Ends::Ok,
+        ),
+        (
+            // Inf times a real is (Inf, Inf*0 = NaN): the product turns
+            // complex mid-trip. `real(acc)` keeps the output NaN-free so
+            // outcomes compare equal.
+            "an Inf element makes the product complex mid-trip",
+            "function y = f(x, h)\n\
+             acc = 0;\n\
+             for t = 1:numel(x)\n\
+               acc = acc + x(t) * h(t);\n\
+             end\n\
+             y = real(acc);\n\
+             end\n",
+            vec![vector(6), vector(6)],
+            vec![
+                matic::SimVal::row(&[1.0, 2.0, f64::INFINITY, 4.0, 5.0, 6.0]),
+                ramp(6, 1.0),
+            ],
+            Ends::Ok,
+        ),
+        (
+            "acc starts complex",
+            "function y = f(x, h)\n\
+             acc = 2i;\n\
+             for t = 1:numel(x)\n\
+               acc = acc + x(t) * h(t);\n\
+             end\n\
+             y = acc;\n\
+             end\n",
+            vec![vector(6), vector(6)],
+            vec![ramp(6, 1.0), ramp(6, -0.5)],
+            Ends::Ok,
+        ),
+        (
+            "acc is the loop variable",
+            "function y = f(x)\n\
+             for t = 1:numel(x)\n\
+               t = t + x(2);\n\
+             end\n\
+             y = t;\n\
+             end\n",
+            vec![vector(6)],
+            vec![ramp(6, 1.0)],
+            Ends::Ok,
+        ),
+        (
+            "zero-trip loop",
+            "function y = f(x, h)\n\
+             acc = 3;\n\
+             for t = 1:numel(x) - numel(h)\n\
+               acc = acc + x(t) * h(t);\n\
+             end\n\
+             y = acc;\n\
+             end\n",
+            vec![vector(6), vector(6)],
+            vec![ramp(6, 1.0), ramp(6, 1.0)],
+            Ends::Ok,
+        ),
+    ]
+}
+
+/// Every reduction case agrees between the engine and the tree walker at
+/// both opt levels, profiled or not, and at every fuel value up to the
+/// one that completes it; at the baseline level, where the loops stay
+/// scalar, it ends as the table says.
+#[test]
+fn reduction_loops_agree_across_engines_and_fuel() {
+    for (label, src, sig, inputs, ends) in reduction_cases() {
+        let result = check_agrees(label, src, &sig, &inputs);
+        match (&result, ends) {
+            (Ok(_), Ends::Ok) => {}
+            (Err(e), Ends::Fault(kind)) => assert_eq!(e.kind, kind, "{label}: {e}"),
+            _ => panic!("{label}: unexpected outcome {result:?}"),
+        }
+        for opt in [OptLevel::baseline(), OptLevel::full()] {
+            let compiled = Compiler::new()
+                .opt_level(opt)
+                .compile(src, "f", &sig)
+                .unwrap_or_else(|e| panic!("{label}: compile failed: {e}"));
+            let (_, full) = sweep_fuel(&compiled, opt, &inputs);
+            if !opt.vectorize {
+                assert_eq!(full.is_ok(), result.is_ok(), "{label}: default budget");
+            }
+        }
+    }
+}
+
+/// With fuel one short of what a reduction loop needs to finish, neither
+/// engine may take the whole trip at once: both exhaust, at the same
+/// statement.
+#[test]
+fn reduction_loop_one_fuel_short_of_its_trip_agrees() {
+    let (label, src, sig, inputs, _) = reduction_cases().swap_remove(2);
+    assert_eq!(label, "sum");
+    let opt = OptLevel::baseline();
+    let compiled = Compiler::new()
+        .opt_level(opt)
+        .compile(src, "f", &sig)
+        .expect("compile");
+    let (completes_at, _) = sweep_fuel(&compiled, opt, &inputs);
+    let short = |engine: Result<matic_asip::SimOutcome, matic_asip::SimError>| {
+        engine.expect_err("one fuel short must exhaust")
+    };
+    let reference = short(
+        oracle(&compiled, opt)
+            .with_fuel(completes_at - 1)
+            .run_interpreted(&compiled.mir, &compiled.entry, inputs.clone()),
+    );
+    let native = short(compiled.simulator().with_fuel(completes_at - 1).run(inputs));
+    assert_eq!(reference.kind, matic_asip::SimErrorKind::FuelExhausted);
+    assert_eq!(reference, native);
 }
