@@ -143,10 +143,38 @@ fn process_body(
     *stmts = out;
 }
 
+/// Every register `stmt` may read before it writes it, nested bodies
+/// included. A `for` loop writes its variable before each run of its
+/// body, so the body's reads of it do not count.
 fn collect_reads(stmt: &Stmt, out: &mut HashSet<VarId>) {
-    walk_stmts(std::slice::from_ref(stmt), &mut |s| {
-        collect_reads_flat(s, out)
-    });
+    collect_reads_flat(stmt, out);
+    match stmt {
+        Stmt::If {
+            then_body,
+            else_body,
+            ..
+        } => {
+            for s in then_body.iter().chain(else_body) {
+                collect_reads(s, out);
+            }
+        }
+        Stmt::For { var, body, .. } => {
+            let mut inner = HashSet::new();
+            for s in body {
+                collect_reads(s, &mut inner);
+            }
+            inner.remove(var);
+            out.extend(inner);
+        }
+        Stmt::While {
+            cond_defs, body, ..
+        } => {
+            for s in cond_defs.iter().chain(body) {
+                collect_reads(s, out);
+            }
+        }
+        _ => {}
+    }
 }
 
 fn collect_reads_flat(stmt: &Stmt, out: &mut HashSet<VarId>) {
@@ -217,6 +245,10 @@ fn try_vectorize_loop(
             detail: "more than one store in loop body",
         });
         return None;
+    }
+    // A vector op leaves no loop variable behind.
+    if live_after.contains(&induction) {
+        return give_up(report, loop_span, "loop variable read after the loop");
     }
 
     let env = LoopEnv::new(induction, body);
@@ -913,5 +945,33 @@ mod tests {
             &[vec_ty(8), vec_ty(8), Ty::double_scalar()],
         );
         assert_eq!(report.maps, 0, "t is observed after the loop");
+    }
+
+    #[test]
+    fn loop_variable_read_after_the_loop_keeps_it_scalar() {
+        let (_, report) = vectorized(
+            "function y = f(a, n)\nacc = 0;\nfor t = 1:n\n acc = acc + a(t);\nend\ny = acc + 1000 * t;\nend",
+            "f",
+            &[vec_ty(8), Ty::double_scalar()],
+        );
+        assert_eq!(report.reductions, 0, "t is read after the loop");
+        assert_eq!(report.rejected, 1);
+        assert_eq!(
+            report.decisions[0].detail,
+            "loop variable read after the loop"
+        );
+    }
+
+    #[test]
+    fn a_later_loop_over_the_same_variable_defines_it() {
+        // The second loop writes `t` before its body reads it, so neither
+        // loop's variable is live after it.
+        let (_, report) = vectorized(
+            "function y = f(a, n)\nacc = 0;\nfor t = 1:n\n acc = acc + a(t);\nend\ns = 0;\nfor t = 1:n\n s = s + a(t) * a(t);\nend\ny = acc + s;\nend",
+            "f",
+            &[vec_ty(8), Ty::double_scalar()],
+        );
+        assert_eq!((report.reductions, report.macs), (1, 1));
+        assert_eq!(report.rejected, 0);
     }
 }
