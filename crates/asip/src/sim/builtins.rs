@@ -71,6 +71,16 @@ impl Exec<'_> {
         }
     }
 
+    /// Charges `n` elements of an element function of `class` (see
+    /// [`elem_fn`]).
+    fn charge_elem(&mut self, class: OpClass, n: u64) {
+        if class == OpClass::ComplexConj {
+            self.conj_cost(n);
+        } else {
+            self.charge(class, n);
+        }
+    }
+
     pub(super) fn eval_builtin(
         &mut self,
         f: &MirFunction,
@@ -145,88 +155,10 @@ impl Exec<'_> {
             let x = self.scalar_of(f, env, args[0], span)?;
             let cost = |exec: &mut Self, class: OpClass| exec.charge(class, 1);
             let v: Cx = match name {
-                "abs" => {
-                    cost(self, OpClass::ScalarAlu);
-                    Cx::real(x.abs())
-                }
-                "sqrt" => {
-                    cost(self, OpClass::ScalarSqrt);
-                    x.sqrt()
-                }
-                "exp" => {
-                    cost(self, OpClass::ScalarTrans);
-                    x.exp()
-                }
-                "log" => {
-                    cost(self, OpClass::ScalarTrans);
-                    if x.is_real() && x.re > 0.0 {
-                        Cx::real(x.re.ln())
-                    } else {
-                        x.ln()
-                    }
-                }
-                "log2" => {
-                    cost(self, OpClass::ScalarTrans);
-                    Cx::real(x.re.log2())
-                }
-                "log10" => {
-                    cost(self, OpClass::ScalarTrans);
-                    Cx::real(x.re.log10())
-                }
-                "sin" => {
-                    cost(self, OpClass::ScalarTrans);
-                    Cx::real(x.re.sin())
-                }
-                "cos" => {
-                    cost(self, OpClass::ScalarTrans);
-                    Cx::real(x.re.cos())
-                }
-                "tan" => {
-                    cost(self, OpClass::ScalarTrans);
-                    Cx::real(x.re.tan())
-                }
-                "asin" => {
-                    cost(self, OpClass::ScalarTrans);
-                    Cx::real(x.re.asin())
-                }
-                "acos" => {
-                    cost(self, OpClass::ScalarTrans);
-                    Cx::real(x.re.acos())
-                }
-                "atan" => {
-                    cost(self, OpClass::ScalarTrans);
-                    Cx::real(x.re.atan())
-                }
                 "atan2" => {
                     cost(self, OpClass::ScalarTrans);
                     let y = self.scalar_of(f, env, args[1], span)?;
                     Cx::real(x.re.atan2(y.re))
-                }
-                "floor" => {
-                    cost(self, OpClass::ScalarAlu);
-                    Cx::real(x.re.floor())
-                }
-                "ceil" => {
-                    cost(self, OpClass::ScalarAlu);
-                    Cx::real(x.re.ceil())
-                }
-                "round" => {
-                    cost(self, OpClass::ScalarAlu);
-                    Cx::real(x.re.round())
-                }
-                "fix" => {
-                    cost(self, OpClass::ScalarAlu);
-                    Cx::real(x.re.trunc())
-                }
-                "sign" => {
-                    cost(self, OpClass::ScalarAlu);
-                    Cx::real(if x.re > 0.0 {
-                        1.0
-                    } else if x.re < 0.0 {
-                        -1.0
-                    } else {
-                        0.0
-                    })
                 }
                 "mod" => {
                     self.charge(OpClass::ScalarDiv, 1);
@@ -245,22 +177,6 @@ impl Exec<'_> {
                     } else {
                         Cx::real(x.re - (x.re / y.re).trunc() * y.re)
                     }
-                }
-                "real" => {
-                    cost(self, OpClass::ScalarAlu);
-                    Cx::real(x.re)
-                }
-                "imag" => {
-                    cost(self, OpClass::ScalarAlu);
-                    Cx::real(x.im)
-                }
-                "conj" => {
-                    self.conj_cost(1);
-                    x.conj()
-                }
-                "angle" => {
-                    cost(self, OpClass::ScalarTrans);
-                    Cx::real(x.arg())
                 }
                 "min" | "max" if args.len() >= 2 => {
                     cost(self, OpClass::ScalarAlu);
@@ -292,10 +208,14 @@ impl Exec<'_> {
                 "isreal" => Cx::real(if x.is_real() { 1.0 } else { 0.0 }),
                 "isscalar" => Cx::real(1.0),
                 other => {
-                    return Err(SimError::new(
-                        format!("scalar builtin `{other}` unsupported in simulation"),
-                        span,
-                    ))
+                    let Some((elem, class)) = elem_fn(other) else {
+                        return Err(SimError::new(
+                            format!("scalar builtin `{other}` unsupported in simulation"),
+                            span,
+                        ));
+                    };
+                    self.charge_elem(class, 1);
+                    elem(x)
                 }
             };
             return Ok(SimVal::Scalar(v));
@@ -384,49 +304,6 @@ impl Exec<'_> {
                 let s: f64 = m.data().iter().map(|z| z.abs() * z.abs()).sum();
                 Ok(SimVal::scalar(s.sqrt()))
             }
-            "abs" | "sqrt" | "exp" | "log" | "sin" | "cos" | "floor" | "ceil" | "round" | "fix"
-            | "sign" | "real" | "imag" | "conj" | "angle" => {
-                self.charge(OpClass::Load, n);
-                self.charge(OpClass::Store, n);
-                self.charge(OpClass::Branch, n);
-                match name {
-                    "sqrt" => self.charge(OpClass::ScalarSqrt, n),
-                    "exp" | "log" | "sin" | "cos" | "angle" => self.charge(OpClass::ScalarTrans, n),
-                    "conj" => self.conj_cost(n),
-                    _ => self.charge(OpClass::ScalarAlu, n),
-                }
-                let out = m.map(|z| match name {
-                    "abs" => Cx::real(z.abs()),
-                    "sqrt" => z.sqrt(),
-                    "exp" => z.exp(),
-                    "log" => {
-                        if z.is_real() && z.re > 0.0 {
-                            Cx::real(z.re.ln())
-                        } else {
-                            z.ln()
-                        }
-                    }
-                    "sin" => Cx::real(z.re.sin()),
-                    "cos" => Cx::real(z.re.cos()),
-                    "floor" => Cx::real(z.re.floor()),
-                    "ceil" => Cx::real(z.re.ceil()),
-                    "round" => Cx::real(z.re.round()),
-                    "fix" => Cx::real(z.re.trunc()),
-                    "sign" => Cx::real(if z.re > 0.0 {
-                        1.0
-                    } else if z.re < 0.0 {
-                        -1.0
-                    } else {
-                        0.0
-                    }),
-                    "real" => Cx::real(z.re),
-                    "imag" => Cx::real(z.im),
-                    "conj" => z.conj(),
-                    "angle" => Cx::real(z.arg()),
-                    _ => unreachable!(),
-                });
-                Ok(SimVal::Arr(out))
-            }
             "linspace" => {
                 let a = self.real_of(f, env, args[0], span)?;
                 let b = self.real_of(f, env, args[1], span)?;
@@ -457,10 +334,76 @@ impl Exec<'_> {
                     .map_err(|e| SimError::new(e, span))?;
                 Ok(SimVal::Arr(out))
             }
-            other => Err(SimError::new(
-                format!("array builtin `{other}` unsupported in simulation"),
-                span,
-            )),
+            other => {
+                let Some((elem, class)) = elem_fn(other) else {
+                    return Err(SimError::new(
+                        format!("array builtin `{other}` unsupported in simulation"),
+                        span,
+                    ));
+                };
+                self.charge(OpClass::Load, n);
+                self.charge(OpClass::Store, n);
+                self.charge(OpClass::Branch, n);
+                self.charge_elem(class, n);
+                Ok(SimVal::Arr(m.map(elem)))
+            }
         }
     }
+}
+
+/// An element function's value on one element, and the class one
+/// element is charged to.
+pub(super) type ElemFn = (fn(Cx) -> Cx, OpClass);
+
+/// The element functions by name: the one table the scalar builtins, the
+/// array builtins and the vector lanes of a `MapBuiltin` read.
+/// `OpClass::ComplexConj` is charged through `Exec::conj_cost`, which
+/// falls back to a scalar ALU op on a target without that instruction.
+pub(super) fn elem_fn(name: &str) -> Option<ElemFn> {
+    use OpClass::{ComplexConj, ScalarAlu, ScalarSqrt, ScalarTrans};
+    let entry: ElemFn = match name {
+        "abs" => (|z| Cx::real(z.abs()), ScalarAlu),
+        "sqrt" => (|z| z.sqrt(), ScalarSqrt),
+        "exp" => (|z| z.exp(), ScalarTrans),
+        "log" => (
+            |z| {
+                if z.is_real() && z.re > 0.0 {
+                    Cx::real(z.re.ln())
+                } else {
+                    z.ln()
+                }
+            },
+            ScalarTrans,
+        ),
+        "log2" => (|z| Cx::real(z.re.log2()), ScalarTrans),
+        "log10" => (|z| Cx::real(z.re.log10()), ScalarTrans),
+        "sin" => (|z| Cx::real(z.re.sin()), ScalarTrans),
+        "cos" => (|z| Cx::real(z.re.cos()), ScalarTrans),
+        "tan" => (|z| Cx::real(z.re.tan()), ScalarTrans),
+        "asin" => (|z| Cx::real(z.re.asin()), ScalarTrans),
+        "acos" => (|z| Cx::real(z.re.acos()), ScalarTrans),
+        "atan" => (|z| Cx::real(z.re.atan()), ScalarTrans),
+        "floor" => (|z| Cx::real(z.re.floor()), ScalarAlu),
+        "ceil" => (|z| Cx::real(z.re.ceil()), ScalarAlu),
+        "round" => (|z| Cx::real(z.re.round()), ScalarAlu),
+        "fix" => (|z| Cx::real(z.re.trunc()), ScalarAlu),
+        "sign" => (
+            |z| {
+                Cx::real(if z.re > 0.0 {
+                    1.0
+                } else if z.re < 0.0 {
+                    -1.0
+                } else {
+                    0.0
+                })
+            },
+            ScalarAlu,
+        ),
+        "real" => (|z| Cx::real(z.re), ScalarAlu),
+        "imag" => (|z| Cx::real(z.im), ScalarAlu),
+        "conj" => (|z| z.conj(), ComplexConj),
+        "angle" => (|z| Cx::real(z.arg()), ScalarTrans),
+        _ => return None,
+    };
+    Some(entry)
 }

@@ -195,8 +195,8 @@ fn vector_op_errors_come_in_a_fixed_order() {
             let b = Some(splat(1.0));
             vector_op(Map(BinOp::AndAnd), splat(0.0), slice(r.x, 1.0, 1.0), b, 8.0)
         }),
-        ("lane builtin `exp`", |r| {
-            let op = MapBuiltin("exp".to_string());
+        ("lane builtin `mod`", |r| {
+            let op = MapBuiltin("mod".to_string());
             vector_op(op, splat(0.0), slice(r.x, 1.0, 1.0), None, 8.0)
         }),
         // The destination's shape before an unset destination.

@@ -5,7 +5,8 @@
 //! then the vector ops the vectorizer makes of loops and array
 //! expressions: maps, every lane builtin, MACs, reductions and copies,
 //! with splats, negative strides, an in-place destination and
-//! out-of-bounds lanes.
+//! out-of-bounds lanes; and the element functions that stay array
+//! builtins.
 //!
 //! Each case runs on three executions:
 //!
@@ -348,7 +349,39 @@ fn cases() -> Vec<Case> {
         ),
     ]);
     out.extend(vector_cases());
+    out.extend(array_builtin_cases());
     out
+}
+
+/// Element functions the vectorizer leaves as array builtins, one map
+/// over `x / 100` each.
+fn array_builtin_cases() -> Vec<Case> {
+    [
+        ("tan(x)", "function y = f(x, a, b)\ny = tan(x / 100);\nend"),
+        (
+            "asin(x)",
+            "function y = f(x, a, b)\ny = asin(x / 100);\nend",
+        ),
+        (
+            "acos(x)",
+            "function y = f(x, a, b)\ny = acos(x / 100);\nend",
+        ),
+        (
+            "atan(x)",
+            "function y = f(x, a, b)\ny = atan(x / 100);\nend",
+        ),
+        (
+            "log2(x)",
+            "function y = f(x, a, b)\ny = log2(x / 100);\nend",
+        ),
+        (
+            "log10(x)",
+            "function y = f(x, a, b)\ny = log10(x / 100);\nend",
+        ),
+    ]
+    .into_iter()
+    .map(|(name, src)| vcase(name, src, 0.0, 0.0, Expect::Ok))
+    .collect()
 }
 
 fn vector_cases() -> Vec<Case> {
