@@ -18,11 +18,13 @@
 //! exists, the run compares per-cell throughput against it and prints a
 //! delta table. Every cell in the committed baseline must be present in
 //! the fresh run — a missing cell fails the gate loudly instead of
-//! silently shrinking the comparison. A geomean throughput drop beyond
-//! 15% exits non-zero — wide enough to absorb host noise on the small
-//! cells, tight enough to catch a real simulator slowdown. The new
-//! numbers are written out regardless, so `git diff` shows exactly what
-//! changed.
+//! silently shrinking the comparison — and must simulate exactly the
+//! committed number of cycles, so a change that moves a cycle count
+//! fails until the file it regenerates is committed with it. A geomean
+//! throughput drop beyond 15% exits non-zero — wide enough to absorb
+//! host noise on the small cells, tight enough to catch a real simulator
+//! slowdown. The new numbers are written out regardless, so `git diff`
+//! shows exactly what changed.
 
 use matic::{Compiled, Compiler, OptLevel, SimVal};
 use matic_benchkit::{to_sim, SUITE};
@@ -114,38 +116,51 @@ fn time_cells(cells: &[(&'static str, &'static str, Compiled, Vec<SimVal>)]) -> 
         .collect()
 }
 
-/// Reads the committed baseline's per-cell throughput, keyed by
-/// `bench_opt_engine`. `None` when no baseline exists (first run on a
-/// machine).
-fn read_baseline(path: &str) -> Option<Vec<(String, f64)>> {
+/// One committed cell: its `bench_opt_engine` key, throughput and cycle
+/// count.
+struct BaselineCell {
+    key: String,
+    cycles_per_sec: f64,
+    cycles: u64,
+}
+
+/// Reads the committed baseline's cells. `None` when no baseline exists
+/// (first run on a machine).
+fn read_baseline(path: &str) -> Option<Vec<BaselineCell>> {
     let text = std::fs::read_to_string(path).ok()?;
     let doc = parse(&text).ok()?;
     let Some(Json::Arr(results)) = doc.get("results") else {
         return None;
     };
-    let cells: Vec<(String, f64)> = results
+    let cells: Vec<BaselineCell> = results
         .iter()
         .filter_map(|r| {
             let bench = r.get("bench")?.as_str()?;
             let opt = r.get("opt")?.as_str()?;
             let engine = r.get("engine")?.as_str()?;
             let tput = r.get("sim_cycles_per_sec")?.as_f64()?;
-            (tput > 0.0).then(|| (format!("{bench}_{opt}_{engine}"), tput))
+            let cycles = r.get("cycles")?.as_f64()?;
+            (tput > 0.0).then(|| BaselineCell {
+                key: format!("{bench}_{opt}_{engine}"),
+                cycles_per_sec: tput,
+                cycles: cycles as u64,
+            })
         })
         .collect();
     (!cells.is_empty()).then_some(cells)
 }
 
 /// Compares new throughput against the committed baseline; prints the
-/// delta table and returns `Err` on a geomean regression beyond the gate
-/// or when a baseline cell is missing from the fresh run.
-fn gate_against_baseline(timings: &[Timing], baseline: &[(String, f64)]) -> Result<(), String> {
+/// delta table and returns `Err` on a geomean regression beyond the gate,
+/// when a baseline cell is missing from the fresh run, or when a cell's
+/// cycle count differs from the committed one.
+fn gate_against_baseline(timings: &[Timing], baseline: &[BaselineCell]) -> Result<(), String> {
     // Every committed cell must have a fresh counterpart: a silently
     // dropped cell would shrink the comparison and could hide a
     // regression (or a broken benchmark).
     let missing: Vec<&str> = baseline
         .iter()
-        .map(|(k, _)| k.as_str())
+        .map(|b| b.key.as_str())
         .filter(|k| !timings.iter().any(|t| t.cell() == *k))
         .collect();
     if !missing.is_empty() {
@@ -154,12 +169,23 @@ fn gate_against_baseline(timings: &[Timing], baseline: &[(String, f64)]) -> Resu
             missing.join(", ")
         ));
     }
+    let moved = cycle_changes(timings, baseline);
+    if !moved.is_empty() {
+        return Err(format!(
+            "cycle counts differ from the committed baseline: {}",
+            moved.join(", ")
+        ));
+    }
     let mut rows = Vec::new();
     let mut log_ratio_sum = 0.0f64;
     let mut compared = 0usize;
     for t in timings {
         let cell = t.cell();
-        let Some((_, old)) = baseline.iter().find(|(k, _)| *k == cell) else {
+        let Some(old) = baseline
+            .iter()
+            .find(|b| b.key == cell)
+            .map(|b| b.cycles_per_sec)
+        else {
             rows.push(vec![
                 cell,
                 "-".into(),
@@ -202,6 +228,18 @@ fn gate_against_baseline(timings: &[Timing], baseline: &[(String, f64)]) -> Resu
         ));
     }
     Ok(())
+}
+
+/// `cell committed -> now` for every cell whose cycle count differs from
+/// its committed one.
+fn cycle_changes(timings: &[Timing], baseline: &[BaselineCell]) -> Vec<String> {
+    timings
+        .iter()
+        .filter_map(|t| {
+            let old = baseline.iter().find(|b| b.key == t.cell())?;
+            (old.cycles != t.cycles).then(|| format!("{} {} -> {}", old.key, old.cycles, t.cycles))
+        })
+        .collect()
 }
 
 fn main() -> ExitCode {
@@ -267,4 +305,32 @@ fn main() -> ExitCode {
         println!("no committed baseline found; regression gate skipped");
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn timing(cycles: u64) -> Timing {
+        Timing {
+            bench: "fir",
+            opt: "base",
+            n: 128,
+            cycles,
+            min_ns: 1000,
+            cycles_per_sec: cycles as f64 * 1e6,
+        }
+    }
+
+    #[test]
+    fn a_moved_cycle_count_fails_the_gate() {
+        let baseline = [BaselineCell {
+            key: "fir_base_native".into(),
+            cycles_per_sec: 69094e6,
+            cycles: 69094,
+        }];
+        assert!(gate_against_baseline(&[timing(69094)], &baseline).is_ok());
+        let err = gate_against_baseline(&[timing(69095)], &baseline).unwrap_err();
+        assert!(err.contains("fir_base_native 69094 -> 69095"), "{err}");
+    }
 }
