@@ -16,9 +16,10 @@
 //! only as the reference semantics the differential tests compare
 //! against. Both share this module's `Exec` core — charging, fuel, value
 //! access and the call frame — and the statement semantics in `eval.rs`,
-//! `builtins.rs` and `vector.rs`. The engine's micro-ops specialize
-//! dispatch for scalar work; semantics such as slice loads and stores
-//! exist once, in `eval.rs`.
+//! `builtins.rs` and `vector.rs`. The engine's compiled scalar chains
+//! specialize dispatch for scalar work, and replay through `eval.rs` when
+//! a runtime shape misses their guards; semantics such as slice loads and
+//! stores exist once, in `eval.rs`.
 
 mod builtins;
 mod eval;
@@ -477,6 +478,9 @@ struct Exec<'a> {
     cur_span: Span,
     /// `Some` when the machine was built `with_profiling(true)`.
     profile: Option<Profile>,
+    /// The temp stack compiled chains hold their intermediates in; a
+    /// chain reads only the temps it wrote in the same run.
+    tmps: [Cx; fuse::CHAIN_MAX],
 }
 
 type Env = Vec<Option<SimVal>>;
@@ -500,6 +504,7 @@ impl<'a> Exec<'a> {
             depth: 0,
             cur_span: Span::dummy(),
             profile: machine.profiling.then(Profile::default),
+            tmps: [Cx::ZERO; fuse::CHAIN_MAX],
         }
     }
 
@@ -622,14 +627,7 @@ impl<'a> Exec<'a> {
                 _ => self.charge(OpClass::ScalarAlu, 2),
             }
         } else {
-            match op {
-                BinOp::ElemMul | BinOp::MatMul => self.charge(OpClass::ScalarMul, 1),
-                BinOp::ElemDiv | BinOp::MatDiv | BinOp::ElemLeftDiv | BinOp::MatLeftDiv => {
-                    self.charge(OpClass::ScalarDiv, 1)
-                }
-                BinOp::ElemPow | BinOp::MatPow => self.charge(OpClass::ScalarTrans, 1),
-                _ => self.charge(OpClass::ScalarAlu, 1),
-            }
+            self.charge(real_binop_class(op), 1);
         }
     }
 
@@ -832,6 +830,19 @@ fn trip_count(s: f64, st: f64, e: f64) -> i64 {
     }
 }
 
+/// The class one element of `op` is charged to when its operands are
+/// real.
+fn real_binop_class(op: BinOp) -> OpClass {
+    match op {
+        BinOp::ElemMul | BinOp::MatMul => OpClass::ScalarMul,
+        BinOp::ElemDiv | BinOp::MatDiv | BinOp::ElemLeftDiv | BinOp::MatLeftDiv => {
+            OpClass::ScalarDiv
+        }
+        BinOp::ElemPow | BinOp::MatPow => OpClass::ScalarTrans,
+        _ => OpClass::ScalarAlu,
+    }
+}
+
 /// The `Def` epilogue: coerce to the destination register's representation
 /// and write the slot.
 #[inline(always)]
@@ -848,20 +859,4 @@ fn def_finish(env: &mut Env, dst: VarId, scalar_dst: bool, val: SimVal) {
         }
     };
     env[dst.0 as usize] = Some(val);
-}
-
-/// Fetches an operand if it resolves to a scalar right now: `Ok(Some)` on a
-/// scalar, `Ok(None)` when the value is array-shaped (caller falls back to
-/// the generic path), `Err(v)` when the register is unset.
-#[inline(always)]
-fn slot_scalar(env: &Env, op: Operand) -> Result<Option<Cx>, VarId> {
-    match op {
-        Operand::Const(v) => Ok(Some(Cx::real(v))),
-        Operand::ConstC(re, im) => Ok(Some(Cx::new(re, im))),
-        Operand::Var(v) => match &env[v.0 as usize] {
-            Some(SimVal::Scalar(z)) => Ok(Some(*z)),
-            Some(SimVal::Arr(_)) => Ok(None),
-            None => Err(v),
-        },
-    }
 }

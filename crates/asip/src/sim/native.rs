@@ -4,12 +4,18 @@
 //! Executes the `NativeProgram` form built by `fuse.rs`: a flat table of
 //! steps, each a pre-selected fn pointer, with straight-line `Def`/`Store`
 //! runs collapsed into superinstructions of micro-ops. The dispatch loop is
-//! `pc = (step.run)(...)` — no instruction-enum match — and micro-ops with
-//! scalar-specialized fast paths skip the generic `Rvalue` machinery
-//! entirely, falling back to it whenever a runtime value shape disagrees
-//! with the specialization. Micro-ops specialize dispatch only: every
-//! other statement (slices, builtins, calls) runs the shared semantics in
-//! `eval.rs` through `micro_def_generic`/`micro_store_generic`.
+//! `pc = (step.run)(...)` — no instruction-enum match.
+//!
+//! Scalar statements run as compiled chains (`micro_chain`), through one
+//! op loop (`chain_run`) that holds each kind's load, store and bounds
+//! code once. It defers charges until the first complex `Bin` input, then
+//! charges exactly; with profiling on, or fuel short of the chain's
+//! length, it charges exactly from the start and each op burns its own
+//! fuel and points `cur_span` at itself. Only a guard miss leaves a chain:
+//! its statements then replay through `micro_def_generic` and
+//! `micro_store_generic`, the `eval.rs` semantics the tree walker runs.
+//! Every other statement (slices, builtins, calls) runs those semantics
+//! too.
 //!
 //! Loop-level chains: a counted loop whose body is one compiled chain runs
 //! through `step_for_chain`, which — when profiling is off, fuel covers
@@ -34,21 +40,22 @@
 //!
 //! Bit-exactness contract: every handler burns fuel, charges cycles, and
 //! raises errors in exactly the order the tree walker's `exec_stmt`
-//! (`walk.rs`) does for the statement it came from. `cur_span` is only
-//! ever read by the profiler, so handlers skip the span bookkeeping
-//! entirely when profiling is off.
+//! (`walk.rs`) does for the statement it came from, and a fuel-exhaustion
+//! error names the same statement. `cur_span` is only ever read by the
+//! profiler, so handlers skip the span bookkeeping entirely when
+//! profiling is off.
 
-use super::eval::{apply_binop_scalar, apply_unop};
+use super::eval::apply_unop;
 use super::fuse::{
     exact_int, CKind, CSrc, ChainData, ChainOp, Guard, IndexedLoad, Micro, MicroData, NData, NStep,
     NativeFunction, Reduction, CHAIN_MAX,
 };
 use super::vector::{first_oob, lane};
-use super::{def_finish, slot_scalar, trip_count, Env, Exec, SimError, SimVal};
+use super::{def_finish, trip_count, Env, Exec, SimError, SimVal};
 use matic_frontend::span::Span;
 use matic_interp::{Cx, Matrix};
 use matic_isa::OpClass;
-use matic_mir::{Index, MirFunction, Operand, Rvalue, VarId};
+use matic_mir::{MirFunction, VarId};
 
 /// Runtime state of one active loop in a native function.
 pub(super) enum Frame {
@@ -71,7 +78,7 @@ impl Exec<'_> {
     /// only) points `cur_span` at it.
     #[inline(always)]
     fn enter(&mut self, span: Span) -> Result<(), SimError> {
-        self.burn(Span::dummy())?;
+        self.burn(span)?;
         if self.profile.is_some() {
             self.cur_span = span;
         }
@@ -95,413 +102,15 @@ impl Exec<'_> {
     }
 }
 
-// ---- shared fast-path helpers ---------------------------------------------
-
-#[cold]
-fn unset_err(f: &MirFunction, v: VarId, span: Span) -> SimError {
-    SimError::new(format!("read of unset `{}`", f.var(v).name), span)
-}
-
 // ---- micro-op handlers ----------------------------------------------------
 
-pub(super) fn micro_bin(
-    exec: &mut Exec<'_>,
-    f: &MirFunction,
-    env: &mut Env,
-    data: &MicroData,
-) -> Result<(), SimError> {
-    let MicroData::Bin {
-        op,
-        a,
-        b,
-        dst,
-        scalar_dst,
-        span,
-        ..
-    } = data
-    else {
-        unreachable!()
-    };
-    exec.enter(*span)?;
-    let x = match slot_scalar(env, *a) {
-        Ok(Some(z)) => Some(z),
-        Ok(None) => None,
-        Err(v) => return Err(unset_err(f, v, *span)),
-    };
-    let y = match slot_scalar(env, *b) {
-        Ok(Some(z)) => Some(z),
-        Ok(None) => None,
-        Err(v) => return Err(unset_err(f, v, *span)),
-    };
-    let (Some(x), Some(y)) = (x, y) else {
-        // Array operand: the generic path re-fetches (no side effects) and
-        // handles element-wise/matmul semantics.
-        let val = exec.eval_binary(f, env, *op, *a, *b, *span)?;
-        def_finish(env, *dst, *scalar_dst, val);
-        return Ok(());
-    };
-    let complex = !x.is_real() || !y.is_real();
-    exec.scalar_binop_cost(*op, complex);
-    let z = apply_binop_scalar(*op, x, y).map_err(|m| SimError::new(m, *span))?;
-    env[dst.0 as usize] = Some(if *scalar_dst {
-        SimVal::Scalar(z)
-    } else {
-        SimVal::Arr(Matrix::scalar(z))
-    });
-    Ok(())
-}
-
-/// `micro_bin` with the real-operand cost class and the compute fn
-/// pre-selected at fuse time (every op except `&&`/`||`, whose scalar
-/// application errors through `apply_binop_scalar`).
-pub(super) fn micro_bin_fast(
-    exec: &mut Exec<'_>,
-    f: &MirFunction,
-    env: &mut Env,
-    data: &MicroData,
-) -> Result<(), SimError> {
-    let MicroData::Bin {
-        op,
-        class,
-        evalf,
-        a,
-        b,
-        dst,
-        scalar_dst,
-        span,
-    } = data
-    else {
-        unreachable!()
-    };
-    exec.enter(*span)?;
-    match (slot_scalar(env, *a), slot_scalar(env, *b)) {
-        (Ok(Some(x)), Ok(Some(y))) => {
-            if x.is_real() && y.is_real() {
-                exec.charge(*class, 1);
-            } else {
-                exec.scalar_binop_cost(*op, true);
-            }
-            let z = evalf(x, y);
-            env[dst.0 as usize] = Some(if *scalar_dst {
-                SimVal::Scalar(z)
-            } else {
-                SimVal::Arr(Matrix::scalar(z))
-            });
-            Ok(())
-        }
-        (Err(v), _) | (_, Err(v)) => Err(unset_err(f, v, *span)),
-        _ => {
-            // Array operand: the generic path re-fetches (no side effects)
-            // and handles element-wise/matmul semantics.
-            let val = exec.eval_binary(f, env, *op, *a, *b, *span)?;
-            def_finish(env, *dst, *scalar_dst, val);
-            Ok(())
-        }
-    }
-}
-
-pub(super) fn micro_copy(
-    exec: &mut Exec<'_>,
-    f: &MirFunction,
-    env: &mut Env,
-    data: &MicroData,
-) -> Result<(), SimError> {
-    let MicroData::Copy {
-        a,
-        dst,
-        scalar_dst,
-        span,
-    } = data
-    else {
-        unreachable!()
-    };
-    exec.enter(*span)?;
-    match slot_scalar(env, *a) {
-        Ok(Some(z)) => {
-            exec.charge(OpClass::ScalarAlu, 1);
-            def_finish(env, *dst, *scalar_dst, SimVal::Scalar(z));
-        }
-        Ok(None) => {
-            // Value-semantics copy through memory (Rc clone at runtime).
-            let Operand::Var(v) = *a else { unreachable!() };
-            let n = match &env[v.0 as usize] {
-                Some(SimVal::Arr(m)) => m.numel() as u64,
-                _ => unreachable!(),
-            };
-            exec.charge(OpClass::Load, n);
-            exec.charge(OpClass::Store, n);
-            let val = env[v.0 as usize].clone().unwrap();
-            def_finish(env, *dst, *scalar_dst, val);
-        }
-        Err(v) => return Err(unset_err(f, v, *span)),
-    }
-    Ok(())
-}
-
-pub(super) fn micro_un(
-    exec: &mut Exec<'_>,
-    f: &MirFunction,
-    env: &mut Env,
-    data: &MicroData,
-) -> Result<(), SimError> {
-    let MicroData::Un {
-        op,
-        a,
-        dst,
-        scalar_dst,
-        span,
-    } = data
-    else {
-        unreachable!()
-    };
-    exec.enter(*span)?;
-    match slot_scalar(env, *a) {
-        Ok(Some(z)) => {
-            exec.charge(OpClass::ScalarAlu, 1);
-            def_finish(env, *dst, *scalar_dst, SimVal::Scalar(apply_unop(*op, z)));
-        }
-        Ok(None) => {
-            let rv = Rvalue::Unary { op: *op, a: *a };
-            let val = exec.eval_rvalue(f, env, *dst, &rv, *span)?;
-            def_finish(env, *dst, *scalar_dst, val);
-        }
-        Err(v) => return Err(unset_err(f, v, *span)),
-    }
-    Ok(())
-}
-
-pub(super) fn micro_load1(
-    exec: &mut Exec<'_>,
-    f: &MirFunction,
-    env: &mut Env,
-    data: &MicroData,
-) -> Result<(), SimError> {
-    let MicroData::Load1 {
-        arr,
-        idx,
-        dst,
-        scalar_dst,
-        span,
-    } = data
-    else {
-        unreachable!()
-    };
-    exec.enter(*span)?;
-    let fallback = |exec: &mut Exec<'_>, env: &mut Env| -> Result<(), SimError> {
-        let val = exec.eval_index(f, env, *arr, &[Index::Scalar(*idx)], *span)?;
-        def_finish(env, *dst, *scalar_dst, val);
-        Ok(())
-    };
-    // The generic path reads the base register first, so its unset error
-    // precedes any subscript error.
-    match &env[arr.0 as usize] {
-        Some(SimVal::Arr(_)) => {}
-        Some(SimVal::Scalar(_)) => return fallback(exec, env),
-        None => return Err(unset_err(f, *arr, *span)),
-    }
-    let z = match slot_scalar(env, *idx) {
-        Ok(Some(z)) => z,
-        Ok(None) => return fallback(exec, env), // gather subscript
-        Err(v) => return Err(unset_err(f, v, *span)),
-    };
-    let k = z.re as i64 - 1;
-    let (elem, numel) = match &env[arr.0 as usize] {
-        Some(SimVal::Arr(m)) => (
-            m.data().get(k.max(0) as usize).copied().filter(|_| k >= 0),
-            m.numel(),
-        ),
-        _ => unreachable!(),
-    };
-    exec.charge(OpClass::ScalarAlu, 1);
-    exec.charge(OpClass::Load, 1);
-    let z = elem.ok_or_else(|| {
-        SimError::oob(format!("index {} out of bounds ({})", k + 1, numel), *span)
-    })?;
-    def_finish(env, *dst, *scalar_dst, SimVal::Scalar(z));
-    Ok(())
-}
-
-pub(super) fn micro_load2(
-    exec: &mut Exec<'_>,
-    f: &MirFunction,
-    env: &mut Env,
-    data: &MicroData,
-) -> Result<(), SimError> {
-    let MicroData::Load2 {
-        arr,
-        r,
-        c,
-        dst,
-        scalar_dst,
-        span,
-    } = data
-    else {
-        unreachable!()
-    };
-    exec.enter(*span)?;
-    let fallback = |exec: &mut Exec<'_>, env: &mut Env| -> Result<(), SimError> {
-        let val = exec.eval_index(f, env, *arr, &[Index::Scalar(*r), Index::Scalar(*c)], *span)?;
-        def_finish(env, *dst, *scalar_dst, val);
-        Ok(())
-    };
-    match &env[arr.0 as usize] {
-        Some(SimVal::Arr(_)) => {}
-        Some(SimVal::Scalar(_)) => return fallback(exec, env),
-        None => return Err(unset_err(f, *arr, *span)),
-    }
-    let zr = match slot_scalar(env, *r) {
-        Ok(Some(z)) => z,
-        Ok(None) => return fallback(exec, env),
-        Err(v) => return Err(unset_err(f, v, *span)),
-    };
-    let zc = match slot_scalar(env, *c) {
-        Ok(Some(z)) => z,
-        Ok(None) => return fallback(exec, env),
-        Err(v) => return Err(unset_err(f, v, *span)),
-    };
-    let (r0, c0) = (zr.re as i64 - 1, zc.re as i64 - 1);
-    let elem = match &env[arr.0 as usize] {
-        Some(SimVal::Arr(m)) => {
-            let ok = r0 >= 0 && c0 >= 0 && (r0 as usize) < m.rows() && (c0 as usize) < m.cols();
-            ok.then(|| m.at(r0 as usize, c0 as usize))
-        }
-        _ => unreachable!(),
-    };
-    exec.charge(OpClass::ScalarAlu, 2);
-    exec.charge(OpClass::Load, 1);
-    let z = elem.ok_or_else(|| {
-        SimError::oob(
-            format!("index ({}, {}) out of bounds", r0 + 1, c0 + 1),
-            *span,
-        )
-    })?;
-    def_finish(env, *dst, *scalar_dst, SimVal::Scalar(z));
-    Ok(())
-}
-
-pub(super) fn micro_store1(
-    exec: &mut Exec<'_>,
-    f: &MirFunction,
-    env: &mut Env,
-    data: &MicroData,
-) -> Result<(), SimError> {
-    let MicroData::Store1 {
-        arr,
-        idx,
-        value,
-        span,
-    } = data
-    else {
-        unreachable!()
-    };
-    exec.enter(*span)?;
-    let fallback = |exec: &mut Exec<'_>, env: &mut Env| -> Result<(), SimError> {
-        exec.exec_store(f, env, *arr, &[Index::Scalar(*idx)], *value, *span)
-    };
-    // Generic order: value fetch, then destination take, then subscript.
-    let zval = match slot_scalar(env, *value) {
-        Ok(Some(z)) => z,
-        Ok(None) => return fallback(exec, env), // array value (as_cx may broadcast)
-        Err(v) => return Err(unset_err(f, v, *span)),
-    };
-    match &env[arr.0 as usize] {
-        Some(SimVal::Arr(_)) => {}
-        Some(SimVal::Scalar(_)) => return fallback(exec, env),
-        None => return Err(unset_err(f, *arr, *span)),
-    }
-    let zi = match slot_scalar(env, *idx) {
-        Ok(Some(z)) => z,
-        Ok(None) => return fallback(exec, env),
-        Err(v) => return Err(unset_err(f, v, *span)),
-    };
-    let k = z_index(zi);
-    exec.charge(OpClass::ScalarAlu, 1);
-    exec.charge(OpClass::Store, 1);
-    let Some(SimVal::Arr(m)) = &mut env[arr.0 as usize] else {
-        unreachable!()
-    };
-    let n = m.numel();
-    if k < 0 || k as usize >= n {
-        return Err(SimError::oob(
-            format!("store index {} out of bounds ({n})", k + 1),
-            *span,
-        ));
-    }
-    m.data_mut()[k as usize] = zval;
-    Ok(())
-}
-
-#[inline(always)]
-fn z_index(z: Cx) -> i64 {
-    z.re as i64 - 1
-}
-
-pub(super) fn micro_store2(
-    exec: &mut Exec<'_>,
-    f: &MirFunction,
-    env: &mut Env,
-    data: &MicroData,
-) -> Result<(), SimError> {
-    let MicroData::Store2 {
-        arr,
-        r,
-        c,
-        value,
-        span,
-    } = data
-    else {
-        unreachable!()
-    };
-    exec.enter(*span)?;
-    let fallback = |exec: &mut Exec<'_>, env: &mut Env| -> Result<(), SimError> {
-        exec.exec_store(
-            f,
-            env,
-            *arr,
-            &[Index::Scalar(*r), Index::Scalar(*c)],
-            *value,
-            *span,
-        )
-    };
-    let zval = match slot_scalar(env, *value) {
-        Ok(Some(z)) => z,
-        Ok(None) => return fallback(exec, env),
-        Err(v) => return Err(unset_err(f, v, *span)),
-    };
-    match &env[arr.0 as usize] {
-        Some(SimVal::Arr(_)) => {}
-        Some(SimVal::Scalar(_)) => return fallback(exec, env),
-        None => return Err(unset_err(f, *arr, *span)),
-    }
-    let zr = match slot_scalar(env, *r) {
-        Ok(Some(z)) => z,
-        Ok(None) => return fallback(exec, env),
-        Err(v) => return Err(unset_err(f, v, *span)),
-    };
-    let zc = match slot_scalar(env, *c) {
-        Ok(Some(z)) => z,
-        Ok(None) => return fallback(exec, env),
-        Err(v) => return Err(unset_err(f, v, *span)),
-    };
-    let (r0, c0) = (z_index(zr), z_index(zc));
-    exec.charge(OpClass::ScalarAlu, 2);
-    exec.charge(OpClass::Store, 1);
-    let Some(SimVal::Arr(m)) = &mut env[arr.0 as usize] else {
-        unreachable!()
-    };
-    if r0 < 0 || c0 < 0 || r0 as usize >= m.rows() || c0 as usize >= m.cols() {
-        return Err(SimError::oob("2-D store out of bounds", *span));
-    }
-    *m.at_mut(r0 as usize, c0 as usize) = zval;
-    Ok(())
-}
-
-/// Executes a compiled scalar chain (see [`ChainData`]): one dispatch and
-/// one fuel check for the whole run, intermediates in a stack-local temp
-/// array, environment writes only where a value escapes the chain. Falls
-/// back to the original micro sequence whenever profiling is on, fuel may
-/// run out mid-chain, or a shape guard fails — before any side effect, so
-/// the fallback replays from a clean slate.
+/// Executes a compiled scalar chain (see [`ChainData`]): one dispatch for
+/// the whole run, intermediates in the run's temp stack, environment
+/// writes only where a value escapes the chain. A shape guard miss
+/// replays the chain's statements through the generic micro-ops, before
+/// any side effect. Otherwise the op loop runs, with the whole chain's
+/// fuel subtracted at once, or op by op when profiling is on or fuel may
+/// run out mid-chain.
 pub(super) fn micro_chain(
     exec: &mut Exec<'_>,
     f: &MirFunction,
@@ -511,18 +120,22 @@ pub(super) fn micro_chain(
     let MicroData::Chain(ch) = data else {
         unreachable!()
     };
-    let n = ch.ops.len() as u64;
-    if exec.profile.is_some() || exec.fuel < n {
-        return run_chain_fallback(exec, f, env, &ch.fallback);
-    }
     if !guards_hold(&ch.guards, env) {
         return run_chain_fallback(exec, f, env, &ch.fallback);
     }
-    // Every chained micro burns exactly one fuel; with `fuel >= n`
-    // exhaustion cannot occur mid-chain, so the per-op burns collapse to
-    // one subtraction (errors abort the run, leaving fuel unobservable).
-    exec.fuel -= n;
-    chain_run_fast(exec, env, ch)
+    let n = ch.ops.len() as u64;
+    let stepped = exec.profile.is_some() || exec.fuel < n;
+    if !stepped {
+        // Every chain op burns exactly one fuel; with `fuel >= n`
+        // exhaustion cannot occur mid-chain, so the per-op burns collapse
+        // to one subtraction (errors abort the run, leaving fuel
+        // unobservable).
+        exec.fuel -= n;
+    }
+    if exec.chain_run(env, ch, stepped)? {
+        charge_real_counts(exec, ch, 1);
+    }
+    Ok(())
 }
 
 /// Whether every shape guard of a chain holds on the current environment.
@@ -534,140 +147,135 @@ fn guards_hold(guards: &[Guard], env: &Env) -> bool {
     })
 }
 
-/// One run of a chain on the optimistic pass, then its all-real charges.
-#[inline(never)]
-fn chain_run_fast(exec: &mut Exec<'_>, env: &mut Env, ch: &ChainData) -> Result<(), SimError> {
-    let mut tmps = [Cx::ZERO; CHAIN_MAX];
-    if chain_run_deferred(exec, env, ch, &mut tmps)? {
-        charge_real_counts(exec, ch, 1);
-    }
-    Ok(())
-}
-
 /// Charges `runs` all-real runs of a chain in one batched `charge` per
 /// class it touches.
 #[inline(always)]
 fn charge_real_counts(exec: &mut Exec<'_>, ch: &ChainData, runs: u64) {
     for &(class, cnt) in &ch.real_counts {
-        exec.charge(class, cnt as u64 * runs);
+        exec.charge(class, cnt * runs);
     }
 }
 
-/// Optimistic chain pass: computes values with cycle charges deferred.
-/// Valid while every `Bin` input is real — the only value-dependent cost —
-/// so on success (`Ok(true)`) the run's accounting is exactly the
-/// precomputed `real_counts`, which the caller charges (batched over any
-/// number of runs: `charge(c, k1 + k2)` ≡ `charge(c, k1); charge(c, k2)`,
-/// and charge order is invisible with profiling off). The first complex
-/// input deoptimizes: settle the all-real prefix's charges exactly, then
-/// finish per-op in `chain_run_exact` and return `Ok(false)` — that run
-/// is fully charged. A bounds fault settles the run's prefix and the
-/// failing op before returning the error.
-#[inline(always)]
-fn chain_run_deferred(
-    exec: &mut Exec<'_>,
-    env: &mut Env,
-    ch: &ChainData,
-    tmps: &mut [Cx; CHAIN_MAX],
-) -> Result<bool, SimError> {
-    let ops: &[ChainOp] = &ch.ops;
-    let mut deopt = ops.len();
-    'fast: for (i, op) in ops.iter().enumerate() {
-        let z = match &op.kind {
-            CKind::Bin { evalf, .. } => {
-                let x = rd(op.a, tmps, env);
-                let y = rd(op.b, tmps, env);
-                if !(x.is_real() && y.is_real()) {
-                    deopt = i;
-                    break 'fast;
-                }
-                evalf(x, y)
+/// Charges `ops` one by one, each as its real inputs would.
+fn charge_real_ops(exec: &mut Exec<'_>, ops: &[ChainOp]) {
+    for &(class, n) in ops.iter().flat_map(|op| op.kind.real_charges()) {
+        exec.charge(class, n);
+    }
+}
+
+impl Exec<'_> {
+    /// The one op loop of a chain, for a run whose guards hold.
+    /// Intermediates go to the run's temp stack `self.tmps`. Charges stay
+    /// deferred while every `Bin` input is real — the only value-dependent
+    /// cost — so an all-real run returns `Ok(true)` and its caller charges
+    /// the precomputed `real_counts` (batched over any number of runs:
+    /// `charge(c, k1 + k2)` ≡ `charge(c, k1); charge(c, k2)`, and charge
+    /// order is invisible with profiling off). The first complex input
+    /// settles the ops before it and charges every op from there on
+    /// exactly, and the run returns `Ok(false)`, fully charged. A bounds
+    /// fault settles the ops run so far and the failing op (which charges
+    /// before it raises) before returning the error. With `stepped`, every
+    /// op is charged exactly and first burns its own fuel and points
+    /// `cur_span` at itself, as its generic micro-op would.
+    #[inline(always)]
+    fn chain_run(
+        &mut self,
+        env: &mut Env,
+        ch: &ChainData,
+        stepped: bool,
+    ) -> Result<bool, SimError> {
+        let ops: &[ChainOp] = &ch.ops;
+        let mut deferred = !stepped;
+        // The error of the op at `i`, with the ops up to it charged.
+        let fault = |exec: &mut Self, deferred: bool, i: usize, err: SimError| {
+            if deferred {
+                charge_real_ops(exec, &ops[..=i]);
             }
-            CKind::Un(uop) => apply_unop(*uop, rd(op.a, tmps, env)),
-            CKind::Copy => rd(op.a, tmps, env),
-            CKind::Load1 { arr } => {
-                let k = rd(op.a, tmps, env).re as i64 - 1;
-                let (elem, numel) = match &env[*arr as usize] {
-                    Some(SimVal::Arr(m)) => (
-                        m.data().get(k.max(0) as usize).copied().filter(|_| k >= 0),
-                        m.numel(),
-                    ),
-                    _ => unreachable!("guarded array slot"),
-                };
-                match elem {
-                    Some(z) => z,
-                    None => return chain_oob(exec, ops, i, load1_oob(k, numel, op.span)),
-                }
-            }
-            CKind::Load2 { arr } => {
-                let r0 = rd(op.a, tmps, env).re as i64 - 1;
-                let c0 = rd(op.b, tmps, env).re as i64 - 1;
-                let elem = match &env[*arr as usize] {
-                    Some(SimVal::Arr(m)) => {
-                        let ok = r0 >= 0
-                            && c0 >= 0
-                            && (r0 as usize) < m.rows()
-                            && (c0 as usize) < m.cols();
-                        ok.then(|| m.at(r0 as usize, c0 as usize))
-                    }
-                    _ => unreachable!("guarded array slot"),
-                };
-                match elem {
-                    Some(z) => z,
-                    None => return chain_oob(exec, ops, i, load2_oob(r0, c0, op.span)),
-                }
-            }
-            CKind::Store1 { arr } => {
-                let k = z_index(rd(op.a, tmps, env));
-                let zval = rd(op.b, tmps, env);
-                let Some(SimVal::Arr(m)) = &mut env[*arr as usize] else {
-                    unreachable!("guarded array slot")
-                };
-                let total = m.numel();
-                if k < 0 || k as usize >= total {
-                    return chain_oob(exec, ops, i, store1_oob(k, total, op.span));
-                }
-                m.data_mut()[k as usize] = zval;
-                continue 'fast;
-            }
-            CKind::Store2 { arr } => {
-                let r0 = z_index(rd(op.a, tmps, env));
-                let c0 = z_index(rd(op.b, tmps, env));
-                let zval = rd(op.c, tmps, env);
-                let Some(SimVal::Arr(m)) = &mut env[*arr as usize] else {
-                    unreachable!("guarded array slot")
-                };
-                if r0 < 0 || c0 < 0 || r0 as usize >= m.rows() || c0 as usize >= m.cols() {
-                    return chain_oob(
-                        exec,
-                        ops,
-                        i,
-                        SimError::oob("2-D store out of bounds", op.span),
-                    );
-                }
-                *m.at_mut(r0 as usize, c0 as usize) = zval;
-                continue 'fast;
-            }
+            Err(err)
         };
-        tmps[i] = z;
-        if op.env_dst != u32::MAX {
-            env[op.env_dst as usize] = Some(if op.scalar_dst {
-                SimVal::Scalar(z)
-            } else {
-                SimVal::Arr(Matrix::scalar(z))
-            });
+        for (i, op) in ops.iter().enumerate() {
+            if stepped {
+                self.enter(op.span)?;
+            }
+            if !deferred && !matches!(op.kind, CKind::Bin { .. }) {
+                charge_real_ops(self, std::slice::from_ref(op));
+            }
+            let z = match op.kind {
+                CKind::Bin { op: bop, evalf, .. } => {
+                    let x = rd(op.a, &self.tmps, env);
+                    let y = rd(op.b, &self.tmps, env);
+                    if !(x.is_real() && y.is_real()) {
+                        if deferred {
+                            charge_real_ops(self, &ops[..i]);
+                            deferred = false;
+                        }
+                        self.scalar_binop_cost(bop, true);
+                    } else if !deferred {
+                        charge_real_ops(self, std::slice::from_ref(op));
+                    }
+                    evalf(x, y)
+                }
+                CKind::Un(uop) => apply_unop(uop, rd(op.a, &self.tmps, env)),
+                CKind::Copy => rd(op.a, &self.tmps, env),
+                CKind::Load1 { arr } => {
+                    let k = z_index(rd(op.a, &self.tmps, env));
+                    let m = guarded_arr(env, arr);
+                    match m.data().get(k.max(0) as usize).filter(|_| k >= 0) {
+                        Some(&z) => z,
+                        None => {
+                            let err = load1_oob(k, m.numel(), op.span);
+                            return fault(self, deferred, i, err);
+                        }
+                    }
+                }
+                CKind::Load2 { arr } => {
+                    let r0 = z_index(rd(op.a, &self.tmps, env));
+                    let c0 = z_index(rd(op.b, &self.tmps, env));
+                    let m = guarded_arr(env, arr);
+                    if !in_2d(m, r0, c0) {
+                        return fault(self, deferred, i, load2_oob(r0, c0, op.span));
+                    }
+                    m.at(r0 as usize, c0 as usize)
+                }
+                CKind::Store1 { arr } => {
+                    let k = z_index(rd(op.a, &self.tmps, env));
+                    let zval = rd(op.b, &self.tmps, env);
+                    let Some(SimVal::Arr(m)) = &mut env[arr as usize] else {
+                        unreachable!("guarded array slot")
+                    };
+                    let total = m.numel();
+                    if k < 0 || k as usize >= total {
+                        return fault(self, deferred, i, store1_oob(k, total, op.span));
+                    }
+                    m.data_mut()[k as usize] = zval;
+                    continue;
+                }
+                CKind::Store2 { arr } => {
+                    let r0 = z_index(rd(op.a, &self.tmps, env));
+                    let c0 = z_index(rd(op.b, &self.tmps, env));
+                    let zval = rd(op.c, &self.tmps, env);
+                    let Some(SimVal::Arr(m)) = &mut env[arr as usize] else {
+                        unreachable!("guarded array slot")
+                    };
+                    if !in_2d(m, r0, c0) {
+                        let err = SimError::oob("2-D store out of bounds", op.span);
+                        return fault(self, deferred, i, err);
+                    }
+                    *m.at_mut(r0 as usize, c0 as usize) = zval;
+                    continue;
+                }
+            };
+            self.tmps[i] = z;
+            if op.env_dst != u32::MAX {
+                env[op.env_dst as usize] = Some(if op.scalar_dst {
+                    SimVal::Scalar(z)
+                } else {
+                    SimVal::Arr(Matrix::scalar(z))
+                });
+            }
         }
+        Ok(deferred)
     }
-    if deopt == ops.len() {
-        return Ok(true);
-    }
-    // Deoptimized tail: ops[..deopt] completed with all-real charges
-    // pending; settle them, then run the rest with exact accounting.
-    for op in &ops[..deopt] {
-        chain_charge_real(exec, op);
-    }
-    chain_run_exact(exec, env, ops, deopt, tmps)?;
-    Ok(false)
 }
 
 /// Reads one chain source: an immediate, a temp produced earlier in the
@@ -682,6 +290,27 @@ fn rd(s: CSrc, tmps: &[Cx; CHAIN_MAX], env: &Env) -> Cx {
             _ => unreachable!("guarded scalar slot"),
         },
     }
+}
+
+/// The array in a slot guarded to hold one.
+#[inline(always)]
+fn guarded_arr(env: &Env, slot: u32) -> &Matrix {
+    match &env[slot as usize] {
+        Some(SimVal::Arr(m)) => m,
+        _ => unreachable!("guarded array slot"),
+    }
+}
+
+/// The 0-based position a subscript value names.
+#[inline(always)]
+fn z_index(z: Cx) -> i64 {
+    z.re as i64 - 1
+}
+
+/// Whether 0-based `(r0, c0)` lies inside `m`.
+#[inline(always)]
+fn in_2d(m: &Matrix, r0: i64, c0: i64) -> bool {
+    r0 >= 0 && c0 >= 0 && (r0 as usize) < m.rows() && (c0 as usize) < m.cols()
 }
 
 #[cold]
@@ -705,165 +334,8 @@ fn store1_oob(k: i64, total: usize, span: Span) -> SimError {
     )
 }
 
-/// Error exit from the optimistic pass at op `i`: settles the deferred
-/// all-real charges for `ops[..i]` plus the failing op's own charges
-/// (which the micro issues before raising the bounds error), then
-/// propagates the error.
-#[cold]
-fn chain_oob(
-    exec: &mut Exec<'_>,
-    ops: &[ChainOp],
-    i: usize,
-    err: SimError,
-) -> Result<bool, SimError> {
-    for op in &ops[..=i] {
-        chain_charge_real(exec, op);
-    }
-    Err(err)
-}
-
-/// The exact per-op charge sequence of one chain op with real inputs;
-/// must mirror `chain_real_counts` (fuse.rs) and the micro handlers.
-fn chain_charge_real(exec: &mut Exec<'_>, op: &ChainOp) {
-    match &op.kind {
-        CKind::Bin { class, .. } => exec.charge(*class, 1),
-        CKind::Un(_) | CKind::Copy => exec.charge(OpClass::ScalarAlu, 1),
-        CKind::Load1 { .. } => {
-            exec.charge(OpClass::ScalarAlu, 1);
-            exec.charge(OpClass::Load, 1);
-        }
-        CKind::Load2 { .. } => {
-            exec.charge(OpClass::ScalarAlu, 2);
-            exec.charge(OpClass::Load, 1);
-        }
-        CKind::Store1 { .. } => {
-            exec.charge(OpClass::ScalarAlu, 1);
-            exec.charge(OpClass::Store, 1);
-        }
-        CKind::Store2 { .. } => {
-            exec.charge(OpClass::ScalarAlu, 2);
-            exec.charge(OpClass::Store, 1);
-        }
-    }
-}
-
-/// Finishes a chain from op `start` with exact per-op accounting (the
-/// deoptimized path, taken once a complex value appears). Fuel for the
-/// whole chain was already subtracted.
-#[inline(never)]
-fn chain_run_exact(
-    exec: &mut Exec<'_>,
-    env: &mut Env,
-    ops: &[ChainOp],
-    start: usize,
-    tmps: &mut [Cx; CHAIN_MAX],
-) -> Result<(), SimError> {
-    for (i, op) in ops.iter().enumerate().skip(start) {
-        let z = match &op.kind {
-            CKind::Bin {
-                op: bop,
-                class,
-                evalf,
-            } => {
-                let x = rd(op.a, tmps, env);
-                let y = rd(op.b, tmps, env);
-                if x.is_real() && y.is_real() {
-                    exec.charge(*class, 1);
-                } else {
-                    exec.scalar_binop_cost(*bop, true);
-                }
-                evalf(x, y)
-            }
-            CKind::Un(uop) => {
-                let x = rd(op.a, tmps, env);
-                exec.charge(OpClass::ScalarAlu, 1);
-                apply_unop(*uop, x)
-            }
-            CKind::Copy => {
-                let x = rd(op.a, tmps, env);
-                exec.charge(OpClass::ScalarAlu, 1);
-                x
-            }
-            CKind::Load1 { arr } => {
-                let k = rd(op.a, tmps, env).re as i64 - 1;
-                let (elem, numel) = match &env[*arr as usize] {
-                    Some(SimVal::Arr(m)) => (
-                        m.data().get(k.max(0) as usize).copied().filter(|_| k >= 0),
-                        m.numel(),
-                    ),
-                    _ => unreachable!("guarded array slot"),
-                };
-                exec.charge(OpClass::ScalarAlu, 1);
-                exec.charge(OpClass::Load, 1);
-                match elem {
-                    Some(z) => z,
-                    None => return Err(load1_oob(k, numel, op.span)),
-                }
-            }
-            CKind::Load2 { arr } => {
-                let r0 = rd(op.a, tmps, env).re as i64 - 1;
-                let c0 = rd(op.b, tmps, env).re as i64 - 1;
-                let elem = match &env[*arr as usize] {
-                    Some(SimVal::Arr(m)) => {
-                        let ok = r0 >= 0
-                            && c0 >= 0
-                            && (r0 as usize) < m.rows()
-                            && (c0 as usize) < m.cols();
-                        ok.then(|| m.at(r0 as usize, c0 as usize))
-                    }
-                    _ => unreachable!("guarded array slot"),
-                };
-                exec.charge(OpClass::ScalarAlu, 2);
-                exec.charge(OpClass::Load, 1);
-                match elem {
-                    Some(z) => z,
-                    None => return Err(load2_oob(r0, c0, op.span)),
-                }
-            }
-            CKind::Store1 { arr } => {
-                let k = z_index(rd(op.a, tmps, env));
-                let zval = rd(op.b, tmps, env);
-                exec.charge(OpClass::ScalarAlu, 1);
-                exec.charge(OpClass::Store, 1);
-                let Some(SimVal::Arr(m)) = &mut env[*arr as usize] else {
-                    unreachable!("guarded array slot")
-                };
-                let total = m.numel();
-                if k < 0 || k as usize >= total {
-                    return Err(store1_oob(k, total, op.span));
-                }
-                m.data_mut()[k as usize] = zval;
-                continue;
-            }
-            CKind::Store2 { arr } => {
-                let r0 = z_index(rd(op.a, tmps, env));
-                let c0 = z_index(rd(op.b, tmps, env));
-                let zval = rd(op.c, tmps, env);
-                exec.charge(OpClass::ScalarAlu, 2);
-                exec.charge(OpClass::Store, 1);
-                let Some(SimVal::Arr(m)) = &mut env[*arr as usize] else {
-                    unreachable!("guarded array slot")
-                };
-                if r0 < 0 || c0 < 0 || r0 as usize >= m.rows() || c0 as usize >= m.cols() {
-                    return Err(SimError::oob("2-D store out of bounds", op.span));
-                }
-                *m.at_mut(r0 as usize, c0 as usize) = zval;
-                continue;
-            }
-        };
-        tmps[i] = z;
-        if op.env_dst != u32::MAX {
-            env[op.env_dst as usize] = Some(if op.scalar_dst {
-                SimVal::Scalar(z)
-            } else {
-                SimVal::Arr(Matrix::scalar(z))
-            });
-        }
-    }
-    Ok(())
-}
-
-/// The chain's slow path: replays the original micro sequence.
+/// The chain's guard-miss path: replays its statements as generic
+/// micro-ops.
 #[inline(never)]
 fn run_chain_fallback(
     exec: &mut Exec<'_>,
@@ -944,7 +416,10 @@ pub(super) fn step_branch_burning(
     step: &NStep,
     pc: u32,
 ) -> Result<u32, SimError> {
-    exec.burn(Span::dummy())?;
+    let NData::Branch { span, .. } = &step.data else {
+        unreachable!()
+    };
+    exec.burn(*span)?;
     step_branch(exec, f, env, frames, step, pc)
 }
 
@@ -1006,11 +481,12 @@ pub(super) fn step_for_setup(
         start,
         step: st_op,
         stop,
+        span,
     } = &step.data
     else {
         unreachable!()
     };
-    exec.burn(Span::dummy())?;
+    exec.burn(*span)?;
     let (s, st, e) = exec.range_of(f, env, [*start, *st_op, *stop], Span::dummy())?;
     frames.push(Frame::For {
         var: *var,
@@ -1117,10 +593,9 @@ pub(super) fn step_for_chain(
     };
     let mut real_runs = folded;
     if folded < left as u64 {
-        let mut tmps = [Cx::ZERO; CHAIN_MAX];
         for i in k + folded as i64..n {
             exec.set(env, var, SimVal::scalar(s + st * i as f64));
-            match chain_run_deferred(exec, env, chain, &mut tmps) {
+            match exec.chain_run(env, chain, false) {
                 Ok(all_real) => real_runs += all_real as u64,
                 Err(e) => {
                     settle_loop(exec, chain, (i - k + 1) as u64, real_runs);
@@ -1259,10 +734,13 @@ pub(super) fn step_while_enter(
     _f: &MirFunction,
     _env: &mut Env,
     frames: &mut Vec<Frame>,
-    _step: &NStep,
+    step: &NStep,
     pc: u32,
 ) -> Result<u32, SimError> {
-    exec.burn(Span::dummy())?;
+    let NData::At(span) = step.data else {
+        unreachable!()
+    };
+    exec.burn(span)?;
     frames.push(Frame::While);
     Ok(pc + 1)
 }
@@ -1272,10 +750,13 @@ pub(super) fn step_while_iter(
     _f: &MirFunction,
     _env: &mut Env,
     _frames: &mut Vec<Frame>,
-    _step: &NStep,
+    step: &NStep,
     pc: u32,
 ) -> Result<u32, SimError> {
-    exec.burn(Span::dummy())?;
+    let NData::At(span) = step.data else {
+        unreachable!()
+    };
+    exec.burn(span)?;
     Ok(pc + 1)
 }
 
@@ -1287,12 +768,12 @@ pub(super) fn step_break(
     step: &NStep,
     _pc: u32,
 ) -> Result<u32, SimError> {
-    let NData::Loop { target } = &step.data else {
+    let NData::Loop { target, span } = step.data else {
         unreachable!()
     };
-    exec.burn(Span::dummy())?;
+    exec.burn(span)?;
     frames.pop();
-    Ok(*target)
+    Ok(target)
 }
 
 pub(super) fn step_continue(
@@ -1303,11 +784,11 @@ pub(super) fn step_continue(
     step: &NStep,
     _pc: u32,
 ) -> Result<u32, SimError> {
-    let NData::Loop { target } = &step.data else {
+    let NData::Loop { target, span } = step.data else {
         unreachable!()
     };
-    exec.burn(Span::dummy())?;
-    Ok(*target)
+    exec.burn(span)?;
+    Ok(target)
 }
 
 pub(super) fn step_return(
@@ -1315,10 +796,13 @@ pub(super) fn step_return(
     _f: &MirFunction,
     _env: &mut Env,
     _frames: &mut Vec<Frame>,
-    _step: &NStep,
+    step: &NStep,
     _pc: u32,
 ) -> Result<u32, SimError> {
-    exec.burn(Span::dummy())?;
+    let NData::At(span) = step.data else {
+        unreachable!()
+    };
+    exec.burn(span)?;
     Ok(u32::MAX)
 }
 

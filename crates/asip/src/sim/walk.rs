@@ -37,8 +37,9 @@ impl Exec<'_> {
     }
 
     fn exec_stmt(&mut self, f: &MirFunction, stmt: &Stmt, env: &mut Env) -> Result<Flow, SimError> {
-        self.burn(Span::dummy())?;
-        self.cur_span = stmt.span();
+        let stmt_span = stmt.span();
+        self.burn(stmt_span)?;
+        self.cur_span = stmt_span;
         match stmt {
             Stmt::Def { dst, rv, span } => {
                 let val = self.eval_rvalue(f, env, *dst, rv, *span)?;
@@ -90,14 +91,12 @@ impl Exec<'_> {
                 body,
                 ..
             } => {
-                let loop_span = self.cur_span;
-                let span = Span::dummy();
-                let (s, st, e) = self.range_of(f, env, [*start, *step, *stop], span)?;
+                let (s, st, e) = self.range_of(f, env, [*start, *step, *stop], Span::dummy())?;
                 for k in 0..trip_count(s, st, e) {
-                    self.burn(span)?;
+                    self.burn(stmt_span)?;
                     // Body statements moved `cur_span`; the per-iteration
                     // control charges belong to the loop header line.
-                    self.cur_span = loop_span;
+                    self.cur_span = stmt_span;
                     // Loop control: induction update + branch.
                     self.charge(OpClass::ScalarAlu, 1);
                     self.charge(OpClass::Branch, 1);
@@ -116,11 +115,10 @@ impl Exec<'_> {
                 body,
                 ..
             } => {
-                let loop_span = self.cur_span;
                 loop {
-                    self.burn(Span::dummy())?;
+                    self.burn(stmt_span)?;
                     self.exec_block(f, cond_defs, env)?;
-                    self.cur_span = loop_span;
+                    self.cur_span = stmt_span;
                     self.charge(OpClass::Branch, 1);
                     if !self.truthy(f, env, *cond)? {
                         break;

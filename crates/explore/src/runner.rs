@@ -550,14 +550,15 @@ mod tests {
     fn the_first_failing_cell_in_kernel_and_grid_order_wins() {
         // Every cell of every kernel runs out of fuel; the error reported
         // is the first kernel's first grid candidate, however the cells
-        // are scheduled.
+        // are scheduled. It names the statement that was running: fir's
+        // `acc = acc + h(t) * x(k - t + 1)`.
         let cfg = ExploreConfig {
             fuel: 10,
             ..ExploreConfig::default()
         };
         assert_eq!(
             explore(&cfg).unwrap_err(),
-            "fir/scalar: asip sim: simulation fuel exhausted at 0..0"
+            "fir/scalar: asip sim: simulation fuel exhausted at 187..218"
         );
     }
 }

@@ -223,6 +223,39 @@ fn fuel_exhaustion_is_a_distinct_error_kind() {
     assert!(err.message.contains("fuel exhausted"), "{err}");
 }
 
+/// A fuel-exhaustion error names the statement that was running when the
+/// budget ran out — an assignment, or the `while` loop whose iteration
+/// head burns fuel — on the engine and on the tree walker alike.
+#[test]
+fn fuel_exhaustion_names_its_statement() {
+    use matic::AsipMachine;
+    let src = "function y = f(x)\ny = 0;\nwhile 1\n  y = y + x;\nend\nend";
+    let compiled = Compiler::new()
+        .compile(src, "f", &[arg::scalar()])
+        .expect("compiles");
+    let mut named = std::collections::BTreeSet::new();
+    for fuel in 0..12 {
+        let engine = compiled
+            .simulator()
+            .with_fuel(fuel)
+            .run(vec![SimVal::scalar(1.0)])
+            .unwrap_err();
+        let walker = AsipMachine::from_shared(compiled.spec.clone())
+            .with_fuel(fuel)
+            .run_interpreted(&compiled.mir, &compiled.entry, vec![SimVal::scalar(1.0)])
+            .unwrap_err();
+        assert!(engine.is_fuel_exhausted(), "fuel {fuel}: {engine}");
+        assert_eq!(engine, walker, "fuel {fuel}");
+        let text = &src[engine.span.start as usize..engine.span.end as usize];
+        assert!(
+            text.starts_with("y = ") || text.starts_with("while 1"),
+            "fuel {fuel}: `{engine}` names `{text}`"
+        );
+        named.insert(text.to_string());
+    }
+    assert_eq!(named.len(), 3, "{named:?}");
+}
+
 #[test]
 fn entry_signature_arity_mismatch_is_a_sema_error() {
     let err = Compiler::new()
