@@ -305,7 +305,7 @@ impl AsipMachine {
     ) -> Result<SimOutcome, SimError> {
         let func = mir.function(entry).ok_or_else(|| entry_not_found(entry))?;
         let mut exec = Exec::new(self, mir, None);
-        let outputs = exec.call(func, None, inputs)?;
+        let outputs = exec.call(func, None, inputs, Span::dummy())?;
         Ok(exec.finish(outputs))
     }
 
@@ -405,7 +405,12 @@ impl<'m> Simulator<'m> {
         let cell = self.shared_native.unwrap_or(&self.native);
         let native = cell.get_or_init(|| Arc::new(fuse_program(self.mir, &self.decoded)));
         let mut exec = Exec::new(&self.machine, self.mir, Some((&self.decoded, native)));
-        let outputs = exec.call(&self.mir.functions[idx], Some(&native.funcs[idx]), inputs)?;
+        let outputs = exec.call(
+            &self.mir.functions[idx],
+            Some(&native.funcs[idx]),
+            inputs,
+            Span::dummy(),
+        )?;
         Ok(exec.finish(outputs))
     }
 
@@ -636,15 +641,17 @@ impl<'a> Exec<'a> {
     /// Calls `func` with `inputs`: depth guard, arity check, `Call`
     /// charge, parameter coercion, then the body — its fused form `body`
     /// on the native engine, the structured MIR on the tree walker — and
-    /// finally output collection.
+    /// finally output collection. `span` is the calling statement's, and
+    /// names the depth and arity errors.
     fn call(
         &mut self,
         func: &MirFunction,
         body: Option<&NativeFunction>,
         inputs: Vec<SimVal>,
+        span: Span,
     ) -> Result<Vec<SimVal>, SimError> {
         if self.depth > 128 {
-            return Err(SimError::new("call depth exceeded", Span::dummy()));
+            return Err(SimError::new("call depth exceeded", span));
         }
         if inputs.len() != func.params.len() {
             return Err(SimError::new(
@@ -654,7 +661,7 @@ impl<'a> Exec<'a> {
                     func.params.len(),
                     inputs.len()
                 ),
-                Span::dummy(),
+                span,
             ));
         }
         self.depth += 1;
@@ -701,11 +708,11 @@ impl<'a> Exec<'a> {
         match self.native {
             Some((decoded, native)) => {
                 let idx = decoded.func_index(name).ok_or_else(unknown)?;
-                self.call(&mir.functions[idx], Some(&native.funcs[idx]), inputs)
+                self.call(&mir.functions[idx], Some(&native.funcs[idx]), inputs, span)
             }
             None => {
                 let callee = mir.function(name).ok_or_else(unknown)?;
-                self.call(callee, None, inputs)
+                self.call(callee, None, inputs, span)
             }
         }
     }

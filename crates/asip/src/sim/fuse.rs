@@ -53,7 +53,9 @@ use matic_frontend::ast::{BinOp, UnOp};
 use matic_frontend::span::Span;
 use matic_interp::Cx;
 use matic_isa::OpClass;
-use matic_mir::{Index, MirFunction, MirProgram, Operand, Rvalue, VarId, VecRef, VectorOp};
+use matic_mir::{
+    Index, MirFunction, MirProgram, Operand, Place, PlaceRef, Rvalue, VarId, VectorOp,
+};
 use std::fmt;
 use std::sync::Arc;
 
@@ -324,81 +326,38 @@ fn fusable(inst: &DInst) -> bool {
 /// chain never needs its environment slot written.
 fn collect_reads(code: &[DInst], nvars: usize) -> Vec<Vec<u32>> {
     let mut reads: Vec<Vec<u32>> = vec![Vec::new(); nvars];
-    let mark = |v: VarId, pc: usize, reads: &mut Vec<Vec<u32>>| {
-        if let Some(list) = reads.get_mut(v.0 as usize) {
-            list.push(pc as u32);
-        }
-    };
-    fn op_of(o: Operand) -> Option<VarId> {
-        o.as_var()
-    }
     for (pc, inst) in code.iter().enumerate() {
-        let mut ops: Vec<Operand> = Vec::new();
-        let mut vars: Vec<VarId> = Vec::new();
-        let idx_ops = |ixs: &[Index], ops: &mut Vec<Operand>| {
-            for ix in ixs {
-                match ix {
-                    Index::Scalar(o) => ops.push(*o),
-                    Index::Range { start, step, stop } => {
-                        ops.extend([*start, *step, *stop]);
-                    }
-                    Index::Full => {}
-                }
+        // Every place visited here reads its register: destinations the
+        // instruction only writes are left out.
+        let mut read = |p: PlaceRef<'_>| {
+            if let Some(list) = p.reg().and_then(|v| reads.get_mut(v.0 as usize)) {
+                list.push(pc as u32);
             }
-        };
-        let vecref = |r: &VecRef, ops: &mut Vec<Operand>, vars: &mut Vec<VarId>| match r {
-            VecRef::Slice { array, start, step } => {
-                vars.push(*array);
-                ops.extend([*start, *step]);
-            }
-            VecRef::Splat(o) => ops.push(*o),
         };
         match inst {
-            DInst::Def { rv, .. } => match rv {
-                Rvalue::Use(a) => ops.push(*a),
-                Rvalue::Unary { a, .. } | Rvalue::Transpose { a, .. } => ops.push(*a),
-                Rvalue::Binary { a, b, .. } => ops.extend([*a, *b]),
-                Rvalue::Index { array, indices } => {
-                    vars.push(*array);
-                    idx_ops(indices, &mut ops);
-                }
-                Rvalue::Range { start, step, stop } => ops.extend([*start, *step, *stop]),
-                Rvalue::Alloc { rows, cols, .. } => ops.extend([*rows, *cols]),
-                Rvalue::Builtin { args, .. } | Rvalue::Call { args, .. } => {
-                    ops.extend(args.iter().copied());
-                }
-                Rvalue::MatrixLit { rows } => {
-                    for row in rows {
-                        ops.extend(row.iter().copied());
-                    }
-                }
-                Rvalue::StrLit(_) => {}
-            },
+            DInst::Def { rv, .. } => rv.visit_places(&mut |p, _| read(p)),
             DInst::Store {
                 array,
                 indices,
                 value,
                 ..
             } => {
-                vars.push(*array);
-                idx_ops(indices, &mut ops);
-                ops.push(*value);
+                read(Place::Reg(array));
+                read(Place::Operand(value));
+                for ix in indices {
+                    ix.visit_places(&mut |p, _| read(p));
+                }
             }
             DInst::CallMulti { args, .. } | DInst::Effect { args, .. } => {
-                ops.extend(args.iter().copied());
+                args.iter().for_each(|a| read(Place::Operand(a)))
             }
-            DInst::VectorOp(vop) => {
-                vecref(&vop.dst, &mut ops, &mut vars);
-                vecref(&vop.a, &mut ops, &mut vars);
-                if let Some(b) = &vop.b {
-                    vecref(b, &mut ops, &mut vars);
-                }
-                ops.push(vop.len);
-            }
-            DInst::Branch { cond, .. } => ops.push(*cond),
+            DInst::VectorOp(vop) => vop.visit_places(&mut |p, _| read(p)),
+            DInst::Branch { cond, .. } => read(Place::Operand(cond)),
             DInst::ForSetup {
                 start, step, stop, ..
-            } => ops.extend([*start, *step, *stop]),
+            } => [start, step, stop]
+                .into_iter()
+                .for_each(|o| read(Place::Operand(o))),
             DInst::Jump { .. }
             | DInst::ForNext { .. }
             | DInst::WhileEnter { .. }
@@ -406,14 +365,6 @@ fn collect_reads(code: &[DInst], nvars: usize) -> Vec<Vec<u32>> {
             | DInst::Break { .. }
             | DInst::Continue { .. }
             | DInst::Return { .. } => {}
-        }
-        for o in ops {
-            if let Some(v) = op_of(o) {
-                mark(v, pc, &mut reads);
-            }
-        }
-        for v in vars {
-            mark(v, pc, &mut reads);
         }
     }
     reads

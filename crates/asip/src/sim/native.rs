@@ -487,7 +487,7 @@ pub(super) fn step_for_setup(
         unreachable!()
     };
     exec.burn(*span)?;
-    let (s, st, e) = exec.range_of(f, env, [*start, *st_op, *stop], Span::dummy())?;
+    let (s, st, e) = exec.range_of(f, env, [*start, *st_op, *stop], *span)?;
     frames.push(Frame::For {
         var: *var,
         s,

@@ -8,7 +8,6 @@
 //! [`AsipMachine::run_interpreted`]: super::AsipMachine::run_interpreted
 
 use super::{def_finish, trip_count, Env, Exec, SimError, SimVal};
-use matic_frontend::span::Span;
 use matic_isa::OpClass;
 use matic_mir::{MirFunction, Stmt};
 
@@ -91,7 +90,7 @@ impl Exec<'_> {
                 body,
                 ..
             } => {
-                let (s, st, e) = self.range_of(f, env, [*start, *step, *stop], Span::dummy())?;
+                let (s, st, e) = self.range_of(f, env, [*start, *step, *stop], stmt_span)?;
                 for k in 0..trip_count(s, st, e) {
                     self.burn(stmt_span)?;
                     // Body statements moved `cur_span`; the per-iteration

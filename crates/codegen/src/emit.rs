@@ -37,7 +37,7 @@ use expr::unop;
 use matic_frontend::ast::BinOp;
 use matic_frontend::span::Span;
 use matic_isa::IsaSpec;
-use matic_mir::{MirFunction, MirProgram, Operand, Rvalue, Stmt, VarId, VecRef};
+use matic_mir::{MirFunction, MirProgram, Operand, Rvalue, Stmt, VarId, VecRef, VectorOp};
 use matic_sema::{Class, Ty};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -349,21 +349,17 @@ impl<'a> FnEmitter<'a> {
             } => {
                 strings.insert(*dst, text.clone());
             }
-            Stmt::Store { array, .. } => {
-                stored.insert(*array);
-            }
-            Stmt::Def { dst, .. } => {
-                stored.insert(*dst);
-            }
-            Stmt::VectorOp(vop) => {
-                if let VecRef::Slice { array, .. } = &vop.dst {
-                    stored.insert(*array);
+            // Loop variables and reduction accumulators are scalars.
+            Stmt::For { .. }
+            | Stmt::VectorOp(VectorOp {
+                dst: VecRef::Splat(_),
+                ..
+            }) => {}
+            _ => s.visit_regs(&mut |v, access| {
+                if access.writes() {
+                    stored.insert(v);
                 }
-            }
-            Stmt::CallMulti { dsts, .. } => {
-                stored.extend(dsts.iter().flatten().copied());
-            }
-            _ => {}
+            }),
         });
         self.strings = strings;
 

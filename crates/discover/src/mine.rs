@@ -23,7 +23,7 @@
 use matic::Profile;
 use matic_frontend::ast::BinOp;
 use matic_isa::{FusedOp, FusedPrim};
-use matic_mir::{visit_stmt_operands, walk_stmts, MirFunction, MirProgram, Operand, Rvalue, Stmt};
+use matic_mir::{MirFunction, MirProgram, Operand, Rvalue, Stmt};
 
 /// One fusable op kind found in a function, with its occurrence count
 /// and profile weight.
@@ -48,14 +48,7 @@ struct Ctx {
 }
 
 fn ctx_of(f: &MirFunction) -> Ctx {
-    let mut reads = vec![0u32; f.vars.len()];
-    walk_stmts(&f.body, &mut |stmt| {
-        visit_stmt_operands(stmt, &mut |op| {
-            if let Operand::Var(v) = op {
-                reads[v.0 as usize] += 1;
-            }
-        });
-    });
+    let reads = f.read_counts();
     let scalar: Vec<bool> = (0..f.vars.len())
         .map(|i| f.vars[i].ty.shape.is_scalar())
         .collect();
@@ -173,8 +166,8 @@ fn match_pair(ctx: &Ctx, first: &Stmt, second: &Stmt) -> Option<Site> {
 pub fn mine_function(f: &MirFunction, profile: Option<&Profile>) -> Vec<MinedOp> {
     let ctx = ctx_of(f);
     let mut found: std::collections::BTreeMap<FusedOp, (usize, u64)> = Default::default();
-    // `walk_stmts` visits statements one at a time; adjacency only
-    // exists inside a block, so the scan recurses block-wise instead.
+    // Adjacency only exists inside a block, so the scan recurses
+    // block-wise rather than over `walk_stmts`.
     scan_block(&f.body, &ctx, profile, &mut found);
     let mut out: Vec<MinedOp> = found
         .into_iter()
@@ -203,23 +196,8 @@ fn scan_block(
                 e.1 += weight;
             }
         }
-        match &stmts[i] {
-            Stmt::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                scan_block(then_body, ctx, profile, found);
-                scan_block(else_body, ctx, profile, found);
-            }
-            Stmt::For { body, .. } => scan_block(body, ctx, profile, found),
-            Stmt::While {
-                cond_defs, body, ..
-            } => {
-                scan_block(cond_defs, ctx, profile, found);
-                scan_block(body, ctx, profile, found);
-            }
-            _ => {}
+        for body in stmts[i].bodies() {
+            scan_block(body, ctx, profile, found);
         }
     }
 }
@@ -262,23 +240,8 @@ fn rewrite_block(stmts: &mut Vec<Stmt>, ctx: &Ctx, fop: FusedOp) -> usize {
                 }
             }
         }
-        match &mut stmts[i] {
-            Stmt::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                count += rewrite_block(then_body, ctx, fop);
-                count += rewrite_block(else_body, ctx, fop);
-            }
-            Stmt::For { body, .. } => count += rewrite_block(body, ctx, fop),
-            Stmt::While {
-                cond_defs, body, ..
-            } => {
-                count += rewrite_block(cond_defs, ctx, fop);
-                count += rewrite_block(body, ctx, fop);
-            }
-            _ => {}
+        for body in stmts[i].bodies_mut() {
+            count += rewrite_block(body, ctx, fop);
         }
         i += 1;
     }
@@ -289,6 +252,7 @@ fn rewrite_block(stmts: &mut Vec<Stmt>, ctx: &Ctx, fop: FusedOp) -> usize {
 mod tests {
     use super::*;
     use matic::{arg, Compiler};
+    use matic_mir::walk_stmts;
 
     const MAC_SRC: &str = "function acc = dotp(x, h)\n\
         acc = 0;\n\

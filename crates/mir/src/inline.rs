@@ -74,26 +74,6 @@ fn inline_in_body(
     let mut out: Vec<Stmt> = Vec::with_capacity(stmts.len());
     for mut stmt in std::mem::take(stmts) {
         match &mut stmt {
-            Stmt::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                inline_in_body(f, then_body, snapshot, limit, count);
-                inline_in_body(f, else_body, snapshot, limit, count);
-                out.push(stmt);
-            }
-            Stmt::For { body, .. } => {
-                inline_in_body(f, body, snapshot, limit, count);
-                out.push(stmt);
-            }
-            Stmt::While {
-                cond_defs, body, ..
-            } => {
-                inline_in_body(f, cond_defs, snapshot, limit, count);
-                inline_in_body(f, body, snapshot, limit, count);
-                out.push(stmt);
-            }
             Stmt::Def {
                 dst,
                 rv: Rvalue::Call { func, args },
@@ -118,7 +98,12 @@ fn inline_in_body(
                 }
                 _ => out.push(stmt),
             },
-            _ => out.push(stmt),
+            _ => {
+                for body in stmt.bodies_mut() {
+                    inline_in_body(f, body, snapshot, limit, count);
+                }
+                out.push(stmt);
+            }
         }
     }
     *stmts = out;
@@ -150,7 +135,9 @@ fn expand(
     // Missing trailing arguments (MATLAB allows them) stay unset; sound
     // because the interpreter/simulator would trap the same read.
     let mut body = callee.body.clone();
-    remap_body(&mut body, &remap);
+    walk_stmts_mut(&mut body, &mut |s| {
+        s.visit_regs_mut(&mut |v, _| *v = remap[v])
+    });
     out.extend(body);
     // Bind outputs.
     for (d, &o) in dsts.iter().zip(&callee.outputs) {
@@ -160,150 +147,6 @@ fn expand(
                 rv: Rvalue::Use(Operand::Var(remap[&o])),
                 span,
             });
-        }
-    }
-}
-
-fn remap_op(op: &mut Operand, remap: &HashMap<VarId, VarId>) {
-    if let Operand::Var(v) = op {
-        *v = remap[v];
-    }
-}
-
-fn remap_index(idx: &mut Index, remap: &HashMap<VarId, VarId>) {
-    match idx {
-        Index::Scalar(o) => remap_op(o, remap),
-        Index::Range { start, step, stop } => {
-            remap_op(start, remap);
-            remap_op(step, remap);
-            remap_op(stop, remap);
-        }
-        Index::Full => {}
-    }
-}
-
-fn remap_vecref(r: &mut VecRef, remap: &HashMap<VarId, VarId>) {
-    match r {
-        VecRef::Slice { array, start, step } => {
-            *array = remap[array];
-            remap_op(start, remap);
-            remap_op(step, remap);
-        }
-        VecRef::Splat(o) => remap_op(o, remap),
-    }
-}
-
-fn remap_body(stmts: &mut [Stmt], remap: &HashMap<VarId, VarId>) {
-    for s in stmts {
-        match s {
-            Stmt::Def { dst, rv, .. } => {
-                *dst = remap[dst];
-                match rv {
-                    Rvalue::Use(a) | Rvalue::Unary { a, .. } | Rvalue::Transpose { a, .. } => {
-                        remap_op(a, remap)
-                    }
-                    Rvalue::Binary { a, b, .. } => {
-                        remap_op(a, remap);
-                        remap_op(b, remap);
-                    }
-                    Rvalue::Index { array, indices } => {
-                        *array = remap[array];
-                        for i in indices {
-                            remap_index(i, remap);
-                        }
-                    }
-                    Rvalue::Range { start, step, stop } => {
-                        remap_op(start, remap);
-                        remap_op(step, remap);
-                        remap_op(stop, remap);
-                    }
-                    Rvalue::Alloc { rows, cols, .. } => {
-                        remap_op(rows, remap);
-                        remap_op(cols, remap);
-                    }
-                    Rvalue::Builtin { args, .. } | Rvalue::Call { args, .. } => {
-                        for a in args {
-                            remap_op(a, remap);
-                        }
-                    }
-                    Rvalue::MatrixLit { rows } => {
-                        for row in rows {
-                            for a in row {
-                                remap_op(a, remap);
-                            }
-                        }
-                    }
-                    Rvalue::StrLit(_) => {}
-                }
-            }
-            Stmt::Store {
-                array,
-                indices,
-                value,
-                ..
-            } => {
-                *array = remap[array];
-                for i in indices {
-                    remap_index(i, remap);
-                }
-                remap_op(value, remap);
-            }
-            Stmt::CallMulti { dsts, args, .. } => {
-                for d in dsts.iter_mut().flatten() {
-                    *d = remap[d];
-                }
-                for a in args {
-                    remap_op(a, remap);
-                }
-            }
-            Stmt::Effect { args, .. } => {
-                for a in args {
-                    remap_op(a, remap);
-                }
-            }
-            Stmt::If {
-                cond,
-                then_body,
-                else_body,
-                ..
-            } => {
-                remap_op(cond, remap);
-                remap_body(then_body, remap);
-                remap_body(else_body, remap);
-            }
-            Stmt::For {
-                var,
-                start,
-                step,
-                stop,
-                body,
-                ..
-            } => {
-                *var = remap[var];
-                remap_op(start, remap);
-                remap_op(step, remap);
-                remap_op(stop, remap);
-                remap_body(body, remap);
-            }
-            Stmt::While {
-                cond_defs,
-                cond,
-                body,
-                ..
-            } => {
-                remap_body(cond_defs, remap);
-                remap_op(cond, remap);
-                remap_body(body, remap);
-            }
-            Stmt::VectorOp(vop) => {
-                remap_vecref(&mut vop.dst, remap);
-                remap_vecref(&mut vop.a, remap);
-                if let Some(b) = &mut vop.b {
-                    remap_vecref(b, remap);
-                }
-                remap_op(&mut vop.len, remap);
-            }
-            Stmt::Break(_) | Stmt::Continue(_) | Stmt::Return(_) => {}
         }
     }
 }

@@ -436,24 +436,33 @@ impl MirFunction {
 
     /// Total number of statements, recursively.
     pub fn stmt_count(&self) -> usize {
-        fn count(stmts: &[Stmt]) -> usize {
-            stmts
-                .iter()
-                .map(|s| match s {
-                    Stmt::If {
-                        then_body,
-                        else_body,
-                        ..
-                    } => 1 + count(then_body) + count(else_body),
-                    Stmt::For { body, .. } => 1 + count(body),
-                    Stmt::While {
-                        cond_defs, body, ..
-                    } => 1 + count(cond_defs) + count(body),
-                    _ => 1,
-                })
-                .sum()
-        }
-        count(&self.body)
+        let mut n = 0;
+        walk_stmts(&self.body, &mut |_| n += 1);
+        n
+    }
+
+    /// How many places in the body read each register, indexed by
+    /// register number.
+    pub fn read_counts(&self) -> Vec<u32> {
+        self.access_counts(Access::reads)
+    }
+
+    /// How many places in the body write each register, indexed by
+    /// register number (parameter binding not included).
+    pub fn write_counts(&self) -> Vec<u32> {
+        self.access_counts(Access::writes)
+    }
+
+    fn access_counts(&self, keep: fn(Access) -> bool) -> Vec<u32> {
+        let mut counts = vec![0; self.vars.len()];
+        walk_stmts(&self.body, &mut |s| {
+            s.visit_regs(&mut |v, access| {
+                if keep(access) {
+                    counts[v.0 as usize] += 1;
+                }
+            })
+        });
+        counts
     }
 }
 
@@ -471,122 +480,289 @@ impl MirProgram {
     }
 }
 
-/// Walks every statement in a body tree, depth-first, pre-order.
-pub fn walk_stmts<'a>(stmts: &'a [Stmt], visit: &mut dyn FnMut(&'a Stmt)) {
-    for s in stmts {
-        visit(s);
-        match s {
-            Stmt::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                walk_stmts(then_body, visit);
-                walk_stmts(else_body, visit);
-            }
-            Stmt::For { body, .. } => walk_stmts(body, visit),
-            Stmt::While {
-                cond_defs, body, ..
-            } => {
-                walk_stmts(cond_defs, visit);
-                walk_stmts(body, visit);
-            }
-            _ => {}
+/// How a statement touches a register at one of its places.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Access {
+    /// The register's value is read.
+    Read,
+    /// The register is assigned as a whole.
+    Write,
+    /// The register is read and written in place: a `Store` base, a vector
+    /// destination's array, a MAC/reduction accumulator.
+    Update,
+}
+
+impl Access {
+    /// Whether the place reads the register's value.
+    pub fn reads(self) -> bool {
+        self != Access::Write
+    }
+
+    /// Whether the place writes the register.
+    pub fn writes(self) -> bool {
+        self != Access::Read
+    }
+}
+
+/// One register-bearing field of a MIR node: an operand (which may be an
+/// immediate) or a bare register such as an array base or a destination.
+#[derive(Debug)]
+pub enum Place<O, R> {
+    /// An [`Operand`] field.
+    Operand(O),
+    /// A [`VarId`] field.
+    Reg(R),
+}
+
+/// A place as the shared visitors hand it out.
+pub type PlaceRef<'a> = Place<&'a Operand, &'a VarId>;
+/// A place as the mutable visitors hand it out.
+pub type PlaceMut<'a> = Place<&'a mut Operand, &'a mut VarId>;
+
+impl PlaceRef<'_> {
+    /// The register at this place, unless it holds an immediate.
+    pub fn reg(self) -> Option<VarId> {
+        match self {
+            Place::Operand(Operand::Var(v)) | Place::Reg(v) => Some(*v),
+            Place::Operand(_) => None,
         }
     }
 }
 
-/// Calls `visit` with every operand read by `stmt` (not recursing into
-/// nested bodies).
-pub fn visit_stmt_operands(stmt: &Stmt, visit: &mut dyn FnMut(&Operand)) {
-    let visit_index = |idx: &Index, visit: &mut dyn FnMut(&Operand)| match idx {
-        Index::Scalar(o) => visit(o),
-        Index::Range { start, step, stop } => {
-            visit(start);
-            visit(step);
-            visit(stop);
+impl<'a> PlaceMut<'a> {
+    /// The register at this place, unless it holds an immediate.
+    pub fn reg_mut(self) -> Option<&'a mut VarId> {
+        match self {
+            Place::Operand(Operand::Var(v)) | Place::Reg(v) => Some(v),
+            Place::Operand(_) => None,
         }
-        Index::Full => {}
-    };
-    let visit_vecref = |r: &VecRef, visit: &mut dyn FnMut(&Operand)| match r {
-        VecRef::Slice { array, start, step } => {
-            visit(&Operand::Var(*array));
-            visit(start);
-            visit(step);
-        }
-        VecRef::Splat(o) => visit(o),
-    };
-    match stmt {
-        Stmt::Def { rv, .. } => match rv {
-            Rvalue::Use(a) | Rvalue::Unary { a, .. } | Rvalue::Transpose { a, .. } => visit(a),
-            Rvalue::Binary { a, b, .. } => {
-                visit(a);
-                visit(b);
-            }
-            Rvalue::Index { array, indices } => {
-                visit(&Operand::Var(*array));
-                for i in indices {
-                    visit_index(i, visit);
-                }
-            }
-            Rvalue::Range { start, step, stop } => {
-                visit(start);
-                visit(step);
-                visit(stop);
-            }
-            Rvalue::Alloc { rows, cols, .. } => {
-                visit(rows);
-                visit(cols);
-            }
-            Rvalue::Builtin { args, .. } | Rvalue::Call { args, .. } => {
-                for a in args {
-                    visit(a);
-                }
-            }
-            Rvalue::MatrixLit { rows } => {
-                for row in rows {
-                    for a in row {
-                        visit(a);
+    }
+}
+
+/// Defines the place visitors once for shared and once for mutable access,
+/// the way rustc's MIR visitor does. This is the one place that says which
+/// registers each MIR node reads and writes: every pass that needs a read or
+/// def set asks these visitors and applies its own filter.
+///
+/// Each visitor reports every register-bearing field of its node exactly
+/// once, with its [`Access`]; a statement's destination comes after its
+/// operands. None of them descends into nested statement bodies;
+/// [`walk_stmts`] does.
+macro_rules! place_visitors {
+    ($visit:ident, $place:ident, $bodies:ident $(, $mut:ident)?) => {
+        impl Index {
+            /// Reports this subscript's operands, all of them reads.
+            pub fn $visit<'a>(&'a $($mut)? self, f: &mut impl FnMut($place<'a>, Access)) {
+                match self {
+                    Index::Scalar(o) => f(Place::Operand(o), Access::Read),
+                    Index::Range { start, step, stop } => {
+                        for o in [start, step, stop] {
+                            f(Place::Operand(o), Access::Read);
+                        }
                     }
+                    Index::Full => {}
                 }
             }
-            Rvalue::StrLit(_) => {}
-        },
-        Stmt::Store {
-            array,
-            indices,
-            value,
-            ..
-        } => {
-            visit(&Operand::Var(*array));
-            for i in indices {
-                visit_index(i, visit);
+        }
+
+        impl Rvalue {
+            /// Reports the registers this computation reads.
+            pub fn $visit<'a>(&'a $($mut)? self, f: &mut impl FnMut($place<'a>, Access)) {
+                match self {
+                    Rvalue::Use(a) | Rvalue::Unary { a, .. } | Rvalue::Transpose { a, .. } => {
+                        f(Place::Operand(a), Access::Read)
+                    }
+                    Rvalue::Binary { a, b, .. } | Rvalue::Alloc { rows: a, cols: b, .. } => {
+                        f(Place::Operand(a), Access::Read);
+                        f(Place::Operand(b), Access::Read);
+                    }
+                    Rvalue::Index { array, indices } => {
+                        f(Place::Reg(array), Access::Read);
+                        for i in indices {
+                            i.$visit(f);
+                        }
+                    }
+                    Rvalue::Range { start, step, stop } => {
+                        for o in [start, step, stop] {
+                            f(Place::Operand(o), Access::Read);
+                        }
+                    }
+                    Rvalue::Builtin { args, .. } | Rvalue::Call { args, .. } => {
+                        for a in args {
+                            f(Place::Operand(a), Access::Read);
+                        }
+                    }
+                    Rvalue::MatrixLit { rows } => {
+                        for a in rows.into_iter().flatten() {
+                            f(Place::Operand(a), Access::Read);
+                        }
+                    }
+                    Rvalue::StrLit(_) => {}
+                }
             }
-            visit(value);
         }
-        Stmt::CallMulti { args, .. } | Stmt::Effect { args, .. } => {
-            for a in args {
-                visit(a);
+
+        impl VecRef {
+            /// Reports this reference's registers: the array (or the splat
+            /// operand) with access `base`, the slice's start and step as
+            /// reads.
+            pub fn $visit<'a>(
+                &'a $($mut)? self,
+                base: Access,
+                f: &mut impl FnMut($place<'a>, Access),
+            ) {
+                match self {
+                    VecRef::Slice { array, start, step } => {
+                        f(Place::Reg(array), base);
+                        f(Place::Operand(start), Access::Read);
+                        f(Place::Operand(step), Access::Read);
+                    }
+                    VecRef::Splat(o) => f(Place::Operand(o), base),
+                }
             }
         }
-        Stmt::If { cond, .. } => visit(cond),
-        Stmt::For {
-            start, step, stop, ..
-        } => {
-            visit(start);
-            visit(step);
-            visit(stop);
-        }
-        Stmt::While { cond, .. } => visit(cond),
-        Stmt::VectorOp(vop) => {
-            visit_vecref(&vop.dst, visit);
-            visit_vecref(&vop.a, visit);
-            if let Some(b) = &vop.b {
-                visit_vecref(b, visit);
+
+        impl VectorOp {
+            /// Reports the inputs and length as reads, then the destination:
+            /// a slice's array, or a reduction's accumulator, is updated.
+            pub fn $visit<'a>(&'a $($mut)? self, f: &mut impl FnMut($place<'a>, Access)) {
+                let VectorOp { dst, a, b, len, .. } = self;
+                a.$visit(Access::Read, f);
+                if let Some(b) = b {
+                    b.$visit(Access::Read, f);
+                }
+                f(Place::Operand(len), Access::Read);
+                dst.$visit(Access::Update, f);
             }
-            visit(&vop.len);
         }
-        Stmt::Break(_) | Stmt::Continue(_) | Stmt::Return(_) => {}
+
+        impl Stmt {
+            /// Reports the registers this statement itself reads and writes
+            /// (a `for` variable is written; nested bodies are not visited).
+            pub fn $visit<'a>(&'a $($mut)? self, f: &mut impl FnMut($place<'a>, Access)) {
+                match self {
+                    Stmt::Def { dst, rv, .. } => {
+                        rv.$visit(f);
+                        f(Place::Reg(dst), Access::Write);
+                    }
+                    Stmt::Store {
+                        array,
+                        indices,
+                        value,
+                        ..
+                    } => {
+                        for i in indices {
+                            i.$visit(f);
+                        }
+                        f(Place::Operand(value), Access::Read);
+                        f(Place::Reg(array), Access::Update);
+                    }
+                    Stmt::CallMulti { dsts, args, .. } => {
+                        for a in args {
+                            f(Place::Operand(a), Access::Read);
+                        }
+                        for d in dsts.into_iter().flatten() {
+                            f(Place::Reg(d), Access::Write);
+                        }
+                    }
+                    Stmt::Effect { args, .. } => {
+                        for a in args {
+                            f(Place::Operand(a), Access::Read);
+                        }
+                    }
+                    Stmt::If { cond, .. } | Stmt::While { cond, .. } => {
+                        f(Place::Operand(cond), Access::Read)
+                    }
+                    Stmt::For {
+                        var,
+                        start,
+                        step,
+                        stop,
+                        ..
+                    } => {
+                        for o in [start, step, stop] {
+                            f(Place::Operand(o), Access::Read);
+                        }
+                        f(Place::Reg(var), Access::Write);
+                    }
+                    Stmt::VectorOp(vop) => vop.$visit(f),
+                    Stmt::Break(_) | Stmt::Continue(_) | Stmt::Return(_) => {}
+                }
+            }
+
+            /// The statement's nested bodies: `then` and `else`, a `for`
+            /// body, or a `while`'s condition block and body.
+            pub fn $bodies(&$($mut)? self) -> impl Iterator<Item = &$($mut)? Vec<Stmt>> {
+                match self {
+                    Stmt::If {
+                        then_body,
+                        else_body,
+                        ..
+                    } => [Some(then_body), Some(else_body)],
+                    Stmt::For { body, .. } => [Some(body), None],
+                    Stmt::While {
+                        cond_defs, body, ..
+                    } => [Some(cond_defs), Some(body)],
+                    _ => [None, None],
+                }
+                .into_iter()
+                .flatten()
+            }
+        }
+    };
+}
+
+place_visitors!(visit_places, PlaceRef, bodies);
+place_visitors!(visit_places_mut, PlaceMut, bodies_mut, mut);
+
+impl Stmt {
+    /// Calls `f` with every register this statement reads or writes.
+    pub fn visit_regs(&self, f: &mut impl FnMut(VarId, Access)) {
+        self.visit_places(&mut |p, access| {
+            if let Some(v) = p.reg() {
+                f(v, access);
+            }
+        });
+    }
+
+    /// Calls `f` with every register place of this statement, mutably.
+    pub fn visit_regs_mut(&mut self, f: &mut impl FnMut(&mut VarId, Access)) {
+        self.visit_places_mut(&mut |p, access| {
+            if let Some(v) = p.reg_mut() {
+                f(v, access);
+            }
+        });
+    }
+
+    /// Calls `f` with every operand this statement only reads. It never
+    /// hands out a place the statement writes, so a reduction's
+    /// accumulator is not among them.
+    pub fn visit_read_operands_mut(&mut self, f: &mut impl FnMut(&mut Operand)) {
+        self.visit_places_mut(&mut |p, access| {
+            if let (Place::Operand(o), Access::Read) = (p, access) {
+                f(o);
+            }
+        });
+    }
+}
+
+/// Walks every statement in a body tree, depth-first, pre-order.
+pub fn walk_stmts<'a>(stmts: &'a [Stmt], visit: &mut dyn FnMut(&'a Stmt)) {
+    for s in stmts {
+        visit(s);
+        for body in s.bodies() {
+            walk_stmts(body, visit);
+        }
+    }
+}
+
+/// [`walk_stmts`] with mutable access.
+pub fn walk_stmts_mut(stmts: &mut [Stmt], visit: &mut dyn FnMut(&mut Stmt)) {
+    for s in stmts {
+        visit(s);
+        for body in s.bodies_mut() {
+            walk_stmts_mut(body, visit);
+        }
     }
 }
 
@@ -636,22 +812,287 @@ mod tests {
         assert_eq!(n, 2);
     }
 
+    fn render(s: &Stmt) -> String {
+        let mut out = Vec::new();
+        s.visit_places(&mut |p, access| {
+            let reg = match p {
+                Place::Operand(o) => o.to_string(),
+                Place::Reg(v) => v.to_string(),
+            };
+            let tag = match access {
+                Access::Read => "r",
+                Access::Write => "w",
+                Access::Update => "u",
+            };
+            out.push(format!("{reg} {tag}"));
+        });
+        out.join(", ")
+    }
+
+    /// Every variant's exact (register, access) places, in visit order.
     #[test]
-    fn operand_visiting() {
+    fn role_table() {
+        let v = VarId;
+        let o = |n| Operand::Var(VarId(n));
+        let c = Operand::Const(7.0);
+        let dsp = Span::dummy();
+        let def = |rv| Stmt::Def {
+            dst: v(0),
+            rv,
+            span: dsp,
+        };
+        let slice = |n, start| VecRef::Slice {
+            array: v(n),
+            start,
+            step: c,
+        };
+        let vop = |kind, dst, a, b| {
+            Stmt::VectorOp(VectorOp {
+                kind,
+                dst,
+                a,
+                b,
+                len: o(9),
+                complex: false,
+                span: dsp,
+            })
+        };
+        let nested = vec![def(Rvalue::Use(o(8)))];
+        let table: Vec<(Stmt, &str)> = vec![
+            (def(Rvalue::Use(o(1))), "%1 r, %0 w"),
+            (
+                def(Rvalue::Unary {
+                    op: UnOp::Neg,
+                    a: o(1),
+                }),
+                "%1 r, %0 w",
+            ),
+            (
+                def(Rvalue::Binary {
+                    op: BinOp::Add,
+                    a: o(0),
+                    b: c,
+                }),
+                "%0 r, 7 r, %0 w",
+            ),
+            (
+                def(Rvalue::Transpose {
+                    a: o(1),
+                    conjugate: true,
+                }),
+                "%1 r, %0 w",
+            ),
+            (
+                def(Rvalue::Index {
+                    array: v(1),
+                    indices: vec![
+                        Index::Scalar(o(2)),
+                        Index::Range {
+                            start: o(3),
+                            step: c,
+                            stop: o(4),
+                        },
+                        Index::Full,
+                    ],
+                }),
+                "%1 r, %2 r, %3 r, 7 r, %4 r, %0 w",
+            ),
+            (
+                def(Rvalue::Range {
+                    start: o(1),
+                    step: o(2),
+                    stop: o(3),
+                }),
+                "%1 r, %2 r, %3 r, %0 w",
+            ),
+            (
+                def(Rvalue::Alloc {
+                    kind: AllocKind::Zeros,
+                    rows: o(1),
+                    cols: c,
+                }),
+                "%1 r, 7 r, %0 w",
+            ),
+            (
+                def(Rvalue::Builtin {
+                    name: "max".into(),
+                    args: vec![o(1), o(2)],
+                }),
+                "%1 r, %2 r, %0 w",
+            ),
+            (
+                def(Rvalue::Call {
+                    func: "g".into(),
+                    args: vec![o(1)],
+                }),
+                "%1 r, %0 w",
+            ),
+            (
+                def(Rvalue::MatrixLit {
+                    rows: vec![vec![o(1), c], vec![o(2)]],
+                }),
+                "%1 r, 7 r, %2 r, %0 w",
+            ),
+            (def(Rvalue::StrLit("s".into())), "%0 w"),
+            // A store's base is read and written.
+            (
+                Stmt::Store {
+                    array: v(0),
+                    indices: vec![Index::Scalar(o(1))],
+                    value: o(2),
+                    span: dsp,
+                },
+                "%1 r, %2 r, %0 u",
+            ),
+            (
+                Stmt::CallMulti {
+                    dsts: vec![Some(v(0)), None, Some(v(1))],
+                    func: "size".into(),
+                    args: vec![o(2)],
+                    user: false,
+                    span: dsp,
+                },
+                "%2 r, %0 w, %1 w",
+            ),
+            (
+                Stmt::Effect {
+                    name: "disp".into(),
+                    args: vec![o(1)],
+                    span: dsp,
+                },
+                "%1 r",
+            ),
+            (
+                Stmt::If {
+                    cond: o(1),
+                    then_body: nested.clone(),
+                    else_body: nested.clone(),
+                    span: dsp,
+                },
+                "%1 r",
+            ),
+            // A `for` variable is written; the body is not visited.
+            (
+                Stmt::For {
+                    var: v(0),
+                    start: o(1),
+                    step: c,
+                    stop: o(2),
+                    body: nested.clone(),
+                    span: dsp,
+                },
+                "%1 r, 7 r, %2 r, %0 w",
+            ),
+            (
+                Stmt::While {
+                    cond_defs: nested.clone(),
+                    cond: o(1),
+                    body: nested,
+                    span: dsp,
+                },
+                "%1 r",
+            ),
+            (Stmt::Break(dsp), ""),
+            (Stmt::Continue(dsp), ""),
+            (Stmt::Return(dsp), ""),
+            (
+                vop(
+                    VecKind::Map(BinOp::Add),
+                    slice(0, o(1)),
+                    slice(2, o(3)),
+                    Some(VecRef::Splat(o(4))),
+                ),
+                "%2 r, %3 r, 7 r, %4 r, %9 r, %0 u, %1 r, 7 r",
+            ),
+            (
+                vop(VecKind::MapUnary(UnOp::Neg), slice(0, c), slice(2, c), None),
+                "%2 r, 7 r, 7 r, %9 r, %0 u, 7 r, 7 r",
+            ),
+            (
+                vop(VecKind::Copy, slice(0, c), VecRef::Splat(c), None),
+                "7 r, %9 r, %0 u, 7 r, 7 r",
+            ),
+            // A MAC or reduction accumulator is read and written.
+            (
+                vop(
+                    VecKind::Mac,
+                    VecRef::Splat(o(0)),
+                    slice(1, c),
+                    Some(slice(2, c)),
+                ),
+                "%1 r, 7 r, 7 r, %2 r, 7 r, 7 r, %9 r, %0 u",
+            ),
+            (
+                vop(
+                    VecKind::Reduce(ReduceKind::Sum),
+                    VecRef::Splat(o(0)),
+                    slice(1, o(0)),
+                    None,
+                ),
+                "%1 r, %0 r, 7 r, %9 r, %0 u",
+            ),
+        ];
+        for (stmt, want) in &table {
+            assert_eq!(render(stmt), *want, "{stmt:?}");
+
+            // The mutable register visitor reports the same registers.
+            let mut shared = Vec::new();
+            stmt.visit_regs(&mut |v, a| shared.push((v, a)));
+            let mut copy = stmt.clone();
+            let mut mutable = Vec::new();
+            copy.visit_regs_mut(&mut |v, a| mutable.push((*v, a)));
+            assert_eq!(shared, mutable, "{stmt:?}");
+
+            // The mutable operand visitor hands out exactly the operands
+            // that are only read, never a place the statement writes.
+            let mut read_operands = 0;
+            stmt.visit_places(&mut |p, a| {
+                read_operands += usize::from(matches!(p, Place::Operand(_)) && a == Access::Read);
+            });
+            let mut handed = 0;
+            copy.visit_read_operands_mut(&mut |op| {
+                *op = Operand::Const(-1.0);
+                handed += 1;
+            });
+            assert_eq!(handed, read_operands, "{stmt:?}");
+            let mut writes_after = Vec::new();
+            copy.visit_regs(&mut |v, a| {
+                if a.writes() {
+                    writes_after.push(v);
+                }
+            });
+            let writes: Vec<VarId> = shared
+                .iter()
+                .filter(|(_, a)| a.writes())
+                .map(|&(v, _)| v)
+                .collect();
+            assert_eq!(writes_after, writes, "{stmt:?}");
+        }
+    }
+
+    #[test]
+    fn access_counts() {
         let mut f = MirFunction::new("f");
         let a = f.add_var("a", Ty::double_scalar());
-        let stmt = Stmt::Def {
-            dst: a,
-            rv: Rvalue::Binary {
-                op: BinOp::Add,
-                a: Operand::Var(a),
-                b: Operand::Const(1.0),
-            },
+        let b = f.add_var("b", Ty::double_scalar());
+        f.body = vec![Stmt::For {
+            var: a,
+            start: Operand::Const(1.0),
+            step: Operand::Const(1.0),
+            stop: Operand::Var(b),
+            body: vec![Stmt::Def {
+                dst: b,
+                rv: Rvalue::Binary {
+                    op: BinOp::Add,
+                    a: Operand::Var(a),
+                    b: Operand::Var(a),
+                },
+                span: Span::dummy(),
+            }],
             span: Span::dummy(),
-        };
-        let mut ops = Vec::new();
-        visit_stmt_operands(&stmt, &mut |o| ops.push(*o));
-        assert_eq!(ops.len(), 2);
+        }];
+        assert_eq!(f.read_counts(), vec![2, 1]);
+        assert_eq!(f.write_counts(), vec![1, 1]);
     }
 
     #[test]

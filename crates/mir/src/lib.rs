@@ -40,8 +40,8 @@ pub mod pretty;
 
 pub use inline::{inline_program, DEFAULT_INLINE_LIMIT};
 pub use ir::{
-    visit_stmt_operands, walk_stmts, AllocKind, Index, MirFunction, MirProgram, Operand,
-    ReduceKind, Rvalue, Stmt, VarId, VarInfo, VecKind, VecRef, VectorOp,
+    walk_stmts, walk_stmts_mut, Access, AllocKind, Index, MirFunction, MirProgram, Operand, Place,
+    PlaceMut, PlaceRef, ReduceKind, Rvalue, Stmt, VarId, VarInfo, VecKind, VecRef, VectorOp,
 };
 pub use lower::{lower_function, lower_program, range_len_const};
 pub use passes::{constant_fold, copy_propagate, dead_code_eliminate, optimize, optimize_program};

@@ -34,39 +34,15 @@ pub fn optimize_program(program: &mut MirProgram) {
 /// identities (`x*1`, `x+0`, `x^1`). Returns whether anything changed.
 pub fn constant_fold(func: &mut MirFunction) -> bool {
     let mut changed = false;
-    let mut body = std::mem::take(&mut func.body);
-    fold_stmts(&mut body, &mut changed);
-    func.body = body;
-    changed
-}
-
-fn fold_stmts(stmts: &mut [Stmt], changed: &mut bool) {
-    for s in stmts {
-        match s {
-            Stmt::Def { rv, .. } => {
-                if let Some(new_rv) = fold_rvalue(rv) {
-                    *rv = new_rv;
-                    *changed = true;
-                }
+    walk_stmts_mut(&mut func.body, &mut |s| {
+        if let Stmt::Def { rv, .. } = s {
+            if let Some(new_rv) = fold_rvalue(rv) {
+                *rv = new_rv;
+                changed = true;
             }
-            Stmt::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                fold_stmts(then_body, changed);
-                fold_stmts(else_body, changed);
-            }
-            Stmt::For { body, .. } => fold_stmts(body, changed),
-            Stmt::While {
-                cond_defs, body, ..
-            } => {
-                fold_stmts(cond_defs, changed);
-                fold_stmts(body, changed);
-            }
-            _ => {}
         }
-    }
+    });
+    changed
 }
 
 fn fold_rvalue(rv: &Rvalue) -> Option<Rvalue> {
@@ -164,198 +140,103 @@ fn fold_complex(op: BinOp, ar: f64, ai: f64, br: f64, bi: f64) -> Option<(f64, f
 // ---- copy propagation -----------------------------------------------------
 
 /// Replaces uses of single-assignment temporaries defined as `t = Use(x)`
-/// with `x`, when `x` is a constant or itself a single-assignment register.
-/// Returns whether anything changed.
+/// with `x`, when `x` is a constant or itself a single-assignment register,
+/// at the uses that `t`'s definition dominates: later in its block, or
+/// nested in a later statement of that block (a `while`'s condition
+/// block also dominates its condition and body). A use the definition may
+/// not have run before keeps reading `t`, so a read of an unset register
+/// still fails. Returns whether anything changed.
 pub fn copy_propagate(func: &mut MirFunction) -> bool {
-    let def_counts = count_defs(func);
-    // Build substitution map from single-def copies.
-    let mut subst: HashMap<VarId, Operand> = HashMap::new();
-    walk_stmts(&func.body, &mut |s| {
+    let mut defs = func.write_counts();
+    for &p in &func.params {
+        defs[p.0 as usize] += 1;
+    }
+    let mut cp = CopyProp {
+        defs,
+        subst: HashMap::new(),
+        in_scope: Vec::new(),
+        changed: false,
+    };
+    cp.block(&mut func.body);
+    cp.changed
+}
+
+/// Copy propagation's state: the copies whose definitions dominate the
+/// statement being rewritten.
+struct CopyProp {
+    /// Definitions per register, parameter binding included.
+    defs: Vec<u32>,
+    subst: HashMap<VarId, Operand>,
+    /// Keys of `subst` in insertion order, so a block can drop its own.
+    in_scope: Vec<VarId>,
+    changed: bool,
+}
+
+impl CopyProp {
+    fn single_def(&self, op: Operand) -> bool {
+        op.as_var().is_none_or(|v| self.defs[v.0 as usize] == 1)
+    }
+
+    fn block(&mut self, stmts: &mut [Stmt]) {
+        let mark = self.in_scope.len();
+        for s in stmts {
+            self.stmt(s);
+        }
+        self.leave(mark);
+    }
+
+    fn leave(&mut self, mark: usize) {
+        for v in self.in_scope.drain(mark..) {
+            self.subst.remove(&v);
+        }
+    }
+
+    fn stmt(&mut self, s: &mut Stmt) {
+        if let Stmt::While {
+            cond_defs,
+            cond,
+            body,
+            ..
+        } = s
+        {
+            let mark = self.in_scope.len();
+            for s in cond_defs {
+                self.stmt(s);
+            }
+            self.rewrite(cond);
+            self.block(body);
+            self.leave(mark);
+            return;
+        }
+        s.visit_read_operands_mut(&mut |op| self.rewrite(op));
+        for body in s.bodies_mut() {
+            self.block(body);
+        }
         if let Stmt::Def {
             dst,
             rv: Rvalue::Use(src),
             ..
         } = s
         {
-            if def_counts.get(dst).copied().unwrap_or(0) == 1 {
-                let ok = match src {
-                    Operand::Const(_) | Operand::ConstC(..) => true,
-                    Operand::Var(v) => def_counts.get(v).copied().unwrap_or(0) == 1,
-                };
-                if ok {
-                    subst.insert(*dst, *src);
-                }
+            if self.single_def(Operand::Var(*dst)) && self.single_def(*src) {
+                self.subst.insert(*dst, *src);
+                self.in_scope.push(*dst);
             }
         }
-    });
-    if subst.is_empty() {
-        return false;
     }
-    // Resolve chains.
-    let resolve = |mut op: Operand| -> Operand {
-        let mut hops = 0;
-        while let Operand::Var(v) = op {
-            match subst.get(&v) {
-                Some(next) if hops < 32 => {
-                    op = *next;
-                    hops += 1;
-                }
-                _ => break,
+
+    /// Replaces `op` by the end of its copy chain.
+    fn rewrite(&mut self, op: &mut Operand) {
+        let mut new = *op;
+        for _ in 0..32 {
+            match new.as_var().and_then(|v| self.subst.get(&v)) {
+                Some(next) => new = *next,
+                None => break,
             }
         }
-        op
-    };
-    let mut changed = false;
-    let mut body = std::mem::take(&mut func.body);
-    rewrite_operands(&mut body, &mut |op| {
-        let new = resolve(*op);
         if new != *op {
             *op = new;
-            changed = true;
-        }
-    });
-    func.body = body;
-    changed
-}
-
-fn count_defs(func: &MirFunction) -> HashMap<VarId, u32> {
-    let mut counts: HashMap<VarId, u32> = HashMap::new();
-    for &p in &func.params {
-        *counts.entry(p).or_default() += 1;
-    }
-    walk_stmts(&func.body, &mut |s| match s {
-        Stmt::Def { dst, .. } => *counts.entry(*dst).or_default() += 1,
-        Stmt::Store { array, .. } => *counts.entry(*array).or_default() += 1,
-        Stmt::CallMulti { dsts, .. } => {
-            for d in dsts.iter().flatten() {
-                *counts.entry(*d).or_default() += 1;
-            }
-        }
-        Stmt::For { var, .. } => *counts.entry(*var).or_default() += 1,
-        Stmt::VectorOp(vop) => {
-            if let VecRef::Slice { array, .. } = &vop.dst {
-                *counts.entry(*array).or_default() += 1;
-            } else if let VecRef::Splat(Operand::Var(v)) = &vop.dst {
-                *counts.entry(*v).or_default() += 1;
-            }
-        }
-        _ => {}
-    });
-    counts
-}
-
-/// Applies `rewrite` to every operand *read* in the body (destinations are
-/// untouched).
-fn rewrite_operands(stmts: &mut [Stmt], rewrite: &mut dyn FnMut(&mut Operand)) {
-    let rewrite_index = |idx: &mut Index, rewrite: &mut dyn FnMut(&mut Operand)| match idx {
-        Index::Scalar(o) => rewrite(o),
-        Index::Range { start, step, stop } => {
-            rewrite(start);
-            rewrite(step);
-            rewrite(stop);
-        }
-        Index::Full => {}
-    };
-    for s in stmts {
-        match s {
-            Stmt::Def { rv, .. } => match rv {
-                Rvalue::Use(a) | Rvalue::Unary { a, .. } | Rvalue::Transpose { a, .. } => {
-                    rewrite(a)
-                }
-                Rvalue::Binary { a, b, .. } => {
-                    rewrite(a);
-                    rewrite(b);
-                }
-                Rvalue::Index { indices, .. } => {
-                    for i in indices {
-                        rewrite_index(i, rewrite);
-                    }
-                }
-                Rvalue::Range { start, step, stop } => {
-                    rewrite(start);
-                    rewrite(step);
-                    rewrite(stop);
-                }
-                Rvalue::Alloc { rows, cols, .. } => {
-                    rewrite(rows);
-                    rewrite(cols);
-                }
-                Rvalue::Builtin { args, .. } | Rvalue::Call { args, .. } => {
-                    for a in args {
-                        rewrite(a);
-                    }
-                }
-                Rvalue::MatrixLit { rows } => {
-                    for row in rows {
-                        for a in row {
-                            rewrite(a);
-                        }
-                    }
-                }
-                Rvalue::StrLit(_) => {}
-            },
-            Stmt::Store { indices, value, .. } => {
-                for i in indices {
-                    rewrite_index(i, rewrite);
-                }
-                rewrite(value);
-            }
-            Stmt::CallMulti { args, .. } | Stmt::Effect { args, .. } => {
-                for a in args {
-                    rewrite(a);
-                }
-            }
-            Stmt::If {
-                cond,
-                then_body,
-                else_body,
-                ..
-            } => {
-                rewrite(cond);
-                rewrite_operands(then_body, rewrite);
-                rewrite_operands(else_body, rewrite);
-            }
-            Stmt::For {
-                start,
-                step,
-                stop,
-                body,
-                ..
-            } => {
-                rewrite(start);
-                rewrite(step);
-                rewrite(stop);
-                rewrite_operands(body, rewrite);
-            }
-            Stmt::While {
-                cond_defs,
-                cond,
-                body,
-                ..
-            } => {
-                rewrite_operands(cond_defs, rewrite);
-                rewrite(cond);
-                rewrite_operands(body, rewrite);
-            }
-            Stmt::VectorOp(vop) => {
-                let mut fix = |r: &mut VecRef| match r {
-                    VecRef::Slice { start, step, .. } => {
-                        rewrite(start);
-                        rewrite(step);
-                    }
-                    VecRef::Splat(o) => rewrite(o),
-                };
-                fix(&mut vop.a);
-                if let Some(b) = &mut vop.b {
-                    fix(b);
-                }
-                if let VecRef::Slice { start, step, .. } = &mut vop.dst {
-                    rewrite(start);
-                    rewrite(step);
-                }
-                rewrite(&mut vop.len);
-            }
-            Stmt::Break(_) | Stmt::Continue(_) | Stmt::Return(_) => {}
+            self.changed = true;
         }
     }
 }
@@ -363,46 +244,22 @@ fn rewrite_operands(stmts: &mut [Stmt], rewrite: &mut dyn FnMut(&mut Operand)) {
 // ---- dead code elimination -------------------------------------------------
 
 /// Removes `Def`s whose destination is never read and is not an output.
-/// Returns whether anything changed.
+/// Stores and vector destinations read the array they update, so they keep
+/// it live. Returns whether anything changed.
 pub fn dead_code_eliminate(func: &mut MirFunction) -> bool {
-    let mut used: HashMap<VarId, u32> = HashMap::new();
+    let mut used = func.read_counts();
     for &o in &func.outputs {
-        *used.entry(o).or_default() += 1;
+        used[o.0 as usize] += 1;
     }
-    walk_stmts(&func.body, &mut |s| {
-        visit_stmt_operands(s, &mut |op| {
-            if let Operand::Var(v) = op {
-                *used.entry(*v).or_default() += 1;
-            }
-        });
-        // Arrays written by Store / VectorOp must stay live.
-        match s {
-            Stmt::Store { array, .. } => {
-                *used.entry(*array).or_default() += 1;
-            }
-            Stmt::VectorOp(vop) => match &vop.dst {
-                VecRef::Slice { array, .. } => {
-                    *used.entry(*array).or_default() += 1;
-                }
-                VecRef::Splat(Operand::Var(v)) => {
-                    *used.entry(*v).or_default() += 1;
-                }
-                _ => {}
-            },
-            _ => {}
-        }
-    });
     let mut changed = false;
-    let mut body = std::mem::take(&mut func.body);
-    eliminate(&mut body, &used, &mut changed);
-    func.body = body;
+    eliminate(&mut func.body, &used, &mut changed);
     changed
 }
 
-fn eliminate(stmts: &mut Vec<Stmt>, used: &HashMap<VarId, u32>, changed: &mut bool) {
+fn eliminate(stmts: &mut Vec<Stmt>, used: &[u32], changed: &mut bool) {
     stmts.retain(|s| match s {
         Stmt::Def { dst, rv, .. } => {
-            let live = used.get(dst).copied().unwrap_or(0) > 0;
+            let live = used[dst.0 as usize] > 0;
             // Calls may have side effects (e.g. callee prints); keep them.
             let effectful = matches!(rv, Rvalue::Call { .. });
             if !live && !effectful {
@@ -415,23 +272,8 @@ fn eliminate(stmts: &mut Vec<Stmt>, used: &HashMap<VarId, u32>, changed: &mut bo
         _ => true,
     });
     for s in stmts {
-        match s {
-            Stmt::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                eliminate(then_body, used, changed);
-                eliminate(else_body, used, changed);
-            }
-            Stmt::For { body, .. } => eliminate(body, used, changed),
-            Stmt::While {
-                cond_defs, body, ..
-            } => {
-                eliminate(cond_defs, used, changed);
-                eliminate(body, used, changed);
-            }
-            _ => {}
+        for body in s.bodies_mut() {
+            eliminate(body, used, changed);
         }
     }
 }
@@ -606,6 +448,42 @@ mod tests {
             } => assert_eq!(*v, 8.0),
             other => panic!("unexpected: {other:?}"),
         }
+    }
+
+    #[test]
+    fn copy_prop_rewrites_only_dominated_uses() {
+        let mut f = MirFunction::new("f");
+        let c = f.add_var("c", Ty::double_scalar());
+        f.params.push(c);
+        let u = f.add_var("u", Ty::double_scalar());
+        let t = f.add_var("t", Ty::double_scalar());
+        let y = f.add_var("y", Ty::double_scalar());
+        let z = f.add_var("z", Ty::double_scalar());
+        f.outputs.extend([y, z]);
+        f.body = vec![
+            Stmt::If {
+                cond: Operand::Var(c),
+                then_body: vec![def(u, Rvalue::Use(Operand::Const(1.0)))],
+                else_body: vec![],
+                span: Span::dummy(),
+            },
+            def(y, Rvalue::Use(Operand::Var(u))),
+            Stmt::While {
+                cond_defs: vec![def(t, Rvalue::Use(Operand::Const(0.0)))],
+                cond: Operand::Var(t),
+                body: vec![def(z, Rvalue::Use(Operand::Var(t)))],
+                span: Span::dummy(),
+            },
+        ];
+        assert!(copy_propagate(&mut f));
+        // `u = 1` may not have run before `y = u`.
+        assert_eq!(f.body[1], def(y, Rvalue::Use(Operand::Var(u))));
+        // A `while` condition block dominates its condition and body.
+        let Stmt::While { cond, body, .. } = &f.body[2] else {
+            panic!("{:?}", f.body[2]);
+        };
+        assert_eq!(*cond, Operand::Const(0.0));
+        assert_eq!(body[0], def(z, Rvalue::Use(Operand::Const(0.0))));
     }
 
     #[test]

@@ -69,20 +69,12 @@ impl LoopEnv {
     /// Builds the environment for `body` of a loop over `induction`.
     pub fn new(induction: VarId, body: &[Stmt]) -> Self {
         let mut defined_in_body = HashSet::new();
-        matic_mir::walk_stmts(body, &mut |s| match s {
-            Stmt::Def { dst, .. } => {
-                defined_in_body.insert(*dst);
-            }
-            Stmt::Store { array, .. } => {
-                defined_in_body.insert(*array);
-            }
-            Stmt::CallMulti { dsts, .. } => {
-                defined_in_body.extend(dsts.iter().flatten().copied());
-            }
-            Stmt::For { var, .. } => {
-                defined_in_body.insert(*var);
-            }
-            _ => {}
+        matic_mir::walk_stmts(body, &mut |s| {
+            s.visit_regs(&mut |v, access| {
+                if access.writes() {
+                    defined_in_body.insert(v);
+                }
+            })
         });
         LoopEnv {
             induction,

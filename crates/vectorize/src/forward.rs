@@ -18,8 +18,8 @@
 //! a single `y[s] <- vmap y[s], v` — which is what a human DSP programmer
 //! would write against the intrinsics.
 
-use matic_mir::{walk_stmts, MirFunction, Operand, Rvalue, Stmt, VarId, VecKind, VecRef};
-use std::collections::{HashMap, HashSet};
+use matic_mir::{Access, MirFunction, Operand, Rvalue, Stmt, VarId, VecKind, VecRef};
+use std::collections::HashSet;
 
 /// Statistics from the forwarding pass.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -34,74 +34,23 @@ pub struct ForwardReport {
 pub fn forward_slices(func: &mut MirFunction) -> ForwardReport {
     let mut report = ForwardReport::default();
     for _ in 0..8 {
-        let uses = count_refs(func);
+        // Read places per register; outputs are always live.
+        let mut uses = func.read_counts();
+        for &o in &func.outputs {
+            uses[o.0 as usize] += 10;
+        }
         let live_outputs: HashSet<VarId> = func.outputs.iter().copied().collect();
-        let mut body = std::mem::take(&mut func.body);
-        let changed = process(&mut body, &uses, &live_outputs, &mut report);
-        func.body = body;
-        if !changed {
+        if !process(&mut func.body, &uses, &live_outputs, &mut report) {
             break;
         }
     }
     report
 }
 
-/// Counts statement references (reads and writes) per register.
-fn count_refs(func: &MirFunction) -> HashMap<VarId, u32> {
-    let mut uses: HashMap<VarId, u32> = HashMap::new();
-    for &o in &func.outputs {
-        *uses.entry(o).or_default() += 10; // outputs are always live
-    }
-    walk_stmts(&func.body, &mut |s| {
-        matic_mir::visit_stmt_operands(s, &mut |op| {
-            if let Operand::Var(v) = op {
-                *uses.entry(*v).or_default() += 1;
-            }
-        });
-    });
-    uses
-}
-
-/// Registers whose arrays are written by `stmt`.
-fn written_arrays(stmt: &Stmt, out: &mut HashSet<VarId>) {
-    match stmt {
-        Stmt::Def { dst, .. } => {
-            out.insert(*dst);
-        }
-        Stmt::Store { array, .. } => {
-            out.insert(*array);
-        }
-        Stmt::CallMulti { dsts, .. } => out.extend(dsts.iter().flatten().copied()),
-        Stmt::VectorOp(v) => match &v.dst {
-            VecRef::Slice { array, .. } => {
-                out.insert(*array);
-            }
-            VecRef::Splat(Operand::Var(a)) => {
-                out.insert(*a);
-            }
-            _ => {}
-        },
-        _ => {}
-    }
-}
-
-/// Arrays referenced (read) by a vecref.
-fn vecref_arrays(r: &VecRef, out: &mut HashSet<VarId>) {
-    match r {
-        VecRef::Slice { array, start, step } => {
-            out.insert(*array);
-            if let Operand::Var(v) = start {
-                out.insert(*v);
-            }
-            if let Operand::Var(v) = step {
-                out.insert(*v);
-            }
-        }
-        VecRef::Splat(Operand::Var(v)) => {
-            out.insert(*v);
-        }
-        _ => {}
-    }
+/// The registers a vecref reads: its array and start and step, or the
+/// splat operand.
+fn vecref_regs(r: &VecRef, out: &mut HashSet<VarId>) {
+    r.visit_places(Access::Read, &mut |p, _| out.extend(p.reg()));
 }
 
 /// Whether two constant slices of the same array cannot overlap for the
@@ -155,32 +104,15 @@ fn is_unit_slice_of(r: &VecRef, t: VarId) -> bool {
 
 fn process(
     stmts: &mut Vec<Stmt>,
-    uses: &HashMap<VarId, u32>,
+    uses: &[u32],
     live_outputs: &HashSet<VarId>,
     report: &mut ForwardReport,
 ) -> bool {
     let mut changed = false;
     // Recurse into nested bodies first.
     for s in stmts.iter_mut() {
-        match s {
-            Stmt::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                changed |= process(then_body, uses, live_outputs, report);
-                changed |= process(else_body, uses, live_outputs, report);
-            }
-            Stmt::For { body, .. } => {
-                changed |= process(body, uses, live_outputs, report);
-            }
-            Stmt::While {
-                cond_defs, body, ..
-            } => {
-                changed |= process(cond_defs, uses, live_outputs, report);
-                changed |= process(body, uses, live_outputs, report);
-            }
-            _ => {}
+        for body in s.bodies_mut() {
+            changed |= process(body, uses, live_outputs, report);
         }
     }
 
@@ -205,7 +137,7 @@ fn process(
                 && !live_outputs.contains(dst)
                 // dst write + consumer read (+ possibly one numel(dst)
                 // used as the consumer's length, validated below).
-                && (2..=3).contains(&uses.get(dst).copied().unwrap_or(0)) =>
+                && (2..=3).contains(&uses[dst.0 as usize]) =>
             {
                 (*dst, copy.a.clone(), copy.len)
             }
@@ -216,7 +148,7 @@ fn process(
         };
         // Arrays the source depends on.
         let mut src_deps = HashSet::new();
-        vecref_arrays(&src, &mut src_deps);
+        vecref_regs(&src, &mut src_deps);
         src_deps.insert(t);
         // Find the single consumer in the same straight-line region,
         // tracking `numel(t)` definitions so length operands that merely
@@ -251,7 +183,7 @@ fn process(
                 let len_matches = consumer.len == len || via_numel;
                 // With 3 references the extra one must be the numel def
                 // that we are about to make dead.
-                let refs = uses.get(&t).copied().unwrap_or(0);
+                let refs = uses[t.0 as usize];
                 let refs_ok = refs == 2 || (refs == 3 && via_numel);
                 if reads_t && len_matches && refs_ok {
                     // Rewrite the consumer's matching input(s).
@@ -291,9 +223,11 @@ fn process(
                 }
             }
             // Abort the search if anything writes the source's arrays.
-            let mut written = HashSet::new();
-            written_arrays(&stmts[j], &mut written);
-            if written.iter().any(|w| src_deps.contains(w)) {
+            let mut clobbers = false;
+            stmts[j].visit_regs(&mut |v, access| {
+                clobbers |= access.writes() && src_deps.contains(&v);
+            });
+            if clobbers {
                 break;
             }
             j += 1;
@@ -321,12 +255,12 @@ fn process(
             ) if is_unit_slice_of(&producer.dst, *dst)
                 && !live_outputs.contains(dst)
                 && !matches!(producer.kind, VecKind::Mac | VecKind::Reduce(_))
-                && uses.get(dst).copied().unwrap_or(0) == 2 =>
+                && uses[dst.0 as usize] == 2 =>
             {
                 let mut ins = HashSet::new();
-                vecref_arrays(&producer.a, &mut ins);
+                vecref_regs(&producer.a, &mut ins);
                 if let Some(b) = &producer.b {
-                    vecref_arrays(b, &mut ins);
+                    vecref_regs(b, &mut ins);
                 }
                 if let Operand::Var(v) = producer.len {
                     ins.insert(v);
@@ -387,12 +321,8 @@ fn process(
                 // producer's inputs may sit between producer and copy.
                 Stmt::Def { dst, rv, .. } => {
                     let mut reads_forbidden = false;
-                    matic_mir::visit_stmt_operands(&stmts[j], &mut |op| {
-                        if let Operand::Var(v) = op {
-                            if *v == t {
-                                reads_forbidden = true;
-                            }
-                        }
+                    stmts[j].visit_regs(&mut |v, access| {
+                        reads_forbidden |= access.reads() && v == t;
                     });
                     if reads_forbidden
                         || prod_inputs.contains(dst)
@@ -415,6 +345,7 @@ mod tests {
     use super::*;
     use crate::arrays::vectorize_arrays;
     use matic_frontend::parse;
+    use matic_mir::walk_stmts;
     use matic_sema::{analyze, Class, Dim, Shape, Ty};
 
     fn pipeline(src: &str, entry: &str, args: &[Ty]) -> (MirFunction, ForwardReport) {

@@ -3,10 +3,7 @@
 //! `s = sum(a .* b)` compiles to the ASIP's `vmac` instruction instead of
 //! a multiply pass plus a reduce pass over a temporary array.
 
-use matic_mir::{
-    walk_stmts, MirFunction, Operand, ReduceKind, Rvalue, Stmt, VarId, VecKind, VecRef, VectorOp,
-};
-use std::collections::HashMap;
+use matic_mir::{MirFunction, Operand, ReduceKind, Rvalue, Stmt, VecKind, VecRef, VectorOp};
 
 /// Statistics from the fusion pass.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -18,50 +15,20 @@ pub struct FuseReport {
 /// Runs MAC fusion over `func`.
 pub fn fuse_mac(func: &mut MirFunction) -> FuseReport {
     let mut report = FuseReport::default();
-    let uses = count_uses(func);
-    let mut body = std::mem::take(&mut func.body);
-    process(&mut body, &uses, &mut report);
-    func.body = body;
+    // Read places per register; an output counts once more.
+    let mut uses = func.read_counts();
+    for &o in &func.outputs {
+        uses[o.0 as usize] += 1;
+    }
+    process(&mut func.body, &uses, &mut report);
     report
 }
 
-/// Counts how many statements reference each register anywhere in the
-/// function (conservative: includes reads and writes).
-fn count_uses(func: &MirFunction) -> HashMap<VarId, u32> {
-    let mut uses: HashMap<VarId, u32> = HashMap::new();
-    for &o in &func.outputs {
-        *uses.entry(o).or_default() += 1;
-    }
-    walk_stmts(&func.body, &mut |s| {
-        matic_mir::visit_stmt_operands(s, &mut |op| {
-            if let Operand::Var(v) = op {
-                *uses.entry(*v).or_default() += 1;
-            }
-        });
-    });
-    uses
-}
-
-fn process(stmts: &mut Vec<Stmt>, uses: &HashMap<VarId, u32>, report: &mut FuseReport) {
+fn process(stmts: &mut Vec<Stmt>, uses: &[u32], report: &mut FuseReport) {
     // Recurse first.
     for s in stmts.iter_mut() {
-        match s {
-            Stmt::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                process(then_body, uses, report);
-                process(else_body, uses, report);
-            }
-            Stmt::For { body, .. } => process(body, uses, report),
-            Stmt::While {
-                cond_defs, body, ..
-            } => {
-                process(cond_defs, uses, report);
-                process(body, uses, report);
-            }
-            _ => {}
+        for body in s.bodies_mut() {
+            process(body, uses, report);
         }
     }
 
@@ -105,7 +72,7 @@ fn process(stmts: &mut Vec<Stmt>, uses: &HashMap<VarId, u32>, report: &mut FuseR
                 );
                 // `t` must be used exactly by the map (write) and reduce
                 // (read): 2 references besides the alloc itself.
-                let t_private = uses.get(t_alloc).copied().unwrap_or(0) <= 2;
+                let t_private = uses[t_alloc.0 as usize] <= 2;
                 let same_len = map.len == red.len;
                 if is_mul_map
                     && map_writes_t
@@ -160,6 +127,7 @@ mod tests {
     use super::*;
     use crate::arrays::vectorize_arrays;
     use matic_frontend::parse;
+    use matic_mir::walk_stmts;
     use matic_sema::{analyze, Class, Dim, Shape, Ty};
 
     fn pipeline(src: &str, entry: &str, args: &[Ty]) -> (MirFunction, FuseReport) {

@@ -18,8 +18,8 @@ use crate::affine::{emit_affine, Affine, LoopEnv};
 use matic_frontend::ast::{BinOp, UnOp};
 use matic_frontend::span::Span;
 use matic_mir::{
-    visit_stmt_operands, walk_stmts, Index, MirFunction, Operand, ReduceKind, Rvalue, Stmt, VarId,
-    VecKind, VecRef, VectorOp,
+    walk_stmts, Index, MirFunction, Operand, ReduceKind, Rvalue, Stmt, VarId, VecKind, VecRef,
+    VectorOp,
 };
 use matic_sema::{Class, Ty};
 use std::collections::{HashMap, HashSet};
@@ -98,7 +98,12 @@ fn process_body(
             } => {
                 // Recurse into the body first (vectorizes inner loops of
                 // nests; the outer loop then stays scalar around them).
-                process_body(func, body, after, report);
+                // The body runs again after itself, so what it reads
+                // before writing is live at its end too.
+                let mut live = exposed_reads(body);
+                live.remove(var);
+                live.extend(after);
+                process_body(func, body, &live, report);
                 let decided = report.decisions.len();
                 if let Some(replacement) =
                     try_vectorize_loop(func, *var, *start, *step, *stop, body, *span, after, report)
@@ -148,45 +153,39 @@ fn process_body(
 /// body, so the body's reads of it do not count.
 fn collect_reads(stmt: &Stmt, out: &mut HashSet<VarId>) {
     collect_reads_flat(stmt, out);
-    match stmt {
-        Stmt::If {
-            then_body,
-            else_body,
-            ..
-        } => {
-            for s in then_body.iter().chain(else_body) {
-                collect_reads(s, out);
-            }
+    if let Stmt::For { var, body, .. } = stmt {
+        let mut inner = exposed_reads(body);
+        inner.remove(var);
+        out.extend(inner);
+    } else {
+        for s in stmt.bodies().flatten() {
+            collect_reads(s, out);
         }
-        Stmt::For { var, body, .. } => {
-            let mut inner = HashSet::new();
-            for s in body {
-                collect_reads(s, &mut inner);
-            }
-            inner.remove(var);
-            out.extend(inner);
-        }
-        Stmt::While {
-            cond_defs, body, ..
-        } => {
-            for s in cond_defs.iter().chain(body) {
-                collect_reads(s, out);
-            }
-        }
-        _ => {}
     }
 }
 
+/// The registers `body` may read before writing them: a top-level `Def`
+/// hides later reads of its destination.
+fn exposed_reads(body: &[Stmt]) -> HashSet<VarId> {
+    let (mut out, mut defined, mut reads) = (HashSet::new(), HashSet::new(), HashSet::new());
+    for s in body {
+        collect_reads(s, &mut reads);
+        out.extend(reads.drain().filter(|v| !defined.contains(v)));
+        if let Stmt::Def { dst, .. } = s {
+            defined.insert(*dst);
+        }
+    }
+    out
+}
+
+/// The registers `stmt` itself reads (a store reads the array it
+/// partially updates).
 fn collect_reads_flat(stmt: &Stmt, out: &mut HashSet<VarId>) {
-    visit_stmt_operands(stmt, &mut |op| {
-        if let Operand::Var(v) = op {
-            out.insert(*v);
+    stmt.visit_regs(&mut |v, access| {
+        if access.reads() {
+            out.insert(v);
         }
     });
-    // A Store reads the array it partially updates.
-    if let Stmt::Store { array, .. } = stmt {
-        out.insert(*array);
-    }
 }
 
 /// A symbolic lane value: an affine array load or a loop-invariant scalar.
@@ -256,6 +255,9 @@ fn try_vectorize_loop(
     let mut syms: Vec<(VarId, Sym)> = Vec::new();
     let mut acc_update: Option<(VarId, VarId, Span)> = None; // (acc, value temp, span)
     let mut store: Option<(VarId, &[Index], Operand, Span)> = None;
+    // `(syms.len(), defs.len())` at the accumulator update or the store:
+    // it may read only what the body computed before it.
+    let mut seen = (0, 0);
     // Body-local clones of invariant arrays (e.g. inlined parameter
     // bindings): loads through them resolve to the original array.
     let mut array_alias: HashMap<VarId, VarId> = HashMap::new();
@@ -306,6 +308,7 @@ fn try_vectorize_loop(
                         if let Some(t) = b.as_var() {
                             if acc_update.is_none() {
                                 acc_update = Some((*dst, t, *span));
+                                seen = (syms.len(), defs.len());
                                 defs.push((*dst, rv));
                                 continue;
                             }
@@ -315,6 +318,7 @@ fn try_vectorize_loop(
                         if let Some(t) = a.as_var() {
                             if acc_update.is_none() {
                                 acc_update = Some((*dst, t, *span));
+                                seen = (syms.len(), defs.len());
                                 defs.push((*dst, rv));
                                 continue;
                             }
@@ -394,6 +398,7 @@ fn try_vectorize_loop(
                 span,
             } => {
                 store = Some((*array, indices.as_slice(), *value, *span));
+                seen = (syms.len(), defs.len());
             }
             _ => unreachable!("filtered above"),
         }
@@ -421,13 +426,13 @@ fn try_vectorize_loop(
             let [Index::Scalar(idx_op)] = indices else {
                 return give_up(report, loop_span, "non-scalar store subscript");
             };
-            let dst_affine = env.affine_of(*idx_op, &defs)?;
+            let dst_affine = env.affine_of(*idx_op, &defs[..seen.1])?;
             if dst_affine.is_invariant() {
                 return give_up(report, loop_span, "loop-invariant store subscript");
             }
             // The stored value's symbolic form.
             let sym = match value {
-                Operand::Var(v) => lookup_sym(&syms, v).or_else(|| {
+                Operand::Var(v) => lookup_sym(&syms[..seen.0], v).or_else(|| {
                     env.is_invariant(value)
                         .then_some(Sym::Leaf(Leaf::Inv(value)))
                 })?,
@@ -487,7 +492,7 @@ fn try_vectorize_loop(
             Some(prelude)
         }
         (None, Some((acc, tval, acc_span))) => {
-            let sym = lookup_sym(&syms, tval)?;
+            let sym = lookup_sym(&syms[..seen.0], tval)?;
             let complex = is_complex_var(func, acc)
                 || sym_leaves_owned(&sym).iter().any(|l| leaf_complex(func, l));
             match sym {

@@ -536,6 +536,140 @@ fn single_chain_loop_whose_guard_misses_on_entry_agrees() {
     .expect("guard-miss loop runs");
 }
 
+/// Programs whose fully optimized build once returned a value the
+/// baseline and the interpreter do not: the source of `f`, its one input,
+/// and the value every run returns, or a word of the error every run
+/// raises.
+fn optimizer_cases() -> Vec<(
+    &'static str,
+    &'static str,
+    matic::SimVal,
+    Result<f64, &'static str>,
+)> {
+    let x = || matic::SimVal::row(&[1.0, 2.0, 3.0, 4.0]);
+    // Copy propagation may rewrite only the uses its copy dominates: `u`
+    // is set only when `k > 9`.
+    let maybe_unset = "function y = f(k)\n\
+                       if k > 9\n\
+                         u = 1;\n\
+                       end\n\
+                       y = 0;\n\
+                       if k > 2\n\
+                         y = u + 1;\n\
+                       end\n\
+                       end\n";
+    vec![
+        (
+            // A vectorized inner loop must leave its variable `t` set:
+            // the next outer iteration reads it.
+            "inner loop variable read on the next outer iteration",
+            "function y = f(x)\n\
+             y = 0;\n\
+             t = 0;\n\
+             for k = 1:3\n\
+               y = y + t;\n\
+               acc = 0;\n\
+               for t = 1:numel(x)\n\
+                 acc = acc + x(t);\n\
+               end\n\
+               y = y + acc;\n\
+             end\n\
+             end\n",
+            x(),
+            Ok(38.0),
+        ),
+        (
+            // A body that reads a register before redefining it carries
+            // the value from its previous iteration.
+            "accumulator reads a register before its def",
+            "function y = f(x)\n\
+             u = 1;\n\
+             y = 0;\n\
+             for j = 1:numel(x)\n\
+               y = y + u;\n\
+               u = x(j);\n\
+             end\n\
+             end\n",
+            x(),
+            Ok(7.0),
+        ),
+        (
+            "store reads a register before its def",
+            "function s = f(x)\n\
+             y = zeros(1, 4);\n\
+             t = 0;\n\
+             for k = 1:4\n\
+               y(k) = t;\n\
+               t = x(k);\n\
+             end\n\
+             s = y(1) + 10 * y(2) + 100 * y(3) + 1000 * y(4);\n\
+             end\n",
+            x(),
+            Ok(3210.0),
+        ),
+        (
+            "copy of a maybe-unset register, unset",
+            maybe_unset,
+            matic::SimVal::scalar(3.0),
+            Err("`u`"),
+        ),
+        (
+            "copy of a maybe-unset register, set",
+            maybe_unset,
+            matic::SimVal::scalar(10.0),
+            Ok(2.0),
+        ),
+    ]
+}
+
+/// Every optimizer case returns the same value, or raises, on
+/// `matic-interp` and, at both opt levels, on the native engine and the
+/// tree walker.
+#[test]
+fn optimized_builds_agree_with_the_interpreter() {
+    for (label, src, input, want) in optimizer_cases() {
+        let sig = [if input.as_matrix().is_some() {
+            matic::arg::vector(4)
+        } else {
+            matic::arg::scalar()
+        }];
+        let mut interp = matic::Interpreter::from_source(src).expect("parses");
+        let args = vec![matic::Value::from(input.clone().into_matrix())];
+        let mut runs = vec![(
+            "interp".to_string(),
+            interp
+                .call("f", args, 1)
+                .map(|v| v[0].as_matrix().unwrap().as_real_scalar().unwrap())
+                .map_err(|e| e.message),
+        )];
+        for opt in [OptLevel::baseline(), OptLevel::full()] {
+            let compiled = Compiler::new()
+                .opt_level(opt)
+                .compile(src, "f", &sig)
+                .expect("compiles");
+            let input = vec![input.clone()];
+            let engine = compiled.simulator().run(input.clone());
+            let walker =
+                oracle(&compiled, opt).run_interpreted(&compiled.mir, &compiled.entry, input);
+            for (name, res) in [("engine", engine), ("walker", walker)] {
+                let value = res
+                    .map(|o| o.outputs[0].as_cx().unwrap().re)
+                    .map_err(|e| e.message);
+                runs.push((format!("{name}, intrinsics {}", opt.intrinsics), value));
+            }
+        }
+        for (run, value) in runs {
+            match (want, value) {
+                (Ok(w), Ok(v)) => assert_eq!(v, w, "{label}: {run}"),
+                (Err(word), Err(message)) => {
+                    assert!(message.contains(word), "{label}: {run}: {message}")
+                }
+                (_, value) => panic!("{label}: {run}: {value:?}"),
+            }
+        }
+    }
+}
+
 /// The stimulus `[1 2 .. n]` scaled by `k`.
 fn ramp(n: usize, k: f64) -> matic::SimVal {
     matic::SimVal::row(&(1..=n).map(|i| k * i as f64).collect::<Vec<_>>())

@@ -256,6 +256,64 @@ fn fuel_exhaustion_names_its_statement() {
     assert_eq!(named.len(), 3, "{named:?}");
 }
 
+/// A call nested too deep and a `for` loop whose bound is unset fail
+/// naming the statement that was running — the call, the loop header — on
+/// the engine and on the tree walker alike, at both opt levels.
+#[test]
+fn depth_and_loop_range_errors_name_their_statement() {
+    use matic::{AsipMachine, OptLevel};
+    let cases = [
+        (
+            "function y = f(x)\ny = g(x);\nend\n\
+             function y = g(x)\nif x > 0\n  y = g(x + 1);\nelse\n  y = 0;\nend\nend",
+            "call depth exceeded",
+            "g(x + 1)",
+        ),
+        (
+            "function y = f(x)\nif x > 9\n  n = 3;\nend\ny = 0;\n\
+             for k = 1:n\n  y = y * 2 + k;\nend\nend",
+            "read of unset `n`",
+            "for k = 1:n",
+        ),
+    ];
+    for (src, message, names) in cases {
+        for opt in [OptLevel::baseline(), OptLevel::full()] {
+            let compiled = Compiler::new()
+                .opt_level(opt)
+                .compile(src, "f", &[arg::scalar()])
+                .expect("compiles");
+            let machine = AsipMachine::from_shared(compiled.spec.clone());
+            let machine = if opt.intrinsics {
+                machine
+            } else {
+                machine.without_intrinsics()
+            };
+            // 129 nested simulated calls outgrow a test thread's stack in
+            // an unoptimized build.
+            let (engine, walker) = std::thread::scope(|scope| {
+                std::thread::Builder::new()
+                    .stack_size(64 << 20)
+                    .spawn_scoped(scope, || {
+                        let input = || vec![SimVal::scalar(1.0)];
+                        (
+                            compiled.simulator().run(input()).unwrap_err(),
+                            machine
+                                .run_interpreted(&compiled.mir, &compiled.entry, input())
+                                .unwrap_err(),
+                        )
+                    })
+                    .expect("spawns")
+                    .join()
+                    .expect("runs")
+            });
+            assert_eq!(engine, walker, "{message}");
+            assert_eq!(engine.message, message);
+            let text = &src[engine.span.start as usize..engine.span.end as usize];
+            assert!(text.starts_with(names), "`{engine}` names `{text}`");
+        }
+    }
+}
+
 #[test]
 fn entry_signature_arity_mismatch_is_a_sema_error() {
     let err = Compiler::new()
