@@ -91,6 +91,23 @@ fn out_of_bounds_read_is_diagnosed_at_simulation_time() {
     );
 }
 
+/// A single-output `size` is the 1×2 row `[rows cols]`; the simulator
+/// once indexed a second argument that is not there and panicked.
+#[test]
+fn single_output_size_runs() {
+    let file = source_file("size1", "function y = f(x)\ny = size(x(1));\nend\n");
+    let out = run(&[
+        "cycles",
+        file.to_str().unwrap(),
+        "--entry",
+        "f",
+        "--sig",
+        "v4",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_line(&out));
+    assert!(out.stderr.is_empty(), "stderr: {}", stderr_line(&out));
+}
+
 #[test]
 fn runaway_program_exhausts_fuel_instead_of_hanging() {
     let file = source_file(

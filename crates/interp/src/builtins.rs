@@ -467,6 +467,26 @@ pub fn call_builtin(
     }
 }
 
+/// Two-argument `min` of one pair of elements: the operand with the
+/// smaller real part, `b` on a tie, and the other operand when one real
+/// part is NaN (C's `fmin`, MATLAB's `min`).
+pub fn pick_min(a: Cx, b: Cx) -> Cx {
+    if a.re < b.re || b.re.is_nan() {
+        a
+    } else {
+        b
+    }
+}
+
+/// Two-argument `max` of one pair of elements; see [`pick_min`].
+pub fn pick_max(a: Cx, b: Cx) -> Cx {
+    if a.re > b.re || b.re.is_nan() {
+        a
+    } else {
+        b
+    }
+}
+
 fn min_max(name: &str, args: Vec<Value>, nargout: usize) -> Result<Vec<Value>, String> {
     let is_min = name == "min";
     let cmp = |a: f64, b: f64| if is_min { a < b } else { a > b };
@@ -474,7 +494,7 @@ fn min_max(name: &str, args: Vec<Value>, nargout: usize) -> Result<Vec<Value>, S
         // Element-wise two-argument form.
         let a = arg_matrix(&args, 0, name)?;
         let b = arg_matrix(&args, 1, name)?;
-        return one(a.zip(&b, |x, y| if cmp(x.re, y.re) { x } else { y })?);
+        return one(a.zip(&b, if is_min { pick_min } else { pick_max })?);
     }
     let m = arg_matrix(&args, 0, name)?;
     if m.is_empty() {
@@ -754,6 +774,24 @@ mod tests {
         let m = r[0].as_matrix().unwrap();
         assert_eq!(m.lin(0).re, 3.0);
         assert_eq!(m.lin(1).re, 5.0);
+    }
+
+    #[test]
+    fn two_argument_min_max_skip_nan() {
+        let nan = Value::Num(Matrix::from_f64(f64::NAN));
+        let k = Value::Num(Matrix::from_f64(2.0));
+        for name in ["min", "max"] {
+            for args in [vec![k.clone(), nan.clone()], vec![nan.clone(), k.clone()]] {
+                assert_eq!(scalar_of(call(name, args)), 2.0, "{name}");
+            }
+            let both = scalar_of(call(name, vec![nan.clone(), nan.clone()]));
+            assert!(both.is_nan(), "{name} of two NaNs");
+        }
+        let a = Value::Num(Matrix::row_from_f64(&[1.0, f64::NAN, 3.0]));
+        let r = call("min", vec![a, Value::Num(Matrix::from_f64(2.0))]);
+        let m = r[0].as_matrix().unwrap();
+        let got: Vec<f64> = m.data().iter().map(|z| z.re).collect();
+        assert_eq!(got, [1.0, 2.0, 2.0]);
     }
 
     #[test]

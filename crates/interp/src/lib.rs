@@ -28,7 +28,7 @@ pub mod cx;
 pub mod exec;
 pub mod value;
 
-pub use builtins::{call_builtin, is_builtin, Host};
+pub use builtins::{call_builtin, is_builtin, pick_max, pick_min, Host};
 pub use cx::Cx;
 pub use exec::{apply_binop, classify_message, ErrorKind, Interpreter, RuntimeError, DEFAULT_FUEL};
 pub use value::{Closure, Matrix, Value};
