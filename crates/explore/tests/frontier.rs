@@ -6,9 +6,10 @@
 //! targeting that same spec. If MIR (or the decoded instruction stream)
 //! ever grows a target dependence, this is the test that fails.
 
-use matic::Compiler;
+use matic::{Compiler, Features};
 use matic_benchkit::{benchmark, to_sim, SUITE};
-use matic_explore::{explore, AreaModel, ExploreConfig, GridConfig};
+use matic_explore::{explore, AreaModel, CandidatePoint, ExploreConfig, GridConfig};
+use std::sync::Arc;
 
 /// The default grid must stay a real design space: the ISSUE floor is 48
 /// candidates, and ours is 70.
@@ -64,6 +65,57 @@ fn frontier_points_bit_match_standalone_runs() {
                 "{}/{name}: explored cycles must bit-match a fresh compilation",
                 bench_result.bench
             );
+        }
+    }
+}
+
+/// Every explored point, on every cost scale, equals a run of that
+/// candidate's own spec: fft exercises the complex classes, fir the MAC
+/// classes, and scales 1.5 and 2 put every custom class at a new price.
+#[test]
+fn every_point_equals_a_run_of_its_own_spec() {
+    let cfg = ExploreConfig {
+        bench_ids: vec!["fft".to_string(), "fir".to_string()],
+        grid: GridConfig {
+            widths: vec![1, 8],
+            feature_sets: Features::subsets().to_vec(),
+            cost_scales: vec![1.0, 1.5, 2.0],
+        },
+        ..ExploreConfig::default()
+    };
+    let candidates = matic_explore::grid::enumerate(&cfg.grid).unwrap();
+    let result = explore(&cfg).expect("exploration runs");
+    for b in &result.benches {
+        let bench = benchmark(&b.bench).unwrap();
+        let compiled = Compiler::new()
+            .compile(bench.source, bench.entry, &bench.arg_types(b.n))
+            .expect("compiles");
+        let reference = bench
+            .reference_outputs(&bench.inputs(b.n, cfg.seed))
+            .unwrap();
+        assert_eq!(b.points.len(), candidates.len(), "{}", b.bench);
+        for (point, cand) in b.points.iter().zip(&candidates) {
+            let tag = format!("{}/{}", b.bench, cand.name());
+            let inputs = bench.inputs(b.n, cfg.seed).iter().map(to_sim).collect();
+            let run = compiled
+                .simulator_for(Arc::new(cand.spec.clone()))
+                .run(inputs)
+                .unwrap_or_else(|e| panic!("{tag}: {e}"));
+            matic_explore::check_outputs(&run.outputs, &reference)
+                .unwrap_or_else(|e| panic!("{tag}: {e}"));
+            let direct = CandidatePoint {
+                name: cand.name().to_string(),
+                width: cand.width,
+                features: cand.features,
+                cost_scale: cand.cost_scale,
+                area: cfg.area.area(cand),
+                cycles: run.cycles.total,
+                instructions: run.cycles.instructions,
+                vector_cycles: run.cycles.vector_cycles(),
+                complex_cycles: run.cycles.complex_cycles(),
+                on_frontier: point.on_frontier,
+            };
+            assert_eq!(point, &direct, "{tag}");
         }
     }
 }
