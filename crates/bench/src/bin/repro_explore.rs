@@ -9,6 +9,9 @@
 //! * `repro_explore --quick`: the reduced CI grid (8 candidates).
 //! * `repro_explore --json <path>`: output path override.
 //!
+//! Every cell is priced from one simulation of its distinct machine;
+//! stderr reports how many simulations priced how many cells.
+//!
 //! The binary is self-validating: after writing the document it re-reads
 //! and structurally validates it ([`matic_explore::validate_explore_json`]
 //! recomputes every frontier from the raw points), and asserts the
@@ -38,6 +41,11 @@ fn run() -> Result<(), String> {
     }
 
     let result = explore(&cfg)?;
+    eprintln!(
+        "{} cells priced from {} simulations",
+        result.benches.len() * result.candidates.len(),
+        result.simulations()
+    );
     print!("{}", result.render_text());
     let mut text = result.to_json().pretty();
     text.push('\n');

@@ -200,6 +200,25 @@ pub fn enumerate(cfg: &GridConfig) -> Result<Vec<Candidate>, String> {
     Ok(out)
 }
 
+/// Each candidate's machine, as an index into `candidates`: the first
+/// candidate in grid order with the same width and features. Candidates
+/// that share a machine differ only in their cost table, which changes
+/// what the simulator charges but not what it runs, so one simulation
+/// of the machine prices them all
+/// ([`matic::CycleReport::repriced`]). [`enumerate`] puts the cost scale
+/// outermost, so a machine is its first-listed scale's candidate.
+pub fn machine_of(candidates: &[Candidate]) -> Vec<usize> {
+    candidates
+        .iter()
+        .map(|c| {
+            candidates
+                .iter()
+                .position(|m| (m.width, m.features) == (c.width, c.features))
+                .expect("a candidate matches itself")
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,6 +236,27 @@ mod tests {
             assert!(c.spec.validate().is_ok(), "{}", c.name());
             assert!(c.spec.is_normalized(), "{}", c.name());
         }
+    }
+
+    /// The number of distinct machines among the candidates.
+    fn machines(cands: &[Candidate]) -> usize {
+        let of: std::collections::BTreeSet<usize> = machine_of(cands).into_iter().collect();
+        of.len()
+    }
+
+    #[test]
+    fn candidates_group_into_machines() {
+        // 4 simd subsets × 5 widths + 3 width-1 custom subsets + scalar.
+        let cands = enumerate(&GridConfig::default()).unwrap();
+        assert_eq!((cands.len(), machines(&cands)), (70, 24));
+        for (c, &m) in cands.iter().zip(&machine_of(&cands)) {
+            let m = &cands[m];
+            assert_eq!((m.width, m.features), (c.width, c.features));
+            assert_eq!(m.cost_scale, 1.0, "{}", c.name());
+        }
+        // One cost scale: every candidate is its own machine.
+        let cands = enumerate(&GridConfig::quick()).unwrap();
+        assert_eq!((cands.len(), machines(&cands)), (8, 8));
     }
 
     #[test]

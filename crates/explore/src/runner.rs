@@ -2,31 +2,40 @@
 //!
 //! Each benchmark is compiled a single time at full optimization and its
 //! reference outputs come from the reference interpreter; the shared
-//! pre-decoded program then runs against every candidate of the grid.
-//! Each (benchmark, candidate) cell is one fuel-limited simulation whose
-//! outputs are checked against the reference inside the cell; its cycle
-//! count is bit-identical to what a from-scratch compilation for that
-//! candidate would report (see [`matic::Compiled::simulator_for`]). The
-//! best candidate is re-run with profiling enabled to answer *why* it
-//! wins — which source line its cycles concentrate on.
+//! pre-decoded program then runs against every distinct machine of the
+//! grid. A machine is a width and a feature set: candidates that share
+//! one differ only in their cost table, and a cost table changes only
+//! prices, never outputs or which classes are charged how often. So
+//! each (benchmark, machine) pair is one fuel-limited simulation whose
+//! outputs are checked against the reference inside the task, and each
+//! (benchmark, candidate) cell is its machine's cycle report repriced to
+//! the candidate's costs ([`matic::CycleReport::repriced`]). A cell's
+//! cycle count is bit-identical to what a from-scratch compilation for
+//! that candidate would report (see [`matic::Compiled::simulator_for`]).
+//! The best candidate is re-run on its own spec with profiling enabled
+//! to answer *why* it wins — which source line its cycles concentrate on.
 //!
 //! The work runs as three fan-outs on [`crate::par_map`], so no kernel's
 //! reference run waits for another kernel's sweep:
 //!
 //! 1. compile and reference run, one task per benchmark;
-//! 2. every (benchmark, candidate) cell of the whole suite at once;
+//! 2. every (benchmark, machine) simulation of the whole suite at once;
 //! 3. frontier and profiled re-run, one task per benchmark.
 //!
 //! The error reported is the one a kernel-by-kernel run would meet first:
 //! benchmarks in requested order, and within one benchmark its compile,
 //! its reference run, its first failing cell in grid order, its profile.
+//! A simulation fails for all of its machine's cells at once, and a
+//! machine is its first cell in grid order, so that cell is the one
+//! named.
 
 use crate::area::AreaModel;
-use crate::grid::{enumerate, Candidate, GridConfig};
+use crate::grid::{enumerate, machine_of, Candidate, GridConfig};
 use crate::pareto::pareto_frontier;
 use crate::util::par_map;
-use matic::{CValue, Compiled, Compiler, Engine, Features, SimVal, SourceMap};
+use matic::{CValue, Compiled, Compiler, CycleReport, Engine, Features, SimVal, SourceMap};
 use matic_benchkit::{benchmark, outputs_close, sim_to_cvalue, to_sim, Benchmark, SUITE};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Everything one exploration run needs.
@@ -75,8 +84,8 @@ pub fn default_n(id: &str) -> usize {
     }
 }
 
-/// One simulated (benchmark, candidate) cell, reduced to plain data so it
-/// can cross the worker-thread boundary.
+/// One (benchmark, candidate) cell, reduced to plain data so it can cross
+/// the worker-thread boundary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CandidatePoint {
     /// Candidate name (grid coordinates, e.g. `w8_simd_cplx_mac`).
@@ -186,6 +195,15 @@ impl Exploration {
         names.sort_by(|a, b| a.area.total_cmp(&b.area));
         names.iter().map(|p| p.name.clone()).collect()
     }
+
+    /// Simulations the sweep ran: one per benchmark and distinct machine
+    /// of the grid ([`crate::grid::machine_of`]), not counting the
+    /// profiled re-runs of the winners.
+    pub fn simulations(&self) -> usize {
+        let candidates = enumerate(&self.grid).expect("the swept grid is valid");
+        let machines: BTreeSet<usize> = machine_of(&candidates).into_iter().collect();
+        machines.len() * self.benches.len()
+    }
 }
 
 /// Runs the design-space exploration described by `cfg`.
@@ -220,15 +238,35 @@ pub fn explore(cfg: &ExploreConfig) -> Result<Exploration, String> {
     // a later benchmark could never be the one reported.
     let (prepared, mut first_err) = ok_prefix(par_map(&benches, |&bench| prepare(bench, cfg)));
 
-    // Fan-out 2: every (benchmark, candidate) cell in one pool.
+    // Fan-out 2: every (benchmark, machine) simulation in one pool; each
+    // candidate's cell is its machine's report at its own prices.
+    let machine_of = machine_of(&candidates);
+    let machines: Vec<usize> = (0..candidates.len())
+        .filter(|&i| machine_of[i] == i)
+        .collect();
     let jobs: Vec<(&Prepared, &Candidate)> = prepared
         .iter()
-        .flat_map(|p| candidates.iter().map(move |cand| (p, cand)))
+        .flat_map(|p| machines.iter().map(move |&m| (p, m)))
+        .map(|(p, m)| (p, &candidates[m]))
         .collect();
-    let mut cells = par_map(&jobs, |&(p, cand)| run_cell(p, cand, cfg)).into_iter();
+    let mut runs = par_map(&jobs, |&(p, machine)| run_machine(p, machine, cfg)).into_iter();
     let mut swept: Vec<(&Prepared, Vec<CandidatePoint>)> = Vec::with_capacity(prepared.len());
     for p in &prepared {
-        match cells.by_ref().take(candidates.len()).collect() {
+        let reports = runs
+            .by_ref()
+            .take(machines.len())
+            .collect::<Result<Vec<_>, _>>();
+        let points = reports.and_then(|reports| {
+            candidates
+                .iter()
+                .zip(&machine_of)
+                .map(|(cand, &m)| {
+                    let k = machines.binary_search(&m).expect("every machine ran");
+                    price(p, &candidates[m], &reports[k], cand, cfg)
+                })
+                .collect()
+        });
+        match points {
             Ok(points) => swept.push((p, points)),
             Err(e) => {
                 first_err = Some(e);
@@ -294,29 +332,50 @@ fn prepare(bench: &'static Benchmark, cfg: &ExploreConfig) -> Result<Prepared, S
     })
 }
 
-/// One fuel-limited simulation, checked against the reference. Inputs are
-/// rebuilt inside the worker: simulation values are `Rc`-backed and must
-/// not cross threads.
-fn run_cell(p: &Prepared, cand: &Candidate, cfg: &ExploreConfig) -> Result<CandidatePoint, String> {
-    let context = |e: String| format!("{}/{}: {e}", p.bench.id, cand.name());
+/// One fuel-limited simulation of a machine, checked against the
+/// reference. The check holds for every candidate of the machine, whose
+/// outputs are the same. Inputs are rebuilt inside the worker:
+/// simulation values are `Rc`-backed and must not cross threads.
+fn run_machine(
+    p: &Prepared,
+    machine: &Candidate,
+    cfg: &ExploreConfig,
+) -> Result<CycleReport, String> {
+    let context = |e: String| format!("{}/{}: {e}", p.bench.id, machine.name());
     let inputs: Vec<_> = p.bench.inputs(p.n, cfg.seed).iter().map(to_sim).collect();
     let outcome = p
         .compiled
-        .simulator_for(Arc::new(cand.spec.clone()))
+        .simulator_for(Arc::new(machine.spec.clone()))
         .with_fuel(cfg.fuel)
         .run(inputs)
         .map_err(|e| context(e.to_string()))?;
     check_outputs(&outcome.outputs, &p.reference).map_err(context)?;
+    Ok(outcome.cycles)
+}
+
+/// One candidate's cell: its machine's `report` at the candidate's costs.
+/// A repricing error is an internal error (grid candidates of one machine
+/// always agree on which classes exist), never a reason to simulate.
+fn price(
+    p: &Prepared,
+    machine: &Candidate,
+    report: &CycleReport,
+    cand: &Candidate,
+    cfg: &ExploreConfig,
+) -> Result<CandidatePoint, String> {
+    let cycles = report
+        .repriced(&machine.spec, &cand.spec)
+        .map_err(|e| format!("{}/{}: internal error: {e}", p.bench.id, cand.name()))?;
     Ok(CandidatePoint {
         name: cand.name().to_string(),
         width: cand.width,
         features: cand.features,
         cost_scale: cand.cost_scale,
         area: cfg.area.area(cand),
-        cycles: outcome.cycles.total,
-        instructions: outcome.cycles.instructions,
-        vector_cycles: outcome.cycles.vector_cycles(),
-        complex_cycles: outcome.cycles.complex_cycles(),
+        cycles: cycles.total,
+        instructions: cycles.instructions,
+        vector_cycles: cycles.vector_cycles(),
+        complex_cycles: cycles.complex_cycles(),
         on_frontier: false,
     })
 }

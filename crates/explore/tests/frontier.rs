@@ -133,6 +133,9 @@ fn full_suite_completes_on_the_default_grid() {
     let result = explore(&cfg).expect("six-benchmark default-grid sweep runs");
     assert_eq!(result.benches.len(), SUITE.len());
     assert!(result.candidates.len() >= 48);
+    // 70 candidates share 24 machines: 420 cells from 144 simulations.
+    let cells = result.benches.len() * result.candidates.len();
+    assert_eq!((cells, result.simulations()), (420, 144));
     for b in &result.benches {
         assert_eq!(b.points.len(), result.candidates.len(), "{}", b.bench);
         assert!(!b.frontier.is_empty(), "{}", b.bench);
