@@ -453,22 +453,11 @@ pub(super) fn elem_fn(name: &str) -> Option<ElemFn> {
         "asin" => (|z| Cx::real(z.re.asin()), ScalarTrans),
         "acos" => (|z| Cx::real(z.re.acos()), ScalarTrans),
         "atan" => (|z| Cx::real(z.re.atan()), ScalarTrans),
-        "floor" => (|z| Cx::real(z.re.floor()), ScalarAlu),
-        "ceil" => (|z| Cx::real(z.re.ceil()), ScalarAlu),
-        "round" => (|z| Cx::real(z.re.round()), ScalarAlu),
-        "fix" => (|z| Cx::real(z.re.trunc()), ScalarAlu),
-        "sign" => (
-            |z| {
-                Cx::real(if z.re > 0.0 {
-                    1.0
-                } else if z.re < 0.0 {
-                    -1.0
-                } else {
-                    0.0
-                })
-            },
-            ScalarAlu,
-        ),
+        "floor" => (|z| z.map_parts(f64::floor), ScalarAlu),
+        "ceil" => (|z| z.map_parts(f64::ceil), ScalarAlu),
+        "round" => (|z| z.map_parts(f64::round), ScalarAlu),
+        "fix" => (|z| z.map_parts(f64::trunc), ScalarAlu),
+        "sign" => (Cx::sign, ScalarAlu),
         "real" => (|z| Cx::real(z.re), ScalarAlu),
         "imag" => (|z| Cx::real(z.im), ScalarAlu),
         "conj" => (|z| z.conj(), ComplexConj),

@@ -230,22 +230,12 @@ pub fn call_builtin(
         "imag" => map_builtin(&args, name, |z| Cx::real(z.im)),
         "conj" => map_builtin(&args, name, Cx::conj),
         "angle" => map_builtin(&args, name, |z| Cx::real(z.arg())),
-        "floor" => real_map(&args, name, f64::floor),
-        "ceil" => real_map(&args, name, f64::ceil),
-        "round" => real_map(&args, name, |v| {
-            // MATLAB rounds halves away from zero (like Rust's `round`).
-            v.round()
-        }),
-        "fix" => real_map(&args, name, f64::trunc),
-        "sign" => real_map(&args, name, |v| {
-            if v > 0.0 {
-                1.0
-            } else if v < 0.0 {
-                -1.0
-            } else {
-                0.0
-            }
-        }),
+        "floor" => map_builtin(&args, name, |z| z.map_parts(f64::floor)),
+        "ceil" => map_builtin(&args, name, |z| z.map_parts(f64::ceil)),
+        // MATLAB rounds halves away from zero (like Rust's `round`).
+        "round" => map_builtin(&args, name, |z| z.map_parts(f64::round)),
+        "fix" => map_builtin(&args, name, |z| z.map_parts(f64::trunc)),
+        "sign" => map_builtin(&args, name, Cx::sign),
         "mod" => {
             let a = arg_matrix(&args, 0, name)?;
             let b = arg_matrix(&args, 1, name)?;
@@ -748,6 +738,22 @@ mod tests {
         let outs = call_builtin(&mut h, "size", vec![Value::Num(Matrix::zeros(4, 7))], 2).unwrap();
         assert_eq!(outs.len(), 2);
         assert_eq!(outs[1].as_matrix().unwrap().as_real_scalar().unwrap(), 7.0);
+    }
+
+    #[test]
+    fn rounding_and_sign_of_a_complex_value() {
+        let z = |re, im| Value::Num(Matrix::scalar(Cx::new(re, im)));
+        let of = |vs: Vec<Value>| vs[0].as_matrix().unwrap().as_scalar().unwrap();
+        // Each part is rounded on its own, as in MATLAB.
+        assert_eq!(of(call("floor", vec![z(2.5, -3.5)])), Cx::new(2.0, -4.0));
+        assert_eq!(of(call("ceil", vec![z(2.5, -3.5)])), Cx::new(3.0, -3.0));
+        assert_eq!(of(call("round", vec![z(2.5, -3.5)])), Cx::new(3.0, -4.0));
+        assert_eq!(of(call("fix", vec![z(2.5, -3.5)])), Cx::new(2.0, -3.0));
+        assert_eq!(of(call("floor", vec![z(2.0, -3.0)])), Cx::new(2.0, -3.0));
+        // sign(z) = z / abs(z), and 0 for 0.
+        assert_eq!(of(call("sign", vec![z(3.0, -4.0)])), Cx::new(0.6, -0.8));
+        assert_eq!(of(call("sign", vec![z(0.0, 0.0)])), Cx::ZERO);
+        assert_eq!(of(call("sign", vec![z(-2.0, 0.0)])), Cx::real(-1.0));
     }
 
     #[test]

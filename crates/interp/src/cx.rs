@@ -54,6 +54,34 @@ impl Cx {
         self.re.hypot(self.im)
     }
 
+    /// `f` on each part: MATLAB's `floor`, `ceil`, `round` and `fix` of a
+    /// complex value round its real and imaginary parts separately. A
+    /// real value keeps an exactly zero imaginary part.
+    pub fn map_parts(self, f: impl Fn(f64) -> f64) -> Cx {
+        if self.is_real() {
+            Cx::real(f(self.re))
+        } else {
+            Cx::new(f(self.re), f(self.im))
+        }
+    }
+
+    /// MATLAB's `sign`: -1, 0 or 1 for a real value (0 for NaN), and
+    /// `z / abs(z)` for a complex one.
+    pub fn sign(self) -> Cx {
+        if self.is_real() {
+            Cx::real(if self.re > 0.0 {
+                1.0
+            } else if self.re < 0.0 {
+                -1.0
+            } else {
+                0.0
+            })
+        } else {
+            let a = self.abs();
+            Cx::new(self.re / a, self.im / a)
+        }
+    }
+
     /// Argument (phase angle) in radians.
     pub fn arg(self) -> f64 {
         self.im.atan2(self.re)

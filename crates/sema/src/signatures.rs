@@ -42,8 +42,19 @@ pub fn builtin_result(name: &str, args: &[Ty]) -> Option<Ty> {
 
         // Real-result element-wise maps.
         "abs" | "real" | "imag" | "angle" => Ty::new(Class::Double, first.shape),
-        "floor" | "ceil" | "round" | "fix" | "sign" | "sin" | "cos" | "tan" | "asin" | "acos"
-        | "atan" | "log2" | "log10" => Ty::new(Class::Double, first.shape),
+        "sin" | "cos" | "tan" | "asin" | "acos" | "atan" | "log2" | "log10" => {
+            Ty::new(Class::Double, first.shape)
+        }
+        // Rounding and `sign` keep a complex value complex (each part is
+        // rounded; `sign(z)` is `z / abs(z)`).
+        "floor" | "ceil" | "round" | "fix" | "sign" => {
+            let class = if first.class == Class::Complex {
+                Class::Complex
+            } else {
+                Class::Double
+            };
+            Ty::new(class, first.shape)
+        }
 
         // Class-preserving element-wise maps.
         "conj" => Ty::new(first.class, first.shape),

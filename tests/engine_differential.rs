@@ -1507,8 +1507,9 @@ fn single_statements_agree_across_engines_and_fuel() {
 /// `Compiler` cannot build them: the MIR is lowered and optimized directly
 /// (the baseline level's passes) and the engine is compared with the tree
 /// walker on it, profiled or not, and at every fuel value up to the one
-/// that completes it. The function is `f(c, k)` over the complex scalar
-/// `c = 2 - 3i` and a real scalar `k`.
+/// that completes it. The value also equals `matic-interp`'s. The
+/// function is `f(c, k)` over the complex scalar `c = 2 - 3i` and a real
+/// scalar `k`.
 #[test]
 fn complex_scalar_builtins_agree_across_engines_and_fuel() {
     use matic::arg::{cx_scalar, scalar};
@@ -1521,6 +1522,10 @@ fn complex_scalar_builtins_agree_across_engines_and_fuel() {
         ("y = min(c, NaN);", 1.0),
         ("y = floor(c);", 1.0),
         ("y = round(c) + conj(c);", 1.0),
+        ("y = ceil(c) - fix(c);", 1.0),
+        ("y = sign(c);", 1.0),
+        ("y = sign(c - c);", 1.0),
+        ("y = floor(c / 2) * k;", 3.0),
     ];
     for (stmt, k) in cases {
         let src = format!("function y = f(c, k)\ny = c;\n{}\nend\n", in_if(stmt));
@@ -1556,6 +1561,15 @@ fn complex_scalar_builtins_agree_across_engines_and_fuel() {
             for profiling in [false, true] {
                 run(None, profiling).unwrap_or_else(|e| panic!("{tag}: {e}"));
             }
+            let sim = run(None, false).unwrap().outputs[0].as_cx().unwrap();
+            let mut interp = matic::Interpreter::from_source(&src).expect("parses");
+            let args = vec![
+                matic::Value::from(matic::Matrix::scalar(matic_interp::Cx::new(2.0, -3.0))),
+                matic::Value::from(matic::Matrix::from_f64(k)),
+            ];
+            let want = interp.call("f", args, 1).expect("interpreter runs");
+            let want = want[0].as_matrix().unwrap().as_scalar().unwrap();
+            assert_eq!(sim, want, "{tag}: simulator vs matic-interp");
             let mut fuel = 0;
             while run(Some(fuel), false).is_err() {
                 fuel += 1;
