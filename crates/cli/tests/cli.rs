@@ -108,6 +108,33 @@ fn single_output_size_runs() {
     assert!(out.stderr.is_empty(), "stderr: {}", stderr_line(&out));
 }
 
+/// `y = size(A)` of a matrix compiles to C as the 1x2 row `[rows cols]`,
+/// so both `compile` and `cycles` accept it.
+#[test]
+fn single_output_size_of_a_matrix_compiles() {
+    let file = source_file("size_m", "function y = f(A)\ny = size(A);\nend\n");
+    let path = file.to_str().unwrap();
+    let out_dir = file.with_file_name("out");
+    let out_dir = out_dir.to_str().unwrap();
+    for args in [
+        &[
+            "compile", path, "--entry", "f", "--sig", "m3x4", "-o", out_dir,
+        ][..],
+        &["cycles", path, "--entry", "f", "--sig", "m3x4"][..],
+    ] {
+        let out = run(args);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{}: {}",
+            args[0],
+            stderr_line(&out)
+        );
+    }
+    let c = std::fs::read_to_string(file.with_file_name("out").join("module.c")).unwrap();
+    assert!(c.contains(".data[1] = (double)"), "{c}");
+}
+
 #[test]
 fn runaway_program_exhausts_fuel_instead_of_hanging() {
     let file = source_file(

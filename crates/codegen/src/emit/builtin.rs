@@ -139,7 +139,7 @@ impl FnEmitter<'_> {
         }
     }
 
-    /// `numel`, `length`, `size(x, d)` and `isempty`.
+    /// `numel`, `length`, `size(x)`, `size(x, d)` and `isempty`.
     fn emit_shape_query(
         &mut self,
         dst: VarId,
@@ -151,6 +151,18 @@ impl FnEmitter<'_> {
             Some(v) if !self.repr(v)?.is_scalar() => Some(c_name(self.f, v)),
             _ => None,
         };
+        let dname = c_name(self.f, dst);
+        if name == "size" && args.len() == 1 {
+            // The 1x2 row `[rows cols]`; a scalar is 1x1.
+            let (rows, cols) = match &array {
+                Some(vn) => (format!("(double){vn}.rows"), format!("(double){vn}.cols")),
+                None => ("1.0".to_string(), "1.0".to_string()),
+            };
+            self.alloc(&dname, self.repr(dst)?, "1", "2");
+            self.line(&format!("{dname}.data[0] = {rows};"));
+            self.line(&format!("{dname}.data[1] = {cols};"));
+            return Ok(());
+        }
         let expr = match (name, array) {
             ("isempty", None) => "0.0".to_string(),
             (_, None) => "1.0".to_string(),
@@ -160,16 +172,13 @@ impl FnEmitter<'_> {
             ),
             ("isempty", Some(vn)) => format!("(({vn}.rows * {vn}.cols == 0) ? 1.0 : 0.0)"),
             (_, Some(vn)) => {
-                let d = args.get(1).copied().ok_or_else(|| {
-                    CodegenError::new("size() without dimension needs multi-assign", span)
-                })?;
-                let d0 = self.scalar(d, false, span)?;
+                let d0 = self.scalar(args[1], false, span)?;
                 format!(
                     "(double)(((int)({d0}) == 1) ? {vn}.rows : (((int)({d0}) == 2) ? {vn}.cols : 1))"
                 )
             }
         };
-        self.line(&format!("{} = {expr};", c_name(self.f, dst)));
+        self.line(&format!("{dname} = {expr};"));
         Ok(())
     }
 

@@ -199,6 +199,21 @@ fn two_argument_min_max_with_an_array_operand() {
 }
 
 #[test]
+fn single_output_size_is_a_row_of_rows_and_cols() {
+    let src = "function [s, t] = sz(A, x)\ns = size(A);\nt = size(x);\nend";
+    let a = CValue {
+        rows: 3,
+        cols: 4,
+        re: (0..12).map(f64::from).collect(),
+        im: None,
+    };
+    let x = CValue::row(&[2.5]);
+    let out = check_program(src, "sz", 2, &[arg::matrix(3, 4), arg::scalar()], &[a, x]);
+    assert_eq!(out[0].re, [3.0, 4.0]);
+    assert_eq!(out[1].re, [1.0, 1.0]);
+}
+
+#[test]
 fn flips_of_a_real_vector_and_a_complex_matrix() {
     let src = "function [a, b] = fl(x)\na = fliplr(x);\nb = flipud(x);\nend";
     let x = CValue::row(&[1.0, 2.0, 3.0, 4.0]);
