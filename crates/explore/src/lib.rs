@@ -9,7 +9,9 @@
 //! of candidate [`IsaSpec`]s — the cross product of SIMD widths, custom
 //! instruction-family subsets and cost-table scalings — compiles each
 //! benchmark **once**, then simulates the shared pre-decoded program
-//! against every candidate in parallel. A simple area model (per-feature
+//! once per distinct machine (width and features) in parallel and prices
+//! each candidate's cost table from that machine's per-class counts. A
+//! simple area model (per-feature
 //! and per-lane costs, loadable from JSON) prices each candidate, and the
 //! result is the cycles-vs-area **Pareto frontier** per benchmark and for
 //! the whole suite, as a terminal report and a stable `matic-explore-v1`
@@ -18,9 +20,9 @@
 //! The compile-once/simulate-many fan-out rests on a deliberate
 //! architecture invariant pinned by tests: MIR (and the decoded
 //! instruction stream) is target-independent; all target dependence
-//! lives in the simulator's cost table and capability gates. Every
-//! frontier point's cycle count therefore bit-matches a from-scratch
-//! compilation for that spec.
+//! lives in the simulator's cost table and capability gates, and a cost
+//! table changes only prices. Every point's cycle count therefore
+//! bit-matches a from-scratch compilation for that spec.
 //!
 //! # Examples
 //!
