@@ -244,12 +244,11 @@ pub fn explore(cfg: &ExploreConfig) -> Result<Exploration, String> {
     let machines: Vec<usize> = (0..candidates.len())
         .filter(|&i| machine_of[i] == i)
         .collect();
-    let jobs: Vec<(&Prepared, &Candidate)> = prepared
+    let jobs: Vec<(&Prepared, usize)> = prepared
         .iter()
         .flat_map(|p| machines.iter().map(move |&m| (p, m)))
-        .map(|(p, m)| (p, &candidates[m]))
         .collect();
-    let mut runs = par_map(&jobs, |&(p, machine)| run_machine(p, machine, cfg)).into_iter();
+    let mut runs = par_map(&jobs, |&(p, m)| run_machine(p, &candidates[m], cfg)).into_iter();
     let mut swept: Vec<(&Prepared, Vec<CandidatePoint>)> = Vec::with_capacity(prepared.len());
     for p in &prepared {
         let reports = runs
