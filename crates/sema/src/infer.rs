@@ -13,7 +13,7 @@
 //! imaginary literal). The differential tests against the interpreter
 //! enforce that this approximation is sound for all shipped benchmarks.
 
-use crate::signatures::{builtin_nargout_types, builtin_result};
+use crate::signatures::{builtin_call_error, builtin_nargout_types, builtin_result};
 use crate::types::{Class, Dim, Shape, Ty};
 use matic_frontend::ast::*;
 use matic_frontend::diag::DiagnosticBag;
@@ -343,6 +343,10 @@ impl<'p> InferCx<'p> {
                     outs.resize(nargout, Ty::unknown());
                     return outs;
                 }
+                if let Some(msg) = builtin_call_error(name, &arg_tys) {
+                    self.diags.error(msg, *span);
+                    return vec![Ty::unknown(); nargout];
+                }
                 if let Some(outs) = builtin_nargout_types(name, &arg_tys, nargout) {
                     let mut outs = outs;
                     outs.resize(nargout, Ty::unknown());
@@ -407,6 +411,10 @@ impl<'p> InferCx<'p> {
                 if self.program.function(name).is_some() {
                     let outs = self.analyze_function(name, arg_tys, *span);
                     return outs.first().copied().unwrap_or_else(Ty::unknown);
+                }
+                if let Some(msg) = builtin_call_error(name, &arg_tys) {
+                    self.diags.error(msg, *span);
+                    return Ty::unknown();
                 }
                 if let Some(t) = builtin_result(name, &arg_tys) {
                     return t;
@@ -762,5 +770,25 @@ mod tests {
             a.function("f").unwrap().var_ty("y").shape,
             Shape::known(2, 3)
         );
+    }
+
+    #[test]
+    fn a_complex_argument_to_a_real_only_builtin_is_rejected_at_the_call() {
+        let src = "function y = f(z, x)\ny = x + sin(z);\nend";
+        let z = Ty::new(Class::Complex, Shape::scalar());
+        let a = analyze_src(src, "f", &[z, Ty::double_scalar()]);
+        let err = a.diags.first_error().expect("rejected");
+        assert_eq!(err.message, "`sin` of a complex argument is not supported");
+        assert_eq!(
+            &src[err.span.start as usize..err.span.end as usize],
+            "sin(z)"
+        );
+        // A real argument, and a complex one to a builtin with a complex
+        // form, are accepted.
+        let a = analyze_src(src, "f", &[Ty::double_scalar(), Ty::double_scalar()]);
+        assert!(!a.diags.has_errors());
+        let a = analyze_src("function y = f(z)\ny = floor(z);\nend", "f", &[z]);
+        assert!(!a.diags.has_errors());
+        assert_eq!(a.function("f").unwrap().var_ty("y").class, Class::Complex);
     }
 }

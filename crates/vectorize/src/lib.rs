@@ -48,7 +48,7 @@ pub use affine::{Affine, LoopEnv};
 pub use arrays::{vectorize_arrays, ArrayReport};
 pub use forward::{forward_slices, ForwardReport};
 pub use fuse::{fuse_mac, FuseReport};
-pub use loops::{vectorize_loops, LoopDecision, LoopReport, LANE_BUILTINS};
+pub use loops::{vectorize_loops, LoopDecision, LoopReport};
 
 use matic_mir::{MirFunction, MirProgram};
 
