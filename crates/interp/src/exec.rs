@@ -385,22 +385,16 @@ impl Interpreter {
             let func = Rc::clone(func);
             return self.call_user(&func, args, nargout, span);
         }
-        if builtins::is_builtin(name) {
-            return builtins::call_builtin(self, name, args, nargout).map_err(|m| {
-                if name == "error" {
-                    // The message is user program text; a payload that
-                    // happens to contain "out of bounds" must still
-                    // classify as a plain trap.
-                    RuntimeError::with_kind(m, span, ErrorKind::Trap)
-                } else {
-                    RuntimeError::new(m, span)
-                }
-            });
-        }
-        Err(RuntimeError::new(
-            format!("undefined function or variable `{name}`"),
-            span,
-        ))
+        builtins::call_builtin(self, name, args, nargout).map_err(|m| {
+            if name == "error" {
+                // The message is user program text; a payload that
+                // happens to contain "out of bounds" must still
+                // classify as a plain trap.
+                RuntimeError::with_kind(m, span, ErrorKind::Trap)
+            } else {
+                RuntimeError::new(m, span)
+            }
+        })
     }
 
     fn call_user(
