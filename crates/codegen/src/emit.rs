@@ -20,8 +20,8 @@
 //! rest:
 //!
 //! * `expr` — operand access and the two C tables every path shares: one
-//!   for operators (`binop`, `unop`) and one for element functions
-//!   (`elem_fn`);
+//!   for operators (`binop`, `unop`) and one for the registry's builtins
+//!   (`builtin_c`);
 //! * `array` — allocation, element-wise operations, matmul, transpose,
 //!   ranges, literals, indexed loads and stores;
 //! * `builtin` — builtins, reductions, calls and effects;
