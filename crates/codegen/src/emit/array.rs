@@ -383,8 +383,7 @@ impl FnEmitter<'_> {
             {
                 let r0 = self.index0(*r, span)?;
                 let c0 = self.index0(*c, span)?;
-                let idx = format!("(({c0}) * {aname}.rows + ({r0}))");
-                let e = self.checked_elem(array, &idx, widen, "index")?;
+                let e = self.checked_elem2(array, &r0, &c0, widen, "index")?;
                 self.line(&format!("{dname} = {e};"));
                 Ok(())
             }
@@ -476,15 +475,13 @@ impl FnEmitter<'_> {
         let (nr, rbase) = self.subscript_plan(ri, &format!("{aname}.rows"), span)?;
         let (nc, cbase) = self.subscript_plan(ci, &format!("{aname}.cols"), span)?;
         if drepr.is_scalar() {
-            let idx = format!("(({}) * {aname}.rows + ({}))", cbase("0"), rbase("0"));
-            let e = self.checked_elem(array, &idx, widen, "index2d")?;
+            let e = self.checked_elem2(array, &rbase("0"), &cbase("0"), widen, "index2d")?;
             self.line(&format!("{dname} = {e};"));
             return Ok(());
         }
         let (i, j) = (self.fresh("i"), self.fresh("j"));
         self.alloc(&dname, drepr, &nr, &nc);
-        let idx = format!("(({}) * {aname}.rows + ({}))", cbase(&j), rbase(&i));
-        let e = self.checked_elem(array, &idx, widen, "index2d")?;
+        let e = self.checked_elem2(array, &rbase(&i), &cbase(&j), widen, "index2d")?;
         self.loop2_line(
             &i,
             &j,

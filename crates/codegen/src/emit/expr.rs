@@ -319,6 +319,30 @@ impl FnEmitter<'_> {
         let e = format!("{ptr}[MATIC_IDX({idx0}, {numel}, \"{what}\")]");
         coerce(e, self.repr(array)?.is_cx(), widen, Span::dummy())
     }
+
+    /// [`Self::checked_elem`] at the 0-based row `r0` and column `c0`,
+    /// each checked against its own extent.
+    pub(super) fn checked_elem2(
+        &self,
+        array: VarId,
+        r0: &str,
+        c0: &str,
+        widen: bool,
+        what: &str,
+    ) -> Result<String, CodegenError> {
+        let aname = c_name(self.f, array);
+        let (ptr, rows, cols) = if self.repr(array)?.is_scalar() {
+            (format!("(&{aname})"), "1".to_string(), "1".to_string())
+        } else {
+            (
+                format!("{aname}.data"),
+                format!("{aname}.rows"),
+                format!("{aname}.cols"),
+            )
+        };
+        let e = format!("{ptr}[MATIC_IDX2({r0}, {c0}, {rows}, {cols}, \"{what}\")]");
+        coerce(e, self.repr(array)?.is_cx(), widen, Span::dummy())
+    }
 }
 
 #[cfg(test)]

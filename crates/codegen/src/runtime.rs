@@ -132,6 +132,17 @@ static int matic_idx_check(int idx0, int n, const char *what) {
     return idx0;
 }
 
+/* Two-subscript bounds trap: each axis is checked on its own, so a row
+ * past the last one traps instead of reading the next column. */
+static int matic_idx2_check(int i0, int j0, int rows, int cols, const char *what) {
+    if (i0 < 0 || i0 >= rows || j0 < 0 || j0 >= cols) {
+        fprintf(stderr, "matic: index out of bounds in %s ((%d, %d) of %dx%d)\n",
+                what, i0 + 1, j0 + 1, rows, cols);
+        exit(2);
+    }
+    return j0 * rows + i0;
+}
+
 /* Broadcast element access inside element-wise loops: a 1x1 descriptor
  * broadcasts to every lane; anything else must be in range (never masked
  * by wrapping, which would silently return the wrong element). */
@@ -142,8 +153,10 @@ static int matic_bcast(int idx0, int n, const char *what) {
 
 #ifdef MATIC_BOUNDS_CHECK
 #define MATIC_IDX(i0, n, what) matic_idx_check((i0), (n), (what))
+#define MATIC_IDX2(i0, j0, rows, cols, what) matic_idx2_check((i0), (j0), (rows), (cols), (what))
 #else
 #define MATIC_IDX(i0, n, what) (i0)
+#define MATIC_IDX2(i0, j0, rows, cols, what) ((j0) * (rows) + (i0))
 #endif
 
 /* ---- complex helpers ---------------------------------------------------- */

@@ -7,27 +7,32 @@
 //! one differ only in their cost table, and a cost table changes only
 //! prices, never outputs or which classes are charged how often. So
 //! each (benchmark, machine) pair is one fuel-limited simulation whose
-//! outputs are checked against the reference inside the task, and each
-//! (benchmark, candidate) cell is its machine's cycle report repriced to
-//! the candidate's costs ([`matic::CycleReport::repriced`]). A cell's
-//! cycle count is bit-identical to what a from-scratch compilation for
-//! that candidate would report (see [`matic::Compiled::simulator_for`]).
+//! outputs are checked against the reference, and each (benchmark,
+//! candidate) cell is its machine's cycle report repriced to the
+//! candidate's costs ([`matic::CycleReport::repriced`]). A cell's cycle
+//! count is bit-identical to what a from-scratch compilation for that
+//! candidate would report (see [`matic::Compiled::simulator_for`]).
 //! The best candidate is re-run on its own spec with profiling enabled
 //! to answer *why* it wins — which source line its cycles concentrate on.
 //!
-//! The work runs as three fan-outs on [`crate::par_map`], so no kernel's
-//! reference run waits for another kernel's sweep:
+//! The work runs as three fan-outs on [`crate::par_map`]:
 //!
-//! 1. compile and reference run, one task per benchmark;
-//! 2. every (benchmark, machine) simulation of the whole suite at once;
+//! 1. compile, one task per benchmark;
+//! 2. one pool of every benchmark's reference run, in requested order,
+//!    followed by every (benchmark, machine) simulation, so that no
+//!    simulation waits for a reference run;
 //! 3. frontier and profiled re-run, one task per benchmark.
 //!
-//! The error reported is the one a kernel-by-kernel run would meet first:
-//! benchmarks in requested order, and within one benchmark its compile,
-//! its reference run, its first failing cell in grid order, its profile.
-//! A simulation fails for all of its machine's cells at once, and a
-//! machine is its first cell in grid order, so that cell is the one
-//! named.
+//! A simulation returns its cycle report and its outputs. After the
+//! pool, the main thread walks the benchmarks in requested order and
+//! checks each machine's outputs against the reference at `1e-9`, then
+//! prices the benchmark's cells, serially. The error reported is the one
+//! a kernel-by-kernel run would meet first: benchmarks in requested
+//! order, and within one benchmark its compile, its reference run, its
+//! first failing machine in grid order (a simulation error or outputs
+//! off the reference), its pricing, its profile. A simulation fails for
+//! all of its machine's cells at once, and a machine is its first cell
+//! in grid order, so that cell is the one named.
 
 use crate::area::AreaModel;
 use crate::grid::{enumerate, machine_of, Candidate, GridConfig};
@@ -233,52 +238,69 @@ pub fn explore(cfg: &ExploreConfig) -> Result<Exploration, String> {
         })
         .collect::<Result<_, _>>()?;
 
-    // Fan-out 1: compile and reference run per benchmark. A later stage
-    // runs only the benchmarks before the first failure, since an error of
-    // a later benchmark could never be the one reported.
-    let (prepared, mut first_err) = ok_prefix(par_map(&benches, |&bench| prepare(bench, cfg)));
+    // Fan-out 1: compile per benchmark. A later stage runs only the
+    // benchmarks before the first failure, since an error of a later
+    // benchmark could never be the one reported.
+    let (prepared, compile_err) = ok_prefix(par_map(&benches, |&bench| prepare(bench, cfg)));
 
-    // Fan-out 2: every (benchmark, machine) simulation in one pool; each
-    // candidate's cell is its machine's report at its own prices.
+    // Fan-out 2: every reference run, then every (benchmark, machine)
+    // simulation, in one pool. Nothing waits for a reference run but its
+    // own check, which the walk below makes after the pool.
     let machine_of = machine_of(&candidates);
     let machines: Vec<usize> = (0..candidates.len())
         .filter(|&i| machine_of[i] == i)
         .collect();
-    let jobs: Vec<(&Prepared, usize)> = prepared
+    let jobs: Vec<(&Prepared, Option<usize>)> = prepared
         .iter()
-        .flat_map(|p| machines.iter().map(move |&m| (p, m)))
+        .map(|p| (p, None))
+        .chain(
+            prepared
+                .iter()
+                .flat_map(|p| machines.iter().map(move |&m| (p, Some(m)))),
+        )
         .collect();
-    let mut runs = par_map(&jobs, |&(p, m)| run_machine(p, &candidates[m], cfg)).into_iter();
-    let mut swept: Vec<(&Prepared, Vec<CandidatePoint>)> = Vec::with_capacity(prepared.len());
-    for p in &prepared {
-        let reports = runs
-            .by_ref()
-            .take(machines.len())
-            .collect::<Result<Vec<_>, _>>();
-        let points = reports.and_then(|reports| {
-            candidates
+    let mut done = par_map(&jobs, |&(p, m)| match m {
+        None => reference(p, cfg).map(|outputs| (None, outputs)),
+        Some(m) => run_machine(p, &candidates[m], cfg).map(|(r, outputs)| (Some(r), outputs)),
+    })
+    .into_iter();
+    let references: Vec<_> = done.by_ref().take(prepared.len()).collect();
+    let pooled = prepared.iter().zip(references).map(|(p, reference)| {
+        let runs = done.by_ref().take(machines.len()).map(|run| {
+            run.map(|(report, outputs)| (report.expect("a simulation reports cycles"), outputs))
+        });
+        let share = Pooled {
+            reference: reference.map(|(_, outputs)| outputs),
+            runs: runs.collect(),
+        };
+        Ok((p.bench.id, share))
+    });
+    let names: Vec<&str> = machines.iter().map(|&m| candidates[m].name()).collect();
+    let (checked, check_err) = checked_in_order(pooled.chain(compile_err.map(Err)), &names);
+
+    // Pricing, serial: each candidate's cell is its machine's report at
+    // its own prices.
+    let (swept, price_err) = ok_prefix(prepared.iter().zip(checked).map(
+        |(p, (reference, reports))| {
+            let points = candidates
                 .iter()
                 .zip(&machine_of)
                 .map(|(cand, &m)| {
                     let k = machines.binary_search(&m).expect("every machine ran");
                     price(p, &candidates[m], &reports[k], cand, cfg)
                 })
-                .collect()
-        });
-        match points {
-            Ok(points) => swept.push((p, points)),
-            Err(e) => {
-                first_err = Some(e);
-                break;
-            }
-        }
-    }
+                .collect::<Result<Vec<_>, _>>()?;
+            Ok((p, reference, points))
+        },
+    ));
 
-    // Fan-out 3: frontier and profiled re-run per benchmark.
-    let (out, err) = ok_prefix(par_map(&swept, |(p, points)| {
-        summarize(p, points, &candidates, cfg)
+    // Fan-out 3: frontier and profiled re-run per benchmark. Each stage
+    // ran only the benchmarks before the previous stages' error, so its
+    // own error comes first.
+    let (out, err) = ok_prefix(par_map(&swept, |(p, reference, points)| {
+        summarize(p, reference, points, &candidates, cfg)
     }));
-    if let Some(e) = err.or(first_err) {
+    if let Some(e) = err.or(price_err).or(check_err) {
         return Err(e);
     }
     let suite = aggregate_suite(&candidates, &out, &cfg.area);
@@ -293,9 +315,10 @@ pub fn explore(cfg: &ExploreConfig) -> Result<Exploration, String> {
     })
 }
 
-/// The results before the first error, and that error.
-fn ok_prefix<T>(results: Vec<Result<T, String>>) -> (Vec<T>, Option<String>) {
-    let mut ok = Vec::with_capacity(results.len());
+/// The results before the first error, and that error. Stops reading
+/// `results` at the error.
+fn ok_prefix<T>(results: impl IntoIterator<Item = Result<T, String>>) -> (Vec<T>, Option<String>) {
+    let mut ok = Vec::new();
     for r in results {
         match r {
             Ok(v) => ok.push(v),
@@ -305,14 +328,50 @@ fn ok_prefix<T>(results: Vec<Result<T, String>>) -> (Vec<T>, Option<String>) {
     (ok, None)
 }
 
-/// One benchmark compiled once, with its reference outputs.
+/// One benchmark's share of fan-out 2: its reference run, then one
+/// simulation per machine in grid order, each with its outputs.
+struct Pooled<R> {
+    reference: Result<Vec<CValue>, String>,
+    runs: Vec<Result<(R, Vec<CValue>), String>>,
+}
+
+/// One benchmark's reference outputs and machine reports, checked
+/// against each other.
+type Checked<R> = (Vec<CValue>, Vec<R>);
+
+/// Walks the benchmarks in requested order, each given by its id and
+/// pooled results or by its compile error, and returns each one's
+/// reference outputs and machine reports up to the first error, with
+/// that error. Within one benchmark the reference run comes first, then
+/// its machines in grid order: a simulation error, or outputs that
+/// [`check_values`] rejects. `machines` names the machines of `runs`.
+fn checked_in_order<'a, R>(
+    benches: impl IntoIterator<Item = Result<(&'a str, Pooled<R>), String>>,
+    machines: &[&str],
+) -> (Vec<Checked<R>>, Option<String>) {
+    ok_prefix(benches.into_iter().map(|bench| {
+        let (id, pooled) = bench?;
+        let reference = pooled.reference?;
+        let reports = pooled
+            .runs
+            .into_iter()
+            .zip(machines)
+            .map(|(run, machine)| {
+                let (report, outputs) = run?;
+                check_values(&outputs, &reference).map_err(|e| format!("{id}/{machine}: {e}"))?;
+                Ok(report)
+            })
+            .collect::<Result<_, String>>()?;
+        Ok((reference, reports))
+    }))
+}
+
+/// One benchmark compiled once. The decoded program is
+/// target-independent and shared by every candidate's simulator.
 struct Prepared {
     bench: &'static Benchmark,
     n: usize,
-    /// The decoded program is target-independent and shared by every
-    /// candidate's simulator.
     compiled: Compiled,
-    reference: Vec<CValue>,
 }
 
 fn prepare(bench: &'static Benchmark, cfg: &ExploreConfig) -> Result<Prepared, String> {
@@ -320,36 +379,36 @@ fn prepare(bench: &'static Benchmark, cfg: &ExploreConfig) -> Result<Prepared, S
     let compiled = Compiler::new()
         .compile(bench.source, bench.entry, &bench.arg_types(n))
         .map_err(|e| format!("{}: compile failed: {e}", bench.id))?;
-    let reference = bench
-        .reference_outputs(&bench.inputs(n, cfg.seed))
-        .map_err(|e| format!("{}: reference run failed: {e}", bench.id))?;
-    Ok(Prepared {
-        bench,
-        n,
-        compiled,
-        reference,
-    })
+    Ok(Prepared { bench, n, compiled })
 }
 
-/// One fuel-limited simulation of a machine, checked against the
-/// reference. The check holds for every candidate of the machine, whose
-/// outputs are the same. Inputs are rebuilt inside the worker:
-/// simulation values are `Rc`-backed and must not cross threads.
+/// The reference interpreter's outputs for one benchmark.
+fn reference(p: &Prepared, cfg: &ExploreConfig) -> Result<Vec<CValue>, String> {
+    p.bench
+        .reference_outputs(&p.bench.inputs(p.n, cfg.seed))
+        .map_err(|e| format!("{}: reference run failed: {e}", p.bench.id))
+}
+
+/// One fuel-limited simulation of a machine: its cycle report and its
+/// outputs, which hold for every candidate of the machine. Inputs are
+/// built and outputs converted inside the worker: simulation values are
+/// `Rc`-backed and must not cross threads.
 fn run_machine(
     p: &Prepared,
     machine: &Candidate,
     cfg: &ExploreConfig,
-) -> Result<CycleReport, String> {
-    let context = |e: String| format!("{}/{}: {e}", p.bench.id, machine.name());
+) -> Result<(CycleReport, Vec<CValue>), String> {
     let inputs: Vec<_> = p.bench.inputs(p.n, cfg.seed).iter().map(to_sim).collect();
     let outcome = p
         .compiled
         .simulator_for(Arc::new(machine.spec.clone()))
         .with_fuel(cfg.fuel)
         .run(inputs)
-        .map_err(|e| context(e.to_string()))?;
-    check_outputs(&outcome.outputs, &p.reference).map_err(context)?;
-    Ok(outcome.cycles)
+        .map_err(|e| format!("{}/{}: {e}", p.bench.id, machine.name()))?;
+    Ok((
+        outcome.cycles,
+        outcome.outputs.iter().map(sim_to_cvalue).collect(),
+    ))
 }
 
 /// One candidate's cell: its machine's `report` at the candidate's costs.
@@ -382,6 +441,7 @@ fn price(
 /// Marks one benchmark's frontier, picks its best candidate and profiles it.
 fn summarize(
     p: &Prepared,
+    reference: &[CValue],
     points: &[CandidatePoint],
     candidates: &[Candidate],
     cfg: &ExploreConfig,
@@ -404,7 +464,7 @@ fn summarize(
     let best_speedup = scalar_cycles.map(|s| s as f64 / best.cycles.max(1) as f64);
     let best_cand = candidates.iter().find(|c| c.name() == best.name);
     let best_cand = best_cand.expect("points are built from the candidates");
-    let why = profile_best(p.bench, p.n, &p.compiled, &p.reference, best_cand, cfg)?;
+    let why = profile_best(p.bench, p.n, &p.compiled, reference, best_cand, cfg)?;
 
     Ok(BenchExploration {
         bench: p.bench.id.to_string(),
@@ -479,6 +539,12 @@ fn profile_best(
 ///
 /// Describes the arity mismatch or the first diverging output.
 pub fn check_outputs(outputs: &[SimVal], reference: &[CValue]) -> Result<(), String> {
+    let outputs: Vec<CValue> = outputs.iter().map(sim_to_cvalue).collect();
+    check_values(&outputs, reference)
+}
+
+/// [`check_outputs`] on outputs already converted to [`CValue`]s.
+fn check_values(outputs: &[CValue], reference: &[CValue]) -> Result<(), String> {
     if outputs.len() != reference.len() {
         return Err(format!(
             "{} outputs, reference has {}",
@@ -487,8 +553,7 @@ pub fn check_outputs(outputs: &[SimVal], reference: &[CValue]) -> Result<(), Str
         ));
     }
     for (actual, expected) in outputs.iter().zip(reference) {
-        outputs_close(&sim_to_cvalue(actual), expected, 1e-9)
-            .map_err(|e| format!("wrong result: {e}"))?;
+        outputs_close(actual, expected, 1e-9).map_err(|e| format!("wrong result: {e}"))?;
     }
     Ok(())
 }
@@ -602,6 +667,98 @@ mod tests {
         let err = explore(&cfg).unwrap_err();
         assert!(err.contains("fuel"), "{err}");
         assert!(err.contains("fir/"), "{err}");
+    }
+
+    /// Synthetic pooled results: every run's output is `1.0` except where
+    /// `runs` gives another value or an error.
+    fn pooled(reference: Result<f64, &str>, runs: &[Result<f64, &str>]) -> Pooled<u64> {
+        let outputs = |v: f64| vec![CValue::scalar(v)];
+        Pooled {
+            reference: reference.map(outputs).map_err(str::to_string),
+            runs: runs
+                .iter()
+                .enumerate()
+                .map(|(k, r)| r.map(|v| (k as u64, outputs(v))).map_err(str::to_string))
+                .collect(),
+        }
+    }
+
+    const MACHINES: [&str; 3] = ["scalar", "w4_simd", "w8_simd"];
+
+    #[test]
+    fn the_walk_keeps_every_benchmark_that_checks_out() {
+        let (checked, err) = checked_in_order(
+            [
+                Ok(("fir", pooled(Ok(1.0), &[Ok(1.0), Ok(1.0), Ok(1.0)]))),
+                Ok(("iir", pooled(Ok(1.0), &[Ok(1.0), Ok(1.0), Ok(1.0)]))),
+            ],
+            &MACHINES,
+        );
+        assert_eq!(err, None);
+        assert_eq!(checked.len(), 2);
+        assert_eq!(checked[1], (vec![CValue::scalar(1.0)], vec![0, 1, 2]));
+    }
+
+    #[test]
+    fn a_failing_reference_wins_over_its_own_failing_cells() {
+        let (checked, err) = checked_in_order(
+            [
+                Ok(("fir", pooled(Ok(1.0), &[Ok(1.0), Ok(1.0), Ok(1.0)]))),
+                Ok((
+                    "iir",
+                    pooled(
+                        Err("iir: reference run failed"),
+                        &[Err("iir/scalar: trap"), Ok(2.0), Ok(1.0)],
+                    ),
+                )),
+            ],
+            &MACHINES,
+        );
+        assert_eq!(err.as_deref(), Some("iir: reference run failed"));
+        assert_eq!(checked.len(), 1);
+    }
+
+    #[test]
+    fn an_earlier_failing_cell_wins_over_a_later_failing_reference() {
+        let (checked, err) = checked_in_order(
+            [
+                Ok((
+                    "fir",
+                    pooled(Ok(1.0), &[Ok(1.0), Ok(1.5), Err("fir/w8_simd: trap")]),
+                )),
+                Ok((
+                    "iir",
+                    pooled(
+                        Err("iir: reference run failed"),
+                        &[Ok(1.0), Ok(1.0), Ok(1.0)],
+                    ),
+                )),
+            ],
+            &MACHINES,
+        );
+        let err = err.expect("fir's second machine is off the reference");
+        assert!(err.starts_with("fir/w4_simd: wrong result: "), "{err}");
+        assert!(checked.is_empty());
+    }
+
+    #[test]
+    fn a_compile_failure_stops_everything_after_it() {
+        let (checked, err) = checked_in_order(
+            [
+                Ok(("fir", pooled(Ok(1.0), &[Ok(1.0), Ok(1.0), Ok(1.0)]))),
+                Err("iir: compile failed".to_string()),
+                Ok((
+                    "fft",
+                    pooled(
+                        Err("fft: reference run failed"),
+                        &[Ok(1.0), Ok(1.0), Ok(1.0)],
+                    ),
+                )),
+            ],
+            &MACHINES,
+        );
+        assert_eq!(err.as_deref(), Some("iir: compile failed"));
+        assert_eq!(checked.len(), 1);
     }
 
     #[test]

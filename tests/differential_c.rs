@@ -53,12 +53,15 @@ fn unique_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("matic_diff_{tag}_{pid}_{t}"))
 }
 
-fn run_c_kernel(
+/// Builds `compiled` with its harness on `inputs` by the host C compiler,
+/// with the extra compiler `flags`, and runs it.
+fn build_and_run(
     compiled: &matic::Compiled,
     inputs: &[CValue],
     tag: &str,
     compiler: &str,
-) -> Vec<CValue> {
+    flags: &[&str],
+) -> std::process::Output {
     let entry = compiled
         .mir
         .function(&compiled.entry)
@@ -71,7 +74,9 @@ fn run_c_kernel(
         matic_codegen::write_module(&dir, &compiled.c, Some(&main_src)).expect("module written");
     let exe = dir.join("prog");
     let out = Command::new(compiler)
-        .args(["-std=c99", "-O1", "-w", "-o"])
+        .args(["-std=c99", "-O1", "-w"])
+        .args(flags)
+        .arg("-o")
         .arg(&exe)
         .arg(&c_path)
         .arg("-lm")
@@ -83,15 +88,24 @@ fn run_c_kernel(
         String::from_utf8_lossy(&out.stderr)
     );
     let run = Command::new(&exe).output().expect("kernel runs");
+    let _ = std::fs::remove_dir_all(&dir);
+    run
+}
+
+fn run_c_kernel(
+    compiled: &matic::Compiled,
+    inputs: &[CValue],
+    tag: &str,
+    compiler: &str,
+) -> Vec<CValue> {
+    let run = build_and_run(compiled, inputs, tag, compiler, &[]);
     assert!(
         run.status.success(),
         "{tag}: kernel exited with failure:\n{}",
         String::from_utf8_lossy(&run.stderr)
     );
-    let parsed = CValue::parse_outputs(&String::from_utf8_lossy(&run.stdout))
-        .unwrap_or_else(|e| panic!("{tag}: bad harness output: {e}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    parsed
+    CValue::parse_outputs(&String::from_utf8_lossy(&run.stdout))
+        .unwrap_or_else(|e| panic!("{tag}: bad harness output: {e}"))
 }
 
 #[test]
@@ -304,4 +318,86 @@ fn element_wise_ops_of_a_real_and_a_complex_array() {
     let out = check_program(src, "rc", 2, &[arg::vector(3), arg::cx_vector(3)], &[x, z]);
     assert_eq!(out[0].re, [0.0, -4.0, -3.0]);
     assert_eq!(out[1].re, [1.0, 2.0, 3.0]);
+}
+
+/// Reads that full optimization turns into a strided vector intrinsic
+/// (`__asip_vcopy`), whose operands the C backend does not bounds-check
+/// at all: under `-DMATIC_BOUNDS_CHECK` the row-5 read runs past `A`'s
+/// buffer instead of trapping.
+const UNCHECKED_VECTOR_READS: [(&str, &str); 1] = [("y = A(k, :);", "opt")];
+
+/// A row past the last one of a 4x5 `A` is out of bounds on every
+/// executor, even where its column-major offset lands inside `A`: checked
+/// C tests each subscript against its own extent, as `matic-interp` and
+/// the simulator do.
+#[test]
+fn checked_c_bounds_checks_each_axis_of_a_two_subscript_read() {
+    let a = CValue {
+        rows: 4,
+        cols: 5,
+        re: (1..=20).map(f64::from).collect(),
+        im: None,
+    };
+    let sig = [arg::matrix(4, 5), arg::scalar()];
+    // Each read, the trap site it names, and its row 4.
+    let reads: [(&str, &str, &[f64]); 3] = [
+        ("y = A(k, 1);", "index", &[4.0]),
+        ("y = A(k, 2:3);", "index2d", &[8.0, 12.0]),
+        ("y = A(k, :);", "index2d", &[4.0, 8.0, 12.0, 16.0, 20.0]),
+    ];
+    for (stmt, what, row4) in reads {
+        let src = format!("function y = rd(A, k)\n{stmt}\nend");
+        let out = check_program(&src, "rd", 1, &sig, &[a.clone(), CValue::scalar(4.0)]);
+        assert_eq!(out[0].re, row4, "{stmt}");
+
+        let inputs = [a.clone(), CValue::scalar(5.0)];
+        let mut interp = Interpreter::from_source(&src).expect("source parses");
+        let err = interp
+            .call("rd", inputs.iter().map(to_interp).collect(), 1)
+            .expect_err("row 5 of 4 is out of bounds");
+        assert_eq!(
+            err.kind,
+            matic_interp::ErrorKind::OutOfBounds,
+            "{stmt}: {err}"
+        );
+        for (label, opt) in [("base", OptLevel::baseline()), ("opt", OptLevel::full())] {
+            let compiled = Compiler::new()
+                .opt_level(opt)
+                .compile(&src, "rd", &sig)
+                .unwrap_or_else(|e| panic!("{stmt} [{label}]: {e}"));
+            let sim = compiled
+                .simulator()
+                .run(inputs.iter().map(matic_benchkit::to_sim).collect());
+            let err = sim.expect_err("the simulator raises");
+            assert_eq!(
+                err.kind,
+                matic_interp::ErrorKind::OutOfBounds,
+                "{stmt} [{label}]: {err}"
+            );
+            if UNCHECKED_VECTOR_READS.contains(&(stmt, label)) {
+                continue;
+            }
+            let Some(compiler) = cc_or_skip() else {
+                continue;
+            };
+            let tag = format!("rd_oob_{label}");
+            let run = build_and_run(
+                &compiled,
+                &inputs,
+                &tag,
+                compiler,
+                &["-DMATIC_BOUNDS_CHECK"],
+            );
+            let stderr = String::from_utf8_lossy(&run.stderr);
+            assert!(
+                !run.status.success(),
+                "{stmt} [{label}]: C returned {:?}",
+                run.stdout
+            );
+            assert!(
+                stderr.contains(&format!("matic: index out of bounds in {what}")),
+                "{stmt} [{label}]: {stderr}"
+            );
+        }
+    }
 }
