@@ -8,7 +8,7 @@
 use super::{Env, Exec, SimError, SimVal};
 use matic_frontend::span::Span;
 use matic_interp::registry::{self, Eval};
-use matic_interp::{Cx, Matrix};
+use matic_interp::{Cx, Matrix, Value};
 use matic_isa::{FusedOp, FusedPrim, OpClass};
 use matic_mir::{MirFunction, Operand, VarId};
 
@@ -92,7 +92,7 @@ impl Exec<'_> {
         &mut self,
         f: &MirFunction,
         env: &mut Env,
-        _dst: VarId,
+        dst: VarId,
         name: &str,
         args: &[Operand],
         span: Span,
@@ -120,54 +120,36 @@ impl Exec<'_> {
             }
             _ => {}
         }
-        if let ("size", [a]) = (name, args) {
-            // `size(a)`: the 1×2 row `[rows cols]`, two values as the
-            // two-output form computes.
-            let m = self.operand(f, env, *a, span)?.into_matrix();
-            self.charge(OpClass::ScalarAlu, 2);
-            return Ok(SimVal::Arr(Matrix::row_from_f64(&[
-                m.rows() as f64,
-                m.cols() as f64,
-            ])));
-        }
-
         let scalar_args = args.len() <= 2
             && args
                 .iter()
                 .all(|a| matches!(self.operand(f, env, *a, span), Ok(SimVal::Scalar(_))));
-
-        if scalar_args {
-            let v = match scalar {
-                Some((BuiltinFn::Un(g), charge)) => {
-                    let x = self.scalar_of(f, env, args[0], span)?;
-                    self.charge_builtin(charge);
-                    g(x)
-                }
-                Some((BuiltinFn::Bin(g), charge)) => {
-                    let x = self.scalar_of(f, env, args[0], span)?;
-                    self.charge_builtin(charge);
-                    g(x, self.scalar_of(f, env, args[1], span)?)
-                }
-                _ => {
-                    return Err(SimError::new(
-                        format!("scalar builtin `{name}` unsupported in simulation"),
-                        span,
-                    ))
-                }
-            };
-            return Ok(SimVal::Scalar(v));
+        match scalar {
+            // The C backend spells a scalar result of scalar arguments
+            // from the scalar table alone.
+            None if scalar_args && f.var_ty(dst).shape.is_scalar() => {
+                return Err(SimError::new(
+                    format!("scalar builtin `{name}` unsupported in simulation"),
+                    span,
+                ))
+            }
+            Some((BuiltinFn::Un(g), charge)) if scalar_args => {
+                let x = self.scalar_of(f, env, args[0], span)?;
+                self.charge_builtin(charge);
+                return Ok(SimVal::Scalar(g(x)));
+            }
+            Some((BuiltinFn::Bin(g), charge)) if scalar_args => {
+                let x = self.scalar_of(f, env, args[0], span)?;
+                self.charge_builtin(charge);
+                return Ok(SimVal::Scalar(g(x, self.scalar_of(f, env, args[1], span)?)));
+            }
+            _ => {}
         }
 
-        // Array builtins.
-        let m = args
-            .first()
-            .map(|a| self.operand(f, env, *a, span))
-            .transpose()?
-            .ok_or_else(|| SimError::new(format!("{name}: missing argument"), span))?
-            .into_matrix();
         // A registry entry with an array argument: each element is
         // loaded, computed, stored and looped over.
         if let Some(b) = registry::lookup_call(name, args.len()) {
+            let m = self.operand(f, env, args[0], span)?.into_matrix();
             let (out, inputs) = match b.eval {
                 Eval::Un(g) => (m.map(g), 1),
                 Eval::Bin(g) => {
@@ -184,111 +166,41 @@ impl Exec<'_> {
             self.charge_builtin(b.charge.map(|c| (c, n)));
             return Ok(SimVal::Arr(out));
         }
-        let n = m.numel() as u64;
-        match name {
-            "sum" | "mean" => {
-                self.charge(OpClass::Load, n);
-                self.charge(OpClass::Branch, n);
-                if m.is_real() {
-                    self.charge(OpClass::ScalarAlu, n);
-                } else {
-                    self.cx_add_cost(n);
-                }
-                let mut acc = Cx::ZERO;
-                for z in m.data() {
-                    acc = acc + *z;
-                }
-                if name == "mean" {
-                    self.charge(OpClass::ScalarDiv, 1);
-                    acc = acc / Cx::real(m.numel() as f64);
-                }
-                Ok(SimVal::Scalar(acc))
-            }
-            "prod" => {
-                self.charge(OpClass::Load, n);
-                self.charge(OpClass::Branch, n);
-                if m.is_real() {
-                    self.charge(OpClass::ScalarMul, n);
-                } else {
-                    self.cx_mul_cost(n);
-                }
-                let mut acc = Cx::ONE;
-                for z in m.data() {
-                    acc = acc * *z;
-                }
-                Ok(SimVal::Scalar(acc))
-            }
-            "min" | "max" => {
-                self.charge(OpClass::Load, n);
-                self.charge(OpClass::ScalarAlu, n);
-                self.charge(OpClass::Branch, n);
-                if m.is_empty() {
-                    return Err(SimError::new("min/max of empty array", span));
-                }
-                let better = |a: f64, b: f64| if name == "min" { a < b } else { a > b };
-                let mut best = m.lin(0).re;
-                for k in 1..m.numel() {
-                    if better(m.lin(k).re, best) {
-                        best = m.lin(k).re;
-                    }
-                }
-                Ok(SimVal::scalar(best))
-            }
-            "dot" => {
-                let mb = self.operand(f, env, args[1], span)?.into_matrix();
-                if mb.numel() != m.numel() {
-                    return Err(SimError::new("dot length mismatch", span));
-                }
-                self.charge(OpClass::Load, 2 * n);
-                self.charge(OpClass::Branch, n);
-                let complex = !m.is_real() || !mb.is_real();
-                if complex {
-                    self.cx_mac_cost(n);
-                } else {
-                    self.charge(OpClass::ScalarMul, n);
-                    self.charge(OpClass::ScalarAlu, n);
-                }
-                let mut acc = Cx::ZERO;
-                for (a, b) in m.data().iter().zip(mb.data()) {
-                    acc = acc + a.conj() * *b;
-                }
-                Ok(SimVal::Scalar(acc))
-            }
-            "norm" => {
-                self.charge(OpClass::Load, n);
-                self.charge(OpClass::ScalarMul, 2 * n);
-                self.charge(OpClass::ScalarAlu, n);
-                self.charge(OpClass::Branch, n);
-                self.charge(OpClass::ScalarSqrt, 1);
-                let s: f64 = m.data().iter().map(|z| z.abs() * z.abs()).sum();
-                Ok(SimVal::scalar(s.sqrt()))
-            }
-            "linspace" => {
-                let a = self.real_of(f, env, args[0], span)?;
-                let b = self.real_of(f, env, args[1], span)?;
-                let count = if args.len() > 2 {
-                    self.real_of(f, env, args[2], span)? as usize
-                } else {
-                    100
-                };
-                self.charge(OpClass::ScalarAlu, count as u64);
-                self.charge(OpClass::Store, count as u64);
-                let mut data = Vec::with_capacity(count);
-                for k in 0..count {
-                    let v = if count == 1 {
-                        b
-                    } else {
-                        a + (b - a) * k as f64 / (count - 1) as f64
-                    };
-                    data.push(Cx::real(v));
-                }
-                Ok(SimVal::Arr(Matrix::new(1, count, data)))
-            }
-            other => Err(SimError::new(
-                format!("array builtin `{other}` unsupported in simulation"),
-                span,
-            )),
+        let mut outs = self.interp_builtin(f, env, name, args, 1, span)?;
+        Ok(SimVal::Arr(outs.swap_remove(0)))
+    }
+
+    /// The `nargout` outputs of a builtin that is neither scalar nor a
+    /// registry entry, as the interpreter computes them
+    /// ([`matic_interp::call_pure_builtin`]), charged by [`array_charge`].
+    pub(super) fn interp_builtin(
+        &mut self,
+        f: &MirFunction,
+        env: &mut Env,
+        name: &str,
+        args: &[Operand],
+        nargout: usize,
+        span: Span,
+    ) -> Result<Vec<Matrix>, SimError> {
+        let mut inputs = Vec::with_capacity(args.len());
+        for a in args {
+            inputs.push(self.operand(f, env, *a, span)?.into_matrix());
         }
+        let real = inputs.iter().all(Matrix::is_real);
+        let n = inputs.first().map_or(0, |m| m.numel() as u64);
+        let charge = array_charge(name, real).ok_or_else(|| {
+            SimError::new(
+                format!("array builtin `{name}` unsupported in simulation"),
+                span,
+            )
+        })?;
+        let inputs = inputs.into_iter().map(Value::Num).collect();
+        let outs: Vec<Matrix> = matic_interp::call_pure_builtin(name, inputs, nargout)
+            .and_then(|outs| outs.into_iter().map(Value::into_matrix).collect())
+            .map_err(|e| SimError::new(e, span))?;
+        let out = outs.first().map_or(0, |m| m.numel() as u64);
+        charge(self, n, real, out);
+        Ok(outs)
     }
 }
 
@@ -298,6 +210,17 @@ impl Exec<'_> {
     pub(super) fn charge_builtin(&mut self, charge: Option<(OpClass, u64)>) {
         if let Some((class, n)) = charge {
             self.charge_elem(class, n);
+        }
+    }
+
+    /// A sum over `n` elements: each loaded, added and looped over.
+    fn sum_charge(&mut self, n: u64, real: bool) {
+        self.charge(OpClass::Load, n);
+        self.charge(OpClass::Branch, n);
+        if real {
+            self.charge(OpClass::ScalarAlu, n);
+        } else {
+            self.cx_add_cost(n);
         }
     }
 }
@@ -360,6 +283,75 @@ pub(super) fn scalar_builtin(name: &str, nargs: usize) -> Option<ScalarBuiltin> 
         _ => return None,
     };
     Some(ScalarBuiltin { f, charge })
+}
+
+/// How a builtin whose value comes from the interpreter charges: `n`
+/// elements of its first argument, `real` when every argument is real,
+/// and `out` elements of its first output.
+type ArrayCharge = fn(&mut Exec<'_>, n: u64, real: bool, out: u64);
+
+/// The charge of each builtin [`Exec::interp_builtin`] takes from the
+/// interpreter, keyed by name: a loop over the first argument's elements,
+/// except `linspace` (over its output's) and `size` (two register moves).
+/// `None` for what the C backend does not emit, which the simulator
+/// rejects too: a name not listed, or a complex `cumsum`.
+fn array_charge(name: &str, real: bool) -> Option<ArrayCharge> {
+    use OpClass::{Branch, Load, ScalarAlu, ScalarDiv, ScalarMul, ScalarSqrt, Store};
+    Some(match (name, real) {
+        ("sum", _) => |e, n, real, _| e.sum_charge(n, real),
+        ("mean", _) => |e, n, real, out| {
+            e.sum_charge(n, real);
+            e.charge(ScalarDiv, out);
+        },
+        ("prod", _) => |e, n, real, _| {
+            e.charge(Load, n);
+            e.charge(Branch, n);
+            if real {
+                e.charge(ScalarMul, n);
+            } else {
+                e.cx_mul_cost(n);
+            }
+        },
+        ("min" | "max" | "any" | "all", _) => |e, n, _, _| {
+            e.charge(Load, n);
+            e.charge(ScalarAlu, n);
+            e.charge(Branch, n);
+        },
+        ("dot", _) => |e, n, real, _| {
+            e.charge(Load, 2 * n);
+            e.charge(Branch, n);
+            if real {
+                e.charge(ScalarMul, n);
+                e.charge(ScalarAlu, n);
+            } else {
+                e.cx_mac_cost(n);
+            }
+        },
+        ("norm", _) => |e, n, _, _| {
+            e.charge(Load, n);
+            e.charge(ScalarMul, 2 * n);
+            e.charge(ScalarAlu, n);
+            e.charge(Branch, n);
+            e.charge(ScalarSqrt, 1);
+        },
+        ("cumsum", true) => |e, n, _, _| {
+            e.charge(Load, n);
+            e.charge(ScalarAlu, n);
+            e.charge(Store, n);
+            e.charge(Branch, n);
+        },
+        ("fliplr" | "flipud", _) => |e, n, _, _| {
+            e.charge(Load, n);
+            e.charge(Store, n);
+            e.charge(Branch, n);
+        },
+        ("linspace", _) => |e, _, _, out| {
+            e.charge(ScalarAlu, out);
+            e.charge(Store, out);
+        },
+        ("size", _) => |e, _, _, _| e.charge(ScalarAlu, 2),
+        _ => return None,
+    })
 }
 
 /// `size(m, d)`: the rows for `d = 1`, the columns for `d = 2`, 1 past.

@@ -6,7 +6,7 @@
 //! gather/scatter over per-axis descriptors ([`Axis`], [`Slice`]) that
 //! allocates nothing beyond the loaded result.
 
-use super::{real_binop_class, trip_count, Env, Exec, SimError, SimVal};
+use super::{def_finish, real_binop_class, trip_count, Env, Exec, SimError, SimVal};
 use matic_frontend::ast::{BinOp, UnOp};
 use matic_frontend::span::Span;
 use matic_interp::{Cx, Matrix};
@@ -516,49 +516,13 @@ impl Exec<'_> {
             }
             return Ok(());
         }
-        match func {
-            "size" => {
-                let m = self.operand(f, env, args[0], span)?.into_matrix();
-                self.charge(OpClass::ScalarAlu, 2);
-                if let Some(Some(d)) = dsts.first() {
-                    self.set(env, *d, SimVal::scalar(m.rows() as f64));
-                }
-                if let Some(Some(d)) = dsts.get(1) {
-                    self.set(env, *d, SimVal::scalar(m.cols() as f64));
-                }
-                Ok(())
+        let outs = self.interp_builtin(f, env, func, args, dsts.len(), span)?;
+        for (d, m) in dsts.iter().zip(outs) {
+            if let Some(d) = *d {
+                def_finish(env, d, f.var_ty(d).shape.is_scalar(), SimVal::Arr(m));
             }
-            "min" | "max" => {
-                let m = self.operand(f, env, args[0], span)?.into_matrix();
-                if m.is_empty() {
-                    return Err(SimError::new("min/max of empty array", span));
-                }
-                let n = m.numel() as u64;
-                self.charge(OpClass::Load, n);
-                self.charge(OpClass::ScalarAlu, n);
-                self.charge(OpClass::Branch, n);
-                let better = |a: f64, b: f64| if func == "min" { a < b } else { a > b };
-                let mut best = m.lin(0).re;
-                let mut bi = 0usize;
-                for k in 1..m.numel() {
-                    if better(m.lin(k).re, best) {
-                        best = m.lin(k).re;
-                        bi = k;
-                    }
-                }
-                if let Some(Some(d)) = dsts.first() {
-                    self.set(env, *d, SimVal::scalar(best));
-                }
-                if let Some(Some(d)) = dsts.get(1) {
-                    self.set(env, *d, SimVal::scalar((bi + 1) as f64));
-                }
-                Ok(())
-            }
-            other => Err(SimError::new(
-                format!("multi-output builtin `{other}` unsupported"),
-                span,
-            )),
         }
+        Ok(())
     }
 
     pub(super) fn exec_effect(

@@ -85,7 +85,7 @@ impl FnEmitter<'_> {
                     &dname,
                     &i,
                     &nn,
-                    &format!("({nn} == 1) ? ({b}) : (({a}) + (({b}) - ({a})) * (double){i} / (double)({nn} - 1))"),
+                    &format!("({nn} == 1) ? ({b}) : (({a}) + (({b}) - ({a})) / (double)({nn} - 1) * (double){i})"),
                 );
                 self.close("}");
                 Ok(())
@@ -307,7 +307,7 @@ impl FnEmitter<'_> {
                     let update = format!("{acc} = cx_add({acc}, {x});");
                     self.line(&head(ty, &acc, zero, "0", &update));
                     if name == "mean" {
-                        format!("cx_scale({acc}, 1.0 / (double)({n}))")
+                        format!("cx_div({acc}, cx_make((double)({n}), 0.0))")
                     } else {
                         acc
                     }

@@ -2,6 +2,8 @@
 //!
 //! Builtins that need interpreter state (random numbers, console output)
 //! reach it through the [`Host`] trait, implemented by the interpreter.
+//! Every other builtin is also reachable without one, through
+//! [`call_pure_builtin`], which the simulator calls for its values.
 
 use crate::cx::Cx;
 use crate::registry::{self, Builtin, Eval};
@@ -80,6 +82,53 @@ pub fn call_builtin(
     args: Vec<Value>,
     nargout: usize,
 ) -> Result<Vec<Value>, String> {
+    match name {
+        "rand" => {
+            let (r, c) = dims(&args, name)?;
+            let data: Vec<Cx> = (0..r * c).map(|_| Cx::real(host.next_rand())).collect();
+            one(Matrix::new(r, c, data))
+        }
+        "randn" => {
+            let (r, c) = dims(&args, name)?;
+            let data: Vec<Cx> = (0..r * c).map(|_| Cx::real(host.next_randn())).collect();
+            one(Matrix::new(r, c, data))
+        }
+        "rng" => {
+            let seed = arg_usize(&args, 0, name)? as u64;
+            host.reseed(seed);
+            Ok(vec![])
+        }
+        "disp" => {
+            let text = match args.first() {
+                Some(Value::Str(s)) => s.clone(),
+                Some(v) => format!("{v}"),
+                None => String::new(),
+            };
+            host.emit(&text);
+            host.emit("\n");
+            Ok(vec![])
+        }
+        "fprintf" => {
+            host.emit(&printf(name, &args)?);
+            Ok(vec![])
+        }
+        _ => call_pure_builtin(name, args, nargout),
+    }
+}
+
+/// Calls builtin `name`, one that needs no [`Host`] (every builtin but
+/// the random stream and console output), with `args`, requesting
+/// `nargout` outputs. The simulator takes the values of the builtins it
+/// does not compute itself from here.
+///
+/// # Errors
+///
+/// As [`call_builtin`]; a builtin that needs a host is unknown here.
+pub fn call_pure_builtin(
+    name: &str,
+    args: Vec<Value>,
+    nargout: usize,
+) -> Result<Vec<Value>, String> {
     if let Some(b) = registry::lookup_call(name, args.len()) {
         return call_registered(b, &args);
     }
@@ -114,21 +163,6 @@ pub fn call_builtin(
             let step = (b - a) / (n - 1) as f64;
             let data: Vec<Cx> = (0..n).map(|k| Cx::real(a + step * k as f64)).collect();
             one(Matrix::new(1, n, data))
-        }
-        "rand" => {
-            let (r, c) = dims(&args, name)?;
-            let data: Vec<Cx> = (0..r * c).map(|_| Cx::real(host.next_rand())).collect();
-            one(Matrix::new(r, c, data))
-        }
-        "randn" => {
-            let (r, c) = dims(&args, name)?;
-            let data: Vec<Cx> = (0..r * c).map(|_| Cx::real(host.next_randn())).collect();
-            one(Matrix::new(r, c, data))
-        }
-        "rng" => {
-            let seed = arg_usize(&args, 0, name)? as u64;
-            host.reseed(seed);
-            Ok(vec![])
         }
 
         // ---- shape queries ----------------------------------------------
@@ -204,10 +238,10 @@ pub fn call_builtin(
         }
         "mean" => {
             let m = arg_matrix(&args, 0, name)?;
-            let n = if m.is_vector() { m.numel() } else { m.rows() };
-            if n == 0 {
+            if m.is_empty() {
                 return one(Matrix::from_f64(f64::NAN));
             }
+            let n = if m.is_vector() { m.numel() } else { m.rows() };
             let s = m.reduce(Cx::ZERO, |a, b| a + b);
             one(s.map(|z| z / Cx::real(n as f64)))
         }
@@ -266,7 +300,7 @@ pub fn call_builtin(
             if !a.is_vector() && !a.is_empty() {
                 return Err("norm: only vector norms supported".to_string());
             }
-            let s: f64 = a.data().iter().map(|z| z.abs() * z.abs()).sum();
+            let s = a.data().iter().fold(0.0, |s, z| s + z.abs() * z.abs());
             one(Matrix::from_f64(s.sqrt()))
         }
 
@@ -319,29 +353,7 @@ pub fn call_builtin(
         }
 
         // ---- I/O and misc -----------------------------------------------------
-        "disp" => {
-            let text = match args.first() {
-                Some(Value::Str(s)) => s.clone(),
-                Some(v) => format!("{v}"),
-                None => String::new(),
-            };
-            host.emit(&text);
-            host.emit("\n");
-            Ok(vec![])
-        }
-        "fprintf" | "sprintf" => {
-            let fmt = match args.first() {
-                Some(Value::Str(s)) => s.clone(),
-                _ => return Err(format!("{name}: first argument must be a format string")),
-            };
-            let rendered = format_printf(&fmt, &args[1..])?;
-            if name == "fprintf" {
-                host.emit(&rendered);
-                Ok(vec![])
-            } else {
-                Ok(vec![Value::Str(rendered)])
-            }
-        }
+        "sprintf" => Ok(vec![Value::Str(printf(name, &args)?)]),
         "num2str" => {
             let m = arg_matrix(&args, 0, name)?;
             let s = if m.is_scalar() {
@@ -375,6 +387,15 @@ pub fn call_builtin(
             Some(b) => format!("{name}: expected {} argument(s)", b.arity()),
             None => format!("undefined function or variable `{name}`"),
         }),
+    }
+}
+
+/// `fprintf`'s or `sprintf`'s text: its format string applied to the
+/// other arguments.
+fn printf(name: &str, args: &[Value]) -> Result<String, String> {
+    match args.first() {
+        Some(Value::Str(fmt)) => format_printf(fmt, &args[1..]),
+        _ => Err(format!("{name}: first argument must be a format string")),
     }
 }
 
@@ -674,6 +695,14 @@ mod tests {
         let v = Value::Num(Matrix::row_from_f64(&[1.0, 2.0, 3.0, 4.0]));
         assert_eq!(scalar_of(call("sum", vec![v.clone()])), 10.0);
         assert_eq!(scalar_of(call("mean", vec![v])), 2.5);
+    }
+
+    #[test]
+    fn mean_of_an_empty_array_is_nan_and_its_norm_positive_zero() {
+        let empty = Value::Num(Matrix::new(1, 0, Vec::new()));
+        assert!(scalar_of(call("mean", vec![empty.clone()])).is_nan());
+        let norm = scalar_of(call("norm", vec![empty]));
+        assert_eq!(norm.to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub mod exec;
 pub mod registry;
 pub mod value;
 
-pub use builtins::{call_builtin, Host};
+pub use builtins::{call_builtin, call_pure_builtin, Host};
 pub use cx::Cx;
 pub use exec::{apply_binop, classify_message, ErrorKind, Interpreter, RuntimeError, DEFAULT_FUEL};
 pub use value::{Closure, Matrix, Value};
