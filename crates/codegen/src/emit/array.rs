@@ -526,8 +526,9 @@ impl FnEmitter<'_> {
                 let r0 = self.index0(*r, span)?;
                 let c0 = self.index0(*c, span)?;
                 let v = self.scalar(value, want_cx, span)?;
-                let d = checked(&format!("(({c0}) * {aname}.rows + ({r0}))"), "store");
-                self.line(&format!("{d} = {v};"));
+                self.line(&format!(
+                    "{aname}.data[MATIC_IDX2({r0}, {c0}, {aname}.rows, {aname}.cols, \"store\")] = {v};"
+                ));
                 Ok(())
             }
             // Gather store: x(idx) = v with idx a vector.
@@ -563,13 +564,13 @@ impl FnEmitter<'_> {
                 let (nc, cbase) = self.subscript_plan(ci, &format!("{aname}.cols"), span)?;
                 let (i, j) = (self.fresh("i"), self.fresh("j"));
                 let v = self.elem(value, &format!("({nr}) * ({j}) + ({i})"), want_cx, span)?;
-                let idx = format!("(({}) * {aname}.rows + ({}))", cbase(&j), rbase(&i));
+                let (r0, c0) = (rbase(&i), cbase(&j));
                 self.loop2_line(
                     &i,
                     &j,
                     &format!("({nr})"),
                     &format!("({nc})"),
-                    &format!("{} = {v};", checked(&idx, "store2d")),
+                    &format!("{aname}.data[MATIC_IDX2({r0}, {c0}, {aname}.rows, {aname}.cols, \"store2d\")] = {v};"),
                 );
                 Ok(())
             }

@@ -30,8 +30,8 @@ dsp16/cmult/full 685 5463b4d347d6c4fe 4379 690badc0d6f2874a
 dsp16/cmult/base 1132 1d673e7bb784dd14 4379 690badc0d6f2874a
 dsp16/fft/full 9015 f5fa733954f1fb34 4379 690badc0d6f2874a
 dsp16/fft/base 9860 d3ef6ff66d35d3d1 4379 690badc0d6f2874a
-dsp16/matmul/full 2926 8c3f88c00694b390 4379 690badc0d6f2874a
-dsp16/matmul/base 3798 81485593103576bd 4379 690badc0d6f2874a
+dsp16/matmul/full 2907 40288069432ebbb1 4379 690badc0d6f2874a
+dsp16/matmul/base 3779 17789f90e484980a 4379 690badc0d6f2874a
 dsp16/xcorr/full 2459 d6641d739f14d7e3 4379 690badc0d6f2874a
 dsp16/xcorr/base 2792 bd385bcc8d8062f3 4379 690badc0d6f2874a
 scalar/fir/full 2078 9f6d145463967b3a 4380 a9138b11a158923a
@@ -42,8 +42,8 @@ scalar/cmult/full 919 6586e8db9a89bc64 4380 a9138b11a158923a
 scalar/cmult/base 1133 1f950b422b9ede44 4380 a9138b11a158923a
 scalar/fft/full 10569 23d9750540de14eb 4380 a9138b11a158923a
 scalar/fft/base 9861 8427233d139cba41 4380 a9138b11a158923a
-scalar/matmul/full 3351 7328dc1670de4f3f 4380 a9138b11a158923a
-scalar/matmul/base 3799 32f086eb0c52f46d 4380 a9138b11a158923a
+scalar/matmul/full 3332 77ec56bdbe242c8c 4380 a9138b11a158923a
+scalar/matmul/base 3780 a898a2ba811f0e7a 4380 a9138b11a158923a
 scalar/xcorr/full 2650 35753efee3753d99 4380 a9138b11a158923a
 scalar/xcorr/base 2793 38efc578952ff7e3 4380 a9138b11a158923a
 fuzz256/full 392335 c2748a6d0f708e2f 1121024 3e8bffef1826e425

@@ -328,8 +328,9 @@ const UNCHECKED_VECTOR_READS: [(&str, &str); 1] = [("y = A(k, :);", "opt")];
 
 /// A row past the last one of a 4x5 `A` is out of bounds on every
 /// executor, even where its column-major offset lands inside `A`: checked
-/// C tests each subscript against its own extent, as `matic-interp` and
-/// the simulator do.
+/// C tests each subscript against its own extent, as the simulator does,
+/// for reads and stores. `matic-interp` raises on the read and grows `A`
+/// on the store.
 #[test]
 fn checked_c_bounds_checks_each_axis_of_a_two_subscript_read() {
     let a = CValue {
@@ -339,27 +340,41 @@ fn checked_c_bounds_checks_each_axis_of_a_two_subscript_read() {
         im: None,
     };
     let sig = [arg::matrix(4, 5), arg::scalar()];
-    // Each read, the trap site it names, and its row 4.
-    let reads: [(&str, &str, &[f64]); 3] = [
-        ("y = A(k, 1);", "index", &[4.0]),
-        ("y = A(k, 2:3);", "index2d", &[8.0, 12.0]),
-        ("y = A(k, :);", "index2d", &[4.0, 8.0, 12.0, 16.0, 20.0]),
+    // Each statement, the trap site it names, and what a read of row 4
+    // returns (a store returns `A`).
+    let cases: [(&str, &str, Option<&[f64]>); 5] = [
+        ("y = A(k, 1);", "index", Some(&[4.0])),
+        ("y = A(k, 2:3);", "index2d", Some(&[8.0, 12.0])),
+        (
+            "y = A(k, :);",
+            "index2d",
+            Some(&[4.0, 8.0, 12.0, 16.0, 20.0]),
+        ),
+        ("A(k, 1) = 7;\ny = A;", "store", None),
+        ("A(k, 2:3) = 7;\ny = A;", "store2d", None),
     ];
-    for (stmt, what, row4) in reads {
+    for (stmt, what, row4) in cases {
+        let store = row4.is_none();
         let src = format!("function y = rd(A, k)\n{stmt}\nend");
         let out = check_program(&src, "rd", 1, &sig, &[a.clone(), CValue::scalar(4.0)]);
-        assert_eq!(out[0].re, row4, "{stmt}");
+        if let Some(row4) = row4 {
+            assert_eq!(out[0].re, row4, "{stmt}");
+        }
 
         let inputs = [a.clone(), CValue::scalar(5.0)];
         let mut interp = Interpreter::from_source(&src).expect("source parses");
-        let err = interp
-            .call("rd", inputs.iter().map(to_interp).collect(), 1)
-            .expect_err("row 5 of 4 is out of bounds");
-        assert_eq!(
-            err.kind,
-            matic_interp::ErrorKind::OutOfBounds,
-            "{stmt}: {err}"
-        );
+        let got = interp.call("rd", inputs.iter().map(to_interp).collect(), 1);
+        if store {
+            let grown = got.expect("a store past the last row grows `A`");
+            assert_eq!(grown[0].as_matrix().map(|m| m.rows()), Ok(5), "{stmt}");
+        } else {
+            let err = got.expect_err("row 5 of 4 is out of bounds");
+            assert_eq!(
+                err.kind,
+                matic_interp::ErrorKind::OutOfBounds,
+                "{stmt}: {err}"
+            );
+        }
         for (label, opt) in [("base", OptLevel::baseline()), ("opt", OptLevel::full())] {
             let compiled = Compiler::new()
                 .opt_level(opt)
