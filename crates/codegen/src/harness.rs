@@ -11,6 +11,9 @@ use matic_frontend::span::Span;
 use matic_mir::MirFunction;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// A concrete runtime value fed to (or read back from) generated C.
 #[derive(Debug, Clone, PartialEq)]
@@ -340,6 +343,73 @@ pub fn write_module(dir: &Path, module: &CModule, extra: Option<&str>) -> std::i
     let path = dir.join("module.c");
     std::fs::write(&path, src)?;
     Ok(path)
+}
+
+/// The host C compiler: the first of `cc`, `gcc` and `clang` that runs,
+/// looked up once per process.
+pub fn host_cc() -> Option<&'static str> {
+    static CC: OnceLock<Option<&'static str>> = OnceLock::new();
+    *CC.get_or_init(|| {
+        ["cc", "gcc", "clang"].into_iter().find(|cand| {
+            Command::new(cand)
+                .arg("--version")
+                .output()
+                .is_ok_and(|o| o.status.success())
+        })
+    })
+}
+
+/// Builds `module` with the harness `main` by the host compiler `cc`
+/// (`-std=c99 -w`, then the extra `flags`, then `-lm`) in a fresh
+/// temporary directory, runs the program and removes the directory.
+/// Returns what the program wrote and how it exited.
+///
+/// # Errors
+///
+/// A message when the module cannot be written, the compiler or the
+/// program cannot start, or the compiler rejects the module (with its
+/// diagnostics).
+pub fn build_and_run(
+    cc: &str,
+    module: &CModule,
+    main: &str,
+    flags: &[&str],
+) -> Result<Output, String> {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let nanos = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |d| d.as_nanos());
+    let dir = std::env::temp_dir().join(format!(
+        "matic_c_{}_{}_{nanos}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let run = || {
+        let c_path =
+            write_module(&dir, module, Some(main)).map_err(|e| format!("write module: {e}"))?;
+        let exe = dir.join("prog");
+        let built = Command::new(cc)
+            .args(["-std=c99", "-w"])
+            .args(flags)
+            .arg("-o")
+            .arg(&exe)
+            .arg(&c_path)
+            .arg("-lm")
+            .output()
+            .map_err(|e| format!("{cc}: {e}"))?;
+        if !built.status.success() {
+            return Err(format!(
+                "C compilation failed:\n{}",
+                String::from_utf8_lossy(&built.stderr)
+            ));
+        }
+        Command::new(&exe)
+            .output()
+            .map_err(|e| format!("program run: {e}"))
+    };
+    let out = run();
+    let _ = std::fs::remove_dir_all(&dir);
+    out
 }
 
 #[cfg(test)]

@@ -54,5 +54,5 @@ pub mod harness;
 pub mod runtime;
 
 pub use emit::{CBackend, CModule, CodegenError, CodegenOptions};
-pub use harness::{write_module, CValue, Harness};
+pub use harness::{build_and_run, host_cc, write_module, CValue, Harness};
 pub use runtime::{intrinsics_header, RT_HEADER};

@@ -24,10 +24,9 @@ use crate::gen::{Fault, SourceCase, ENTRY};
 use crate::rng::Rng;
 use matic::{arg, CValue, Compiler, Harness, Interpreter, IsaSpec, OptLevel, SimVal};
 use matic_benchkit::{from_interp, outputs_close, sim_to_cvalue, to_interp, to_sim};
+use matic_codegen::{build_and_run, host_cc};
 use matic_interp::{classify_message, ErrorKind};
-use std::path::PathBuf;
-use std::process::Command;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Statement budget for every simulator leg. Generated terminating
 /// programs stay far below it; the injected `while 1` spin always
@@ -159,20 +158,6 @@ impl CaseReport {
         }
         Verdict::Agree
     }
-}
-
-/// Finds a host C compiler once per process.
-pub fn host_cc() -> Option<&'static str> {
-    static CC: OnceLock<Option<&'static str>> = OnceLock::new();
-    *CC.get_or_init(|| {
-        ["cc", "gcc", "clang"].into_iter().find(|cand| {
-            Command::new(cand)
-                .arg("--version")
-                .output()
-                .map(|o| o.status.success())
-                .unwrap_or(false)
-        })
-    })
 }
 
 /// Builds the deterministic stimulus for a case: `a`, `b` from the stim
@@ -328,36 +313,12 @@ fn c_leg(
     inputs: &[CValue],
 ) -> Result<Outcome, String> {
     let compiler = host_cc().ok_or("no host C compiler")?;
-    let entry = compiled
-        .mir
-        .function(&compiled.entry)
-        .ok_or("entry missing from MIR")?;
     let main_src = Harness
-        .main_source(entry, inputs, 1)
+        .main_source(compiled.entry_mir(), inputs, 1)
         .map_err(|e| format!("harness: {e}"))?;
-    let dir = unique_dir();
-    let c_path = matic_codegen::write_module(&dir, &compiled.c, Some(&main_src))
-        .map_err(|e| format!("write module: {e}"))?;
-    let exe = dir.join("prog");
-    let out = Command::new(compiler)
-        .args(["-std=c99", "-O0", "-w", "-DMATIC_BOUNDS_CHECK", "-o"])
-        .arg(&exe)
-        .arg(&c_path)
-        .arg("-lm")
-        .output()
-        .map_err(|e| format!("cc invocation: {e}"))?;
-    if !out.status.success() {
-        let _ = std::fs::remove_dir_all(&dir);
-        return Err(format!(
-            "C compilation failed:\n{}\n--- program ---\n{}",
-            String::from_utf8_lossy(&out.stderr),
-            case.src
-        ));
-    }
-    let run = Command::new(&exe)
-        .output()
-        .map_err(|e| format!("kernel run: {e}"))?;
-    let _ = std::fs::remove_dir_all(&dir);
+    let flags = ["-O0", "-DMATIC_BOUNDS_CHECK"];
+    let run = build_and_run(compiler, &compiled.c, &main_src, &flags)
+        .map_err(|e| format!("{e}\n--- program ---\n{}", case.src))?;
     if run.status.success() {
         let parsed = CValue::parse_outputs(&String::from_utf8_lossy(&run.stdout))
             .map_err(|e| format!("bad harness output: {e}\n--- program ---\n{}", case.src))?;
@@ -372,18 +333,6 @@ fn c_leg(
         }
         Ok(Outcome::Fail(classify_message(&stderr)))
     }
-}
-
-fn unique_dir() -> PathBuf {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let pid = std::process::id();
-    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
-    let t = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .expect("clock")
-        .as_nanos();
-    std::env::temp_dir().join(format!("matic_fuzz_{pid}_{seq}_{t}"))
 }
 
 #[cfg(test)]

@@ -25,9 +25,10 @@ pub use corpus::{load_dir, parse_repro, render_repro, repro_filename, write_repr
 pub use coverage::{constructs_of, Construct, Coverage};
 pub use gen::{gen_case, Case, Fault, SourceCase, ENTRY};
 pub use legs::{
-    check_expected_fault, host_cc, run_case, CStatus, CaseReport, Inject, Outcome, RunOptions,
-    Verdict, DEFAULT_FUEL, TOL,
+    check_expected_fault, run_case, CStatus, CaseReport, Inject, Outcome, RunOptions, Verdict,
+    DEFAULT_FUEL, TOL,
 };
+pub use matic_codegen::host_cc;
 pub use mutate::{mutate_spec, IsaMutation};
 pub use rng::{case_rng, Rng};
 pub use shrink::{measure, shrink};

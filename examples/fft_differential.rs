@@ -12,7 +12,6 @@
 
 use matic::{CValue, Compiler, Harness};
 use matic_benchkit::{benchmark, outputs_close, sim_to_cvalue, to_sim};
-use std::process::Command;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let fft = benchmark("fft").expect("fft is in the suite");
@@ -34,26 +33,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Engine 3: generated C through the host compiler (skipped without cc).
-    let cc_found = Command::new("cc").arg("--version").output().is_ok();
-    if !cc_found {
+    let Some(cc) = matic_codegen::host_cc() else {
         println!("host C compiler not found — skipping engine 3");
         return Ok(());
-    }
-    let entry = compiled.mir.function(&compiled.entry).expect("entry");
-    let main_src = Harness.main_source(entry, &inputs, 1)?;
-    let dir = std::path::Path::new("target/fft_differential");
-    let c_path = matic_codegen::write_module(dir, &compiled.c, Some(&main_src))?;
-    let exe = dir.join("fft");
-    let build = Command::new("cc")
-        .args(["-std=c99", "-O2", "-w", "-o"])
-        .arg(&exe)
-        .arg(&c_path)
-        .arg("-lm")
-        .output()?;
-    if !build.status.success() {
-        return Err(io_err(String::from_utf8_lossy(&build.stderr).to_string()).into());
-    }
-    let run = Command::new(&exe).output()?;
+    };
+    let main_src = Harness.main_source(compiled.entry_mir(), &inputs, 1)?;
+    let run = matic_codegen::build_and_run(cc, &compiled.c, &main_src, &["-O2"]).map_err(io_err)?;
     let c_out = &CValue::parse_outputs(&String::from_utf8_lossy(&run.stdout)).map_err(io_err)?[0];
     outputs_close(c_out, oracle, 1e-9).map_err(io_err)?;
     println!("generated C (host-compiled): matches oracle");

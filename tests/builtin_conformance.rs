@@ -30,9 +30,10 @@ use matic_asip::AsipMachine;
 use matic_benchkit::{to_interp, to_sim};
 use matic_interp::registry::{self, BUILTINS};
 use std::collections::BTreeMap;
-use std::path::PathBuf;
-use std::process::Command;
 use std::sync::Arc;
+
+mod common;
+use common::cc_or_skip;
 
 /// Cells known to disagree with the interpreter. A cell is named
 /// `name(argument classes) executor form`; an exception names a cell or
@@ -287,31 +288,6 @@ fn tree_walker(compiled: &Compiled, calls: &[Vec<CValue>]) -> Vec<Outcome> {
         .collect()
 }
 
-fn cc() -> Option<&'static str> {
-    let found = ["cc", "gcc", "clang"].into_iter().find(|cand| {
-        Command::new(cand)
-            .arg("--version")
-            .output()
-            .is_ok_and(|o| o.status.success())
-    });
-    if found.is_none() {
-        assert!(
-            std::env::var("MATIC_FUZZ_REQUIRE_C").map_or(true, |v| v != "1"),
-            "no C compiler found, and MATIC_FUZZ_REQUIRE_C=1 requires one"
-        );
-        eprintln!("skipping the host-C column: no C compiler found");
-    }
-    found
-}
-
-fn scratch_dir(tag: &str) -> PathBuf {
-    let t = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .expect("clock")
-        .as_nanos();
-    std::env::temp_dir().join(format!("matic_conf_{tag}_{}_{t}", std::process::id()))
-}
-
 /// Builds the generated C once and runs every call from one `main`, each
 /// in its own block after a scratch-pool reset.
 fn host_c(compiled: &Compiled, calls: &[Vec<CValue>], tag: &str, compiler: &str) -> Vec<Outcome> {
@@ -328,23 +304,8 @@ fn host_c(compiled: &Compiled, calls: &[Vec<CValue>], tag: &str, compiler: &str)
         main.push_str("}\n");
     }
     main.push_str("    return 0;\n}\n");
-    let dir = scratch_dir(tag);
-    let c_path = matic_codegen::write_module(&dir, &compiled.c, Some(&main)).expect("module");
-    let exe = dir.join("prog");
-    let out = Command::new(compiler)
-        .args(["-std=c99", "-O1", "-w", "-o"])
-        .arg(&exe)
-        .arg(&c_path)
-        .arg("-lm")
-        .output()
-        .expect("cc runs");
-    assert!(
-        out.status.success(),
-        "{tag}: C compilation failed:\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let run = Command::new(&exe).output().expect("program runs");
-    let _ = std::fs::remove_dir_all(&dir);
+    let run = matic_codegen::build_and_run(compiler, &compiled.c, &main, &["-O1"])
+        .unwrap_or_else(|e| panic!("{tag}: {e}"));
     if !run.status.success() {
         let msg = String::from_utf8_lossy(&run.stderr).trim().to_string();
         return calls.iter().map(|_| Err(msg.clone())).collect();
@@ -417,7 +378,7 @@ fn class_combos(arity: usize) -> Vec<Vec<bool>> {
 
 #[test]
 fn every_element_builtin_agrees_on_every_executor() {
-    let compiler = cc();
+    let compiler = cc_or_skip();
     // Disagreeing cells, each with its first disagreeing call.
     let mut found: BTreeMap<String, String> = BTreeMap::new();
     for b in &BUILTINS {
@@ -667,7 +628,7 @@ const ARRAY_EXCEPTIONS: &[&str] = &[
 /// its message, outside [`ARRAY_EXCEPTIONS`].
 #[test]
 fn every_array_builtin_agrees_on_every_executor() {
-    let compiler = cc();
+    let compiler = cc_or_skip();
     let mut found: BTreeMap<String, String> = BTreeMap::new();
     for (r, row) in ARRAY_ROWS.iter().enumerate() {
         for input in ArrayInput::ALL {

@@ -9,32 +9,9 @@
 use matic::{arg, Class, Interpreter, Shape, Ty};
 use matic::{CValue, Compiler, Harness, OptLevel};
 use matic_benchkit::{from_interp, outputs_close, to_interp, SUITE};
-use std::path::PathBuf;
-use std::process::Command;
 
-fn cc() -> Option<&'static str> {
-    ["cc", "gcc", "clang"].into_iter().find(|cand| {
-        Command::new(cand)
-            .arg("--version")
-            .output()
-            .map(|o| o.status.success())
-            .unwrap_or(false)
-    })
-}
-
-/// The host C compiler, or `None` to skip the test. With
-/// `MATIC_FUZZ_REQUIRE_C=1` a missing compiler fails instead.
-fn cc_or_skip() -> Option<&'static str> {
-    let found = cc();
-    if found.is_none() {
-        assert!(
-            std::env::var("MATIC_FUZZ_REQUIRE_C").map_or(true, |v| v != "1"),
-            "no C compiler found, and MATIC_FUZZ_REQUIRE_C=1 requires one"
-        );
-        eprintln!("skipping: no C compiler found");
-    }
-    found
-}
+mod common;
+use common::cc_or_skip;
 
 fn test_size(id: &str) -> usize {
     match id {
@@ -44,52 +21,21 @@ fn test_size(id: &str) -> usize {
     }
 }
 
-fn unique_dir(tag: &str) -> PathBuf {
-    let pid = std::process::id();
-    let t = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .expect("clock")
-        .as_nanos();
-    std::env::temp_dir().join(format!("matic_diff_{tag}_{pid}_{t}"))
-}
-
-/// Builds `compiled` with its harness on `inputs` by the host C compiler,
-/// with the extra compiler `flags`, and runs it.
-fn build_and_run(
+/// Builds `compiled` with its harness on `inputs` by the host C compiler
+/// at `-O1` with the extra compiler `flags`, and runs it.
+fn run_c(
     compiled: &matic::Compiled,
     inputs: &[CValue],
     tag: &str,
     compiler: &str,
     flags: &[&str],
 ) -> std::process::Output {
-    let entry = compiled
-        .mir
-        .function(&compiled.entry)
-        .expect("entry in MIR");
     let main_src = Harness
-        .main_source(entry, inputs, 1)
+        .main_source(compiled.entry_mir(), inputs, 1)
         .expect("harness generated");
-    let dir = unique_dir(tag);
-    let c_path =
-        matic_codegen::write_module(&dir, &compiled.c, Some(&main_src)).expect("module written");
-    let exe = dir.join("prog");
-    let out = Command::new(compiler)
-        .args(["-std=c99", "-O1", "-w"])
-        .args(flags)
-        .arg("-o")
-        .arg(&exe)
-        .arg(&c_path)
-        .arg("-lm")
-        .output()
-        .expect("cc invocation");
-    assert!(
-        out.status.success(),
-        "{tag}: C compilation failed:\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let run = Command::new(&exe).output().expect("kernel runs");
-    let _ = std::fs::remove_dir_all(&dir);
-    run
+    let flags = [&["-O1"], flags].concat();
+    matic_codegen::build_and_run(compiler, &compiled.c, &main_src, &flags)
+        .unwrap_or_else(|e| panic!("{tag}: {e}"))
 }
 
 fn run_c_kernel(
@@ -98,7 +44,7 @@ fn run_c_kernel(
     tag: &str,
     compiler: &str,
 ) -> Vec<CValue> {
-    let run = build_and_run(compiled, inputs, tag, compiler, &[]);
+    let run = run_c(compiled, inputs, tag, compiler, &[]);
     assert!(
         run.status.success(),
         "{tag}: kernel exited with failure:\n{}",
@@ -396,7 +342,7 @@ fn checked_c_bounds_checks_each_axis_of_a_two_subscript_read() {
                 continue;
             };
             let tag = format!("rd_oob_{label}");
-            let run = build_and_run(
+            let run = run_c(
                 &compiled,
                 &inputs,
                 &tag,
