@@ -20,7 +20,7 @@
 pub mod kernels;
 pub mod reference;
 
-use matic::{arg, CValue, Cx, Interpreter, Matrix, SimVal, Ty, Value};
+use matic::{arg, CValue, Cx, Interpreter, Matrix, SimVal, Ty, Value, Xorshift64Star};
 
 /// One benchmark of the evaluation suite.
 #[derive(Debug, Clone, Copy)]
@@ -159,25 +159,17 @@ impl Benchmark {
     }
 }
 
-/// Deterministic xorshift generator for stimulus (decoupled from `rand`
-/// so inputs stay stable across dependency upgrades).
-struct Lcg {
-    state: u64,
-}
+/// Stimulus drawn from the interpreter's xorshift64\* stream.
+struct Lcg(Xorshift64Star);
 
 impl Lcg {
     fn new(seed: u64) -> Lcg {
-        Lcg { state: seed.max(1) }
+        Lcg(Xorshift64Star::new(seed))
     }
 
+    /// Uniform in `[-1, 1)`.
     fn next_f64(&mut self) -> f64 {
-        let mut x = self.state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.state = x;
-        // Uniform in [-1, 1).
-        ((x.wrapping_mul(0x2545F4914F6CDD1D) >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
+        self.0.next_f64() * 2.0 - 1.0
     }
 
     fn real_vec(&mut self, n: usize) -> CValue {

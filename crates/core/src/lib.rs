@@ -47,7 +47,7 @@ pub use matic_asip::{
 };
 pub use matic_codegen::{CModule, CValue, CodegenOptions, Harness};
 pub use matic_frontend::{parse, Program, SourceMap, Span};
-pub use matic_interp::{Cx, Interpreter, Matrix, RuntimeError, Value};
+pub use matic_interp::{Cx, Interpreter, Matrix, RuntimeError, Value, Xorshift64Star};
 pub use matic_isa::{CostModel, Features, IsaSpec, OpClass};
 pub use matic_sema::{Class, Dim, Shape, Ty};
 pub use matic_vectorize::{LoopDecision, VectorizeReport};

@@ -9,7 +9,7 @@
 use crate::pipeline::{arg, Compiled};
 use matic_asip::{Engine, SimError, SimOutcome, SimVal};
 use matic_frontend::SourceMap;
-use matic_interp::{Cx, Matrix};
+use matic_interp::{Cx, Matrix, Xorshift64Star};
 use matic_sema::{Class, Ty};
 
 /// Default simulation step budget: large enough for any real kernel,
@@ -63,13 +63,8 @@ pub fn parse_sig(spec: &str) -> Result<Vec<Ty>, String> {
 /// yields the same stimulus on every host.
 pub fn synth_input(ty: &Ty, seed: u64) -> SimVal {
     let n = ty.shape.numel().unwrap_or(64);
-    let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).max(1);
-    let mut next = move || {
-        state ^= state >> 12;
-        state ^= state << 25;
-        state ^= state >> 27;
-        (state.wrapping_mul(0x2545F4914F6CDD1D) >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
-    };
+    let mut rng = Xorshift64Star::new(seed.wrapping_mul(0x9E3779B97F4A7C15));
+    let mut next = move || rng.next_f64() * 2.0 - 1.0;
     let complex = ty.class == Class::Complex;
     if ty.shape.is_scalar() {
         return if complex {

@@ -1,28 +1,26 @@
-//! Deterministic xorshift generator — the same stream the original
-//! `tests/pipeline_fuzz.rs` used, decoupled from `rand` so generated
-//! populations stay stable across dependency upgrades and identical
-//! between the `cargo test` harness and the `repro_fuzz` binary.
+//! The fuzzer's draws from the interpreter's xorshift64\* stream — the
+//! same stream the original `tests/pipeline_fuzz.rs` used, decoupled from
+//! `rand` so generated populations stay stable across dependency upgrades
+//! and identical between the `cargo test` harness and the `repro_fuzz`
+//! binary.
 
-/// A 64-bit xorshift* PRNG.
+use matic_interp::Xorshift64Star;
+
+/// A fuzz generator: uniform integers, signed floats and picks.
 #[derive(Debug, Clone)]
-pub struct Rng(u64);
+pub struct Rng(Xorshift64Star);
 
 impl Rng {
     /// Seeds the generator (zero is lifted to one — xorshift has a fixed
     /// point at zero).
     pub fn new(seed: u64) -> Rng {
-        Rng(seed.max(1))
+        Rng(Xorshift64Star::new(seed))
     }
 
     /// Next raw 64-bit draw.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        self.0.next_u64()
     }
 
     /// Uniform draw in `0..n`.
@@ -32,7 +30,7 @@ impl Rng {
 
     /// Uniform draw in `[-1, 1)`.
     pub fn f64(&mut self) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
+        self.0.next_f64() * 2.0 - 1.0
     }
 
     /// Picks one element of a non-empty slice.

@@ -3,6 +3,7 @@
 
 use crate::builtins::{self, Host};
 use crate::cx::Cx;
+use crate::rng::Xorshift64Star;
 use crate::value::{Closure, Matrix, Value};
 use matic_frontend::ast::*;
 use matic_frontend::span::Span;
@@ -190,32 +191,23 @@ fn store_in_place(
     Ok(())
 }
 
-/// Deterministic xorshift64* random stream (MATLAB's `rand`/`randn`
-/// substitute; determinism matters more than the distribution's pedigree).
+/// Deterministic random stream (MATLAB's `rand`/`randn` substitute;
+/// determinism matters more than the distribution's pedigree).
 struct Rng {
-    state: u64,
+    stream: Xorshift64Star,
     spare_gauss: Option<f64>,
 }
 
 impl Rng {
     fn new(seed: u64) -> Self {
         Rng {
-            state: seed.max(1),
+            stream: Xorshift64Star::new(seed),
             spare_gauss: None,
         }
     }
 
-    fn next_u64(&mut self) -> u64 {
-        let mut x = self.state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.state = x;
-        x.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-
     fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+        self.stream.next_f64()
     }
 
     fn next_gauss(&mut self) -> f64 {

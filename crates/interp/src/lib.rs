@@ -27,9 +27,11 @@ pub mod builtins;
 pub mod cx;
 pub mod exec;
 pub mod registry;
+pub mod rng;
 pub mod value;
 
 pub use builtins::{call_builtin, call_pure_builtin, Host};
 pub use cx::Cx;
 pub use exec::{apply_binop, classify_message, ErrorKind, Interpreter, RuntimeError, DEFAULT_FUEL};
+pub use rng::Xorshift64Star;
 pub use value::{Closure, Matrix, Value};
