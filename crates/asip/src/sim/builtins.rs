@@ -4,6 +4,12 @@
 //! chain ops and [`Exec::eval_builtin`] both read it. The constants and
 //! element-wise builtins come from the builtin registry
 //! ([`matic_interp::registry`]): their values and per-element charges.
+//! Every other builtin (the reductions, `[m, k] = min`/`max`, `dot`,
+//! `norm`, `cumsum`, the flips, `linspace`, `size`) takes its outputs
+//! from the interpreter ([`matic_interp::call_pure_builtin`]) and its
+//! charge from one table keyed by name, [`array_charge`]: a function of
+//! the first argument's element count, whether every argument is real,
+//! and the first output's element count.
 
 use super::{Env, Exec, SimError, SimVal};
 use matic_frontend::span::Span;
@@ -199,7 +205,7 @@ impl Exec<'_> {
             .and_then(|outs| outs.into_iter().map(Value::into_matrix).collect())
             .map_err(|e| SimError::new(e, span))?;
         let out = outs.first().map_or(0, |m| m.numel() as u64);
-        charge(self, n, real, out);
+        charge(self, n, out);
         Ok(outs)
     }
 }
@@ -213,14 +219,10 @@ impl Exec<'_> {
         }
     }
 
-    /// A sum over `n` elements: each loaded, added and looped over.
-    fn sum_charge(&mut self, n: u64, real: bool) {
-        self.charge(OpClass::Load, n);
-        self.charge(OpClass::Branch, n);
-        if real {
-            self.charge(OpClass::ScalarAlu, n);
-        } else {
-            self.cx_add_cost(n);
+    /// Charges `k · n` of each `(class, k)` in `per`.
+    fn each(&mut self, n: u64, per: &[(OpClass, u64)]) {
+        for &(class, k) in per {
+            self.charge(class, k * n);
         }
     }
 }
@@ -286,70 +288,34 @@ pub(super) fn scalar_builtin(name: &str, nargs: usize) -> Option<ScalarBuiltin> 
 }
 
 /// How a builtin whose value comes from the interpreter charges: `n`
-/// elements of its first argument, `real` when every argument is real,
-/// and `out` elements of its first output.
-type ArrayCharge = fn(&mut Exec<'_>, n: u64, real: bool, out: u64);
+/// elements of its first argument and `out` of its first output.
+type ArrayCharge = fn(&mut Exec<'_>, n: u64, out: u64);
 
 /// The charge of each builtin [`Exec::interp_builtin`] takes from the
-/// interpreter, keyed by name: a loop over the first argument's elements,
-/// except `linspace` (over its output's) and `size` (two register moves).
-/// `None` for what the C backend does not emit, which the simulator
-/// rejects too: a name not listed, or a complex `cumsum`.
+/// interpreter, keyed by name and whether every argument is `real`: a
+/// loop over the first argument's elements, except `linspace` (over its
+/// output's) and `size` (two register moves). `None` for what the C
+/// backend does not emit, which the simulator rejects too: a name not
+/// listed, or a complex `cumsum`.
+#[rustfmt::skip]
 fn array_charge(name: &str, real: bool) -> Option<ArrayCharge> {
-    use OpClass::{Branch, Load, ScalarAlu, ScalarDiv, ScalarMul, ScalarSqrt, Store};
+    use OpClass::{Branch, Load, ScalarAlu as Alu, ScalarDiv as Div, ScalarMul as Mul};
+    use OpClass::{ScalarSqrt as Sqrt, Store};
     Some(match (name, real) {
-        ("sum", _) => |e, n, real, _| e.sum_charge(n, real),
-        ("mean", _) => |e, n, real, out| {
-            e.sum_charge(n, real);
-            e.charge(ScalarDiv, out);
-        },
-        ("prod", _) => |e, n, real, _| {
-            e.charge(Load, n);
-            e.charge(Branch, n);
-            if real {
-                e.charge(ScalarMul, n);
-            } else {
-                e.cx_mul_cost(n);
-            }
-        },
-        ("min" | "max" | "any" | "all", _) => |e, n, _, _| {
-            e.charge(Load, n);
-            e.charge(ScalarAlu, n);
-            e.charge(Branch, n);
-        },
-        ("dot", _) => |e, n, real, _| {
-            e.charge(Load, 2 * n);
-            e.charge(Branch, n);
-            if real {
-                e.charge(ScalarMul, n);
-                e.charge(ScalarAlu, n);
-            } else {
-                e.cx_mac_cost(n);
-            }
-        },
-        ("norm", _) => |e, n, _, _| {
-            e.charge(Load, n);
-            e.charge(ScalarMul, 2 * n);
-            e.charge(ScalarAlu, n);
-            e.charge(Branch, n);
-            e.charge(ScalarSqrt, 1);
-        },
-        ("cumsum", true) => |e, n, _, _| {
-            e.charge(Load, n);
-            e.charge(ScalarAlu, n);
-            e.charge(Store, n);
-            e.charge(Branch, n);
-        },
-        ("fliplr" | "flipud", _) => |e, n, _, _| {
-            e.charge(Load, n);
-            e.charge(Store, n);
-            e.charge(Branch, n);
-        },
-        ("linspace", _) => |e, _, _, out| {
-            e.charge(ScalarAlu, out);
-            e.charge(Store, out);
-        },
-        ("size", _) => |e, _, _, _| e.charge(ScalarAlu, 2),
+        ("sum", true) => |e, n, _| e.each(n, &[(Load, 1), (Alu, 1), (Branch, 1)]),
+        ("sum", false) => |e, n, _| { e.each(n, &[(Load, 1), (Branch, 1)]); e.cx_add_cost(n) },
+        ("mean", true) => |e, n, out| { e.each(n, &[(Load, 1), (Alu, 1), (Branch, 1)]); e.charge(Div, out) },
+        ("mean", false) => |e, n, out| { e.each(n, &[(Load, 1), (Branch, 1)]); e.cx_add_cost(n); e.charge(Div, out) },
+        ("prod", true) => |e, n, _| e.each(n, &[(Load, 1), (Mul, 1), (Branch, 1)]),
+        ("prod", false) => |e, n, _| { e.each(n, &[(Load, 1), (Branch, 1)]); e.cx_mul_cost(n) },
+        ("min" | "max" | "any" | "all", _) => |e, n, _| e.each(n, &[(Load, 1), (Alu, 1), (Branch, 1)]),
+        ("dot", true) => |e, n, _| e.each(n, &[(Load, 2), (Mul, 1), (Alu, 1), (Branch, 1)]),
+        ("dot", false) => |e, n, _| { e.each(n, &[(Load, 2), (Branch, 1)]); e.cx_mac_cost(n) },
+        ("norm", _) => |e, n, _| { e.each(n, &[(Load, 1), (Mul, 2), (Alu, 1), (Branch, 1)]); e.charge(Sqrt, 1) },
+        ("cumsum", true) => |e, n, _| e.each(n, &[(Load, 1), (Alu, 1), (Store, 1), (Branch, 1)]),
+        ("fliplr" | "flipud", _) => |e, n, _| e.each(n, &[(Load, 1), (Store, 1), (Branch, 1)]),
+        ("linspace", _) => |e, _, out| e.each(out, &[(Alu, 1), (Store, 1)]),
+        ("size", _) => |e, _, _| e.charge(Alu, 2),
         _ => return None,
     })
 }

@@ -376,14 +376,8 @@ pub fn build_and_run(
     flags: &[&str],
 ) -> Result<Output, String> {
     static SEQ: AtomicU64 = AtomicU64::new(0);
-    let nanos = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_nanos());
-    let dir = std::env::temp_dir().join(format!(
-        "matic_c_{}_{}_{nanos}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("matic_c_{}_{seq}", std::process::id()));
     let run = || {
         let c_path =
             write_module(&dir, module, Some(main)).map_err(|e| format!("write module: {e}"))?;

@@ -191,7 +191,6 @@ static matic_cx cx_log(matic_cx a) {
     if (a.im == 0.0 && !(a.re < 0.0)) return cx_make(log(a.re), 0.0);
     return cx_make(log(cx_abs(a)), atan2(a.im, a.re));
 }
-static matic_cx cx_scale(matic_cx a, double k) { return cx_make(a.re * k, a.im * k); }
 static matic_cx cx_pow(matic_cx a, matic_cx b) {
     double lr, li, er, ei, m;
     if (a.im == 0.0 && b.im == 0.0) {
