@@ -23,6 +23,13 @@
 //!   `EXCEPTIONS` names the cells known to disagree. The test fails when
 //!   a cell outside it disagrees, and when a listed cell has come to
 //!   agree.
+//!
+//! A second table does the same for the non-element-wise builtins the C
+//! backend emits (reductions, `[m, k] = min`/`max`, `dot`, `norm`,
+//! `cumsum`, the flips, `linspace`, `size`): on a real and a complex row,
+//! a real and a complex 3x2 matrix and an empty slice, at baseline and
+//! full optimization, every output compared, with its own
+//! `ARRAY_EXCEPTIONS`.
 
 use matic::{arg, CValue, CompileError, Compiled, Compiler, Cx, Harness, Interpreter, IsaSpec};
 use matic::{OptLevel, SimVal, Ty};
